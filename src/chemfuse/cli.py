@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .chem import SmilesError, parse_smiles, tokenize, write_smiles
-from .encoder import dump_attention
+from .encoder import LayerOutOfRange, PositionOverflow, dump_attention
 from .features import (
     group_names_present,
     morgan_fingerprint,
@@ -356,7 +356,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (SmilesError, InputError, FileUnreadable, AllLinesFailed,
-            EmptySplit, FileNotFoundError) as exc:
+            EmptySplit, FileNotFoundError, PositionOverflow,
+            LayerOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

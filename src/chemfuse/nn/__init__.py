@@ -34,8 +34,6 @@ from .tensor import (
     pick,
     relu,
     scale,
-    slice_cols,
-    slice_rows,
     softmax_rows,
     softplus,
     sub,

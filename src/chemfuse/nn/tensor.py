@@ -216,12 +216,12 @@ _GELU_BETA = 0.044715
 def gelu(a: Tensor) -> Tensor:
     """Tanh-form gaussian error linear unit."""
     x = a.data
-    inner = _GELU_ALPHA * (x + _GELU_BETA * x ** 3)
+    inner = _GELU_ALPHA * (x + _GELU_BETA * (x * x * x))
     t = np.tanh(inner)
     out_data = 0.5 * x * (1.0 + t)
 
     def bwd(g):
-        d_inner = _GELU_ALPHA * (1.0 + 3.0 * _GELU_BETA * x ** 2)
+        d_inner = _GELU_ALPHA * (1.0 + 3.0 * _GELU_BETA * (x * x))
         da = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
         _accumulate(a, g * da)
 
@@ -262,24 +262,34 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     return _node(out_data, (a,), bwd)
 
 
+def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                        eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise LayerNorm; returns the output, x-hat and 1/std for backward."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                         gamma: np.ndarray) -> np.ndarray:
+    """Gradient of a row-wise LayerNorm with respect to its input."""
+    gg = g * gamma
+    term = gg - gg.mean(axis=1, keepdims=True) \
+        - xhat * (gg * xhat).sum(axis=1, keepdims=True) / xhat.shape[1]
+    return term * inv
+
+
 def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor,
                     eps: float = 1e-5) -> Tensor:
     if gamma.shape != (1, a.shape[1]) or beta.shape != (1, a.shape[1]):
         raise ShapeMismatch(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} vs {a.shape}")
-    x = a.data
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    out_data = xhat * gamma.data + beta.data
+    out_data, xhat, inv = _layer_norm_forward(a.data, gamma.data, beta.data, eps)
 
     def bwd(g):
-        gg = g * gamma.data
-        c = a.shape[1]
-        term = gg - gg.mean(axis=1, keepdims=True) \
-            - xhat * (gg * xhat).sum(axis=1, keepdims=True) / c
-        _accumulate(a, term * inv)
+        _accumulate(a, _layer_norm_backward(g, xhat, inv, gamma.data))
         _accumulate(gamma, (g * xhat).sum(axis=0, keepdims=True))
         _accumulate(beta, g.sum(axis=0, keepdims=True))
 
@@ -307,28 +317,6 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 def gather_rows(a: Tensor, rows: Sequence[int]) -> Tensor:
     return embedding_lookup(a, rows)
-
-
-def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
-    def bwd(g):
-        if not a.requires:
-            return
-        acc = np.zeros_like(a.data)
-        acc[lo:hi] = g
-        _accumulate(a, acc)
-
-    return _node(a.data[lo:hi].copy(), (a,), bwd)
-
-
-def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    def bwd(g):
-        if not a.requires:
-            return
-        acc = np.zeros_like(a.data)
-        acc[:, lo:hi] = g
-        _accumulate(a, acc)
-
-    return _node(a.data[:, lo:hi].copy(), (a,), bwd)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:

@@ -58,7 +58,6 @@ class FlaConfig:
     """Contrastive alignment settings; in-batch negatives are always on."""
 
     tau: float = 0.05
-    in_batch_negatives: bool = True
 
     def __post_init__(self):
         if self.tau <= 0:

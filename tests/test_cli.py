@@ -103,6 +103,23 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["embed", "attn-dump"])
+def test_exit_code_overlong_molecule(checkpoint, capsys, monkeypatch, command):
+    code, out, err = run(capsys, [command, "--checkpoint", checkpoint],
+                         stdin="C" * 300 + "\n", monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "max_positions" in err
+
+
+def test_exit_code_attn_dump_layer_out_of_range(checkpoint, capsys, monkeypatch):
+    code, _, err = run(capsys, ["attn-dump", "--checkpoint", checkpoint,
+                                "--layer", "5"], stdin="CCO\n", monkeypatch=monkeypatch)
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_exit_code_bad_flags(capsys):
     code, _, err = run(capsys, ["pretrain"])   # missing required args
     assert code == 1

@@ -220,3 +220,19 @@ def test_encoder_seeded_determinism():
     np.testing.assert_array_equal(
         a.encode_molecule(ids_for(t), g).x.data,
         b.encode_molecule(ids_for(t), g).x.data)
+
+
+def test_encode_molecule_tape_node_budget():
+    """Attention and the GCN layer are one tape node each; a per-head or
+    per-op decomposition would roughly double the tape."""
+    enc = make_encoder()
+    graph, tokens = parse_smiles("CC(=O)Nc1ccc(O)cc1")
+    x_cls = enc.encode_molecule(ids_for(tokens), graph).x_cls
+    seen = set()
+    stack = [x_cls]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    assert len(seen) <= 85

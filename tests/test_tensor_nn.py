@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chemfuse.chem import parse_smiles
+from chemfuse.encoder import BLOCK
 from chemfuse.features import featurize
 from chemfuse.nn import (
     AdamState,
@@ -265,6 +266,51 @@ def test_grad_attention(trial):
     fd_check(lambda: mean_all(multi_head_attention(x, x, 2, p)), params)
 
 
+def _weighted_loss(out_shape):
+    """mean_all(out * w) for a fixed random w, so no input gradient cancels."""
+    w = constant(RNG.normal(size=out_shape))
+    return lambda out: mean_all(mul(out, w))
+
+
+def _attn_param_list(p):
+    return [p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo]
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_grad_attention_separate_query_and_keys(trial):
+    p = _attn_params(4, prefix=f"c{trial}")
+    q = rand_param("q", 3, 4)
+    kv = rand_param("kv", 5, 4)
+    loss = _weighted_loss((3, 4))
+    fd_check(lambda: loss(multi_head_attention(q, kv, 2, p)),
+             [q, kv] + _attn_param_list(p))
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_grad_attention_self_input(trial):
+    p = _attn_params(4, prefix=f"s{trial}")
+    x = rand_param("x", 4, 4)
+    loss = _weighted_loss((4, 4))
+    fd_check(lambda: loss(multi_head_attention(x, x, 2, p)),
+             [x] + _attn_param_list(p))
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_grad_attention_blocked_keys(trial):
+    p = _attn_params(4, prefix=f"b{trial}")
+    x = rand_param("x", 5, 4)
+    bias = np.zeros((5, 5))
+    bias[:, 3] = BLOCK
+    bias[:2, 2:] = BLOCK
+    loss = _weighted_loss((5, 4))
+    retained = []
+    multi_head_attention(x, x, 2, p, attn_bias=bias, retain=retained)
+    for mat in retained:
+        assert np.all(mat[bias == BLOCK] == 0.0)
+    fd_check(lambda: loss(multi_head_attention(x, x, 2, p, attn_bias=bias)),
+             [x] + _attn_param_list(p))
+
+
 # ------------------------------------------------------------------------- gcn
 
 def _gcn_params(width, fbond, prefix="g"):
@@ -347,6 +393,17 @@ def test_grad_gcn(trial):
     h = constant(RNG.normal(size=(graph.m, 4)))
     fd_check(lambda: mean_all(gcn_layer(h, graph, bond_feats, p)),
              [p.w, p.bond_w, p.ln_gamma, p.ln_beta])
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_grad_gcn_atom_states(trial):
+    graph, _ = parse_smiles("CC(=O)NC1CC1")
+    _, bond_feats = featurize(graph)
+    p = _gcn_params(4, bond_feats.shape[1], prefix=f"gh{trial}")
+    h = rand_param("h", graph.m, 4)
+    loss = _weighted_loss((graph.m, 4))
+    fd_check(lambda: loss(gcn_layer(h, graph, bond_feats, p)),
+             [h, p.w, p.bond_w, p.ln_gamma, p.ln_beta])
 
 
 # ------------------------------------------------------------------------ adam
