@@ -252,6 +252,8 @@ class _Parser:
     def _on_dot(self, idx: int, token: Token) -> None:
         if self.pending is not None:
             raise DanglingBond("bond symbol before '.'")
+        if self.graph.m == 0:
+            raise DanglingBond("'.' with no preceding atom")
         self.prev = None
 
     def _on_stereo(self, idx: int, token: Token) -> None:

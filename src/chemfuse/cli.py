@@ -16,6 +16,7 @@ import numpy as np
 from .chem import SmilesError, parse_smiles, tokenize, write_smiles
 from .encoder import LayerOutOfRange, PositionOverflow, dump_attention
 from .features import (
+    EmptyCorpus,
     group_names_present,
     morgan_fingerprint,
     murcko_scaffold,
@@ -25,6 +26,7 @@ from .masking import MaskConfig, Strategy, sample_fragment_mask, sample_token_ma
 from .metrics import DegenerateInput, concordance_index, mse, rmse, roc_auc
 from .pipeline import (
     AllLinesFailed,
+    ConfigError,
     EmptySplit,
     FileUnreadable,
     SplitMode,
@@ -39,6 +41,7 @@ from .pipeline import (
     parse_molecule,
     pretrain,
     similarity,
+    x_cls_of,
 )
 from .masking import build_context_vocab
 
@@ -134,21 +137,26 @@ def cmd_mask(args) -> int:
     return 0
 
 
-def _train_config_from(args, cfg: dict) -> TrainConfig:
-    def pick(flag, key, cast, default):
-        if flag is not None:
-            return flag
-        if key in cfg:
-            return cast(cfg[key])
+def _config_value(cfg: dict, key: str, cast, default, flag=None):
+    """The flag when given, else ``cast(cfg[key])``, else ``default``."""
+    if flag is not None:
+        return flag
+    if key not in cfg:
         return default
+    try:
+        return cast(cfg[key])
+    except ValueError as exc:
+        raise ConfigError(f"config {key} = {cfg[key]!r}: {exc}") from exc
 
+
+def _train_config_from(args, cfg: dict) -> TrainConfig:
     return TrainConfig(
-        epochs=pick(args.epochs, "epochs", int, 30),
-        batch_size=pick(args.batch_size, "batch_size", int, 16),
-        lr=pick(args.lr, "lr", float, 2e-3),
-        warmup_steps=pick(args.warmup, "warmup_steps", int, 40),
-        weight_decay=pick(None, "weight_decay", float, 0.0),
-        seed=pick(args.seed if args.seed != 0 else None, "seed", int, args.seed),
+        epochs=_config_value(cfg, "epochs", int, 30, args.epochs),
+        batch_size=_config_value(cfg, "batch_size", int, 16, args.batch_size),
+        lr=_config_value(cfg, "lr", float, 2e-3, args.lr),
+        warmup_steps=_config_value(cfg, "warmup_steps", int, 40, args.warmup),
+        weight_decay=_config_value(cfg, "weight_decay", float, 0.0),
+        seed=_config_value(cfg, "seed", int, 7, args.seed),
     )
 
 
@@ -157,15 +165,19 @@ def _model_kwargs_from(cfg: dict) -> dict:
         "dim": int, "transformer_layers": int, "heads": int, "gnn_layers": int,
         "gnn_width": int, "max_positions": int, "fingerprint_width": int,
     }
-    return {k: cast(cfg[k]) for k, cast in keys.items() if k in cfg}
+    return {k: _config_value(cfg, k, cast, None) for k, cast in keys.items() if k in cfg}
 
 
 def cmd_pretrain(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
     train_cfg = _train_config_from(args, cfg)
-    mask_cfg = MaskConfig(
-        r_t=float(cfg.get("r_t", 0.2)), r_f=float(cfg.get("r_f", 0.6)),
-        strategy=Strategy(args.mask_strategy), seed=train_cfg.seed)
+    r_t = _config_value(cfg, "r_t", float, 0.2)
+    r_f = _config_value(cfg, "r_f", float, 0.6)
+    try:
+        mask_cfg = MaskConfig(r_t=r_t, r_f=r_f, strategy=Strategy(args.mask_strategy),
+                              seed=train_cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from exc
     corpus = ingest(args.input)
     print(f"ingested {len(corpus)} molecules ({corpus.skipped} skipped)",
           file=sys.stderr)
@@ -183,9 +195,9 @@ def cmd_finetune(args) -> int:
     task = load_task(args.input, TaskKind(args.task), SplitMode(args.split))
     result = finetune(
         model, vocab, task,
-        epochs=args.epochs if args.epochs is not None else int(cfg.get("epochs", 20)),
-        batch_size=args.batch_size if args.batch_size is not None else int(cfg.get("batch_size", 16)),
-        lr=args.lr if args.lr is not None else float(cfg.get("lr", 1e-3)),
+        epochs=_config_value(cfg, "epochs", int, 20, args.epochs),
+        batch_size=_config_value(cfg, "batch_size", int, 16, args.batch_size),
+        lr=_config_value(cfg, "lr", float, 1e-3, args.lr),
         seed=args.seed, tune_encoder=not args.freeze_encoder)
     sizes = result.split_sizes
     print(f"split sizes train/valid/test = {sizes[0]}/{sizes[1]}/{sizes[2]}; "
@@ -198,9 +210,11 @@ def cmd_finetune(args) -> int:
 def cmd_embed(args) -> int:
     model, vocab, _, _ = load_pretrained(args.checkpoint)
     for smiles in _read_smiles_lines(args.input):
-        mol = parse_molecule(smiles)
-        enc = model.encoder.encode_molecule(vocab.ids_for(mol.tokens), mol.graph)
-        print("\t".join(f"{v:.6f}" for v in enc.x_cls.data[0]))
+        # ``x_cls`` keeps this molecule's tape alive until the next one is
+        # built, so the allocator reuses its memory instead of handing it
+        # back and page-faulting it in again for every molecule.
+        x_cls = x_cls_of(model, vocab, parse_molecule(smiles))
+        print("\t".join(f"{v:.6f}" for v in x_cls.data[0]))
     return 0
 
 
@@ -303,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)
@@ -356,8 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (SmilesError, InputError, FileUnreadable, AllLinesFailed,
-            EmptySplit, FileNotFoundError, PositionOverflow,
-            LayerOutOfRange) as exc:
+            EmptySplit, EmptyCorpus, ConfigError, FileNotFoundError,
+            PositionOverflow, LayerOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

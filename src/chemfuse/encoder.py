@@ -204,18 +204,26 @@ class MoleculeEncoder:
 
     def embed_graph(self, graph: MolecularGraph,
                     masked_atoms: tuple[int, ...] = ()) -> Tensor:
-        """GCN over (possibly masked) atom/bond features, projected to dim."""
+        """GCN over (possibly masked) atom/bond features, projected to dim.
+
+        The neighbour-sum operator and the per-atom summed bond features
+        are built here once and shared by every GCN layer.
+        """
         atom_feats, bond_feats = featurize(graph)
-        if masked_atoms:
-            masked = set(masked_atoms)
-            for i in masked:
-                atom_feats[i] = masked_atom_row()
-            for bi, bond in enumerate(graph.bonds):
-                if bond.a in masked or bond.b in masked:
-                    bond_feats[bi] = masked_bond_row()
+        masked = set(masked_atoms)
+        for i in masked:
+            atom_feats[i] = masked_atom_row()
+        adj = np.zeros((graph.m, graph.m))
+        edge_sum = np.zeros((graph.m, bond_feats.shape[1]))
+        for bi, bond in enumerate(graph.bonds):
+            if bond.a in masked or bond.b in masked:
+                bond_feats[bi] = masked_bond_row()
+            adj[bond.a, bond.b] = adj[bond.b, bond.a] = 1.0
+            edge_sum[bond.a] += bond_feats[bi]
+            edge_sum[bond.b] += bond_feats[bi]
         h = affine(constant(atom_feats), self.gnn_in_w, self.gnn_in_b)
         for block in self.gnn_blocks:
-            h = gcn_layer(h, graph, bond_feats, block)
+            h = gcn_layer(h, adj, edge_sum, block)
         return affine(h, self.gnn_out_w, self.gnn_out_b)
 
     # --------------------------------------------------------------- encoder

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..chem.graph import MolecularGraph
 from .tensor import (
     ShapeMismatch,
     Tensor,
@@ -114,32 +113,18 @@ class GcnLayerParams:
     ln_beta: Tensor
 
 
-def _graph_operators(graph: MolecularGraph,
-                     bond_features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense neighbor-sum operator and per-atom summed bond features."""
-    m = graph.m
-    adj = np.zeros((m, m), dtype=np.float64)
-    edge_sum = np.zeros((m, bond_features.shape[1]), dtype=np.float64)
-    for bi, bond in enumerate(graph.bonds):
-        adj[bond.a, bond.b] = 1.0
-        adj[bond.b, bond.a] = 1.0
-        edge_sum[bond.a] += bond_features[bi]
-        edge_sum[bond.b] += bond_features[bi]
-    return adj, edge_sum
-
-
-def gcn_layer(atom_states: Tensor, graph: MolecularGraph,
-              bond_features: np.ndarray, params: GcnLayerParams) -> Tensor:
+def gcn_layer(atom_states: Tensor, adj: np.ndarray, edge_sum: np.ndarray,
+              params: GcnLayerParams) -> Tensor:
     """h_i' = LayerNorm(h_i + ReLU(W (h_i + sum_j (h_j + proj(e_ij))))).
 
-    Isolated atoms see only the self term. ``bond_features`` rows align
-    with ``graph.bonds`` (already masked upstream when applicable).
+    ``adj`` is the molecule's (m x m) neighbour-sum operator and
+    ``edge_sum`` holds each atom's summed bond features (m x bond width),
+    both built once per graph view; isolated atoms see only the self term.
     """
-    if atom_states.shape[0] != graph.m:
+    if atom_states.shape[0] != adj.shape[0]:
         raise ShapeMismatch(
-            f"{atom_states.shape[0]} state rows for {graph.m} atoms")
+            f"{atom_states.shape[0]} state rows for {adj.shape[0]} atoms")
     p = params
-    adj, edge_sum = _graph_operators(graph, bond_features)
     h = atom_states.data
     inner = h + (adj @ h + edge_sum @ p.bond_w.data)
     pre = inner @ p.w.data

@@ -3,15 +3,18 @@
 The pretraining step realizes the four-objective sum per batch: every
 molecule contributes one token-masked view and one fragment-masked view
 (strategy CMM), a clean view (alignment, matching positives, domain
-targets), and one mismatched-pair view for matching negatives. One
-optimizer step runs per batch under a linear warmup / linear decay
-schedule.
+targets), and one mismatched-pair view for matching negatives. Each
+molecule's SMILES and graph sides are embedded once per step; every view
+that leaves a side unmasked, and every mismatched pair, reuses those
+embeddings. One optimizer step runs per batch under a linear warmup /
+linear decay schedule.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -45,9 +48,11 @@ from .nn import (
     AdamState,
     NonFiniteInput,
     Parameter,
+    Tensor,
     adam_step,
     add,
     backward,
+    concat_cols,
     concat_rows,
     constant,
     load_checkpoint,
@@ -86,6 +91,10 @@ class AllLinesFailed(ValueError):
 
 class EmptySplit(ValueError):
     """A train/valid/test split received zero molecules."""
+
+
+class ConfigError(ValueError):
+    """A config file line or value cannot be used."""
 
 
 # ------------------------------------------------------------------ vocabulary
@@ -377,30 +386,27 @@ def _step_losses(model: PretrainModel, batch: Batch, mask_cfg: MaskConfig,
     records = batch.records
     block = mask_cfg.strategy is Strategy.SINGLE_MODALITY
 
-    tok_samples, tok_encodings = [], []
-    frag_samples, frag_encodings = [], []
-    clean_encodings = []
+    def view(i, sample, block_cross_modality=False):
+        """A masked view; each side it leaves unmasked reuses the clean embedding."""
+        s_emb = (enc.embed_smiles(records[i].token_ids, sample.masked_token_positions)
+                 if sample.masked_token_positions else smiles_embs[i])
+        g_emb = (enc.embed_graph(records[i].graph, sample.masked_atom_positions)
+                 if sample.masked_atom_positions else graph_embs[i])
+        return enc.joint_encode(s_emb, g_emb, block_cross_modality=block_cross_modality)
+
+    smiles_embs = [enc.embed_smiles(rec.token_ids) for rec in records]
+    graph_embs = [enc.embed_graph(rec.graph) for rec in records]
+    tok_samples, frag_samples = [], []
     for i, rec in enumerate(records):
         rng = _record_rng(train_seed, epoch, base_index + i)
         if mask_cfg.strategy is Strategy.CMM:
-            tok_sample = sample_token_mask(rec, mask_cfg, rng)
-            frag_sample = sample_fragment_mask(rec, rec.fragment_map, mask_cfg, rng)
+            tok_samples.append(sample_token_mask(rec, mask_cfg, rng))
+            frag_samples.append(sample_fragment_mask(rec, rec.fragment_map, mask_cfg, rng))
         else:
-            tok_sample = sample_ablation_mask(rec, mask_cfg, rng)
-            frag_sample = None
-        tok_samples.append(tok_sample)
-        tok_encodings.append(enc.encode_molecule(
-            rec.token_ids, rec.graph,
-            masked_tokens=tok_sample.masked_token_positions,
-            masked_atoms=tok_sample.masked_atom_positions,
-            block_cross_modality=block))
-        if frag_sample is not None:
-            frag_samples.append(frag_sample)
-            frag_encodings.append(enc.encode_molecule(
-                rec.token_ids, rec.graph,
-                masked_tokens=frag_sample.masked_token_positions,
-                masked_atoms=frag_sample.masked_atom_positions))
-        clean_encodings.append(enc.encode_molecule(rec.token_ids, rec.graph))
+            tok_samples.append(sample_ablation_mask(rec, mask_cfg, rng))
+    tok_encodings = [view(i, s, block) for i, s in enumerate(tok_samples)]
+    frag_encodings = [view(i, s) for i, s in enumerate(frag_samples)]
+    clean_encodings = [enc.joint_encode(s, g) for s, g in zip(smiles_embs, graph_embs)]
 
     l_t, tok_aux = loss_cmm_token(tok_encodings, tok_samples, heads)
     if frag_encodings:
@@ -422,10 +428,8 @@ def _step_losses(model: PretrainModel, batch: Batch, mask_cfg: MaskConfig,
     sgm_aux = {}
     try:
         partners = derangement(len(records))
-        neg = [enc.joint_encode(
-            enc.embed_smiles(records[i].token_ids),
-            enc.embed_graph(records[partner].graph)).x_cls
-            for i, partner in enumerate(partners)]
+        neg = [enc.joint_encode(smiles_embs[i], graph_embs[partner]).x_cls
+               for i, partner in enumerate(partners)]
         l_sgm, sgm_aux = loss_sgm([e.x_cls for e in clean_encodings], neg, heads)
     except BatchTooSmall:
         l_sgm = constant(0.0)
@@ -460,8 +464,9 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
 
     Per epoch every molecule contributes one token-masked and one
     fragment-masked view in the same batch (CMM); ablation strategies
-    contribute a single view and a zero fragment term. A NaN in any
-    component aborts with the offending batch index. When
+    contribute a single view and a zero fragment term. Molecules longer
+    than the position table are skipped, with a count on stderr. A NaN in
+    any component aborts with the offending batch index. When
     ``checkpoint_dir`` is set, a checkpoint is (re)written after each
     epoch.
     """
@@ -478,6 +483,13 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
     model = PretrainModel(config, seed=train_config.seed)
     records = prepare_records(corpus, vocab, context_vocab,
                               fingerprint_width=config.fingerprint_width)
+    fitting = [r for r in records if len(r.token_ids) <= config.max_positions]
+    if len(fitting) < len(records):
+        print(f"skipped {len(records) - len(fitting)} molecules longer than "
+              f"max_positions={config.max_positions} tokens", file=sys.stderr)
+    if not fitting:
+        raise EmptyCorpus("no molecule fits the position table")
+    records = fitting
     steps_per_epoch = math.ceil(len(records) / train_config.batch_size)
     total_steps = steps_per_epoch * train_config.epochs
     fla_cfg = fla_config or FlaConfig()
@@ -610,16 +622,9 @@ class FinetuneResult:
     split_sizes: tuple[int, int, int]
 
 
-def _x_cls_of(model: PretrainModel, vocab: Vocabulary,
-              mols: tuple[ParsedMolecule, ...]):
-    parts = []
-    for mol in mols:
-        encoding = model.encoder.encode_molecule(vocab.ids_for(mol.tokens), mol.graph)
-        parts.append(encoding.x_cls)
-    if len(parts) == 1:
-        return parts[0]
-    from .nn import concat_cols
-    return concat_cols(parts)
+def x_cls_of(model: PretrainModel, vocab: Vocabulary, mol: ParsedMolecule) -> Tensor:
+    """The molecule embedding ``x_cls`` (1 x dim) of one clean forward."""
+    return model.encoder.encode_molecule(vocab.ids_for(mol.tokens), mol.graph).x_cls
 
 
 def _task_loss(logits, labels_np, kind: TaskKind):
@@ -662,15 +667,18 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
     labels = np.asarray(task.labels, dtype=np.float64)
     frozen_cache: dict[int, np.ndarray] = {}
 
+    def x_cls_row(i):
+        # Pair tasks concatenate the two molecules' x_cls.
+        return concat_cols([x_cls_of(model, vocab, mol) for mol in task.molecules[i]])
+
     def head_forward(indices):
         rows = []
         for i in indices:
             if tune_encoder:
-                rows.append(_x_cls_of(model, vocab, task.molecules[i]))
+                rows.append(x_cls_row(i))
             else:
                 if i not in frozen_cache:
-                    frozen_cache[i] = _x_cls_of(model, vocab,
-                                                task.molecules[i]).data
+                    frozen_cache[i] = x_cls_row(i).data
                 rows.append(constant(frozen_cache[i]))
         x = concat_rows(rows)
         return affine(relu(affine(x, w1, b1)), w2, b2)
@@ -744,22 +752,15 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
 def embed_corpus(model: PretrainModel, vocab: Vocabulary,
                  corpus: Corpus) -> np.ndarray:
     """One x_cls row per molecule, in corpus order."""
-    rows = []
-    for mol in corpus.molecules:
-        encoding = model.encoder.encode_molecule(vocab.ids_for(mol.tokens), mol.graph)
-        rows.append(encoding.x_cls.data[0])
+    rows = [x_cls_of(model, vocab, mol).data[0] for mol in corpus.molecules]
     return np.stack(rows) if rows else np.zeros((0, model.config.dim))
 
 
 def similarity(model: PretrainModel, vocab: Vocabulary,
                smiles_a: str, smiles_b: str) -> float:
     """Cosine similarity of the two molecules' x_cls embeddings."""
-    vectors = []
-    for s in (smiles_a, smiles_b):
-        mol = parse_molecule(s)
-        encoding = model.encoder.encode_molecule(vocab.ids_for(mol.tokens), mol.graph)
-        vectors.append(encoding.x_cls.data[0])
-    a, b = vectors
+    a, b = embed_corpus(model, vocab, Corpus(
+        [parse_molecule(smiles_a), parse_molecule(smiles_b)]))
     denom = np.linalg.norm(a) * np.linalg.norm(b)
     return float(a @ b / denom) if denom else 0.0
 
@@ -778,7 +779,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line without '=': {raw!r}")
+            raise ConfigError(f"config line without '=': {raw!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out

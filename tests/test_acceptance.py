@@ -36,7 +36,7 @@ from chemfuse.pipeline import (
     pretrain,
 )
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, graph_operators
 from test_tensor_nn import fd_check
 
 
@@ -132,6 +132,7 @@ def test_criterion_3_gradient_suite():
     graph, _ = parse_smiles("CC(=O)N")
     from chemfuse.features import featurize
     _, bond_feats = featurize(graph)
+    ops = graph_operators(graph, bond_feats)
     for trial in range(5):
         ap = AttentionParams(
             rp("wq", 4, 4), rp("bq", 1, 4), rp("wk", 4, 4), rp("bk", 1, 4),
@@ -142,7 +143,7 @@ def test_criterion_3_gradient_suite():
         gp = GcnLayerParams(rp("gw", 4, 4), rp("gbw", bond_feats.shape[1], 4),
                             rp("glg", 1, 4), rp("glb", 1, 4))
         h = constant(rng.normal(size=(graph.m, 4)))
-        fd_check(lambda: mean_all(gcn_layer(h, graph, bond_feats, gp)),
+        fd_check(lambda: mean_all(gcn_layer(h, *ops, gp)),
                  [gp.w, gp.bond_w, gp.ln_gamma, gp.ln_beta])
 
     # All five loss heads, 5 random instances each.

@@ -143,6 +143,8 @@ def test_parse_errors():
         parse_smiles("CC=")
     with pytest.raises(DanglingBond):
         parse_smiles("=CC")
+    with pytest.raises(DanglingBond):
+        parse_smiles(".C")
     with pytest.raises(UnknownElement):
         parse_smiles("CXC")
     with pytest.raises(ValenceOverflow):

@@ -1,8 +1,14 @@
 """CLI contract tests: formats, exit codes, stream discipline, idempotence."""
 
-import pytest
+import contextlib
+import io
+import sys
+from unittest import mock
 
-from chemfuse.cli import main
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from chemfuse.cli import _train_config_from, build_parser, main
 from chemfuse.masking import MaskConfig
 from chemfuse.pipeline import Corpus, TrainConfig, parse_molecule, pretrain
 
@@ -113,6 +119,54 @@ def test_exit_code_overlong_molecule(checkpoint, capsys, monkeypatch, command):
     assert err.startswith("error: ") and "max_positions" in err
 
 
+@pytest.mark.parametrize("command", ["fragment", "embed"])
+def test_exit_code_leading_dot(checkpoint, capsys, monkeypatch, command):
+    argv = [command] + (["--checkpoint", checkpoint] if command == "embed" else [])
+    code, out, err = run(capsys, argv, stdin=".C\n", monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+SMILES_ALPHABET = "CNOSPFIBrlcnosp[]()=#$:/\\@+-.%0123456789H* "
+
+
+@settings(max_examples=300, deadline=None)
+@example(command="fragment", line=".C")
+@given(command=st.sampled_from(["tokenize", "parse", "fragment", "groups",
+                                "scaffold", "fingerprint"]),
+       line=st.text(alphabet=SMILES_ALPHABET, min_size=1, max_size=14))
+def test_stdin_commands_exit_0_or_1(command, line):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(line + "\n")), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command])
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize("config", ["oops\n", "epochs = abc\n", "r_t = 5\n"])
+def test_exit_code_bad_config(tmp_path, capsys, config):
+    corpus = tmp_path / "c.smi"
+    corpus.write_text("CCO\nCCN\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config)
+    code, out, err = run(capsys, ["pretrain", str(corpus), "--checkpoint",
+                                  str(tmp_path / "ckpt"), "--config", str(cfg)])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags,expected", [([], 3), (["--seed", "0"], 0)])
+def test_seed_precedence_flag_then_config(flags, expected):
+    args = build_parser().parse_args(["pretrain", "c.smi", "--checkpoint", "ck"] + flags)
+    assert _train_config_from(args, {"seed": "3"}).seed == expected
+    assert _train_config_from(args, {}).seed == (expected if flags else 7)
+
+
 def test_exit_code_attn_dump_layer_out_of_range(checkpoint, capsys, monkeypatch):
     code, _, err = run(capsys, ["attn-dump", "--checkpoint", checkpoint,
                                 "--layer", "5"], stdin="CCO\n", monkeypatch=monkeypatch)
@@ -173,3 +227,21 @@ def test_finetune_cli(tmp_path, checkpoint, capsys):
         "--split", "random", "--epochs", "1", "--freeze-encoder"])
     assert code == 0
     assert out.startswith("roc_auc\t")
+
+
+def test_pretrain_skips_overlong_molecules(tmp_path, capsys):
+    corpus = tmp_path / "c.smi"
+    corpus.write_text("CCO\nCCN\nCC(=O)OC\n" + "C" * 300 + "\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim = 16\ntransformer_layers = 1\nheads = 2\n"
+                   "gnn_layers = 1\ngnn_width = 8\nfingerprint_width = 64\n")
+    argv = ["pretrain", str(corpus), "--checkpoint", str(tmp_path / "ckpt"),
+            "--config", str(cfg), "--epochs", "1", "--batch-size", "2"]
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 2     # header plus two steps of 3 molecules
+    assert "skipped 1 molecules longer than max_positions=256" in err
+    corpus.write_text("C" * 300 + "\n")
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert err.splitlines()[-1].startswith("error: ")

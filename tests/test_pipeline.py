@@ -6,9 +6,25 @@ import numpy as np
 import pytest
 
 from chemfuse.encoder import PAD_ID
-from chemfuse.masking import MaskConfig
+from chemfuse.masking import (
+    MaskConfig,
+    Strategy,
+    sample_ablation_mask,
+    sample_fragment_mask,
+    sample_token_mask,
+)
 from chemfuse.metrics import DegenerateInput, concordance_index, roc_auc, rmse
-from chemfuse.objectives import BatchTooSmall, FlaConfig
+from chemfuse.nn import backward, concat_rows, constant
+from chemfuse.objectives import (
+    BatchTooSmall,
+    FlaConfig,
+    loss_cmm_fragment,
+    loss_cmm_token,
+    loss_dkl,
+    loss_fla,
+    loss_sgm,
+    total_loss,
+)
 from chemfuse.pipeline import (
     AllLinesFailed,
     Corpus,
@@ -18,6 +34,7 @@ from chemfuse.pipeline import (
     SplitMode,
     TaskKind,
     TrainConfig,
+    _record_rng,
     _step_losses,
     build_vocabulary,
     derangement,
@@ -84,6 +101,14 @@ def test_ingest_skips_bad_lines(tmp_path):
     assert corpus.skipped == 1
 
 
+def test_ingest_skips_leading_dot(tmp_path):
+    f = tmp_path / "corpus.smi"
+    f.write_text("CCO\n.C\nCCN\n")
+    corpus = ingest(f)
+    assert [m.smiles for m in corpus.molecules] == ["CCO", "CCN"]
+    assert corpus.skipped == 1
+
+
 def test_ingest_hash_deterministic(tmp_path):
     f = tmp_path / "corpus.smi"
     f.write_text("CCO\nCCN\n")
@@ -138,6 +163,117 @@ def test_padding_neutrality_bitwise():
                                         epoch=0, base_index=0, train_seed=1)
     assert total_a.data[0, 0] == total_b.data[0, 0]
     assert report_a == report_b
+
+
+def _reference_step_losses(model, batch, mask_cfg, fla_cfg, epoch, base_index,
+                           train_seed):
+    """Every view encoded from scratch and the matching negatives recomputed,
+    one ``encode_molecule`` per view."""
+    enc, heads, records = model.encoder, model.heads, batch.records
+    block = mask_cfg.strategy is Strategy.SINGLE_MODALITY
+    tok_samples, tok_encs, frag_samples, frag_encs, clean = [], [], [], [], []
+    for i, rec in enumerate(records):
+        rng = _record_rng(train_seed, epoch, base_index + i)
+        if mask_cfg.strategy is Strategy.CMM:
+            tok = sample_token_mask(rec, mask_cfg, rng)
+            frag_samples.append(sample_fragment_mask(rec, rec.fragment_map, mask_cfg, rng))
+            frag_encs.append(enc.encode_molecule(
+                rec.token_ids, rec.graph,
+                masked_tokens=frag_samples[-1].masked_token_positions,
+                masked_atoms=frag_samples[-1].masked_atom_positions))
+        else:
+            tok = sample_ablation_mask(rec, mask_cfg, rng)
+        tok_samples.append(tok)
+        tok_encs.append(enc.encode_molecule(
+            rec.token_ids, rec.graph, masked_tokens=tok.masked_token_positions,
+            masked_atoms=tok.masked_atom_positions, block_cross_modality=block))
+        clean.append(enc.encode_molecule(rec.token_ids, rec.graph))
+    l_t, tok_aux = loss_cmm_token(tok_encs, tok_samples, heads)
+    l_f = loss_cmm_fragment(frag_encs, frag_samples, heads)[0] if frag_encs \
+        else constant(0.0)
+    pooled = [enc.pool_fragments(e, rec.fragment_map) for e, rec in zip(clean, records)]
+    offsets = list(np.cumsum([0] + [q.K for q in pooled[:-1]]))
+    l_fla, _ = loss_fla(concat_rows([q.f_s for q in pooled]),
+                        concat_rows([q.f_g for q in pooled]), offsets, fla_cfg)
+    neg = [enc.joint_encode(enc.embed_smiles(records[i].token_ids),
+                            enc.embed_graph(records[j].graph)).x_cls
+           for i, j in enumerate(derangement(len(records)))]
+    l_sgm, sgm_aux = loss_sgm([e.x_cls for e in clean], neg, heads)
+    l_dkl, _ = loss_dkl([e.x_cls for e in clean],
+                        [rec.fingerprint_bits for rec in records],
+                        [rec.group_bits for rec in records], heads)
+    return total_loss(l_t, l_f, l_fla, l_sgm, l_dkl,
+                      mlm_accuracy=tok_aux["mlm_accuracy"],
+                      sgm_accuracy=sgm_aux["sgm_accuracy"])
+
+
+def _small_model_and_batch(n=6, seed=11):
+    from chemfuse.encoder import ModelConfig
+    from chemfuse.masking import build_context_vocab
+    from chemfuse.pipeline import PretrainModel
+
+    corpus = tiny_corpus(n)
+    vocab = build_vocabulary(m.tokens for m in corpus.molecules)
+    ctx = build_context_vocab(m.graph for m in corpus.molecules)
+    records = prepare_records(corpus, vocab, ctx, fingerprint_width=64)
+    config = ModelConfig(vocab_size=vocab.size, context_vocab_size=ctx.size,
+                         n_groups=24, **SMALL_MODEL)
+    return PretrainModel(config, seed=seed), make_batch(records)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_step_losses_match_per_view_reference(strategy):
+    """Sharing the clean embeddings across views leaves every loss bitwise
+    unchanged and every gradient equal up to summation order."""
+    model, batch = _small_model_and_batch()
+    mask_cfg = MaskConfig(strategy=strategy, seed=1)
+    params = list(model.params.values())
+    results = []
+    for step in (_reference_step_losses, _step_losses):
+        total, report = step(model, batch, mask_cfg, FlaConfig(), epoch=2,
+                             base_index=4, train_seed=1)[:2]
+        for p in params:
+            p.zero_grad()
+        backward(total)
+        results.append((report, {p.name: p.grad.copy() for p in params}))
+    (want, want_grads), (got, got_grads) = results
+    assert got == want
+    for name, grad in want_grads.items():
+        np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+def test_step_losses_embeds_each_side_once_per_view(monkeypatch):
+    """Under CMM a step embeds each side once for the clean view, once for
+    the token-masked view, and once more where a fragment mask hides it."""
+    from chemfuse import pipeline
+    from chemfuse.encoder import MoleculeEncoder
+    from chemfuse.masking import Modality
+
+    calls = {"embed_smiles": 0, "embed_graph": 0}
+    for name in calls:
+        original = getattr(MoleculeEncoder, name)
+
+        def counted(self, *args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MoleculeEncoder, name, counted)
+    frag_samples = []
+    sample = pipeline.sample_fragment_mask
+
+    def recorded(*args):
+        frag_samples.append(sample(*args))
+        return frag_samples[-1]
+
+    monkeypatch.setattr(pipeline, "sample_fragment_mask", recorded)
+    model, batch = _small_model_and_batch()
+    _step_losses(model, batch, MaskConfig(seed=1), FlaConfig(), epoch=0,
+                 base_index=0, train_seed=1)
+    sides = [s.masked_modality for s in frag_samples]
+    assert len(sides) == batch.size == 6
+    assert calls["embed_smiles"] == 2 * batch.size + sides.count(Modality.SMILES)
+    assert calls["embed_graph"] == 2 * batch.size + sides.count(Modality.GRAPH)
 
 
 # -------------------------------------------------------------------- schedule

@@ -41,6 +41,8 @@ from chemfuse.nn import (
     transpose,
 )
 
+from conftest import graph_operators
+
 RNG = np.random.default_rng(42)
 EPS = 1e-5
 TOL = 1e-4
@@ -343,7 +345,7 @@ def test_gcn_matches_naive_oracle():
     _, bond_feats = featurize(graph)
     p = _gcn_params(6, bond_feats.shape[1])
     h = RNG.normal(size=(graph.m, 6))
-    got = gcn_layer(constant(h), graph, bond_feats, p).data
+    got = gcn_layer(constant(h), *graph_operators(graph, bond_feats), p).data
     np.testing.assert_allclose(got, _naive_gcn(h, graph, bond_feats, p), atol=1e-10)
 
 
@@ -352,7 +354,8 @@ def test_gcn_single_atom_self_term_only():
     _, bond_feats = featurize(graph)
     p = _gcn_params(5, bond_feats.shape[1] if bond_feats.size else 6)
     h = RNG.normal(size=(1, 5))
-    got = gcn_layer(constant(h), graph, np.zeros((0, p.bond_w.shape[0])), p).data
+    got = gcn_layer(constant(h), *graph_operators(graph, np.zeros((0, p.bond_w.shape[0]))),
+                    p).data
     msg = np.maximum(0.0, h @ p.w.data)
     pre = h + msg
     xhat = (pre - pre.mean()) / np.sqrt(pre.var() + 1e-5)
@@ -367,7 +370,7 @@ def test_gcn_equivariance_under_relabeling():
     _, bond_feats = featurize(graph)
     p = _gcn_params(6, bond_feats.shape[1])
     h = RNG.normal(size=(graph.m, 6))
-    out = gcn_layer(constant(h), graph, bond_feats, p).data
+    out = gcn_layer(constant(h), *graph_operators(graph, bond_feats), p).data
 
     rng = pyrandom.Random(5)
     permuted = permute_graph(graph, rng)
@@ -380,7 +383,7 @@ def test_gcn_equivariance_under_relabeling():
     from chemfuse.features import bond_feature_row
     perm_feats = np.stack([bond_feature_row(b) for b in permuted.bonds])
     h_perm = np.stack([h[mapping[i]] for i in range(permuted.m)])
-    out_perm = gcn_layer(constant(h_perm), permuted, perm_feats, p).data
+    out_perm = gcn_layer(constant(h_perm), *graph_operators(permuted, perm_feats), p).data
     for i in range(permuted.m):
         np.testing.assert_allclose(out_perm[i], out[mapping[i]], atol=1e-10)
 
@@ -391,7 +394,8 @@ def test_grad_gcn(trial):
     _, bond_feats = featurize(graph)
     p = _gcn_params(4, bond_feats.shape[1], prefix=f"gc{trial}")
     h = constant(RNG.normal(size=(graph.m, 4)))
-    fd_check(lambda: mean_all(gcn_layer(h, graph, bond_feats, p)),
+    ops = graph_operators(graph, bond_feats)
+    fd_check(lambda: mean_all(gcn_layer(h, *ops, p)),
              [p.w, p.bond_w, p.ln_gamma, p.ln_beta])
 
 
@@ -402,7 +406,8 @@ def test_grad_gcn_atom_states(trial):
     p = _gcn_params(4, bond_feats.shape[1], prefix=f"gh{trial}")
     h = rand_param("h", graph.m, 4)
     loss = _weighted_loss((graph.m, 4))
-    fd_check(lambda: loss(gcn_layer(h, graph, bond_feats, p)),
+    ops = graph_operators(graph, bond_feats)
+    fd_check(lambda: loss(gcn_layer(h, *ops, p)),
              [h, p.w, p.bond_w, p.ln_gamma, p.ln_beta])
 
 
