@@ -14,7 +14,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from .chem import SmilesError, parse_smiles, tokenize, write_smiles
-from .encoder import LayerOutOfRange, PositionOverflow, dump_attention
+from .encoder import (
+    LayerOutOfRange,
+    ModelConfig,
+    ModelConfigError,
+    PositionOverflow,
+    dump_attention,
+)
 from .features import (
     EmptyCorpus,
     group_names_present,
@@ -24,11 +30,13 @@ from .features import (
 from .fragments import build_fragment_map
 from .masking import MaskConfig, Strategy, sample_fragment_mask, sample_token_mask
 from .metrics import DegenerateInput, concordance_index, mse, rmse, roc_auc
+from .nn import CheckpointCorrupt
 from .pipeline import (
     AllLinesFailed,
     ConfigError,
     EmptySplit,
     FileUnreadable,
+    InvalidLabel,
     SplitMode,
     TaskKind,
     TrainConfig,
@@ -165,12 +173,16 @@ def _model_kwargs_from(cfg: dict) -> dict:
         "dim": int, "transformer_layers": int, "heads": int, "gnn_layers": int,
         "gnn_width": int, "max_positions": int, "fingerprint_width": int,
     }
-    return {k: _config_value(cfg, k, cast, None) for k, cast in keys.items() if k in cfg}
+    kwargs = {k: _config_value(cfg, k, cast, None) for k, cast in keys.items() if k in cfg}
+    # Checked with the smallest vocabularies before any input is read.
+    ModelConfig(vocab_size=3, context_vocab_size=1, **kwargs)
+    return kwargs
 
 
 def cmd_pretrain(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
     train_cfg = _train_config_from(args, cfg)
+    model_kwargs = _model_kwargs_from(cfg)
     r_t = _config_value(cfg, "r_t", float, 0.2)
     r_f = _config_value(cfg, "r_f", float, 0.6)
     try:
@@ -182,7 +194,7 @@ def cmd_pretrain(args) -> int:
     print(f"ingested {len(corpus)} molecules ({corpus.skipped} skipped)",
           file=sys.stderr)
     _, _, _, history = pretrain(
-        corpus, mask_cfg, train_cfg, model_kwargs=_model_kwargs_from(cfg),
+        corpus, mask_cfg, train_cfg, model_kwargs=model_kwargs,
         checkpoint_dir=args.checkpoint, log_sink=sys.stdout)
     print(f"checkpoint written to {args.checkpoint} "
           f"({len(history)} steps)", file=sys.stderr)
@@ -231,7 +243,6 @@ def cmd_attn_dump(args) -> int:
         encoding = model.encoder.encode_molecule(
             vocab.ids_for(mol.tokens), mol.graph, retain_attention=True)
         mats = dump_attention(encoding, args.layer)
-        n = encoding.n
         names = [t.text for t in mol.tokens.tokens] + \
             [f"atom{i}:{a.element}" for i, a in enumerate(mol.graph.atoms)]
         frag = list(mol.fragment_map.l_s) + list(mol.fragment_map.l_g)
@@ -371,7 +382,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (SmilesError, InputError, FileUnreadable, AllLinesFailed,
             EmptySplit, EmptyCorpus, ConfigError, FileNotFoundError,
-            PositionOverflow, LayerOutOfRange) as exc:
+            PositionOverflow, LayerOutOfRange, ModelConfigError, InvalidLabel,
+            CheckpointCorrupt) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

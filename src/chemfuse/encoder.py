@@ -1,17 +1,25 @@
 """Joint SMILES/graph encoder: embeddings, shared transformer, pooling.
 
-The joint input is the SMILES token embeddings (plus learned positions)
-with the GCN atom states concatenated after them; graph rows carry no
-positional term. A stack of post-norm transformer blocks with full
-cross-modality attention produces the contextual rows ``x``; the molecule
-embedding ``x_cls`` is the arithmetic mean of all rows. Fragment
-embeddings pool token rows through one shared attention module (SMILES
-side) and average atom rows directly (graph side).
+The joint input of a view is its SMILES token embeddings (plus learned
+positions) with its GCN atom states concatenated after them; graph rows
+carry no positional term. A stack of post-norm transformer blocks with
+full cross-modality attention produces the contextual rows ``x``; the
+molecule embedding ``x_cls`` is the arithmetic mean of the view's rows.
+Fragment embeddings pool token rows through one shared attention module
+(SMILES side) and average atom rows directly (graph side).
+
+Every forward is packed: any number of views run as one pass, their rows
+concatenated without padding. Row-wise layers see one matrix, attention
+runs each view within itself, and the GCN runs over the disjoint union of
+the graphs. A view's arithmetic is the same whether it runs alone or packed
+with others, so encoding one molecule is the one-view case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +43,7 @@ from .nn.tensor import (
     gather_rows,
     gelu,
     layer_norm_rows,
-    mean_rows,
+    segment_mean,
 )
 
 #: Reserved vocabulary ids (fixed by the vocabulary builder).
@@ -57,6 +65,10 @@ class LayerOutOfRange(IndexError):
     """Attention dump asked for a layer the model does not have."""
 
 
+class ModelConfigError(ValueError):
+    """Encoder dimensions that are out of range or do not fit together."""
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Encoder dimensions; desk-scale defaults, larger scales reachable."""
@@ -74,26 +86,52 @@ class ModelConfig:
     n_groups: int = 24
 
     def __post_init__(self):
+        for name, lowest in (("dim", 1), ("heads", 1), ("gnn_width", 1),
+                             ("max_positions", 1), ("ffn_multiplier", 1),
+                             ("fingerprint_width", 1), ("transformer_layers", 0),
+                             ("gnn_layers", 0), ("n_groups", 0)):
+            if getattr(self, name) < lowest:
+                raise ModelConfigError(
+                    f"{name} must be at least {lowest}, got {getattr(self, name)}")
         if self.dim % self.heads:
-            raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
+            raise ModelConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.vocab_size < 3:
-            raise ValueError("vocabulary must include PAD/MASK/UNK")
+            raise ModelConfigError("vocabulary must include PAD/MASK/UNK")
 
 
 @dataclass
 class JointEncoding:
-    """Transformer output rows, pooled molecule embedding, attention maps."""
+    """Transformer output rows of one or more views, packed without padding.
+
+    View k owns the rows ``starts[k]`` onwards of ``x``: its ``n[k]`` token
+    rows, then its ``m[k]`` atom rows. Row k of ``x_cls`` is their mean.
+    ``attention`` holds, per layer, each view's per-head maps in view order.
+    """
 
     x: Tensor
     x_cls: Tensor
-    n: int
-    m: int
+    n: tuple[int, ...]
+    m: tuple[int, ...]
     attention: list[list[np.ndarray]] | None = None
+    starts: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if not self.starts:
+            lengths = [a + b for a, b in zip(self.n, self.m)]
+            self.starts = tuple(accumulate(lengths[:-1], initial=0))
+
+    def views(self, picked: range) -> JointEncoding:
+        """The views ``picked``; they still read the shared rows ``x``."""
+        return JointEncoding(x=self.x, x_cls=gather_rows(self.x_cls, picked),
+                             n=tuple(self.n[k] for k in picked),
+                             m=tuple(self.m[k] for k in picked),
+                             starts=tuple(self.starts[k] for k in picked))
 
 
 @dataclass
 class FragmentEmbeddings:
-    """Per-fragment embeddings, one row per fragment id, both modalities."""
+    """Per-fragment embeddings, both modalities: one row per fragment id,
+    view after view; ``K`` counts the rows."""
 
     f_s: Tensor
     f_g: Tensor
@@ -189,38 +227,37 @@ class MoleculeEncoder:
 
     # ------------------------------------------------------------ embeddings
 
-    def embed_smiles(self, token_ids: list[int],
-                     masked_positions: tuple[int, ...] = ()) -> Tensor:
-        """Token embedding + learned position embedding, masks applied."""
-        n = len(token_ids)
-        if n > self.config.max_positions:
-            raise PositionOverflow(
-                f"{n} tokens exceed max_positions={self.config.max_positions}")
-        masked = set(masked_positions)
-        ids = [MASK_ID if i in masked else t for i, t in enumerate(token_ids)]
+    def embed_smiles(self, token_ids: Sequence[Sequence[int]],
+                     masked_positions: Sequence[tuple[int, ...]] = ()) -> Tensor:
+        """Token + learned position embeddings of each sequence, packed.
+
+        ``masked_positions[k]`` (default: none) lists the positions of
+        sequence k that read the [MASK] embedding.
+        """
+        masked_positions = masked_positions or [()] * len(token_ids)
+        ids: list[int] = []
+        positions: list[int] = []
+        for seq, masked in zip(token_ids, masked_positions):
+            n = len(seq)
+            if n > self.config.max_positions:
+                raise PositionOverflow(
+                    f"{n} tokens exceed max_positions={self.config.max_positions}")
+            masked = set(masked)
+            ids.extend(MASK_ID if i in masked else t for i, t in enumerate(seq))
+            positions.extend(range(n))
         tok = embedding_lookup(self.tok_emb, ids)
-        pos = embedding_lookup(self.pos_emb, list(range(n)))
+        pos = embedding_lookup(self.pos_emb, positions)
         return add(tok, pos)
 
-    def embed_graph(self, graph: MolecularGraph,
-                    masked_atoms: tuple[int, ...] = ()) -> Tensor:
-        """GCN over (possibly masked) atom/bond features, projected to dim.
+    def embed_graph(self, graphs: Sequence[MolecularGraph],
+                    masked_atoms: Sequence[tuple[int, ...]] = ()) -> Tensor:
+        """GCN over the disjoint union of ``graphs``, projected to dim.
 
-        The neighbour-sum operator and the per-atom summed bond features
-        are built here once and shared by every GCN layer.
+        Atom rows come graph after graph; ``masked_atoms[k]`` (default:
+        none) lists the masked atoms of graph k. The union's operators are
+        built once and shared by every GCN layer.
         """
-        atom_feats, bond_feats = featurize(graph)
-        masked = set(masked_atoms)
-        for i in masked:
-            atom_feats[i] = masked_atom_row()
-        adj = np.zeros((graph.m, graph.m))
-        edge_sum = np.zeros((graph.m, bond_feats.shape[1]))
-        for bi, bond in enumerate(graph.bonds):
-            if bond.a in masked or bond.b in masked:
-                bond_feats[bi] = masked_bond_row()
-            adj[bond.a, bond.b] = adj[bond.b, bond.a] = 1.0
-            edge_sum[bond.a] += bond_feats[bi]
-            edge_sum[bond.b] += bond_feats[bi]
+        atom_feats, adj, edge_sum = graph_union(graphs, masked_atoms)
         h = affine(constant(atom_feats), self.gnn_in_w, self.gnn_in_b)
         for block in self.gnn_blocks:
             h = gcn_layer(h, adj, edge_sum, block)
@@ -229,42 +266,61 @@ class MoleculeEncoder:
     # --------------------------------------------------------------- encoder
 
     def joint_encode(self, smiles_emb: Tensor, graph_emb: Tensor,
-                     block_cross_modality: bool = False,
+                     n: Sequence[int] | None = None, m: Sequence[int] | None = None,
+                     block_cross_modality: bool | Sequence[bool] = False,
                      retain_attention: bool = False) -> JointEncoding:
-        """Concatenate modalities and run the transformer stack.
+        """Run the transformer stack over packed views.
 
-        ``block_cross_modality`` applies a block-diagonal attention bias so
-        each modality attends only to itself (the single-modality-masking
-        ablation); default is full cross-modality attention.
+        View k joins the next ``n[k]`` rows of ``smiles_emb`` with the next
+        ``m[k]`` rows of ``graph_emb``; by default both tensors form one
+        view. ``block_cross_modality`` (one flag, or one per view) applies
+        a block-diagonal attention bias so each modality attends only to
+        itself (the single-modality-masking ablation); default is full
+        cross-modality attention.
         """
-        n, m = smiles_emb.shape[0], graph_emb.shape[0]
-        z = concat_rows([smiles_emb, graph_emb])
-        bias = None
-        if block_cross_modality:
-            bias = np.zeros((n + m, n + m))
-            bias[:n, n:] = BLOCK
-            bias[n:, :n] = BLOCK
+        n = tuple(n) if n is not None else (smiles_emb.shape[0],)
+        m = tuple(m) if m is not None else (graph_emb.shape[0],)
+        if isinstance(block_cross_modality, bool):
+            block_cross_modality = [block_cross_modality] * len(n)
+        s_starts = accumulate(n, initial=0)
+        g_starts = accumulate(m, initial=smiles_emb.shape[0])
+        order = np.concatenate([np.r_[s:s + a, g:g + b]
+                                for s, g, a, b in zip(s_starts, g_starts, n, m)])
+        z = gather_rows(concat_rows([smiles_emb, graph_emb]), order)
+        biases = []
+        for a, b, blocked in zip(n, m, block_cross_modality):
+            bias = None
+            if blocked:
+                bias = np.zeros((a + b, a + b))
+                bias[:a, a:] = BLOCK
+                bias[a:, :a] = BLOCK
+            biases.append(bias)
+        lengths = [a + b for a, b in zip(n, m)]
         maps: list[list[np.ndarray]] | None = [] if retain_attention else None
         for block in self.blocks:
             retain = [] if retain_attention else None
             attn_out = multi_head_attention(z, z, self.config.heads, block.attn,
-                                            attn_bias=bias, retain=retain)
+                                            attn_bias=biases, retain=retain,
+                                            lengths=lengths)
             h = layer_norm_rows(add(z, attn_out), *block.ln1)
             ffn = affine(gelu(affine(h, block.ffn_w1, block.ffn_b1)),
                          block.ffn_w2, block.ffn_b2)
             z = layer_norm_rows(add(h, ffn), *block.ln2)
             if maps is not None:
                 maps.append(retain)
-        return JointEncoding(x=z, x_cls=mean_rows(z), n=n, m=m, attention=maps)
+        starts = tuple(accumulate(lengths[:-1], initial=0))
+        x_cls = segment_mean(z, [range(s, s + length) for s, length in zip(starts, lengths)])
+        return JointEncoding(x=z, x_cls=x_cls, n=n, m=m, attention=maps, starts=starts)
 
     def encode_molecule(self, token_ids: list[int], graph: MolecularGraph,
                         masked_tokens: tuple[int, ...] = (),
                         masked_atoms: tuple[int, ...] = (),
                         block_cross_modality: bool = False,
                         retain_attention: bool = False) -> JointEncoding:
+        """One view of one molecule."""
         return self.joint_encode(
-            self.embed_smiles(token_ids, masked_tokens),
-            self.embed_graph(graph, masked_atoms),
+            self.embed_smiles([token_ids], [masked_tokens]),
+            self.embed_graph([graph], [masked_atoms]),
             block_cross_modality=block_cross_modality,
             retain_attention=retain_attention,
         )
@@ -272,33 +328,79 @@ class MoleculeEncoder:
     # ---------------------------------------------------------------- pooling
 
     def pool_fragments(self, encoding: JointEncoding,
-                       fmap: FragmentMap) -> FragmentEmbeddings:
-        """Per-fragment embeddings from both modalities.
+                       fmaps: Sequence[FragmentMap]) -> FragmentEmbeddings:
+        """Per-fragment embeddings from both modalities, ``fmaps[k]`` being
+        the fragment map of view k.
 
         Graph side: plain mean of each fragment's atom rows. SMILES side:
         the shared fragment attention runs over each fragment's token rows,
         then the rows are averaged.
         """
-        if len(fmap.l_s) != encoding.n or len(fmap.l_g) != encoding.m:
+        if len(fmaps) != len(encoding.n):
             raise FragmentOutOfRange(
-                f"fragment map ({len(fmap.l_s)} tokens / {len(fmap.l_g)} atoms) "
-                f"does not fit encoding ({encoding.n} / {encoding.m})")
-        s_rows = []
-        g_rows = []
-        for k in range(fmap.K):
-            token_rows = [i for i, lab in enumerate(fmap.l_s) if lab == k]
-            atom_rows = [encoding.n + j for j, lab in enumerate(fmap.l_g) if lab == k]
-            tokens = gather_rows(encoding.x, token_rows)
-            attended = multi_head_attention(tokens, tokens, self.config.heads,
-                                            self.frag_attn)
-            s_rows.append(mean_rows(attended))
-            g_rows.append(mean_rows(gather_rows(encoding.x, atom_rows)))
-        return FragmentEmbeddings(f_s=concat_rows(s_rows),
-                                  f_g=concat_rows(g_rows), K=fmap.K)
+                f"{len(fmaps)} fragment maps for {len(encoding.n)} views")
+        token_groups: list[list[int]] = []
+        atom_groups: list[list[int]] = []
+        for start, n, m, fmap in zip(encoding.starts, encoding.n, encoding.m, fmaps):
+            if len(fmap.l_s) != n or len(fmap.l_g) != m:
+                raise FragmentOutOfRange(
+                    f"fragment map ({len(fmap.l_s)} tokens / {len(fmap.l_g)} atoms) "
+                    f"does not fit encoding ({n} / {m})")
+            for k in range(fmap.K):
+                token_groups.append([start + i for i, lab in enumerate(fmap.l_s)
+                                     if lab == k])
+                atom_groups.append([start + n + j for j, lab in enumerate(fmap.l_g)
+                                    if lab == k])
+        lengths = [len(rows) for rows in token_groups]
+        tokens = gather_rows(encoding.x, [i for rows in token_groups for i in rows])
+        attended = multi_head_attention(tokens, tokens, self.config.heads,
+                                        self.frag_attn, lengths=lengths)
+        f_s = segment_mean(attended, [range(s, s + length) for s, length
+                                      in zip(accumulate(lengths, initial=0), lengths)])
+        return FragmentEmbeddings(f_s=f_s, f_g=segment_mean(encoding.x, atom_groups),
+                                  K=len(token_groups))
+
+
+def graph_union(graphs: Sequence[MolecularGraph],
+                masked_atoms: Sequence[tuple[int, ...]] = ()
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Atom features, block-diagonal neighbour-sum operator and per-atom
+    summed bond features of the disjoint union of ``graphs``.
+
+    Atoms are numbered graph after graph. ``masked_atoms[k]`` (default:
+    none) lists atoms of graph k whose features, and whose bonds' features,
+    are replaced by the mask rows.
+    """
+    masked_atoms = masked_atoms or [()] * len(graphs)
+    total = sum(graph.m for graph in graphs)
+    adj = np.zeros((total, total))
+    edge_sum = np.zeros((total, BOND_FEATURE_DIM))
+    features: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    atom_rows = []
+    offset = 0
+    for graph, masked in zip(graphs, masked_atoms):
+        # A graph seen under several masks is featurized once.
+        if id(graph) not in features:
+            features[id(graph)] = featurize(graph)
+        atom_feats, bond_feats = (a.copy() for a in features[id(graph)])
+        masked = set(masked)
+        for i in masked:
+            atom_feats[i] = masked_atom_row()
+        for bi, bond in enumerate(graph.bonds):
+            if bond.a in masked or bond.b in masked:
+                bond_feats[bi] = masked_bond_row()
+            a, b = offset + bond.a, offset + bond.b
+            adj[a, b] = adj[b, a] = 1.0
+            edge_sum[a] += bond_feats[bi]
+            edge_sum[b] += bond_feats[bi]
+        atom_rows.append(atom_feats)
+        offset += graph.m
+    return np.concatenate(atom_rows), adj, edge_sum
 
 
 def dump_attention(encoding: JointEncoding, layer: int) -> np.ndarray:
-    """Per-head attention matrices of one layer as (heads, n+m, n+m).
+    """Per-head attention matrices of one layer of a one-view encoding as
+    (heads, n+m, n+m).
 
     Raises:
         RetentionDisabled: if the forward pass did not retain attention.

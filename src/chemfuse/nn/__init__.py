@@ -1,6 +1,7 @@
 """Tensor math, autodiff, layers, optimizer, and checkpointing."""
 
-from .checkpoint import load_checkpoint, restore_into, save_checkpoint
+from .checkpoint import CheckpointCorrupt, load_checkpoint, restore_into, save_checkpoint
+from .malloc import raise_malloc_thresholds
 from .layers import (
     AttentionParams,
     GcnLayerParams,
@@ -34,9 +35,12 @@ from .tensor import (
     pick,
     relu,
     scale,
+    segment_mean,
     softmax_rows,
     softplus,
     sub,
     sum_all,
     transpose,
 )
+
+raise_malloc_thresholds()

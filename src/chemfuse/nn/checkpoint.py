@@ -44,23 +44,39 @@ def save_checkpoint(path: str | Path, params: dict[str, Parameter],
     (out / "params.bin").write_bytes(bytes(blob))
 
 
+class CheckpointCorrupt(ValueError):
+    """A checkpoint's manifest and blob do not describe the same tensors."""
+
+
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint; validates shapes/offsets against the blob."""
+    """Read a checkpoint; the manifest's tensors must tile the blob exactly,
+    in order, with no gap, overlap or trailing bytes."""
     root = Path(path)
-    manifest = json.loads((root / "manifest.json").read_text())
-    if manifest.get("format") != FORMAT_TAG:
-        raise ValueError(f"not a {FORMAT_TAG} checkpoint: {path}")
+    try:
+        manifest = json.loads((root / "manifest.json").read_text())
+    except json.JSONDecodeError as exc:
+        raise CheckpointCorrupt(f"unreadable manifest in {path}: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_TAG:
+        raise CheckpointCorrupt(f"not a {FORMAT_TAG} checkpoint: {path}")
+    try:
+        entries = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"]))
+                   for e in manifest["tensors"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointCorrupt(f"malformed tensor entry in {path}: {exc!r}") from exc
     blob = (root / "params.bin").read_bytes()
     tensors: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
-        start = entry["offset"]
-        end = start + count * 8
+    end = 0
+    for name, shape, start in entries:
+        if start != end:
+            raise CheckpointCorrupt(
+                f"tensor {name!r} starts at byte {start}, expected {end}")
+        end = start + int(np.prod(shape)) * 8
         if end > len(blob):
-            raise ValueError(f"tensor {entry['name']!r} overruns the blob")
-        arr = np.frombuffer(blob[start:end], dtype="<f8").reshape(shape).copy()
-        tensors[entry["name"]] = arr
+            raise CheckpointCorrupt(
+                f"tensor {name!r} overruns the {len(blob)}-byte blob")
+        tensors[name] = np.frombuffer(blob[start:end], dtype="<f8").reshape(shape).copy()
+    if end != len(blob):
+        raise CheckpointCorrupt(f"{len(blob) - end} bytes after the last tensor")
     return manifest, tensors
 
 
@@ -69,10 +85,10 @@ def restore_into(params: dict[str, Parameter], tensors: dict[str, np.ndarray]) -
     missing = sorted(set(params) - set(tensors))
     extra = sorted(set(tensors) - set(params))
     if missing or extra:
-        raise ValueError(f"checkpoint mismatch: missing={missing} extra={extra}")
+        raise CheckpointCorrupt(f"checkpoint mismatch: missing={missing} extra={extra}")
     for name, param in params.items():
         if tensors[name].shape != param.data.shape:
-            raise ValueError(
+            raise CheckpointCorrupt(
                 f"shape mismatch for {name!r}: "
                 f"{tensors[name].shape} vs {param.data.shape}")
         param.data = tensors[name].astype(np.float64)

@@ -123,6 +123,8 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            # Pushed to the parents; free it while the rest of the tape runs.
+            node.grad = None
 
 
 # ----------------------------------------------------------------- arithmetic
@@ -214,16 +216,36 @@ _GELU_BETA = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Tanh-form gaussian error linear unit."""
+    """Tanh-form gaussian error linear unit.
+
+    Written with in-place updates to save temporaries; each value is the
+    one the plain formula gives.
+    """
     x = a.data
-    inner = _GELU_ALPHA * (x + _GELU_BETA * (x * x * x))
-    t = np.tanh(inner)
-    out_data = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= _GELU_BETA
+    t += x
+    t *= _GELU_ALPHA
+    np.tanh(t, out=t)
+    out_data = 0.5 * x
+    out_data *= 1.0 + t
 
     def bwd(g):
-        d_inner = _GELU_ALPHA * (1.0 + 3.0 * _GELU_BETA * (x * x))
-        da = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
-        _accumulate(a, g * da)
+        # 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * alpha * (1 + 3 * beta * x^2)
+        d_inner = x * x
+        d_inner *= 3.0 * _GELU_BETA
+        d_inner += 1.0
+        d_inner *= _GELU_ALPHA
+        da = t * t
+        np.subtract(1.0, da, out=da)
+        da *= 0.5 * x
+        da *= d_inner
+        d_inner[...] = 1.0 + t
+        d_inner *= 0.5
+        da += d_inner
+        da *= g
+        _accumulate(a, da)
 
     return _node(out_data, (a,), bwd)
 
@@ -387,14 +409,45 @@ def mean_all(a: Tensor) -> Tensor:
     return _node(np.array([[a.data.mean()]]), (a,), bwd)
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Column-wise mean over rows -> (1, c)."""
-    r = a.shape[0]
+def _by_length(lengths) -> dict[int, list[int]]:
+    """Indices of ``lengths`` grouped by value, in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for k, length in enumerate(lengths):
+        groups.setdefault(length, []).append(k)
+    return groups
+
+
+def segment_mean(a: Tensor, segments: Sequence[Sequence[int]]) -> Tensor:
+    """Row k is the column-wise mean of the rows ``segments[k]`` of ``a``.
+
+    Every segment must be nonempty. Segments of one length are summed as a
+    (G, length, c) stack along its middle axis, which adds each segment's
+    rows in order exactly as ``mean(axis=0)`` does, so a segment's mean does
+    not depend on the other segments.
+    """
+    rows = [np.asarray(s, dtype=np.int64) for s in segments]
+    if not rows or min(len(r) for r in rows) < 1:
+        raise ShapeMismatch("segment_mean needs at least one row per segment")
+    groups = [(length, members, np.stack([rows[k] for k in members]))
+              for length, members in _by_length(len(r) for r in rows).items()]
+    out_data = np.empty((len(rows), a.shape[1]))
+    for length, members, idx in groups:
+        out_data[members] = a.data[idx].sum(axis=1) / length
 
     def bwd(g):
-        _accumulate(a, np.repeat(g, r, axis=0) / r)
+        if not a.requires:
+            return
+        acc = np.zeros_like(a.data)
+        for length, members, idx in groups:
+            np.add.at(acc, idx, (g[members] / length)[:, None, :])
+        _accumulate(a, acc)
 
-    return _node(a.data.mean(axis=0, keepdims=True), (a,), bwd)
+    return _node(out_data, (a,), bwd)
+
+
+def mean_rows(a: Tensor) -> Tensor:
+    """Column-wise mean over rows -> (1, c)."""
+    return segment_mean(a, [range(a.shape[0])])
 
 
 def normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:

@@ -112,69 +112,59 @@ def _nll_and_hits(logits: Tensor, targets: list[int]) -> tuple[Tensor, int]:
     return nll, hits
 
 
-def _masked_prediction_terms(encodings, samples, heads,
-                             want_tokens: bool, want_atoms: bool):
-    token_nll, atom_nll = [], []
-    token_hits = token_total = 0
-    for enc, sample in zip(encodings, samples):
-        if want_tokens and sample.masked_token_positions:
-            positions = list(sample.masked_token_positions)
-            rows = gather_rows(enc.x, positions)
-            targets = [sample.token_targets[i] for i in positions]
-            nll, hits = _nll_and_hits(heads.token_logits(rows), targets)
-            token_nll.append(nll)
-            token_hits += hits
-            token_total += len(positions)
-        if want_atoms and sample.masked_atom_positions:
-            positions = [enc.n + j for j in sample.masked_atom_positions]
-            targets = [sample.atom_context_targets[j]
-                       for j in sample.masked_atom_positions]
-            rows = gather_rows(enc.x, positions)
-            nll, _ = _nll_and_hits(heads.context_logits(rows), targets)
-            atom_nll.append(nll)
-    return token_nll, atom_nll, token_hits, token_total
+def _masked_prediction_loss(encoding: JointEncoding, samples: list[MaskedSample],
+                            heads: Heads, masked_modality_only: bool,
+                            what: str) -> tuple[Tensor, dict]:
+    """Mean token CE plus mean context CE over the masked positions.
+
+    ``samples[k]`` masks view k of ``encoding``. Each head reads its rows
+    with one gather over the packed rows. With ``masked_modality_only`` a
+    sample's positions count only on its ``masked_modality`` side. A
+    modality with no masked positions contributes zero.
+    """
+    token_rows, token_targets, atom_rows, atom_targets = [], [], [], []
+    for start, n, sample in zip(encoding.starts, encoding.n, samples):
+        side = sample.masked_modality
+        if not masked_modality_only or side is Modality.SMILES:
+            token_rows.extend(start + i for i in sample.masked_token_positions)
+            token_targets.extend(sample.token_targets[i]
+                                 for i in sample.masked_token_positions)
+        if not masked_modality_only or side is Modality.GRAPH:
+            atom_rows.extend(start + n + j for j in sample.masked_atom_positions)
+            atom_targets.extend(sample.atom_context_targets[j]
+                                for j in sample.masked_atom_positions)
+    if not token_rows and not atom_rows:
+        raise NoMaskedPositions(f"{what} batch has no masked positions")
+    loss = constant(0.0)
+    hits = 0
+    if token_rows:
+        nll, hits = _nll_and_hits(
+            heads.token_logits(gather_rows(encoding.x, token_rows)), token_targets)
+        loss = add(loss, mean_all(nll))
+    if atom_rows:
+        nll, _ = _nll_and_hits(
+            heads.context_logits(gather_rows(encoding.x, atom_rows)), atom_targets)
+        loss = add(loss, mean_all(nll))
+    total = len(token_rows)
+    return loss, {"mlm_accuracy": hits / total if total else float("nan"),
+                  "token_positions": total}
 
 
-def loss_cmm_token(encodings: list[JointEncoding], samples: list[MaskedSample],
+def loss_cmm_token(encoding: JointEncoding, samples: list[MaskedSample],
                    heads: Heads) -> tuple[Tensor, dict]:
     """Token-level masked prediction: mean token CE plus mean context CE.
 
-    A modality with no masked positions contributes zero; a batch with
-    nothing masked at all raises NoMaskedPositions.
+    ``samples[k]`` masks view k of ``encoding``. A modality with no masked
+    positions contributes zero; a batch with nothing masked at all raises
+    NoMaskedPositions.
     """
-    token_nll, atom_nll, hits, total = _masked_prediction_terms(
-        encodings, samples, heads, want_tokens=True, want_atoms=True)
-    if not token_nll and not atom_nll:
-        raise NoMaskedPositions("token-level batch has no masked positions")
-    loss = constant(0.0)
-    if token_nll:
-        loss = add(loss, mean_all(concat_rows(token_nll)))
-    if atom_nll:
-        loss = add(loss, mean_all(concat_rows(atom_nll)))
-    acc = hits / total if total else float("nan")
-    return loss, {"mlm_accuracy": acc, "token_positions": total}
+    return _masked_prediction_loss(encoding, samples, heads, False, "token-level")
 
 
-def loss_cmm_fragment(encodings: list[JointEncoding], samples: list[MaskedSample],
+def loss_cmm_fragment(encoding: JointEncoding, samples: list[MaskedSample],
                       heads: Heads) -> tuple[Tensor, dict]:
     """Fragment-level masked prediction over the masked modality only."""
-    token_nll, atom_nll = [], []
-    for enc, sample in zip(encodings, samples):
-        if sample.masked_modality is Modality.SMILES:
-            t_nll, _, _, _ = _masked_prediction_terms(
-                [enc], [sample], heads, want_tokens=True, want_atoms=False)
-            token_nll.extend(t_nll)
-        elif sample.masked_modality is Modality.GRAPH:
-            _, a_nll, _, _ = _masked_prediction_terms(
-                [enc], [sample], heads, want_tokens=False, want_atoms=True)
-            atom_nll.extend(a_nll)
-    if not token_nll and not atom_nll:
-        raise NoMaskedPositions("fragment-level batch has no masked positions")
-    loss = constant(0.0)
-    if token_nll:
-        loss = add(loss, mean_all(concat_rows(token_nll)))
-    if atom_nll:
-        loss = add(loss, mean_all(concat_rows(atom_nll)))
+    loss, _ = _masked_prediction_loss(encoding, samples, heads, True, "fragment-level")
     return loss, {}
 
 
@@ -205,28 +195,28 @@ def loss_fla(f_s: Tensor, f_g: Tensor, offsets: list[int],
     }
 
 
-def loss_sgm(pos_x_cls: list[Tensor], neg_x_cls: list[Tensor],
+def loss_sgm(pos_x_cls: Tensor, neg_x_cls: Tensor,
              heads: Heads) -> tuple[Tensor, dict]:
-    """Binary matching loss: label 1 for true pairs, 0 for deranged pairs."""
-    if len(pos_x_cls) < 2:
+    """Binary matching loss: label 1 for the rows of true pairs, 0 for the
+    rows of deranged pairs."""
+    if pos_x_cls.shape[0] < 2:
         raise BatchTooSmall("matching needs at least two molecules")
-    rows = concat_rows(list(pos_x_cls) + list(neg_x_cls))
-    logits = heads.sgm_logits(rows)
-    labels = [1] * len(pos_x_cls) + [0] * len(neg_x_cls)
+    logits = heads.sgm_logits(concat_rows([pos_x_cls, neg_x_cls]))
+    labels = [1] * pos_x_cls.shape[0] + [0] * neg_x_cls.shape[0]
     nll, hits = _nll_and_hits(logits, labels)
     return mean_all(nll), {"sgm_accuracy": hits / len(labels)}
 
 
-def loss_dkl(x_cls_batch: list[Tensor], fingerprints: list[np.ndarray],
+def loss_dkl(x_cls: Tensor, fingerprints: list[np.ndarray],
              group_vectors: list[np.ndarray], heads: Heads) -> tuple[Tensor, dict]:
-    """Fingerprint regression (MSE on raw outputs) plus functional-group BCE."""
-    rows = concat_rows(list(x_cls_batch))
+    """Fingerprint regression (MSE on raw outputs) plus functional-group BCE,
+    one row of ``x_cls`` per molecule."""
     fp_target = constant(np.stack([np.asarray(fp, dtype=np.float64)
                                    for fp in fingerprints]))
     fg_target = np.stack([np.asarray(gv, dtype=np.float64) for gv in group_vectors])
-    diff = sub(heads.fp_output(rows), fp_target)
+    diff = sub(heads.fp_output(x_cls), fp_target)
     mse = mean_all(mul(diff, diff))
-    logits = heads.fg_logits(rows)
+    logits = heads.fg_logits(x_cls)
     # Stable binary cross-entropy with logits: softplus(z) - z * y.
     bce = mean_all(sub(softplus(logits), mul(logits, constant(fg_target))))
     return add(mse, bce), {}

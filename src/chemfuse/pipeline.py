@@ -3,11 +3,11 @@
 The pretraining step realizes the four-objective sum per batch: every
 molecule contributes one token-masked view and one fragment-masked view
 (strategy CMM), a clean view (alignment, matching positives, domain
-targets), and one mismatched-pair view for matching negatives. Each
-molecule's SMILES and graph sides are embedded once per step; every view
-that leaves a side unmasked, and every mismatched pair, reuses those
-embeddings. One optimizer step runs per batch under a linear warmup /
-linear decay schedule.
+targets), and one mismatched-pair view for matching negatives. All views
+of a step run through the encoder as one packed pass. Each distinct
+(molecule, mask) side is embedded once; every view that leaves a side
+unmasked, and every mismatched pair, reuses the clean side. One optimizer
+step runs per batch under a linear warmup / linear decay schedule.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .chem import SmilesError, parse_smiles
 from .chem.graph import MolecularGraph, TokenSequence
-from .encoder import PAD_ID, UNK_ID, ModelConfig, MoleculeEncoder
+from .encoder import PAD_ID, UNK_ID, JointEncoding, ModelConfig, MoleculeEncoder
 from .features import (
     EmptyCorpus,
     N_GROUPS,
@@ -37,6 +37,7 @@ from .fragments import FragmentMap, build_fragment_map
 from .masking import (
     ContextVocabulary,
     MaskConfig,
+    MaskedSample,
     Strategy,
     build_context_vocab,
     sample_ablation_mask,
@@ -55,6 +56,7 @@ from .nn import (
     concat_cols,
     concat_rows,
     constant,
+    gather_rows,
     load_checkpoint,
     log_softmax_rows,
     mean_all,
@@ -95,6 +97,10 @@ class EmptySplit(ValueError):
 
 class ConfigError(ValueError):
     """A config file line or value cannot be used."""
+
+
+class InvalidLabel(ValueError):
+    """A task row whose label cannot be a target of its task kind."""
 
 
 # ------------------------------------------------------------------ vocabulary
@@ -377,25 +383,50 @@ def derangement(n: int) -> list[int]:
     return [(i + 1) % n for i in range(n)]
 
 
+def _packed_rows(lengths: list[int], picks: list[int]) -> np.ndarray:
+    """Row indices of the segments ``picks`` of a packing of ``lengths``."""
+    starts = np.cumsum([0] + lengths)
+    return np.concatenate([np.arange(starts[k], starts[k + 1]) for k in picks])
+
+
+def _encode_views(enc: MoleculeEncoder, records: list[MoleculeRecord],
+                  views: list[tuple[int, int, MaskedSample, bool]]) -> JointEncoding:
+    """One packed forward over ``views``, each (SMILES record, graph record,
+    masks, blocked). Every distinct (record, mask) side is embedded once."""
+    s_sides: dict[tuple, int] = {}
+    g_sides: dict[tuple, int] = {}
+    for i, j, sample, _ in views:
+        s_sides.setdefault((i, sample.masked_token_positions), len(s_sides))
+        g_sides.setdefault((j, sample.masked_atom_positions), len(g_sides))
+    smiles = enc.embed_smiles([records[i].token_ids for i, _ in s_sides],
+                              [mask for _, mask in s_sides])
+    graphs = enc.embed_graph([records[j].graph for j, _ in g_sides],
+                             [mask for _, mask in g_sides])
+    n = [len(records[i].token_ids) for i, _, _, _ in views]
+    m = [records[j].graph.m for _, j, _, _ in views]
+    s_rows = _packed_rows([len(records[i].token_ids) for i, _ in s_sides],
+                          [s_sides[i, s.masked_token_positions] for i, _, s, _ in views])
+    g_rows = _packed_rows([records[j].graph.m for j, _ in g_sides],
+                          [g_sides[j, s.masked_atom_positions] for _, j, s, _ in views])
+    return enc.joint_encode(gather_rows(smiles, s_rows), gather_rows(graphs, g_rows),
+                            n=n, m=m, block_cross_modality=[v[3] for v in views])
+
+
 def _step_losses(model: PretrainModel, batch: Batch, mask_cfg: MaskConfig,
                  fla_cfg: FlaConfig, epoch: int, base_index: int,
                  train_seed: int) -> tuple:
-    """Forward every view of one batch and assemble the total loss."""
+    """Encode every view of one batch in one packed pass and assemble the
+    total loss.
+
+    The views run token-masked, fragment-masked (CMM only), clean, then
+    mismatched (clean SMILES of molecule i with the clean graph of its
+    derangement partner), one per molecule each.
+    """
     enc = model.encoder
     heads = model.heads
     records = batch.records
+    b = len(records)
     block = mask_cfg.strategy is Strategy.SINGLE_MODALITY
-
-    def view(i, sample, block_cross_modality=False):
-        """A masked view; each side it leaves unmasked reuses the clean embedding."""
-        s_emb = (enc.embed_smiles(records[i].token_ids, sample.masked_token_positions)
-                 if sample.masked_token_positions else smiles_embs[i])
-        g_emb = (enc.embed_graph(records[i].graph, sample.masked_atom_positions)
-                 if sample.masked_atom_positions else graph_embs[i])
-        return enc.joint_encode(s_emb, g_emb, block_cross_modality=block_cross_modality)
-
-    smiles_embs = [enc.embed_smiles(rec.token_ids) for rec in records]
-    graph_embs = [enc.embed_graph(rec.graph) for rec in records]
     tok_samples, frag_samples = [], []
     for i, rec in enumerate(records):
         rng = _record_rng(train_seed, epoch, base_index + i)
@@ -404,37 +435,42 @@ def _step_losses(model: PretrainModel, batch: Batch, mask_cfg: MaskConfig,
             frag_samples.append(sample_fragment_mask(rec, rec.fragment_map, mask_cfg, rng))
         else:
             tok_samples.append(sample_ablation_mask(rec, mask_cfg, rng))
-    tok_encodings = [view(i, s, block) for i, s in enumerate(tok_samples)]
-    frag_encodings = [view(i, s) for i, s in enumerate(frag_samples)]
-    clean_encodings = [enc.joint_encode(s, g) for s, g in zip(smiles_embs, graph_embs)]
+    try:
+        partners = derangement(b)
+    except BatchTooSmall:
+        partners = []
+    clean = MaskedSample()
+    views = ([(i, i, s, block) for i, s in enumerate(tok_samples)]
+             + [(i, i, s, False) for i, s in enumerate(frag_samples)]
+             + [(i, i, clean, False) for i in range(b)]
+             + [(i, j, clean, False) for i, j in enumerate(partners)])
+    encoding = _encode_views(enc, records, views)
+    first_clean = b + len(frag_samples)
+    clean_views = encoding.views(range(first_clean, first_clean + b))
 
-    l_t, tok_aux = loss_cmm_token(tok_encodings, tok_samples, heads)
-    if frag_encodings:
-        l_f, _ = loss_cmm_fragment(frag_encodings, frag_samples, heads)
+    l_t, tok_aux = loss_cmm_token(encoding.views(range(b)), tok_samples, heads)
+    if frag_samples:
+        l_f, _ = loss_cmm_fragment(encoding.views(range(b, first_clean)),
+                                   frag_samples, heads)
     else:
         l_f = constant(0.0)
 
-    pooled = [enc.pool_fragments(e, rec.fragment_map)
-              for e, rec in zip(clean_encodings, records)]
-    offsets = list(np.cumsum([0] + [p.K for p in pooled[:-1]]))
-    f_s = concat_rows([p.f_s for p in pooled])
-    f_g = concat_rows([p.f_g for p in pooled])
+    pooled = enc.pool_fragments(clean_views, [rec.fragment_map for rec in records])
+    offsets = list(np.cumsum([0] + [rec.fragment_map.K for rec in records[:-1]]))
     fla_aux = {}
     try:
-        l_fla, fla_aux = loss_fla(f_s, f_g, offsets, fla_cfg)
+        l_fla, fla_aux = loss_fla(pooled.f_s, pooled.f_g, offsets, fla_cfg)
     except SingleFragmentBatch:
         l_fla = constant(0.0)
 
     sgm_aux = {}
-    try:
-        partners = derangement(len(records))
-        neg = [enc.joint_encode(smiles_embs[i], graph_embs[partner]).x_cls
-               for i, partner in enumerate(partners)]
-        l_sgm, sgm_aux = loss_sgm([e.x_cls for e in clean_encodings], neg, heads)
-    except BatchTooSmall:
+    if partners:
+        neg = gather_rows(encoding.x_cls, range(first_clean + b, first_clean + 2 * b))
+        l_sgm, sgm_aux = loss_sgm(clean_views.x_cls, neg, heads)
+    else:
         l_sgm = constant(0.0)
 
-    l_dkl, _ = loss_dkl([e.x_cls for e in clean_encodings],
+    l_dkl, _ = loss_dkl(clean_views.x_cls,
                         [rec.fingerprint_bits for rec in records],
                         [rec.group_bits for rec in records], heads)
 
@@ -516,6 +552,7 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
                 for p in params:
                     p.zero_grad()
                 backward(total)
+                del total  # the tape is not needed while the next one is built
             except NonFiniteInput as exc:
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch} batch {batch_index}: {exc}"
@@ -565,28 +602,42 @@ class FinetuneTask:
 
 def load_task(path: str | Path, kind: TaskKind,
               split: SplitMode = SplitMode.SCAFFOLD) -> FinetuneTask:
-    """Parse a task file: smiles[<TAB>smiles_b]<TAB>label per line."""
+    """Parse a task file: smiles[<TAB>smiles_b]<TAB>label per line.
+
+    Rows whose molecules do not parse, or without a label, are skipped; so
+    are regression rows whose label is not a number. A regression label
+    must be finite and a classification or pair label a non-negative
+    integer class, else InvalidLabel names the line.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise FileUnreadable(f"cannot read task {path}: {exc}") from exc
     molecules: list[tuple[ParsedMolecule, ...]] = []
     labels: list[float] = []
-    want_pair = kind is TaskKind.PAIR_CLASSIFICATION
-    for raw in text.splitlines():
+    n_mols = 2 if kind is TaskKind.PAIR_CLASSIFICATION else 1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
         try:
-            if want_pair:
-                mols = (parse_molecule(fields[0]), parse_molecule(fields[1]))
-                label = float(fields[2])
-            else:
-                mols = (parse_molecule(fields[0]),)
-                label = float(fields[1])
-        except (SmilesError, IndexError, ValueError):
+            label_text = fields[n_mols]
+            mols = tuple(parse_molecule(f) for f in fields[:n_mols])
+        except (SmilesError, IndexError):
             continue
+        try:
+            label = float(label_text)
+        except ValueError:
+            if kind is TaskKind.REGRESSION:
+                continue
+            label = math.nan
+        if kind is TaskKind.REGRESSION:
+            if not math.isfinite(label):
+                raise InvalidLabel(f"{path}:{lineno}: label {label_text!r} is not finite")
+        elif not (label >= 0 and label.is_integer()):
+            raise InvalidLabel(f"{path}:{lineno}: label {label_text!r} is not "
+                               "a non-negative integer class")
         molecules.append(mols)
         labels.append(label)
     if not molecules:

@@ -157,14 +157,14 @@ def test_criterion_3_gradient_suite():
     for trial in range(5):
         heads = Heads(cfg, seed=100 + trial)
         x = constant(rng.normal(size=(7, cfg.dim)))
-        enc = JointEncoding(x=x, x_cls=mean_rows(x), n=4, m=3)
+        enc = JointEncoding(x=x, x_cls=mean_rows(x), n=(4,), m=(3,))
         sample = MaskedSample(
             masked_token_positions=(0, 2), masked_atom_positions=(1,),
             token_targets={0: 3, 2: 5}, atom_context_targets={1: 2})
-        fd_check(lambda: loss_cmm_token([enc], [sample], heads)[0],
+        fd_check(lambda: loss_cmm_token(enc, [sample], heads)[0],
                  [heads.token_w, heads.token_b, heads.ctx_w, heads.ctx_b])
-        pos = [constant(rng.normal(size=(1, cfg.dim))) for _ in range(2)]
-        neg = [constant(rng.normal(size=(1, cfg.dim))) for _ in range(2)]
+        pos = constant(rng.normal(size=(2, cfg.dim)))
+        neg = constant(rng.normal(size=(2, cfg.dim)))
         fd_check(lambda: loss_sgm(pos, neg, heads)[0],
                  [heads.sgm_w1, heads.sgm_b1, heads.sgm_w2, heads.sgm_b2])
         fps = [rng.integers(0, 2, size=cfg.fingerprint_width).astype(float)
@@ -187,7 +187,7 @@ def test_criterion_3_gradient_suite():
 def test_criterion_4_loss_oracles():
     from chemfuse.encoder import JointEncoding
     from chemfuse.masking import MaskedSample
-    from chemfuse.nn import mean_rows
+    from chemfuse.nn import concat_rows, mean_rows
 
     rng = np.random.default_rng(4)
     cfg = ModelConfig(vocab_size=13, context_vocab_size=7, dim=10,
@@ -202,11 +202,10 @@ def test_criterion_4_loss_oracles():
     for batch_trial in range(20):
         heads = Heads(cfg, seed=batch_trial)
         batch = int(rng.integers(2, 5))
-        encs, samples = [], []
+        views, samples = [], []
         for _ in range(batch):
             n, m = int(rng.integers(3, 8)), int(rng.integers(2, 6))
-            x = constant(rng.normal(size=(n + m, cfg.dim)))
-            encs.append(JointEncoding(x=x, x_cls=mean_rows(x), n=n, m=m))
+            views.append((rng.normal(size=(n + m, cfg.dim)), n, m))
             tok = tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
             atom = tuple(sorted(rng.choice(m, size=1, replace=False).tolist()))
             samples.append(MaskedSample(
@@ -216,14 +215,18 @@ def test_criterion_4_loss_oracles():
                                       for j in atom}))
 
         # CMM against a scalar loop.
-        got, _ = loss_cmm_token(encs, samples, heads)
+        x_cls = [mean_rows(constant(rows)) for rows, _, _ in views]
+        enc = JointEncoding(x=constant(np.concatenate([rows for rows, _, _ in views])),
+                            x_cls=concat_rows(x_cls), n=tuple(v[1] for v in views),
+                            m=tuple(v[2] for v in views))
+        got, _ = loss_cmm_token(enc, samples, heads)
         tok_nll, atom_nll = [], []
-        for enc, sample in zip(encs, samples):
+        for (rows, n, _), sample in zip(views, samples):
             for i in sample.masked_token_positions:
-                logits = enc.x.data[i] @ heads.token_w.data + heads.token_b.data[0]
+                logits = rows[i] @ heads.token_w.data + heads.token_b.data[0]
                 tok_nll.append(-math.log(softmax(logits)[sample.token_targets[i]]))
             for j in sample.masked_atom_positions:
-                logits = enc.x.data[enc.n + j] @ heads.ctx_w.data + heads.ctx_b.data[0]
+                logits = rows[n + j] @ heads.ctx_w.data + heads.ctx_b.data[0]
                 atom_nll.append(
                     -math.log(softmax(logits)[sample.atom_context_targets[j]]))
         assert got.item() == pytest.approx(np.mean(tok_nll) + np.mean(atom_nll),
@@ -245,9 +248,9 @@ def test_criterion_4_loss_oracles():
         assert got.item() == pytest.approx(want / k, abs=1e-10)
 
         # SGM against a scalar loop.
-        pos = [e.x_cls for e in encs]
+        pos = x_cls
         neg = [constant(rng.normal(size=(1, cfg.dim))) for _ in range(batch)]
-        got, _ = loss_sgm(pos, neg, heads)
+        got, _ = loss_sgm(concat_rows(pos), concat_rows(neg), heads)
         nlls = []
         for rows, label in ((pos, 1), (neg, 0)):
             for r in rows:
@@ -261,7 +264,7 @@ def test_criterion_4_loss_oracles():
                for _ in range(batch)]
         fgs = [rng.integers(0, 2, size=cfg.n_groups).astype(float)
                for _ in range(batch)]
-        got, _ = loss_dkl(pos, fps, fgs, heads)
+        got, _ = loss_dkl(concat_rows(pos), fps, fgs, heads)
         mse_terms, bce_terms = [], []
         for r, fp, fg in zip(pos, fps, fgs):
             hid = np.maximum(0.0, r.data @ heads.fp_w1.data + heads.fp_b1.data)
@@ -299,7 +302,7 @@ def test_criterion_5_pretraining_smoke(smoke_run):
     all_s, all_g = [], []
     for mol in smoke_run.corpus.molecules[:60]:
         enc = model.encoder.encode_molecule(vocab.ids_for(mol.tokens), mol.graph)
-        pooled = model.encoder.pool_fragments(enc, mol.fragment_map)
+        pooled = model.encoder.pool_fragments(enc, [mol.fragment_map])
         all_s.append(pooled.f_s.data)
         all_g.append(pooled.f_g.data)
     f_s = np.concatenate(all_s)

@@ -2,6 +2,8 @@
 
 import contextlib
 import io
+import json
+import shutil
 import sys
 from unittest import mock
 
@@ -147,7 +149,8 @@ def test_stdin_commands_exit_0_or_1(command, line):
         assert err.getvalue().startswith("error: ")
 
 
-@pytest.mark.parametrize("config", ["oops\n", "epochs = abc\n", "r_t = 5\n"])
+@pytest.mark.parametrize("config", ["oops\n", "epochs = abc\n", "r_t = 5\n",
+                                    "dim = 10\nheads = 4\n", "heads = 0\n"])
 def test_exit_code_bad_config(tmp_path, capsys, config):
     corpus = tmp_path / "c.smi"
     corpus.write_text("CCO\nCCN\n")
@@ -227,6 +230,60 @@ def test_finetune_cli(tmp_path, checkpoint, capsys):
         "--split", "random", "--epochs", "1", "--freeze-encoder"])
     assert code == 0
     assert out.startswith("roc_auc\t")
+
+
+@pytest.mark.parametrize("task,labels,bad_line", [("cls", ["1", "0", "-1"], 3),
+                                                  ("cls", ["0.5", "1"], 1),
+                                                  ("pair", ["1", "two"], 2),
+                                                  ("reg", ["0.5", "inf"], 2)])
+def test_exit_code_bad_label(tmp_path, checkpoint, capsys, task, labels, bad_line):
+    smiles = ["CCO", "CCN", "CCC", "CCS", "COC", "CCCC", "CCCO", "CCCN", "CCOC", "CCCS"]
+    rows = [f"{s}\t" + ("CCO\t" if task == "pair" else "")
+            + f"{labels[i] if i < len(labels) else i % 2}" for i, s in enumerate(smiles)]
+    f = tmp_path / "task.tsv"
+    f.write_text("\n".join(rows))
+    code, out, err = run(capsys, [
+        "finetune", str(f), "--checkpoint", checkpoint, "--task", task,
+        "--split", "random", "--epochs", "1"])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"task.tsv:{bad_line}:" in err
+
+
+def _corrupt_truncated(ckpt):
+    blob = (ckpt / "params.bin").read_bytes()
+    (ckpt / "params.bin").write_bytes(blob[:-8])
+
+
+def _corrupt_trailing(ckpt):
+    with open(ckpt / "params.bin", "ab") as out:
+        out.write(b"\0" * 8)
+
+
+def _corrupt_overlapping(ckpt):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["tensors"][1]["offset"] -= 8
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _corrupt_entry(ckpt):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    del manifest["tensors"][0]["shape"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_truncated, _corrupt_trailing,
+                                     _corrupt_overlapping, _corrupt_entry])
+def test_exit_code_corrupt_checkpoint(tmp_path, checkpoint, capsys, monkeypatch, corrupt):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(checkpoint, ckpt)
+    corrupt(ckpt)
+    code, out, err = run(capsys, ["embed", "--checkpoint", str(ckpt)],
+                         stdin="CCO\n", monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_pretrain_skips_overlong_molecules(tmp_path, capsys):

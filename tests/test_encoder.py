@@ -37,14 +37,14 @@ def test_config_validation():
 
 def test_embed_smiles_position_term():
     enc = make_encoder()
-    rows = enc.embed_smiles([5, 5]).data
+    rows = enc.embed_smiles([[5, 5]]).data
     assert not np.allclose(rows[0], rows[1])
 
 
 def test_embed_smiles_mask_independence():
     enc = make_encoder()
-    a = enc.embed_smiles([5, 6], masked_positions=(1,)).data
-    b = enc.embed_smiles([5, 9], masked_positions=(1,)).data
+    a = enc.embed_smiles([[5, 6]], masked_positions=[(1,)]).data
+    b = enc.embed_smiles([[5, 9]], masked_positions=[(1,)]).data
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(
         a[1], (enc.tok_emb.data[MASK_ID] + enc.pos_emb.data[1]))
@@ -53,15 +53,15 @@ def test_embed_smiles_mask_independence():
 def test_embed_smiles_overflow():
     enc = make_encoder()
     with pytest.raises(PositionOverflow):
-        enc.embed_smiles([3] * (CFG.max_positions + 1))
+        enc.embed_smiles([[3] * (CFG.max_positions + 1)])
 
 
 def test_embed_graph_deterministic_and_mask_perturbs():
     enc = make_encoder()
     g, _ = parse_smiles("CCO")
-    base = enc.embed_graph(g).data
-    np.testing.assert_array_equal(base, enc.embed_graph(g).data)
-    masked = enc.embed_graph(g, masked_atoms=(0,)).data
+    base = enc.embed_graph([g]).data
+    np.testing.assert_array_equal(base, enc.embed_graph([g]).data)
+    masked = enc.embed_graph([g], masked_atoms=[(0,)]).data
     assert not np.allclose(base[0], masked[0])
     # With >= 1 message-passing layer the neighbor row moves too.
     assert not np.allclose(base[1], masked[1])
@@ -73,14 +73,14 @@ def test_embed_graph_equivariant():
 
     enc = make_encoder()
     g, _ = parse_smiles("NC(=O)c1ccccc1O")
-    base = enc.embed_graph(g).data
+    base = enc.embed_graph([g]).data
     perm = permute_graph(g, random.Random(3))
     mapping = {
         new: next(old for old in range(g.m)
                   if g.atoms[old].source_token == perm.atoms[new].source_token)
         for new in range(perm.m)
     }
-    out = enc.embed_graph(perm).data
+    out = enc.embed_graph([perm]).data
     for new, old in mapping.items():
         np.testing.assert_allclose(out[new], base[old], atol=1e-10)
 
@@ -98,8 +98,8 @@ def test_joint_encode_x_cls_is_row_mean():
 def test_joint_encode_cross_modality_reach():
     enc = make_encoder()
     g, t = parse_smiles("CCO")
-    s_emb = enc.embed_smiles(ids_for(t))
-    g_emb = enc.embed_graph(g)
+    s_emb = enc.embed_smiles([ids_for(t)])
+    g_emb = enc.embed_graph([g])
     base = enc.joint_encode(s_emb, g_emb).x.data
     bumped = constant(g_emb.data.copy())
     bumped.data[0] += 0.1
@@ -112,8 +112,8 @@ def test_joint_encode_cross_modality_reach():
 def test_joint_encode_block_mask_isolates_modalities():
     enc = make_encoder()
     g, t = parse_smiles("CCO")
-    s_emb = enc.embed_smiles(ids_for(t))
-    g_emb = enc.embed_graph(g)
+    s_emb = enc.embed_smiles([ids_for(t)])
+    g_emb = enc.embed_graph([g])
     base = enc.joint_encode(s_emb, g_emb, block_cross_modality=True).x.data
     bumped = constant(g_emb.data.copy())
     bumped.data[1] += 0.5
@@ -150,10 +150,10 @@ def test_pool_fragments_graph_mean_oracle():
     g, t = parse_smiles("CC(=O)OC")
     fmap = build_fragment_map(t, g)
     encoding = enc.encode_molecule(ids_for(t), g)
-    pooled = enc.pool_fragments(encoding, fmap)
+    pooled = enc.pool_fragments(encoding, [fmap])
     assert pooled.f_g.shape == (fmap.K, CFG.dim)
     for k in range(fmap.K):
-        rows = [encoding.x.data[encoding.n + j]
+        rows = [encoding.x.data[encoding.n[0] + j]
                 for j, lab in enumerate(fmap.l_g) if lab == k]
         np.testing.assert_allclose(pooled.f_g.data[k],
                                    np.mean(rows, axis=0), atol=1e-12)
@@ -165,9 +165,9 @@ def test_pool_fragments_k1_mean_all_graph_rows():
     fmap = build_fragment_map(t, g)
     assert fmap.K == 1
     encoding = enc.encode_molecule(ids_for(t), g)
-    pooled = enc.pool_fragments(encoding, fmap)
+    pooled = enc.pool_fragments(encoding, [fmap])
     np.testing.assert_allclose(pooled.f_g.data[0],
-                               encoding.x.data[encoding.n:].mean(axis=0), atol=1e-12)
+                               encoding.x.data[encoding.n[0]:].mean(axis=0), atol=1e-12)
 
 
 def test_pool_fragments_locality():
@@ -175,7 +175,7 @@ def test_pool_fragments_locality():
     g, t = parse_smiles("CC(=O)OC")
     fmap = build_fragment_map(t, g)
     encoding = enc.encode_molecule(ids_for(t), g)
-    pooled = enc.pool_fragments(encoding, fmap)
+    pooled = enc.pool_fragments(encoding, [fmap])
     # Zero all rows outside fragment 0; its pooled embeddings must not move.
     doctored = encoding.x.data.copy()
     for i, lab in enumerate(fmap.l_s):
@@ -183,11 +183,11 @@ def test_pool_fragments_locality():
             doctored[i] = 0.0
     for j, lab in enumerate(fmap.l_g):
         if lab != 0:
-            doctored[encoding.n + j] = 0.0
+            doctored[encoding.n[0] + j] = 0.0
     fake = JointEncoding(x=constant(doctored),
                          x_cls=mean_rows(constant(doctored)),
                          n=encoding.n, m=encoding.m)
-    pooled2 = enc.pool_fragments(fake, fmap)
+    pooled2 = enc.pool_fragments(fake, [fmap])
     np.testing.assert_allclose(pooled2.f_g.data[0], pooled.f_g.data[0], atol=0)
     np.testing.assert_allclose(pooled2.f_s.data[0], pooled.f_s.data[0], atol=0)
 
@@ -197,10 +197,10 @@ def test_pool_fragments_single_token_single_atom():
     g, t = parse_smiles("CO")      # cleaves into two one-atom fragments? no: K=1
     fmap = FragmentMap(K=2, l_g=(0, 1), l_s=(0, 1))
     encoding = enc.encode_molecule(ids_for(t), g)
-    pooled = enc.pool_fragments(encoding, fmap)
+    pooled = enc.pool_fragments(encoding, [fmap])
     # Graph side of a one-atom fragment is exactly that atom's row.
     np.testing.assert_allclose(pooled.f_g.data[1],
-                               encoding.x.data[encoding.n + 1], atol=1e-12)
+                               encoding.x.data[encoding.n[0] + 1], atol=1e-12)
 
 
 def test_pool_fragments_map_mismatch():
@@ -208,7 +208,7 @@ def test_pool_fragments_map_mismatch():
     g, t = parse_smiles("CCO")
     encoding = enc.encode_molecule(ids_for(t), g)
     with pytest.raises(FragmentOutOfRange):
-        enc.pool_fragments(encoding, FragmentMap(K=1, l_g=(0,), l_s=(0, 0, 0)))
+        enc.pool_fragments(encoding, [FragmentMap(K=1, l_g=(0,), l_s=(0, 0, 0))])
 
 
 def test_encoder_seeded_determinism():

@@ -9,7 +9,7 @@ from chemfuse.chem import parse_smiles
 from chemfuse.encoder import JointEncoding, ModelConfig, MoleculeEncoder
 from chemfuse.fragments import build_fragment_map
 from chemfuse.masking import MaskConfig, MaskedSample, Modality, sample_fragment_mask, sample_token_mask
-from chemfuse.nn import NonFiniteInput, backward, constant, mean_rows
+from chemfuse.nn import NonFiniteInput, backward, concat_rows, constant, segment_mean
 from chemfuse.objectives import (
     BatchTooSmall,
     FlaConfig,
@@ -34,9 +34,14 @@ CFG = ModelConfig(vocab_size=11, context_vocab_size=6, dim=8, transformer_layers
                   fingerprint_width=16, n_groups=4)
 
 
-def fake_encoding(n, m, dim=CFG.dim):
-    x = constant(RNG.normal(size=(n + m, dim)))
-    return JointEncoding(x=x, x_cls=mean_rows(x), n=n, m=m)
+def fake_encoding(*views, dim=CFG.dim):
+    """Random encoder rows of views given as (n, m) pairs, packed."""
+    lengths = [n + m for n, m in views]
+    x = constant(RNG.normal(size=(sum(lengths), dim)))
+    starts = np.cumsum([0] + lengths[:-1])
+    x_cls = segment_mean(x, [range(s, s + length) for s, length in zip(starts, lengths)])
+    return JointEncoding(x=x, x_cls=x_cls, n=tuple(n for n, _ in views),
+                         m=tuple(m for _, m in views))
 
 
 def fake_token_sample(n, m, vocab=CFG.vocab_size, ctx=CFG.context_vocab_size,
@@ -62,9 +67,9 @@ def zeroed_heads():
 
 def test_cmm_token_uniform_prediction_is_log_v():
     heads = zeroed_heads()
-    encs = [fake_encoding(6, 4)]
+    enc = fake_encoding((6, 4))
     samples = [fake_token_sample(6, 4)]
-    loss, _ = loss_cmm_token(encs, samples, heads)
+    loss, _ = loss_cmm_token(enc, samples, heads)
     expected = math.log(CFG.vocab_size) + math.log(CFG.context_vocab_size)
     assert loss.item() == pytest.approx(expected, abs=1e-10)
 
@@ -73,14 +78,14 @@ def test_cmm_token_no_masks_raises():
     heads = zeroed_heads()
     empty = MaskedSample()
     with pytest.raises(NoMaskedPositions):
-        loss_cmm_token([fake_encoding(4, 3)], [empty], heads)
+        loss_cmm_token(fake_encoding((4, 3)), [empty], heads)
 
 
 def test_cmm_token_matches_loop_oracle():
     heads = Heads(CFG, seed=5)
-    encs = [fake_encoding(7, 5), fake_encoding(5, 6)]
+    enc = fake_encoding((7, 5), (5, 6))
     samples = [fake_token_sample(7, 5), fake_token_sample(5, 6)]
-    loss, _ = loss_cmm_token(encs, samples, heads)
+    loss, _ = loss_cmm_token(enc, samples, heads)
 
     def softmax(v):
         e = np.exp(v - v.max())
@@ -89,12 +94,12 @@ def test_cmm_token_matches_loop_oracle():
     tok_nll, atom_nll = [], []
     tw, tb = heads.token_w.data, heads.token_b.data
     cw, cb = heads.ctx_w.data, heads.ctx_b.data
-    for enc, sample in zip(encs, samples):
+    for start, n, sample in zip(enc.starts, enc.n, samples):
         for i in sample.masked_token_positions:
-            probs = softmax(enc.x.data[i] @ tw + tb[0])
+            probs = softmax(enc.x.data[start + i] @ tw + tb[0])
             tok_nll.append(-math.log(probs[sample.token_targets[i]]))
         for j in sample.masked_atom_positions:
-            probs = softmax(enc.x.data[enc.n + j] @ cw + cb[0])
+            probs = softmax(enc.x.data[start + n + j] @ cw + cb[0])
             atom_nll.append(-math.log(probs[sample.atom_context_targets[j]]))
     expected = np.mean(tok_nll) + np.mean(atom_nll)
     assert loss.item() == pytest.approx(expected, abs=1e-10)
@@ -102,17 +107,17 @@ def test_cmm_token_matches_loop_oracle():
 
 def test_cmm_fragment_reads_only_masked_modality():
     heads = zeroed_heads()
-    enc = fake_encoding(6, 4)
+    enc = fake_encoding((6, 4))
     graph_sample = MaskedSample(
         masked_atom_positions=(0, 2),
         masked_modality=Modality.GRAPH,
         atom_context_targets={0: 1, 2: 3},
     )
-    loss, _ = loss_cmm_fragment([enc], [graph_sample], heads)
+    loss, _ = loss_cmm_fragment(enc, [graph_sample], heads)
     # Only the context head contributes.
     assert loss.item() == pytest.approx(math.log(CFG.context_vocab_size), abs=1e-10)
     with pytest.raises(NoMaskedPositions):
-        loss_cmm_fragment([enc], [MaskedSample()], heads)
+        loss_cmm_fragment(enc, [MaskedSample()], heads)
 
 
 def test_fla_closed_form_orthogonal():
@@ -181,12 +186,12 @@ def test_cmm_token_perfect_prediction_near_zero():
     heads = zeroed_heads()
     target = 4
     heads.token_b.data[0, target] = 60.0      # one-hot certainty at the target
-    enc = fake_encoding(5, 3)
+    enc = fake_encoding((5, 3))
     sample = MaskedSample(masked_token_positions=(1,), token_targets={1: target},
                           masked_atom_positions=(0,),
                           atom_context_targets={0: 2})
     heads.ctx_b.data[0, 2] = 60.0
-    loss, aux = loss_cmm_token([enc], [sample], heads)
+    loss, aux = loss_cmm_token(enc, [sample], heads)
     assert loss.item() < 1e-10
     assert aux["mlm_accuracy"] == 1.0
 
@@ -194,14 +199,14 @@ def test_cmm_token_perfect_prediction_near_zero():
 def test_losses_nonnegative_on_random_inputs():
     heads = Heads(CFG, seed=23)
     for trial in range(10):
-        enc = fake_encoding(6, 4)
+        enc = fake_encoding((6, 4))
         sample = fake_token_sample(6, 4)
-        assert loss_cmm_token([enc], [sample], heads)[0].item() >= 0
+        assert loss_cmm_token(enc, [sample], heads)[0].item() >= 0
         f = constant(RNG.normal(size=(3, CFG.dim)))
         g = constant(RNG.normal(size=(3, CFG.dim)))
         assert loss_fla(f, g, [0], FlaConfig())[0].item() >= 0
-        pos = [constant(RNG.normal(size=(1, CFG.dim))) for _ in range(2)]
-        neg = [constant(RNG.normal(size=(1, CFG.dim))) for _ in range(2)]
+        pos = constant(RNG.normal(size=(2, CFG.dim)))
+        neg = constant(RNG.normal(size=(2, CFG.dim)))
         assert loss_sgm(pos, neg, heads)[0].item() >= 0
         fps = [RNG.integers(0, 2, size=CFG.fingerprint_width).astype(float)
                for _ in range(2)]
@@ -226,11 +231,11 @@ def test_sgm_uniform_is_log2_and_oracle():
     heads = zeroed_heads()
     pos = [constant(RNG.normal(size=(1, CFG.dim))) for _ in range(3)]
     neg = [constant(RNG.normal(size=(1, CFG.dim))) for _ in range(3)]
-    loss, aux = loss_sgm(pos, neg, heads)
+    loss, aux = loss_sgm(concat_rows(pos), concat_rows(neg), heads)
     assert loss.item() == pytest.approx(math.log(2), abs=1e-12)
 
     heads = Heads(CFG, seed=9)
-    loss, _ = loss_sgm(pos, neg, heads)
+    loss, _ = loss_sgm(concat_rows(pos), concat_rows(neg), heads)
     nlls = []
     for rows, label in ((pos, 1), (neg, 0)):
         for r in rows:
@@ -244,7 +249,7 @@ def test_sgm_uniform_is_log2_and_oracle():
 def test_sgm_batch_too_small():
     heads = Heads(CFG, seed=1)
     with pytest.raises(BatchTooSmall):
-        loss_sgm([constant(np.ones((1, CFG.dim)))], [], heads)
+        loss_sgm(constant(np.ones((1, CFG.dim))), constant(np.ones((1, CFG.dim))), heads)
 
 
 def test_dkl_zero_head_terms():
@@ -252,7 +257,7 @@ def test_dkl_zero_head_terms():
     x = [constant(RNG.normal(size=(1, CFG.dim))) for _ in range(2)]
     fps = [np.zeros(CFG.fingerprint_width) for _ in range(2)]
     fgs = [np.zeros(CFG.n_groups), np.ones(CFG.n_groups)]
-    loss, _ = loss_dkl(x, fps, fgs, heads)
+    loss, _ = loss_dkl(concat_rows(x), fps, fgs, heads)
     # Zero heads give zero fp output (MSE 0 on zero bits) and p=0.5 per group.
     assert loss.item() == pytest.approx(math.log(2), abs=1e-12)
 
@@ -264,7 +269,7 @@ def test_dkl_matches_loop_oracle():
     fps = [RNG.integers(0, 2, size=CFG.fingerprint_width).astype(float)
            for _ in range(batch)]
     fgs = [RNG.integers(0, 2, size=CFG.n_groups).astype(float) for _ in range(batch)]
-    loss, _ = loss_dkl(x, fps, fgs, heads)
+    loss, _ = loss_dkl(concat_rows(x), fps, fgs, heads)
     mse_terms, bce_terms = [], []
     for xi, fp, fg in zip(x, fps, fgs):
         hid = np.maximum(0.0, xi.data @ heads.fp_w1.data + heads.fp_b1.data)
@@ -331,29 +336,28 @@ def test_grad_all_five_heads():
                  for _ in records]
 
     def forward_all():
-        encs_tok = [enc.encode_molecule(r.token_ids, r.graph,
-                                        masked_tokens=s.masked_token_positions,
-                                        masked_atoms=s.masked_atom_positions)
-                    for r, s in zip(records, tok_samples)]
-        encs_frag = [enc.encode_molecule(r.token_ids, r.graph,
-                                         masked_tokens=s.masked_token_positions,
-                                         masked_atoms=s.masked_atom_positions)
-                     for r, s in zip(records, frag_samples)]
-        clean = [enc.encode_molecule(r.token_ids, r.graph) for r in records]
-        l_t, _ = loss_cmm_token(encs_tok, tok_samples, heads)
-        l_f, _ = loss_cmm_fragment(encs_frag, frag_samples, heads)
-        pooled = [enc.pool_fragments(e, r.fragment_map)
-                  for e, r in zip(clean, records)]
-        from chemfuse.nn import concat_rows
-        f_s = concat_rows([p.f_s for p in pooled])
-        f_g = concat_rows([p.f_g for p in pooled])
-        l_a, _ = loss_fla(f_s, f_g, [0], FlaConfig(tau=0.5))
-        neg = [enc.joint_encode(enc.embed_smiles(records[0].token_ids),
-                                enc.embed_graph(records[1].graph)).x_cls,
-               enc.joint_encode(enc.embed_smiles(records[1].token_ids),
-                                enc.embed_graph(records[0].graph)).x_cls]
-        l_s, _ = loss_sgm([c.x_cls for c in clean], neg, heads)
-        l_d, _ = loss_dkl([c.x_cls for c in clean], fixed_fps, fixed_fgs, heads)
+        clean = MaskedSample()
+        views = ([(r, s) for r, s in zip(records, tok_samples)]
+                 + [(r, s) for r, s in zip(records, frag_samples)]
+                 + [(r, clean) for r in records])
+        encoding = enc.joint_encode(
+            enc.embed_smiles([r.token_ids for r, _ in views],
+                             [s.masked_token_positions for _, s in views]),
+            enc.embed_graph([r.graph for r, _ in views],
+                            [s.masked_atom_positions for _, s in views]),
+            n=[len(r.token_ids) for r, _ in views], m=[r.graph.m for r, _ in views])
+        l_t, _ = loss_cmm_token(encoding.views(range(0, 2)), tok_samples, heads)
+        l_f, _ = loss_cmm_fragment(encoding.views(range(2, 4)), frag_samples, heads)
+        clean_views = encoding.views(range(4, 6))
+        pooled = enc.pool_fragments(clean_views, [r.fragment_map for r in records])
+        l_a, _ = loss_fla(pooled.f_s, pooled.f_g, [0], FlaConfig(tau=0.5))
+        neg = enc.joint_encode(
+            enc.embed_smiles([records[0].token_ids, records[1].token_ids]),
+            enc.embed_graph([records[1].graph, records[0].graph]),
+            n=[len(records[0].token_ids), len(records[1].token_ids)],
+            m=[records[1].graph.m, records[0].graph.m]).x_cls
+        l_s, _ = loss_sgm(clean_views.x_cls, neg, heads)
+        l_d, _ = loss_dkl(clean_views.x_cls, fixed_fps, fixed_fgs, heads)
         total, _ = total_loss(l_t, l_f, l_a, l_s, l_d)
         return total
 
@@ -371,8 +375,8 @@ def test_total_gradient_is_sum_of_component_gradients():
 
     def run(component):
         e = enc.encode_molecule(ids, g, masked_tokens=(0,))
-        l_t, _ = loss_cmm_token([e], [sample], heads)
-        pooled = enc.pool_fragments(e, fmap)
+        l_t, _ = loss_cmm_token(e, [sample], heads)
+        pooled = enc.pool_fragments(e, [fmap])
         if fmap.K >= 2:
             l_a, _ = loss_fla(pooled.f_s, pooled.f_g, [0], FlaConfig(tau=0.5))
         else:

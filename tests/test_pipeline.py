@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chemfuse.encoder import PAD_ID
+from chemfuse.encoder import PAD_ID, JointEncoding
 from chemfuse.masking import (
     MaskConfig,
     Strategy,
@@ -56,6 +56,9 @@ from conftest import DATA_DIR
 
 SMALL_MODEL = dict(dim=16, transformer_layers=1, heads=2, gnn_layers=1,
                    gnn_width=8, fingerprint_width=64)
+
+#: Tape nodes one ``_step_losses`` builds on ``_small_model_and_batch()``.
+STEP_TAPE_NODES = 117
 
 
 def tiny_corpus(n=12):
@@ -165,10 +168,19 @@ def test_padding_neutrality_bitwise():
     assert report_a == report_b
 
 
+def _concat_encodings(encodings):
+    """Separately computed encodings as one packed encoding for the losses."""
+    return JointEncoding(x=concat_rows([e.x for e in encodings]),
+                         x_cls=concat_rows([e.x_cls for e in encodings]),
+                         n=sum((e.n for e in encodings), ()),
+                         m=sum((e.m for e in encodings), ()))
+
+
 def _reference_step_losses(model, batch, mask_cfg, fla_cfg, epoch, base_index,
                            train_seed):
-    """Every view encoded from scratch and the matching negatives recomputed,
-    one ``encode_molecule`` per view."""
+    """Every view encoded on its own from scratch, one ``encode_molecule``
+    per view, each clean view pooled on its own, and the matching negatives
+    recomputed."""
     enc, heads, records = model.encoder, model.heads, batch.records
     block = mask_cfg.strategy is Strategy.SINGLE_MODALITY
     tok_samples, tok_encs, frag_samples, frag_encs, clean = [], [], [], [], []
@@ -188,18 +200,19 @@ def _reference_step_losses(model, batch, mask_cfg, fla_cfg, epoch, base_index,
             rec.token_ids, rec.graph, masked_tokens=tok.masked_token_positions,
             masked_atoms=tok.masked_atom_positions, block_cross_modality=block))
         clean.append(enc.encode_molecule(rec.token_ids, rec.graph))
-    l_t, tok_aux = loss_cmm_token(tok_encs, tok_samples, heads)
-    l_f = loss_cmm_fragment(frag_encs, frag_samples, heads)[0] if frag_encs \
-        else constant(0.0)
-    pooled = [enc.pool_fragments(e, rec.fragment_map) for e, rec in zip(clean, records)]
+    l_t, tok_aux = loss_cmm_token(_concat_encodings(tok_encs), tok_samples, heads)
+    l_f = loss_cmm_fragment(_concat_encodings(frag_encs), frag_samples, heads)[0] \
+        if frag_encs else constant(0.0)
+    pooled = [enc.pool_fragments(e, [rec.fragment_map]) for e, rec in zip(clean, records)]
     offsets = list(np.cumsum([0] + [q.K for q in pooled[:-1]]))
     l_fla, _ = loss_fla(concat_rows([q.f_s for q in pooled]),
                         concat_rows([q.f_g for q in pooled]), offsets, fla_cfg)
-    neg = [enc.joint_encode(enc.embed_smiles(records[i].token_ids),
-                            enc.embed_graph(records[j].graph)).x_cls
+    neg = [enc.joint_encode(enc.embed_smiles([records[i].token_ids]),
+                            enc.embed_graph([records[j].graph])).x_cls
            for i, j in enumerate(derangement(len(records)))]
-    l_sgm, sgm_aux = loss_sgm([e.x_cls for e in clean], neg, heads)
-    l_dkl, _ = loss_dkl([e.x_cls for e in clean],
+    clean_x_cls = concat_rows([e.x_cls for e in clean])
+    l_sgm, sgm_aux = loss_sgm(clean_x_cls, concat_rows(neg), heads)
+    l_dkl, _ = loss_dkl(clean_x_cls,
                         [rec.fingerprint_bits for rec in records],
                         [rec.group_bits for rec in records], heads)
     return total_loss(l_t, l_f, l_fla, l_sgm, l_dkl,
@@ -245,18 +258,19 @@ def test_step_losses_match_per_view_reference(strategy):
 
 def test_step_losses_embeds_each_side_once_per_view(monkeypatch):
     """Under CMM a step embeds each side once for the clean view, once for
-    the token-masked view, and once more where a fragment mask hides it."""
+    the token-masked view, and once more where a fragment mask hides it,
+    all in one packed call per modality."""
     from chemfuse import pipeline
     from chemfuse.encoder import MoleculeEncoder
     from chemfuse.masking import Modality
 
-    calls = {"embed_smiles": 0, "embed_graph": 0}
+    calls = {"embed_smiles": [], "embed_graph": []}
     for name in calls:
         original = getattr(MoleculeEncoder, name)
 
-        def counted(self, *args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(self, *args, **kwargs)
+        def counted(self, sides, *args, _original=original, _name=name, **kwargs):
+            calls[_name].append(len(sides))
+            return _original(self, sides, *args, **kwargs)
 
         monkeypatch.setattr(MoleculeEncoder, name, counted)
     frag_samples = []
@@ -272,8 +286,69 @@ def test_step_losses_embeds_each_side_once_per_view(monkeypatch):
                  base_index=0, train_seed=1)
     sides = [s.masked_modality for s in frag_samples]
     assert len(sides) == batch.size == 6
-    assert calls["embed_smiles"] == 2 * batch.size + sides.count(Modality.SMILES)
-    assert calls["embed_graph"] == 2 * batch.size + sides.count(Modality.GRAPH)
+    assert calls["embed_smiles"] == [2 * batch.size + sides.count(Modality.SMILES)]
+    assert calls["embed_graph"] == [2 * batch.size + sides.count(Modality.GRAPH)]
+
+
+def _count_tape_nodes(monkeypatch, run):
+    """Tensors created while ``run()`` executes."""
+    from chemfuse.nn.tensor import Tensor
+
+    count = [0]
+    init = Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    run()
+    monkeypatch.setattr(Tensor, "__init__", init)
+    return count[0]
+
+
+def test_step_losses_tape_node_budget(monkeypatch):
+    """A packed step builds a fixed number of tape nodes, whatever its batch
+    size; one encoder pass per view would build several times more."""
+    model, batch = _small_model_and_batch()
+    big_model, big_batch = _small_model_and_batch(n=12)
+
+    def step(model, batch):
+        return lambda: _step_losses(model, batch, MaskConfig(seed=1), FlaConfig(),
+                                    epoch=0, base_index=0, train_seed=1)
+
+    nodes = _count_tape_nodes(monkeypatch, step(model, batch))
+    assert nodes <= 1.1 * STEP_TAPE_NODES, nodes
+    assert _count_tape_nodes(monkeypatch, step(big_model, big_batch)) == nodes
+
+
+def test_packed_views_match_views_alone():
+    """A molecule's encoder rows and x_cls are bitwise the same whether it
+    is encoded alone or packed with molecules of other lengths."""
+    model, batch = _small_model_and_batch(n=12)
+    enc = model.encoder
+    records = batch.records
+    masks = [(tuple(range(0, len(r.token_ids), 3)), (r.graph.m - 1,)) for r in records]
+    packed = enc.joint_encode(
+        enc.embed_smiles([r.token_ids for r in records], [t for t, _ in masks]),
+        enc.embed_graph([r.graph for r in records], [a for _, a in masks]),
+        n=[len(r.token_ids) for r in records], m=[r.graph.m for r in records],
+        block_cross_modality=[k % 2 == 1 for k in range(len(records))])
+    assert len(set(packed.n)) > 3
+    for k, (rec, (tok, atoms)) in enumerate(zip(records, masks)):
+        alone = enc.encode_molecule(rec.token_ids, rec.graph, masked_tokens=tok,
+                                    masked_atoms=atoms, block_cross_modality=k % 2 == 1)
+        start, length = packed.starts[k], packed.n[k] + packed.m[k]
+        np.testing.assert_array_equal(packed.x.data[start:start + length], alone.x.data)
+        np.testing.assert_array_equal(packed.x_cls.data[k], alone.x_cls.data[0])
+    pooled = enc.pool_fragments(packed, [r.fragment_map for r in records])
+    offset = 0
+    for k, rec in enumerate(records):
+        alone = enc.pool_fragments(packed.views(range(k, k + 1)), [rec.fragment_map])
+        K = rec.fragment_map.K
+        np.testing.assert_array_equal(pooled.f_s.data[offset:offset + K], alone.f_s.data)
+        np.testing.assert_array_equal(pooled.f_g.data[offset:offset + K], alone.f_g.data)
+        offset += K
 
 
 # -------------------------------------------------------------------- schedule

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chemfuse.chem import parse_smiles
-from chemfuse.encoder import BLOCK
+from chemfuse.encoder import BLOCK, graph_union
 from chemfuse.features import featurize
 from chemfuse.nn import (
     AdamState,
@@ -34,6 +34,7 @@ from chemfuse.nn import (
     pick,
     relu,
     scale,
+    segment_mean,
     softmax_rows,
     softplus,
     sub,
@@ -313,6 +314,66 @@ def test_grad_attention_blocked_keys(trial):
              [x] + _attn_param_list(p))
 
 
+def _packed_lengths_and_biases():
+    """Four packed sequences of three lengths; the second length-3 one has
+    its first position cut off from the rest, as the encoder blocks
+    cross-modality attention. No sequence is a single row: numpy sends a
+    one-row product to a different BLAS routine, whose last bits differ."""
+    blocked = np.zeros((3, 3))
+    blocked[:1, 1:] = BLOCK
+    blocked[1:, :1] = BLOCK
+    return [3, 2, 3, 4], [None, None, blocked, None]
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_grad_packed_attention(trial):
+    p = _attn_params(4, prefix=f"pk{trial}")
+    lengths, biases = _packed_lengths_and_biases()
+    x = rand_param("x", sum(lengths), 4)
+    loss = _weighted_loss((sum(lengths), 4))
+    fd_check(lambda: loss(multi_head_attention(x, x, 2, p, attn_bias=biases,
+                                               lengths=lengths)),
+             [x] + _attn_param_list(p))
+
+
+def test_packed_attention_matches_each_sequence_alone():
+    p = _attn_params(8)
+    lengths, biases = _packed_lengths_and_biases()
+    x = RNG.normal(size=(sum(lengths), 8))
+    retained = []
+    rows = constant(x)
+    packed = multi_head_attention(rows, rows, 2, p, attn_bias=biases,
+                                  retain=retained, lengths=lengths).data
+    start = 0
+    for k, (length, bias) in enumerate(zip(lengths, biases)):
+        rows = constant(x[start:start + length])
+        alone_maps = []
+        alone = multi_head_attention(rows, rows, 2, p, attn_bias=bias, retain=alone_maps)
+        np.testing.assert_array_equal(packed[start:start + length], alone.data)
+        for got, want in zip(retained[2 * k:2 * k + 2], alone_maps):
+            np.testing.assert_array_equal(got, want)
+        start += length
+    assert np.all(retained[4][:1, 1:] == 0.0)
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_grad_segment_mean(trial):
+    x = rand_param(f"sm{trial}", 6, 3)
+    segments = [[0, 1, 2], [5, 3], [4], [1, 4], [3, 0]]
+    loss = _weighted_loss((len(segments), 3))
+    fd_check(lambda: loss(segment_mean(x, segments)), [x])
+
+
+def test_segment_mean_is_each_segment_mean():
+    x = RNG.normal(size=(9, 4))
+    segments = [range(0, 3), [8, 2, 5], range(3, 6), [7]]
+    out = segment_mean(constant(x), segments).data
+    for k, rows in enumerate(segments):
+        np.testing.assert_array_equal(out[k], x[list(rows)].mean(axis=0))
+    with pytest.raises(ShapeMismatch):
+        segment_mean(constant(x), [[0], []])
+
+
 # ------------------------------------------------------------------------- gcn
 
 def _gcn_params(width, fbond, prefix="g"):
@@ -408,6 +469,37 @@ def test_grad_gcn_atom_states(trial):
     loss = _weighted_loss((graph.m, 4))
     ops = graph_operators(graph, bond_feats)
     fd_check(lambda: loss(gcn_layer(h, *ops, p)),
+             [h, p.w, p.bond_w, p.ln_gamma, p.ln_beta])
+
+
+def _two_graph_union():
+    graphs = [parse_smiles("CC(=O)N")[0], parse_smiles("C1CC1O")[0]]
+    masked = [(), (1,)]
+    return graphs, masked, graph_union(graphs, masked)
+
+
+def test_graph_union_is_block_diagonal():
+    graphs, masked, (feats, adj, edge_sum) = _two_graph_union()
+    offset = 0
+    for graph, atoms in zip(graphs, masked):
+        alone_feats, alone_adj, alone_edge_sum = graph_union([graph], [atoms])
+        block = slice(offset, offset + graph.m)
+        np.testing.assert_array_equal(feats[block], alone_feats)
+        np.testing.assert_array_equal(adj[block, block], alone_adj)
+        np.testing.assert_array_equal(edge_sum[block], alone_edge_sum)
+        assert adj[block].sum() == adj[block, block].sum()
+        offset += graph.m
+    unmasked = graph_union(graphs[1:])[2]
+    assert not np.array_equal(edge_sum[graphs[0].m:], unmasked)
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_grad_gcn_union_of_graphs(trial):
+    _, _, (_, adj, edge_sum) = _two_graph_union()
+    p = _gcn_params(4, edge_sum.shape[1], prefix=f"gu{trial}")
+    h = rand_param("h", adj.shape[0], 4)
+    loss = _weighted_loss((adj.shape[0], 4))
+    fd_check(lambda: loss(gcn_layer(h, adj, edge_sum, p)),
              [h, p.w, p.bond_w, p.ln_gamma, p.ln_beta])
 
 
