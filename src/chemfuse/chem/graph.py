@@ -57,10 +57,6 @@ class TokenSequence:
     def n(self) -> int:
         return len(self.tokens)
 
-    def atom_token_indices(self) -> list[int]:
-        """Indices of atom-bearing tokens, in order."""
-        return [i for i, t in enumerate(self.tokens) if t.is_atom]
-
 
 class Chirality(Enum):
     NONE = "None"

@@ -299,9 +299,8 @@ class MoleculeEncoder:
         maps: list[list[np.ndarray]] | None = [] if retain_attention else None
         for block in self.blocks:
             retain = [] if retain_attention else None
-            attn_out = multi_head_attention(z, z, self.config.heads, block.attn,
-                                            attn_bias=biases, retain=retain,
-                                            lengths=lengths)
+            attn_out = multi_head_attention(z, self.config.heads, block.attn, lengths,
+                                            attn_bias=biases, retain=retain)
             h = layer_norm_rows(add(z, attn_out), *block.ln1)
             ffn = affine(gelu(affine(h, block.ffn_w1, block.ffn_b1)),
                          block.ffn_w2, block.ffn_b2)
@@ -353,8 +352,7 @@ class MoleculeEncoder:
                                     if lab == k])
         lengths = [len(rows) for rows in token_groups]
         tokens = gather_rows(encoding.x, [i for rows in token_groups for i in rows])
-        attended = multi_head_attention(tokens, tokens, self.config.heads,
-                                        self.frag_attn, lengths=lengths)
+        attended = multi_head_attention(tokens, self.config.heads, self.frag_attn, lengths)
         f_s = segment_mean(attended, [range(s, s + length) for s, length
                                       in zip(accumulate(lengths, initial=0), lengths)])
         return FragmentEmbeddings(f_s=f_s, f_g=segment_mean(encoding.x, atom_groups),

@@ -23,11 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .chem.errors import SmilesError
 from .chem.graph import BondOrder, MolecularGraph, TokenKind, TokenSequence
 
 
-class OrphanSymbol(ValueError):
-    """A non-atom token has no qualifying neighbor atom to inherit from."""
+class OrphanSymbol(SmilesError):
+    """A non-atom token has no qualifying neighbor atom to inherit from,
+    as the ``(`` of an empty branch at the end of ``B()``."""
 
 
 class FragmentOutOfRange(IndexError):

@@ -21,7 +21,6 @@ from .tensor import (
     concat_cols,
     concat_rows,
     constant,
-    cosine_similarity,
     embedding_lookup,
     gather_rows,
     gelu,

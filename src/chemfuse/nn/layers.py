@@ -54,59 +54,49 @@ def _t(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
-def multi_head_attention(q_in: Tensor, kv_in: Tensor, heads: int,
-                         params: AttentionParams,
-                         attn_bias: np.ndarray | Sequence[np.ndarray | None] | None = None,
-                         retain: list | None = None,
-                         lengths: Sequence[int] | None = None) -> Tensor:
-    """Scaled dot-product attention, per head, concatenated and projected.
+def multi_head_attention(x: Tensor, heads: int, params: AttentionParams,
+                         lengths: Sequence[int],
+                         attn_bias: Sequence[np.ndarray | None] | None = None,
+                         retain: list | None = None) -> Tensor:
+    """Self-attention over packed sequences: scaled dot-product attention
+    per head, concatenated and projected.
 
-    Without ``lengths`` every query row attends to every row of ``kv_in``,
-    and ``attn_bias`` (n_q x n_kv) is added to every head's scores; use
-    large negatives to block positions. With ``lengths`` the rows of
-    ``q_in`` (which must be ``kv_in``) are packed sequences of those
-    lengths, each attending only within itself, and ``attn_bias`` is None
-    or a list holding an (L x L) array or None per sequence. Sequences of
-    one length run as one (G, heads, L, head_dim) batch; each sequence's
-    arithmetic is the same as when it runs alone (a single row alone takes
-    numpy's matrix-vector path, so its last bits may differ). When
-    ``retain`` is a list, each sequence's per-head probability matrices
-    are appended to it as plain data, sequence by sequence.
+    The rows of ``x`` are sequences of ``lengths``, each attending only
+    within itself. ``attn_bias`` is None or holds, per sequence, an
+    (L x L) array added to every head's scores, or None; use large
+    negatives to block positions. Sequences of one length run as one
+    (G, heads, L, head_dim) batch; each sequence's arithmetic is the same
+    as when it runs alone (a single row alone takes numpy's matrix-vector
+    path, so its last bits may differ). When ``retain`` is a list, each
+    sequence's per-head probability matrices are appended to it as plain
+    data, sequence by sequence.
     """
     p = params
     width = p.wq.shape[1]
     if width % heads:
         raise ShapeMismatch(f"model width {width} not divisible by {heads} heads")
-    if q_in.shape[1] != p.wq.shape[0] or kv_in.shape[1] != p.wk.shape[0]:
-        raise ShapeMismatch(
-            f"attention inputs {q_in.shape}/{kv_in.shape} vs width {p.wq.shape[0]}")
-    if lengths is None:
-        # One query sequence over one key sequence.
-        groups = [(np.arange(q_in.shape[0])[None], np.arange(kv_in.shape[0])[None],
-                   None if attn_bias is None else attn_bias[None, None], [0])]
-    else:
-        if q_in is not kv_in or sum(lengths) != q_in.shape[0]:
-            raise ShapeMismatch("packed attention needs kv_in is q_in, split by lengths")
-        starts = np.cumsum(lengths) - lengths
-        biases = attn_bias or [None] * len(lengths)
-        groups = []
-        for length, members in _by_length(lengths).items():
-            rows = starts[members][:, None] + np.arange(length)
-            bias = None
-            if any(biases[k] is not None for k in members):
-                bias = np.stack([np.zeros((length, length)) if biases[k] is None
-                                 else biases[k] for k in members])[:, None]
-            groups.append((rows, rows, bias, members))
+    if x.shape[1] != p.wq.shape[0] or sum(lengths) != x.shape[0]:
+        raise ShapeMismatch(f"attention input {x.shape} vs width {p.wq.shape[0]} "
+                            f"and {sum(lengths)} rows of sequences")
+    starts = np.cumsum(lengths) - lengths
+    biases = attn_bias or [None] * len(lengths)
+    groups = []
+    for length, members in _by_length(lengths).items():
+        rows = starts[members][:, None] + np.arange(length)
+        bias = None
+        if any(biases[k] is not None for k in members):
+            bias = np.stack([np.zeros((length, length)) if biases[k] is None
+                             else biases[k] for k in members])[:, None]
+        groups.append((rows, bias, members))
     factor = 1.0 / np.sqrt(width // heads)
-    x_q, x_kv = q_in.data, kv_in.data
-    q = x_q @ p.wq.data + p.bq.data
-    k = x_kv @ p.wk.data + p.bk.data
-    v = x_kv @ p.wv.data + p.bv.data
+    x_data = x.data
+    q = x_data @ p.wq.data + p.bq.data
+    k = x_data @ p.wk.data + p.bk.data
+    v = x_data @ p.wv.data + p.bv.data
     context = np.empty_like(q)
     saved = []
-    for q_rows, kv_rows, bias, members in groups:
-        qh, kh, vh = (_split_heads(a[rows], heads)
-                      for a, rows in ((q, q_rows), (k, kv_rows), (v, kv_rows)))
+    for rows, bias, _ in groups:
+        qh, kh, vh = (_split_heads(a[rows], heads) for a in (q, k, v))
         probs = qh @ _t(kh)
         probs *= factor
         if bias is not None:
@@ -114,8 +104,8 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, heads: int,
         probs -= probs.max(axis=3, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=3, keepdims=True)
-        context[q_rows.ravel()] = _merge_heads(probs @ vh)
-        saved.append((q_rows, kv_rows, qh, kh, vh, probs))
+        context[rows.ravel()] = _merge_heads(probs @ vh)
+        saved.append((rows, qh, kh, vh, probs))
     if retain is not None:
         by_sequence = {s: seq for (*_, members), (*_, probs) in zip(groups, saved)
                        for s, seq in zip(members, probs)}
@@ -128,29 +118,23 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, heads: int,
         d_context = g @ p.wo.data.T
         # Every row belongs to exactly one sequence, so each is written once.
         d_q, d_k, d_v = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-        for q_rows, kv_rows, qh, kh, vh, probs in saved:
-            d_ctx = _split_heads(d_context[q_rows], heads)
+        for rows, qh, kh, vh, probs in saved:
+            d_ctx = _split_heads(d_context[rows], heads)
             d_scores = d_ctx @ _t(vh)
             d_scores -= (d_scores * probs).sum(axis=3, keepdims=True)
             d_scores *= probs
             d_scores *= factor
-            d_q[q_rows.ravel()] = _merge_heads(d_scores @ kh)
-            d_k[kv_rows.ravel()] = _merge_heads(_t(d_scores) @ qh)
-            d_v[kv_rows.ravel()] = _merge_heads(_t(probs) @ d_ctx)
-        for x, w, b, d in ((x_q, p.wq, p.bq, d_q), (x_kv, p.wk, p.bk, d_k),
-                           (x_kv, p.wv, p.bv, d_v)):
-            _accumulate(w, x.T @ d)
+            flat = rows.ravel()
+            d_q[flat] = _merge_heads(d_scores @ kh)
+            d_k[flat] = _merge_heads(_t(d_scores) @ qh)
+            d_v[flat] = _merge_heads(_t(probs) @ d_ctx)
+        for w, b, d in ((p.wq, p.bq, d_q), (p.wk, p.bk, d_k), (p.wv, p.bv, d_v)):
+            _accumulate(w, x_data.T @ d)
             _accumulate(b, d.sum(axis=0, keepdims=True))
-        d_from_q = d_q @ p.wq.data.T
-        d_from_kv = d_k @ p.wk.data.T + d_v @ p.wv.data.T
-        if q_in is kv_in:
-            _accumulate(q_in, d_from_q + d_from_kv)
-        else:
-            _accumulate(q_in, d_from_q)
-            _accumulate(kv_in, d_from_kv)
+        # Keys and values are summed first; other orders change the last bits.
+        _accumulate(x, d_q @ p.wq.data.T + (d_k @ p.wk.data.T + d_v @ p.wv.data.T))
 
-    return _node(out_data, (q_in, kv_in, p.wq, p.bq, p.wk, p.bk,
-                            p.wv, p.bv, p.wo, p.bo), bwd)
+    return _node(out_data, (x, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo), bwd)
 
 
 @dataclass

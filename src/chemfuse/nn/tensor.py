@@ -464,10 +464,3 @@ def normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
         _accumulate(a, g / n - x * direction)
 
     return _node(out_data, (a,), bwd)
-
-
-def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine of two (1, c) vectors as a (1, 1) tensor."""
-    if u.shape != v.shape or u.shape[0] != 1:
-        raise ShapeMismatch(f"cosine_similarity wants matching (1, c), got {u.shape}/{v.shape}")
-    return matmul(normalize_rows(u), transpose(normalize_rows(v)))

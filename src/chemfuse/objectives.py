@@ -168,14 +168,12 @@ def loss_cmm_fragment(encoding: JointEncoding, samples: list[MaskedSample],
     return loss, {}
 
 
-def loss_fla(f_s: Tensor, f_g: Tensor, offsets: list[int],
-             config: FlaConfig) -> tuple[Tensor, dict]:
+def loss_fla(f_s: Tensor, f_g: Tensor, config: FlaConfig) -> tuple[Tensor, dict]:
     """Symmetric temperature-scaled contrastive alignment over fragments.
 
     Row k of ``f_s``/``f_g`` is the same fragment seen from each modality;
     every other row of the opposite modality in the batch is a negative
-    (including fragments of the same molecule). ``offsets`` records where
-    each molecule's fragments start; the negative set spans all of them.
+    (including fragments of the same molecule).
     """
     total = f_s.shape[0]
     if total != f_g.shape[0]:

@@ -12,7 +12,6 @@ step runs per batch under a linear warmup / linear decay schedule.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import sys
 import warnings
@@ -24,7 +23,7 @@ import numpy as np
 
 from .chem import SmilesError, parse_smiles
 from .chem.graph import MolecularGraph, TokenSequence
-from .encoder import PAD_ID, UNK_ID, JointEncoding, ModelConfig, MoleculeEncoder
+from .encoder import UNK_ID, JointEncoding, ModelConfig, MoleculeEncoder
 from .features import (
     EmptyCorpus,
     N_GROUPS,
@@ -160,13 +159,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.molecules)
 
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for mol in self.molecules:
-            h.update(mol.smiles.encode())
-            h.update(b"\n")
-        return h.hexdigest()
-
 
 def parse_molecule(smiles: str, labels: tuple[str, ...] = ()) -> ParsedMolecule:
     graph, tokens = parse_smiles(smiles)
@@ -238,53 +230,6 @@ def prepare_records(corpus: Corpus, vocab: Vocabulary,
             labels=mol.labels,
         ))
     return records
-
-
-# ---------------------------------------------------------------------- batches
-
-@dataclass
-class Batch:
-    """Records plus padded id arrays.
-
-    The model consumes each record at its exact length, so padded columns
-    never reach attention, pooling, or losses; the arrays exist for
-    fixed-shape export and for the padding-neutrality contract.
-    """
-
-    records: list[MoleculeRecord]
-    max_n: int
-    max_m: int
-    token_ids: np.ndarray          # B x max_n, PAD_ID-filled
-    token_mask: np.ndarray         # B x max_n, 1 on real positions
-    atom_mask: np.ndarray          # B x max_m
-
-    @property
-    def size(self) -> int:
-        return len(self.records)
-
-
-def make_batch(records: list[MoleculeRecord], pad_n: int | None = None,
-               pad_m: int | None = None) -> Batch:
-    max_n = max(len(r.token_ids) for r in records)
-    max_m = max(r.graph.m for r in records)
-    max_n = max(max_n, pad_n or 0)
-    max_m = max(max_m, pad_m or 0)
-    b = len(records)
-    token_ids = np.full((b, max_n), PAD_ID, dtype=np.int64)
-    token_mask = np.zeros((b, max_n), dtype=np.int64)
-    atom_mask = np.zeros((b, max_m), dtype=np.int64)
-    for i, rec in enumerate(records):
-        n, m = len(rec.token_ids), rec.graph.m
-        token_ids[i, :n] = rec.token_ids
-        token_mask[i, :n] = 1
-        atom_mask[i, :m] = 1
-    return Batch(records=records, max_n=max_n, max_m=max_m,
-                 token_ids=token_ids, token_mask=token_mask, atom_mask=atom_mask)
-
-
-def make_batches(records: list[MoleculeRecord], batch_size: int) -> list[Batch]:
-    return [make_batch(records[i:i + batch_size])
-            for i in range(0, len(records), batch_size)]
 
 
 # -------------------------------------------------------------------- schedule
@@ -371,6 +316,17 @@ class TrainConfig:
     weight_decay: float = 0.0
     seed: int = 7
 
+    def __post_init__(self):
+        for name, lowest in (("epochs", 1), ("batch_size", 1), ("warmup_steps", 0)):
+            if getattr(self, name) < lowest:
+                raise ConfigError(
+                    f"{name} must be at least {lowest}, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(
+                f"weight_decay must be finite and non-negative, got {self.weight_decay}")
+
 
 def _record_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, epoch, index])
@@ -412,11 +368,12 @@ def _encode_views(enc: MoleculeEncoder, records: list[MoleculeRecord],
                             n=n, m=m, block_cross_modality=[v[3] for v in views])
 
 
-def _step_losses(model: PretrainModel, batch: Batch, mask_cfg: MaskConfig,
-                 fla_cfg: FlaConfig, epoch: int, base_index: int,
-                 train_seed: int) -> tuple:
-    """Encode every view of one batch in one packed pass and assemble the
-    total loss.
+def _step_losses(model: PretrainModel, records: list[MoleculeRecord],
+                 mask_cfg: MaskConfig, fla_cfg: FlaConfig, epoch: int,
+                 base_index: int, train_seed: int) -> tuple:
+    """Encode every view of one batch of ``records`` in one packed pass and
+    assemble the total loss; ``base_index`` is the position of the batch's
+    first record in the epoch, which seeds its masks.
 
     The views run token-masked, fragment-masked (CMM only), clean, then
     mismatched (clean SMILES of molecule i with the clean graph of its
@@ -424,7 +381,6 @@ def _step_losses(model: PretrainModel, batch: Batch, mask_cfg: MaskConfig,
     """
     enc = model.encoder
     heads = model.heads
-    records = batch.records
     b = len(records)
     block = mask_cfg.strategy is Strategy.SINGLE_MODALITY
     tok_samples, frag_samples = [], []
@@ -456,10 +412,9 @@ def _step_losses(model: PretrainModel, batch: Batch, mask_cfg: MaskConfig,
         l_f = constant(0.0)
 
     pooled = enc.pool_fragments(clean_views, [rec.fragment_map for rec in records])
-    offsets = list(np.cumsum([0] + [rec.fragment_map.K for rec in records[:-1]]))
     fla_aux = {}
     try:
-        l_fla, fla_aux = loss_fla(pooled.f_s, pooled.f_g, offsets, fla_cfg)
+        l_fla, fla_aux = loss_fla(pooled.f_s, pooled.f_g, fla_cfg)
     except SingleFragmentBatch:
         l_fla = constant(0.0)
 
@@ -542,13 +497,12 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
         order = np.random.default_rng([train_config.seed, epoch]).permutation(
             len(records))
         shuffled = [records[i] for i in order]
-        batches = make_batches(shuffled, train_config.batch_size)
-        for batch_index, batch in enumerate(batches):
+        size = train_config.batch_size
+        for batch_index, start in enumerate(range(0, len(shuffled), size)):
             try:
                 total, report, _ = _step_losses(
-                    model, batch, mask_config, fla_cfg, epoch,
-                    base_index=batch_index * train_config.batch_size,
-                    train_seed=train_config.seed)
+                    model, shuffled[start:start + size], mask_config, fla_cfg, epoch,
+                    base_index=start, train_seed=train_config.seed)
                 for p in params:
                     p.zero_grad()
                 backward(total)
@@ -695,8 +649,11 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
 
     Selects the epoch with the best validation loss, then reports test
     metrics; a single-class test split reports ROC-AUC as NaN with a
-    warning instead of failing.
+    warning instead of failing. The training values are range-checked as
+    pretraining's are.
     """
+    TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr,
+                weight_decay=weight_decay, seed=seed)
     train_idx, valid_idx, test_idx = split_task(task, fractions, seed=seed)
     d = model.config.dim
     in_dim = d * (2 if task.kind is TaskKind.PAIR_CLASSIFICATION else 1)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import shutil
+import struct
 import sys
 from unittest import mock
 
@@ -135,14 +136,18 @@ SMILES_ALPHABET = "CNOSPFIBrlcnosp[]()=#$:/\\@+-.%0123456789H* "
 
 @settings(max_examples=300, deadline=None)
 @example(command="fragment", line=".C")
+@example(command="fragment", line="B()")
+@example(command="embed", line="B()")
 @given(command=st.sampled_from(["tokenize", "parse", "fragment", "groups",
-                                "scaffold", "fingerprint"]),
+                                "scaffold", "fingerprint", "embed", "attn-dump"]),
        line=st.text(alphabet=SMILES_ALPHABET, min_size=1, max_size=14))
-def test_stdin_commands_exit_0_or_1(command, line):
+def test_stdin_commands_exit_0_or_1(checkpoint, command, line):
+    argv = [command] + (["--checkpoint", checkpoint]
+                        if command in ("embed", "attn-dump") else [])
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(line + "\n")), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command])
+        code = main(argv)
     assert code in (0, 1), err.getvalue()
     if code == 1:
         assert len(err.getvalue().splitlines()) == 1
@@ -150,7 +155,11 @@ def test_stdin_commands_exit_0_or_1(command, line):
 
 
 @pytest.mark.parametrize("config", ["oops\n", "epochs = abc\n", "r_t = 5\n",
-                                    "dim = 10\nheads = 4\n", "heads = 0\n"])
+                                    "dim = 10\nheads = 4\n", "heads = 0\n",
+                                    "epochs = 0\n", "epochs = -2\n", "batch_size = 0\n",
+                                    "warmup_steps = -1\n", "lr = nan\n", "lr = 0\n",
+                                    "lr = -1\n", "weight_decay = inf\n",
+                                    "weight_decay = -0.5\n"])
 def test_exit_code_bad_config(tmp_path, capsys, config):
     corpus = tmp_path / "c.smi"
     corpus.write_text("CCO\nCCN\n")
@@ -232,6 +241,18 @@ def test_finetune_cli(tmp_path, checkpoint, capsys):
     assert out.startswith("roc_auc\t")
 
 
+def test_exit_code_finetune_bad_batch_size(tmp_path, checkpoint, capsys):
+    f = tmp_path / "task.tsv"
+    f.write_text("\n".join(f"{s}\t{i % 2}" for i, s in enumerate(
+        ["CCO", "CCN", "CCC", "CCS", "COC", "CCCC", "CCCO", "CCCN", "CCOC", "CCCS"])))
+    code, out, err = run(capsys, [
+        "finetune", str(f), "--checkpoint", checkpoint, "--split", "random",
+        "--epochs", "1", "--batch-size", "0"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: batch_size must be at least 1, got 0\n"
+
+
 @pytest.mark.parametrize("task,labels,bad_line", [("cls", ["1", "0", "-1"], 3),
                                                   ("cls", ["0.5", "1"], 1),
                                                   ("pair", ["1", "two"], 2),
@@ -267,6 +288,11 @@ def _corrupt_overlapping(ckpt):
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _corrupt_nan(ckpt):
+    blob = (ckpt / "params.bin").read_bytes()
+    (ckpt / "params.bin").write_bytes(struct.pack("<d", float("nan")) + blob[8:])
+
+
 def _corrupt_entry(ckpt):
     manifest = json.loads((ckpt / "manifest.json").read_text())
     del manifest["tensors"][0]["shape"]
@@ -274,7 +300,7 @@ def _corrupt_entry(ckpt):
 
 
 @pytest.mark.parametrize("corrupt", [_corrupt_truncated, _corrupt_trailing,
-                                     _corrupt_overlapping, _corrupt_entry])
+                                     _corrupt_overlapping, _corrupt_entry, _corrupt_nan])
 def test_exit_code_corrupt_checkpoint(tmp_path, checkpoint, capsys, monkeypatch, corrupt):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(checkpoint, ckpt)

@@ -1,11 +1,11 @@
-"""Pipeline tests: corpora, batching, schedule, checkpoints, fine-tuning."""
+"""Pipeline tests: corpora, training steps, schedule, checkpoints, fine-tuning."""
 
 import math
 
 import numpy as np
 import pytest
 
-from chemfuse.encoder import PAD_ID, JointEncoding
+from chemfuse.encoder import JointEncoding
 from chemfuse.masking import (
     MaskConfig,
     Strategy,
@@ -44,7 +44,6 @@ from chemfuse.pipeline import (
     learning_rate_at,
     load_pretrained,
     load_task,
-    make_batch,
     parse_config_file,
     parse_molecule,
     prepare_records,
@@ -57,7 +56,7 @@ from conftest import DATA_DIR
 SMALL_MODEL = dict(dim=16, transformer_layers=1, heads=2, gnn_layers=1,
                    gnn_width=8, fingerprint_width=64)
 
-#: Tape nodes one ``_step_losses`` builds on ``_small_model_and_batch()``.
+#: Tape nodes one ``_step_losses`` builds on ``_small_model_and_records()``.
 STEP_TAPE_NODES = 117
 
 
@@ -112,12 +111,6 @@ def test_ingest_skips_leading_dot(tmp_path):
     assert corpus.skipped == 1
 
 
-def test_ingest_hash_deterministic(tmp_path):
-    f = tmp_path / "corpus.smi"
-    f.write_text("CCO\nCCN\n")
-    assert ingest(f).content_hash() == ingest(f).content_hash()
-
-
 def test_ingest_errors(tmp_path):
     with pytest.raises(FileUnreadable):
         ingest(tmp_path / "missing.smi")
@@ -125,47 +118,6 @@ def test_ingest_errors(tmp_path):
     f.write_text("not_smiles_1$$$\n=also bad\n")
     with pytest.raises(AllLinesFailed):
         ingest(f)
-
-
-# --------------------------------------------------------------------- batches
-
-def test_make_batch_padding_shapes():
-    corpus = tiny_corpus(4)
-    vocab = build_vocabulary(m.tokens for m in corpus.molecules)
-    from chemfuse.masking import build_context_vocab
-    ctx = build_context_vocab(m.graph for m in corpus.molecules)
-    records = prepare_records(corpus, vocab, ctx, fingerprint_width=64)
-    batch = make_batch(records)
-    assert batch.token_ids.shape == (4, batch.max_n)
-    assert (batch.token_ids[batch.token_mask == 0] == PAD_ID).all()
-    for i, rec in enumerate(records):
-        n = len(rec.token_ids)
-        assert batch.token_mask[i, :n].all()
-        assert not batch.token_mask[i, n:].any()
-
-
-def test_padding_neutrality_bitwise():
-    """Extra padding columns leave every loss component bit-identical."""
-    from chemfuse.pipeline import PretrainModel
-    from chemfuse.encoder import ModelConfig
-    from chemfuse.masking import build_context_vocab
-
-    corpus = tiny_corpus(4)
-    vocab = build_vocabulary(m.tokens for m in corpus.molecules)
-    ctx = build_context_vocab(m.graph for m in corpus.molecules)
-    records = prepare_records(corpus, vocab, ctx, fingerprint_width=64)
-    config = ModelConfig(vocab_size=vocab.size, context_vocab_size=ctx.size,
-                         n_groups=24, **SMALL_MODEL)
-    model = PretrainModel(config, seed=11)
-    plain = make_batch(records)
-    padded = make_batch(records, pad_n=plain.max_n + 7, pad_m=plain.max_m + 5)
-    mask_cfg = MaskConfig(seed=1)
-    total_a, report_a, _ = _step_losses(model, plain, mask_cfg, FlaConfig(),
-                                        epoch=0, base_index=0, train_seed=1)
-    total_b, report_b, _ = _step_losses(model, padded, mask_cfg, FlaConfig(),
-                                        epoch=0, base_index=0, train_seed=1)
-    assert total_a.data[0, 0] == total_b.data[0, 0]
-    assert report_a == report_b
 
 
 def _concat_encodings(encodings):
@@ -176,12 +128,12 @@ def _concat_encodings(encodings):
                          m=sum((e.m for e in encodings), ()))
 
 
-def _reference_step_losses(model, batch, mask_cfg, fla_cfg, epoch, base_index,
+def _reference_step_losses(model, records, mask_cfg, fla_cfg, epoch, base_index,
                            train_seed):
     """Every view encoded on its own from scratch, one ``encode_molecule``
     per view, each clean view pooled on its own, and the matching negatives
     recomputed."""
-    enc, heads, records = model.encoder, model.heads, batch.records
+    enc, heads = model.encoder, model.heads
     block = mask_cfg.strategy is Strategy.SINGLE_MODALITY
     tok_samples, tok_encs, frag_samples, frag_encs, clean = [], [], [], [], []
     for i, rec in enumerate(records):
@@ -204,9 +156,8 @@ def _reference_step_losses(model, batch, mask_cfg, fla_cfg, epoch, base_index,
     l_f = loss_cmm_fragment(_concat_encodings(frag_encs), frag_samples, heads)[0] \
         if frag_encs else constant(0.0)
     pooled = [enc.pool_fragments(e, [rec.fragment_map]) for e, rec in zip(clean, records)]
-    offsets = list(np.cumsum([0] + [q.K for q in pooled[:-1]]))
     l_fla, _ = loss_fla(concat_rows([q.f_s for q in pooled]),
-                        concat_rows([q.f_g for q in pooled]), offsets, fla_cfg)
+                        concat_rows([q.f_g for q in pooled]), fla_cfg)
     neg = [enc.joint_encode(enc.embed_smiles([records[i].token_ids]),
                             enc.embed_graph([records[j].graph])).x_cls
            for i, j in enumerate(derangement(len(records)))]
@@ -220,7 +171,7 @@ def _reference_step_losses(model, batch, mask_cfg, fla_cfg, epoch, base_index,
                       sgm_accuracy=sgm_aux["sgm_accuracy"])
 
 
-def _small_model_and_batch(n=6, seed=11):
+def _small_model_and_records(n=6, seed=11):
     from chemfuse.encoder import ModelConfig
     from chemfuse.masking import build_context_vocab
     from chemfuse.pipeline import PretrainModel
@@ -231,19 +182,19 @@ def _small_model_and_batch(n=6, seed=11):
     records = prepare_records(corpus, vocab, ctx, fingerprint_width=64)
     config = ModelConfig(vocab_size=vocab.size, context_vocab_size=ctx.size,
                          n_groups=24, **SMALL_MODEL)
-    return PretrainModel(config, seed=seed), make_batch(records)
+    return PretrainModel(config, seed=seed), records
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_step_losses_match_per_view_reference(strategy):
     """Sharing the clean embeddings across views leaves every loss bitwise
     unchanged and every gradient equal up to summation order."""
-    model, batch = _small_model_and_batch()
+    model, records = _small_model_and_records()
     mask_cfg = MaskConfig(strategy=strategy, seed=1)
     params = list(model.params.values())
     results = []
     for step in (_reference_step_losses, _step_losses):
-        total, report = step(model, batch, mask_cfg, FlaConfig(), epoch=2,
+        total, report = step(model, records, mask_cfg, FlaConfig(), epoch=2,
                              base_index=4, train_seed=1)[:2]
         for p in params:
             p.zero_grad()
@@ -281,13 +232,13 @@ def test_step_losses_embeds_each_side_once_per_view(monkeypatch):
         return frag_samples[-1]
 
     monkeypatch.setattr(pipeline, "sample_fragment_mask", recorded)
-    model, batch = _small_model_and_batch()
-    _step_losses(model, batch, MaskConfig(seed=1), FlaConfig(), epoch=0,
+    model, records = _small_model_and_records()
+    _step_losses(model, records, MaskConfig(seed=1), FlaConfig(), epoch=0,
                  base_index=0, train_seed=1)
     sides = [s.masked_modality for s in frag_samples]
-    assert len(sides) == batch.size == 6
-    assert calls["embed_smiles"] == [2 * batch.size + sides.count(Modality.SMILES)]
-    assert calls["embed_graph"] == [2 * batch.size + sides.count(Modality.GRAPH)]
+    assert len(sides) == len(records) == 6
+    assert calls["embed_smiles"] == [2 * len(records) + sides.count(Modality.SMILES)]
+    assert calls["embed_graph"] == [2 * len(records) + sides.count(Modality.GRAPH)]
 
 
 def _count_tape_nodes(monkeypatch, run):
@@ -310,24 +261,23 @@ def _count_tape_nodes(monkeypatch, run):
 def test_step_losses_tape_node_budget(monkeypatch):
     """A packed step builds a fixed number of tape nodes, whatever its batch
     size; one encoder pass per view would build several times more."""
-    model, batch = _small_model_and_batch()
-    big_model, big_batch = _small_model_and_batch(n=12)
+    model, records = _small_model_and_records()
+    big_model, big_records = _small_model_and_records(n=12)
 
-    def step(model, batch):
-        return lambda: _step_losses(model, batch, MaskConfig(seed=1), FlaConfig(),
+    def step(model, records):
+        return lambda: _step_losses(model, records, MaskConfig(seed=1), FlaConfig(),
                                     epoch=0, base_index=0, train_seed=1)
 
-    nodes = _count_tape_nodes(monkeypatch, step(model, batch))
+    nodes = _count_tape_nodes(monkeypatch, step(model, records))
     assert nodes <= 1.1 * STEP_TAPE_NODES, nodes
-    assert _count_tape_nodes(monkeypatch, step(big_model, big_batch)) == nodes
+    assert _count_tape_nodes(monkeypatch, step(big_model, big_records)) == nodes
 
 
 def test_packed_views_match_views_alone():
     """A molecule's encoder rows and x_cls are bitwise the same whether it
     is encoded alone or packed with molecules of other lengths."""
-    model, batch = _small_model_and_batch(n=12)
+    model, records = _small_model_and_records(n=12)
     enc = model.encoder
-    records = batch.records
     masks = [(tuple(range(0, len(r.token_ids), 3)), (r.graph.m - 1,)) for r in records]
     packed = enc.joint_encode(
         enc.embed_smiles([r.token_ids for r in records], [t for t, _ in masks]),

@@ -19,7 +19,6 @@ from chemfuse.nn import (
     backward,
     concat_rows,
     constant,
-    cosine_similarity,
     embedding_lookup,
     gcn_layer,
     gelu,
@@ -121,7 +120,8 @@ def test_grad_gather_pick_concat(trial):
 def test_grad_reductions_and_cosine(trial):
     u = rand_param("u", 1, 5)
     v = rand_param("v", 1, 5)
-    fd_check(lambda: cosine_similarity(u, v), [u, v])
+    fd_check(lambda: mean_all(matmul(normalize_rows(u), transpose(normalize_rows(v)))),
+             [u, v])
     x = rand_param("x", 4, 5)
     fd_check(lambda: sum_all(mean_rows(mul(x, x))), [x])
     fd_check(lambda: mean_all(transpose(sub(x, scale(x, 0.3)))), [x])
@@ -193,16 +193,13 @@ def test_layer_norm_statistics():
     np.testing.assert_allclose(y.var(axis=1), np.ones(6), rtol=1e-4)
 
 
-def test_cosine_self_is_one():
-    v = constant(RNG.normal(size=(1, 8)))
-    assert cosine_similarity(v, v).item() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_shape_mismatch_raised():
     with pytest.raises(ShapeMismatch):
         matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
     with pytest.raises(ShapeMismatch):
         add(constant(np.ones((2, 3))), constant(np.ones((3, 2))))
+    with pytest.raises(ShapeMismatch):
+        multi_head_attention(constant(np.ones((5, 4))), 2, _attn_params(4), [2, 2])
 
 
 # ------------------------------------------------------------------- attention
@@ -236,7 +233,7 @@ def _naive_attention(x_q, x_kv, p, heads):
 def test_attention_matches_naive_oracle():
     p = _attn_params(8)
     x = RNG.normal(size=(5, 8))
-    got = multi_head_attention(constant(x), constant(x), 2, p).data
+    got = multi_head_attention(constant(x), 2, p, [5]).data
     np.testing.assert_allclose(got, _naive_attention(x, x, p, 2), atol=1e-10)
 
 
@@ -244,21 +241,23 @@ def test_attention_single_position_weight_is_one():
     p = _attn_params(4)
     x = RNG.normal(size=(1, 4))
     retained = []
-    multi_head_attention(constant(x), constant(x), 2, p, retain=retained)
+    multi_head_attention(constant(x), 2, p, [1], retain=retained)
     for mat in retained:
         np.testing.assert_allclose(mat, [[1.0]], atol=1e-15)
 
 
 def test_attention_key_permutation_permutes_columns():
+    """Permuting the rows of ``x`` permutes the keys, so each map's
+    columns, and the queries, so its rows and the output rows."""
     p = _attn_params(8)
-    q = RNG.normal(size=(3, 8))
-    kv = RNG.normal(size=(4, 8))
+    x = RNG.normal(size=(4, 8))
     perm = [2, 0, 3, 1]
     r1, r2 = [], []
-    multi_head_attention(constant(q), constant(kv), 2, p, retain=r1)
-    multi_head_attention(constant(q), constant(kv[perm]), 2, p, retain=r2)
+    out = multi_head_attention(constant(x), 2, p, [4], retain=r1).data
+    out_perm = multi_head_attention(constant(x[perm]), 2, p, [4], retain=r2).data
     for a, b in zip(r1, r2):
-        np.testing.assert_allclose(a[:, perm], b, atol=1e-12)
+        np.testing.assert_allclose(a[np.ix_(perm, perm)], b, atol=1e-12)
+    np.testing.assert_allclose(out[perm], out_perm, atol=1e-12)
 
 
 @pytest.mark.parametrize("trial", range(5))
@@ -266,7 +265,7 @@ def test_grad_attention(trial):
     p = _attn_params(4, prefix=f"t{trial}")
     x = constant(RNG.normal(size=(3, 4)))
     params = [p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo]
-    fd_check(lambda: mean_all(multi_head_attention(x, x, 2, p)), params)
+    fd_check(lambda: mean_all(multi_head_attention(x, 2, p, [3])), params)
 
 
 def _weighted_loss(out_shape):
@@ -280,21 +279,11 @@ def _attn_param_list(p):
 
 
 @pytest.mark.parametrize("trial", range(3))
-def test_grad_attention_separate_query_and_keys(trial):
-    p = _attn_params(4, prefix=f"c{trial}")
-    q = rand_param("q", 3, 4)
-    kv = rand_param("kv", 5, 4)
-    loss = _weighted_loss((3, 4))
-    fd_check(lambda: loss(multi_head_attention(q, kv, 2, p)),
-             [q, kv] + _attn_param_list(p))
-
-
-@pytest.mark.parametrize("trial", range(3))
 def test_grad_attention_self_input(trial):
     p = _attn_params(4, prefix=f"s{trial}")
     x = rand_param("x", 4, 4)
     loss = _weighted_loss((4, 4))
-    fd_check(lambda: loss(multi_head_attention(x, x, 2, p)),
+    fd_check(lambda: loss(multi_head_attention(x, 2, p, [4])),
              [x] + _attn_param_list(p))
 
 
@@ -307,10 +296,10 @@ def test_grad_attention_blocked_keys(trial):
     bias[:2, 2:] = BLOCK
     loss = _weighted_loss((5, 4))
     retained = []
-    multi_head_attention(x, x, 2, p, attn_bias=bias, retain=retained)
+    multi_head_attention(x, 2, p, [5], attn_bias=[bias], retain=retained)
     for mat in retained:
         assert np.all(mat[bias == BLOCK] == 0.0)
-    fd_check(lambda: loss(multi_head_attention(x, x, 2, p, attn_bias=bias)),
+    fd_check(lambda: loss(multi_head_attention(x, 2, p, [5], attn_bias=[bias])),
              [x] + _attn_param_list(p))
 
 
@@ -331,8 +320,7 @@ def test_grad_packed_attention(trial):
     lengths, biases = _packed_lengths_and_biases()
     x = rand_param("x", sum(lengths), 4)
     loss = _weighted_loss((sum(lengths), 4))
-    fd_check(lambda: loss(multi_head_attention(x, x, 2, p, attn_bias=biases,
-                                               lengths=lengths)),
+    fd_check(lambda: loss(multi_head_attention(x, 2, p, lengths, attn_bias=biases)),
              [x] + _attn_param_list(p))
 
 
@@ -342,13 +330,14 @@ def test_packed_attention_matches_each_sequence_alone():
     x = RNG.normal(size=(sum(lengths), 8))
     retained = []
     rows = constant(x)
-    packed = multi_head_attention(rows, rows, 2, p, attn_bias=biases,
-                                  retain=retained, lengths=lengths).data
+    packed = multi_head_attention(rows, 2, p, lengths, attn_bias=biases,
+                                  retain=retained).data
     start = 0
     for k, (length, bias) in enumerate(zip(lengths, biases)):
         rows = constant(x[start:start + length])
         alone_maps = []
-        alone = multi_head_attention(rows, rows, 2, p, attn_bias=bias, retain=alone_maps)
+        alone = multi_head_attention(rows, 2, p, [length], attn_bias=[bias],
+                                     retain=alone_maps)
         np.testing.assert_array_equal(packed[start:start + length], alone.data)
         for got, want in zip(retained[2 * k:2 * k + 2], alone_maps):
             np.testing.assert_array_equal(got, want)

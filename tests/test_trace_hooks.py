@@ -11,7 +11,7 @@ from pathlib import Path
 from chemfuse.masking import MaskConfig
 from chemfuse.objectives import FlaConfig
 
-from test_pipeline import _small_model_and_batch, tiny_corpus
+from test_pipeline import _small_model_and_records, tiny_corpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -24,13 +24,13 @@ def test_install_tracer_covers_a_step_and_an_embedding(monkeypatch):
     from worker import install_tracer
     from chemfuse import pipeline
 
-    model, batch = _small_model_and_batch()
+    model, records = _small_model_and_records()
     vocab = pipeline.build_vocabulary(m.tokens for m in tiny_corpus(6).molecules)
     tracer = Tracer()
     install_tracer(tracer)
     try:
         tracer.begin_unit("pipeline.step", tracer.clock())
-        total, _, _ = pipeline._step_losses(model, batch, MaskConfig(seed=1), FlaConfig(),
+        total, _, _ = pipeline._step_losses(model, records, MaskConfig(seed=1), FlaConfig(),
                                             epoch=0, base_index=0, train_seed=1)
         pipeline.backward(total)
         pipeline.x_cls_of(model, vocab, tiny_corpus(1).molecules[0])
