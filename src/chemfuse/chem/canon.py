@@ -97,11 +97,6 @@ def canonical_key(graph: MolecularGraph) -> str:
     return repr((atoms, bonds))
 
 
-def _atom_key(graph: MolecularGraph, i: int) -> tuple:
-    a = graph.atoms[i]
-    return (a.element, a.aromatic, a.formal_charge, a.total_h)
-
-
 def are_isomorphic(g1: MolecularGraph, g2: MolecularGraph) -> bool:
     """True iff an element/bond-order preserving bijection exists.
 

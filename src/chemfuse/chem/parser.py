@@ -247,6 +247,8 @@ class _Parser:
         else:
             if not self.branch_stack:
                 raise SmilesError("branch ')' without matching '('")
+            if self.tokens.tokens[idx - 1].text == "(":
+                raise SmilesError("empty branch '()'")
             self.prev = self.branch_stack.pop()
 
     def _on_dot(self, idx: int, token: Token) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -205,12 +206,18 @@ def cmd_finetune(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
     model, vocab, _, _ = load_pretrained(args.checkpoint)
     task = load_task(args.input, TaskKind(args.task), SplitMode(args.split))
-    result = finetune(
-        model, vocab, task,
-        epochs=_config_value(cfg, "epochs", int, 20, args.epochs),
-        batch_size=_config_value(cfg, "batch_size", int, 16, args.batch_size),
-        lr=_config_value(cfg, "lr", float, 1e-3, args.lr),
-        seed=args.seed, tune_encoder=not args.freeze_encoder)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = finetune(
+            model, vocab, task,
+            epochs=_config_value(cfg, "epochs", int, 20, args.epochs),
+            batch_size=_config_value(cfg, "batch_size", int, 16, args.batch_size),
+            lr=_config_value(cfg, "lr", float, 1e-3, args.lr),
+            weight_decay=_config_value(cfg, "weight_decay", float, 0.0),
+            seed=_config_value(cfg, "seed", int, 0, args.seed),
+            tune_encoder=not args.freeze_encoder)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     sizes = result.split_sizes
     print(f"split sizes train/valid/test = {sizes[0]}/{sizes[1]}/{sizes[2]}; "
           f"best epoch {result.best_epoch}", file=sys.stderr)
@@ -225,7 +232,7 @@ def cmd_embed(args) -> int:
         # ``x_cls`` keeps this molecule's tape alive until the next one is
         # built, so the allocator reuses its memory instead of handing it
         # back and page-faulting it in again for every molecule.
-        x_cls = x_cls_of(model, vocab, parse_molecule(smiles))
+        x_cls = x_cls_of(model, vocab, [parse_molecule(smiles)])
         print("\t".join(f"{v:.6f}" for v in x_cls.data[0]))
     return 0
 
@@ -240,8 +247,8 @@ def cmd_attn_dump(args) -> int:
     model, vocab, _, _ = load_pretrained(args.checkpoint)
     for smiles in _read_smiles_lines(args.input):
         mol = parse_molecule(smiles)
-        encoding = model.encoder.encode_molecule(
-            vocab.ids_for(mol.tokens), mol.graph, retain_attention=True)
+        encoding = model.encoder.encode(
+            [vocab.ids_for(mol.tokens)], [mol.graph], retain_attention=True)
         mats = dump_attention(encoding, args.layer)
         names = [t.text for t in mol.tokens.tokens] + \
             [f"atom{i}:{a.element}" for i, a in enumerate(mol.graph.atoms)]
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=[k.value for k in TaskKind], default="cls")
     p.add_argument("--split", choices=[s.value for s in SplitMode],
                    default="scaffold")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)

@@ -311,15 +311,17 @@ class MoleculeEncoder:
         x_cls = segment_mean(z, [range(s, s + length) for s, length in zip(starts, lengths)])
         return JointEncoding(x=z, x_cls=x_cls, n=n, m=m, attention=maps, starts=starts)
 
-    def encode_molecule(self, token_ids: list[int], graph: MolecularGraph,
-                        masked_tokens: tuple[int, ...] = (),
-                        masked_atoms: tuple[int, ...] = (),
-                        block_cross_modality: bool = False,
-                        retain_attention: bool = False) -> JointEncoding:
-        """One view of one molecule."""
+    def encode(self, token_ids: Sequence[Sequence[int]], graphs: Sequence[MolecularGraph],
+               masked_tokens: Sequence[tuple[int, ...]] = (),
+               masked_atoms: Sequence[tuple[int, ...]] = (),
+               block_cross_modality: bool | Sequence[bool] = False,
+               retain_attention: bool = False) -> JointEncoding:
+        """One packed forward over views, view k being ``token_ids[k]`` with
+        ``graphs[k]``; the mask arguments hold one entry per view."""
         return self.joint_encode(
-            self.embed_smiles([token_ids], [masked_tokens]),
-            self.embed_graph([graph], [masked_atoms]),
+            self.embed_smiles(token_ids, masked_tokens),
+            self.embed_graph(graphs, masked_atoms),
+            n=[len(ids) for ids in token_ids], m=[graph.m for graph in graphs],
             block_cross_modality=block_cross_modality,
             retain_attention=retain_attention,
         )

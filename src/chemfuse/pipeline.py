@@ -18,12 +18,13 @@ import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .chem import SmilesError, parse_smiles
 from .chem.graph import MolecularGraph, TokenSequence
-from .encoder import UNK_ID, JointEncoding, ModelConfig, MoleculeEncoder
+from .encoder import UNK_ID, JointEncoding, ModelConfig, MoleculeEncoder, ParamFactory
 from .features import (
     EmptyCorpus,
     N_GROUPS,
@@ -53,7 +54,6 @@ from .nn import (
     add,
     backward,
     concat_cols,
-    concat_rows,
     constant,
     gather_rows,
     load_checkpoint,
@@ -627,9 +627,12 @@ class FinetuneResult:
     split_sizes: tuple[int, int, int]
 
 
-def x_cls_of(model: PretrainModel, vocab: Vocabulary, mol: ParsedMolecule) -> Tensor:
-    """The molecule embedding ``x_cls`` (1 x dim) of one clean forward."""
-    return model.encoder.encode_molecule(vocab.ids_for(mol.tokens), mol.graph).x_cls
+def x_cls_of(model: PretrainModel, vocab: Vocabulary,
+             molecules: Sequence[ParsedMolecule]) -> Tensor:
+    """The molecule embeddings ``x_cls``, one row per molecule, of one clean
+    packed forward."""
+    return model.encoder.encode([vocab.ids_for(mol.tokens) for mol in molecules],
+                                [mol.graph for mol in molecules]).x_cls
 
 
 def _task_loss(logits, labels_np, kind: TaskKind):
@@ -647,48 +650,40 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
              fractions=(0.8, 0.1, 0.1)) -> FinetuneResult:
     """Train a two-layer head on x_cls (pair tasks concatenate both x_cls).
 
+    A training minibatch is one packed forward per side. Evaluation, and a
+    frozen encoder, which encodes the task once, also pack ``batch_size``
+    molecules per forward, which bounds the dense graph-union operator.
     Selects the epoch with the best validation loss, then reports test
     metrics; a single-class test split reports ROC-AUC as NaN with a
-    warning instead of failing. The training values are range-checked as
-    pretraining's are.
+    warning. The training values are range-checked as pretraining's are.
     """
     TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr,
                 weight_decay=weight_decay, seed=seed)
     train_idx, valid_idx, test_idx = split_task(task, fractions, seed=seed)
     d = model.config.dim
     in_dim = d * (2 if task.kind is TaskKind.PAIR_CLASSIFICATION else 1)
-    out_dim = task.n_classes
-    rng = np.random.default_rng(seed + 1)
-    head_params: dict[str, Parameter] = {}
-    limit1 = 1.0 / np.sqrt(in_dim)
-    limit2 = 1.0 / np.sqrt(d)
-    w1 = Parameter("ft_w1", rng.uniform(-limit1, limit1, size=(in_dim, d)))
-    b1 = Parameter("ft_b1", np.zeros((1, d)))
-    w2 = Parameter("ft_w2", rng.uniform(-limit2, limit2, size=(d, out_dim)))
-    b2 = Parameter("ft_b2", np.zeros((1, out_dim)))
-    for p in (w1, b1, w2, b2):
-        head_params[p.name] = p
-    trainable = list(head_params.values())
-    if tune_encoder:
-        trainable += list(model.params.values())
-
+    factory = ParamFactory({}, np.random.default_rng(seed + 1))
+    w1, b1 = factory.linear("ft1", in_dim, d)
+    w2, b2 = factory.linear("ft2", d, task.n_classes)
+    trainable = [w1, b1, w2, b2] + (list(model.params.values()) if tune_encoder else [])
     labels = np.asarray(task.labels, dtype=np.float64)
-    frozen_cache: dict[int, np.ndarray] = {}
 
-    def x_cls_row(i):
-        # Pair tasks concatenate the two molecules' x_cls.
-        return concat_cols([x_cls_of(model, vocab, mol) for mol in task.molecules[i]])
+    def x_cls_rows(indices) -> Tensor:
+        # One packed forward per side; pair tasks concatenate the sides.
+        return concat_cols([x_cls_of(model, vocab, side)
+                            for side in zip(*(task.molecules[i] for i in indices))])
 
-    def head_forward(indices):
-        rows = []
-        for i in indices:
-            if tune_encoder:
-                rows.append(x_cls_row(i))
-            else:
-                if i not in frozen_cache:
-                    frozen_cache[i] = x_cls_row(i).data
-                rows.append(constant(frozen_cache[i]))
-        x = concat_rows(rows)
+    def encoded(indices) -> np.ndarray:
+        return np.concatenate([x_cls_rows(indices[lo:lo + batch_size]).data
+                               for lo in range(0, len(indices), batch_size)])
+
+    frozen = None if tune_encoder else encoded(range(len(task.molecules)))
+
+    def head_forward(indices, train=False):
+        if frozen is not None:
+            x = constant(frozen[indices])
+        else:
+            x = x_cls_rows(indices) if train else constant(encoded(indices))
         return affine(relu(affine(x, w1, b1)), w2, b2)
 
     def eval_loss(indices):
@@ -713,7 +708,7 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
         order = order_rng.permutation(len(train_idx))
         for lo in range(0, len(order), batch_size):
             chunk = [train_idx[i] for i in order[lo:lo + batch_size]]
-            loss = _task_loss(head_forward(chunk), labels[chunk], task.kind)
+            loss = _task_loss(head_forward(chunk, train=True), labels[chunk], task.kind)
             for p in trainable:
                 p.zero_grad()
             backward(loss)
@@ -721,17 +716,10 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
         val = eval_loss(valid_idx)
         history.append({"epoch": epoch, "valid_loss": val})
         if val < best[0]:
-            snapshot = {name: p.data.copy() for name, p in head_params.items()}
-            if tune_encoder:
-                snapshot.update({name: p.data.copy()
-                                 for name, p in model.params.items()})
-            best = (val, epoch, snapshot)
+            best = (val, epoch, [p.data.copy() for p in trainable])
     if best[2] is not None:
-        for name, data in best[2].items():
-            if name in head_params:
-                head_params[name].data = data
-            else:
-                model.params[name].data = data
+        for p, data in zip(trainable, best[2]):
+            p.data = data
 
     preds = predictions(test_idx)
     truth = labels[test_idx]
@@ -760,15 +748,15 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
 def embed_corpus(model: PretrainModel, vocab: Vocabulary,
                  corpus: Corpus) -> np.ndarray:
     """One x_cls row per molecule, in corpus order."""
-    rows = [x_cls_of(model, vocab, mol).data[0] for mol in corpus.molecules]
+    rows = [x_cls_of(model, vocab, [mol]).data[0] for mol in corpus.molecules]
     return np.stack(rows) if rows else np.zeros((0, model.config.dim))
 
 
 def similarity(model: PretrainModel, vocab: Vocabulary,
                smiles_a: str, smiles_b: str) -> float:
     """Cosine similarity of the two molecules' x_cls embeddings."""
-    a, b = embed_corpus(model, vocab, Corpus(
-        [parse_molecule(smiles_a), parse_molecule(smiles_b)]))
+    a, b = x_cls_of(model, vocab, [parse_molecule(smiles_a),
+                                   parse_molecule(smiles_b)]).data
     denom = np.linalg.norm(a) * np.linalg.norm(b)
     return float(a @ b / denom) if denom else 0.0
 

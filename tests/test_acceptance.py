@@ -300,7 +300,7 @@ def test_criterion_5_pretraining_smoke(smoke_run):
     model, vocab = smoke_run.model, smoke_run.vocab
     all_s, all_g = [], []
     for mol in smoke_run.corpus.molecules[:60]:
-        enc = model.encoder.encode_molecule(vocab.ids_for(mol.tokens), mol.graph)
+        enc = model.encoder.encode([vocab.ids_for(mol.tokens)], [mol.graph])
         pooled = model.encoder.pool_fragments(enc, [mol.fragment_map])
         all_s.append(pooled.f_s.data)
         all_g.append(pooled.f_g.data)

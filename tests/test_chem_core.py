@@ -10,6 +10,7 @@ from chemfuse.chem import (
     DanglingBond,
     EmptyInput,
     SizeLimitExceeded,
+    SmilesError,
     UnbalancedBracket,
     UnclosedRing,
     UnknownElement,
@@ -155,6 +156,9 @@ def test_parse_errors():
         parse_smiles("C$C")
     with pytest.raises(UnsupportedFeature):
         parse_smiles("C*")
+    for empty_branch in ("B()", "C()C", "C(C)()C"):
+        with pytest.raises(SmilesError, match="empty branch"):
+            parse_smiles(empty_branch)
 
 
 def test_implicit_h_conservation_aliphatic():

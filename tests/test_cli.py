@@ -138,6 +138,7 @@ SMILES_ALPHABET = "CNOSPFIBrlcnosp[]()=#$:/\\@+-.%0123456789H* "
 @example(command="fragment", line=".C")
 @example(command="fragment", line="B()")
 @example(command="embed", line="B()")
+@example(command="parse", line="C()C")
 @given(command=st.sampled_from(["tokenize", "parse", "fragment", "groups",
                                 "scaffold", "fingerprint", "embed", "attn-dump"]),
        line=st.text(alphabet=SMILES_ALPHABET, min_size=1, max_size=14))
@@ -227,18 +228,55 @@ def test_pretrain_cli_writes_checkpoint(tmp_path, capsys):
     assert "ingested 4 molecules" in err
 
 
-def test_finetune_cli(tmp_path, checkpoint, capsys):
+def _twelve_row_task(tmp_path):
     rows = []
     for i, s in enumerate(["CCO", "CCN", "CCC", "CCS", "COC", "CCCC",
                            "CCCO", "CCCN", "CCOC", "CCCS", "CC(C)C", "CCCCC"]):
         rows.append(f"{s}\t{i % 2}")
     f = tmp_path / "task.tsv"
     f.write_text("\n".join(rows))
+    return f
+
+
+def test_finetune_cli(tmp_path, checkpoint, capsys):
+    f = _twelve_row_task(tmp_path)
     code, out, err = run(capsys, [
         "finetune", str(f), "--checkpoint", checkpoint, "--task", "cls",
         "--split", "random", "--epochs", "1", "--freeze-encoder"])
     assert code == 0
     assert out.startswith("roc_auc\t")
+    # The one-row test split holds one class: one diagnostic line, no
+    # Python warning text.
+    warned = [line for line in err.splitlines() if line.startswith("warning: ")]
+    assert len(warned) == 1
+    assert warned[0].startswith("warning: ROC-AUC undefined on the test split: ")
+    assert "UserWarning" not in err
+
+
+def test_exit_code_finetune_bad_config_weight_decay(tmp_path, checkpoint, capsys):
+    f = _twelve_row_task(tmp_path)
+    cfg = tmp_path / "wd.cfg"
+    cfg.write_text("weight_decay = -1\n")
+    code, out, err = run(capsys, [
+        "finetune", str(f), "--checkpoint", checkpoint, "--split", "random",
+        "--epochs", "1", "--config", str(cfg)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: weight_decay must be finite and non-negative, got -1.0\n"
+
+
+def test_finetune_config_seed_matches_flag(tmp_path, checkpoint, capsys):
+    f = _twelve_row_task(tmp_path)
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 5\n")
+    common = ["finetune", str(f), "--checkpoint", checkpoint, "--task", "reg",
+              "--split", "random", "--epochs", "2"]
+    code_cfg, out_cfg, _ = run(capsys, common + ["--config", str(cfg)])
+    code_flag, out_flag, _ = run(capsys, common + ["--seed", "5"])
+    code_default, out_default, _ = run(capsys, common)
+    assert code_cfg == code_flag == code_default == 0
+    assert out_cfg == out_flag
+    assert out_cfg != out_default
 
 
 def test_exit_code_finetune_bad_batch_size(tmp_path, checkpoint, capsys):

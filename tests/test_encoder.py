@@ -90,7 +90,7 @@ def test_joint_encode_x_cls_is_row_mean():
         mean_rows(constant([[1.0, 3.0], [3.0, 1.0]])).data, [[2.0, 2.0]], atol=0)
     enc = make_encoder()
     g, t = parse_smiles("CC(=O)OC")
-    encoding = enc.encode_molecule(ids_for(t), g)
+    encoding = enc.encode([ids_for(t)], [g])
     np.testing.assert_allclose(encoding.x_cls.data[0],
                                encoding.x.data.mean(axis=0), atol=1e-12)
 
@@ -125,7 +125,7 @@ def test_joint_encode_block_mask_isolates_modalities():
 def test_attention_rows_sum_to_one():
     enc = make_encoder()
     g, t = parse_smiles("CC(=O)N")
-    encoding = enc.encode_molecule(ids_for(t), g, retain_attention=True)
+    encoding = enc.encode([ids_for(t)], [g], retain_attention=True)
     for layer in range(CFG.transformer_layers):
         mats = dump_attention(encoding, layer)
         assert mats.shape == (CFG.heads, t.n + g.m, t.n + g.m)
@@ -135,10 +135,10 @@ def test_attention_rows_sum_to_one():
 def test_attention_dump_errors():
     enc = make_encoder()
     g, t = parse_smiles("CC")
-    encoding = enc.encode_molecule(ids_for(t), g)
+    encoding = enc.encode([ids_for(t)], [g])
     with pytest.raises(RetentionDisabled):
         dump_attention(encoding, 0)
-    retained = enc.encode_molecule(ids_for(t), g, retain_attention=True)
+    retained = enc.encode([ids_for(t)], [g], retain_attention=True)
     with pytest.raises(LayerOutOfRange):
         dump_attention(retained, CFG.transformer_layers)
 
@@ -149,7 +149,7 @@ def test_pool_fragments_graph_mean_oracle():
     enc = make_encoder()
     g, t = parse_smiles("CC(=O)OC")
     fmap = build_fragment_map(t, g)
-    encoding = enc.encode_molecule(ids_for(t), g)
+    encoding = enc.encode([ids_for(t)], [g])
     pooled = enc.pool_fragments(encoding, [fmap])
     assert pooled.f_g.shape == (fmap.K, CFG.dim)
     for k in range(fmap.K):
@@ -164,7 +164,7 @@ def test_pool_fragments_k1_mean_all_graph_rows():
     g, t = parse_smiles("CCCC")
     fmap = build_fragment_map(t, g)
     assert fmap.K == 1
-    encoding = enc.encode_molecule(ids_for(t), g)
+    encoding = enc.encode([ids_for(t)], [g])
     pooled = enc.pool_fragments(encoding, [fmap])
     np.testing.assert_allclose(pooled.f_g.data[0],
                                encoding.x.data[encoding.n[0]:].mean(axis=0), atol=1e-12)
@@ -174,7 +174,7 @@ def test_pool_fragments_locality():
     enc = make_encoder()
     g, t = parse_smiles("CC(=O)OC")
     fmap = build_fragment_map(t, g)
-    encoding = enc.encode_molecule(ids_for(t), g)
+    encoding = enc.encode([ids_for(t)], [g])
     pooled = enc.pool_fragments(encoding, [fmap])
     # Zero all rows outside fragment 0; its pooled embeddings must not move.
     doctored = encoding.x.data.copy()
@@ -196,7 +196,7 @@ def test_pool_fragments_single_token_single_atom():
     enc = make_encoder()
     g, t = parse_smiles("CO")      # cleaves into two one-atom fragments? no: K=1
     fmap = FragmentMap(K=2, l_g=(0, 1), l_s=(0, 1))
-    encoding = enc.encode_molecule(ids_for(t), g)
+    encoding = enc.encode([ids_for(t)], [g])
     pooled = enc.pool_fragments(encoding, [fmap])
     # Graph side of a one-atom fragment is exactly that atom's row.
     np.testing.assert_allclose(pooled.f_g.data[1],
@@ -206,7 +206,7 @@ def test_pool_fragments_single_token_single_atom():
 def test_pool_fragments_map_mismatch():
     enc = make_encoder()
     g, t = parse_smiles("CCO")
-    encoding = enc.encode_molecule(ids_for(t), g)
+    encoding = enc.encode([ids_for(t)], [g])
     with pytest.raises(FragmentOutOfRange):
         enc.pool_fragments(encoding, [FragmentMap(K=1, l_g=(0,), l_s=(0, 0, 0))])
 
@@ -218,8 +218,8 @@ def test_encoder_seeded_determinism():
         np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
     g, t = parse_smiles("CCN")
     np.testing.assert_array_equal(
-        a.encode_molecule(ids_for(t), g).x.data,
-        b.encode_molecule(ids_for(t), g).x.data)
+        a.encode([ids_for(t)], [g]).x.data,
+        b.encode([ids_for(t)], [g]).x.data)
 
 
 def test_encode_molecule_tape_node_budget():
@@ -227,7 +227,7 @@ def test_encode_molecule_tape_node_budget():
     per-op decomposition would roughly double the tape."""
     enc = make_encoder()
     graph, tokens = parse_smiles("CC(=O)Nc1ccc(O)cc1")
-    x_cls = enc.encode_molecule(ids_for(tokens), graph).x_cls
+    x_cls = enc.encode([ids_for(tokens)], [graph]).x_cls
     seen = set()
     stack = [x_cls]
     while stack:

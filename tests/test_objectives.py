@@ -373,7 +373,7 @@ def test_total_gradient_is_sum_of_component_gradients():
                           token_targets={0: ids[0]})
 
     def run(component):
-        e = enc.encode_molecule(ids, g, masked_tokens=(0,))
+        e = enc.encode([ids], [g], masked_tokens=[(0,)])
         l_t, _ = loss_cmm_token(e, [sample], heads)
         pooled = enc.pool_fragments(e, [fmap])
         if fmap.K >= 2:

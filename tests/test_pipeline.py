@@ -49,6 +49,7 @@ from chemfuse.pipeline import (
     prepare_records,
     pretrain,
     similarity,
+    x_cls_of,
 )
 
 from conftest import DATA_DIR
@@ -130,7 +131,7 @@ def _concat_encodings(encodings):
 
 def _reference_step_losses(model, records, mask_cfg, fla_cfg, epoch, base_index,
                            train_seed):
-    """Every view encoded on its own from scratch, one ``encode_molecule``
+    """Every view encoded on its own from scratch, one ``encode`` call
     per view, each clean view pooled on its own, and the matching negatives
     recomputed."""
     enc, heads = model.encoder, model.heads
@@ -141,17 +142,17 @@ def _reference_step_losses(model, records, mask_cfg, fla_cfg, epoch, base_index,
         if mask_cfg.strategy is Strategy.CMM:
             tok = sample_token_mask(rec, mask_cfg, rng)
             frag_samples.append(sample_fragment_mask(rec, rec.fragment_map, mask_cfg, rng))
-            frag_encs.append(enc.encode_molecule(
-                rec.token_ids, rec.graph,
-                masked_tokens=frag_samples[-1].masked_token_positions,
-                masked_atoms=frag_samples[-1].masked_atom_positions))
+            frag_encs.append(enc.encode(
+                [rec.token_ids], [rec.graph],
+                masked_tokens=[frag_samples[-1].masked_token_positions],
+                masked_atoms=[frag_samples[-1].masked_atom_positions]))
         else:
             tok = sample_ablation_mask(rec, mask_cfg, rng)
         tok_samples.append(tok)
-        tok_encs.append(enc.encode_molecule(
-            rec.token_ids, rec.graph, masked_tokens=tok.masked_token_positions,
-            masked_atoms=tok.masked_atom_positions, block_cross_modality=block))
-        clean.append(enc.encode_molecule(rec.token_ids, rec.graph))
+        tok_encs.append(enc.encode(
+            [rec.token_ids], [rec.graph], masked_tokens=[tok.masked_token_positions],
+            masked_atoms=[tok.masked_atom_positions], block_cross_modality=block))
+        clean.append(enc.encode([rec.token_ids], [rec.graph]))
     l_t, tok_aux = loss_cmm_token(_concat_encodings(tok_encs), tok_samples, heads)
     l_f = loss_cmm_fragment(_concat_encodings(frag_encs), frag_samples, heads)[0] \
         if frag_encs else constant(0.0)
@@ -286,8 +287,8 @@ def test_packed_views_match_views_alone():
         block_cross_modality=[k % 2 == 1 for k in range(len(records))])
     assert len(set(packed.n)) > 3
     for k, (rec, (tok, atoms)) in enumerate(zip(records, masks)):
-        alone = enc.encode_molecule(rec.token_ids, rec.graph, masked_tokens=tok,
-                                    masked_atoms=atoms, block_cross_modality=k % 2 == 1)
+        alone = enc.encode([rec.token_ids], [rec.graph], masked_tokens=[tok],
+                           masked_atoms=[atoms], block_cross_modality=k % 2 == 1)
         start, length = packed.starts[k], packed.n[k] + packed.m[k]
         np.testing.assert_array_equal(packed.x.data[start:start + length], alone.x.data)
         np.testing.assert_array_equal(packed.x_cls.data[k], alone.x_cls.data[0])
@@ -422,8 +423,7 @@ def test_finetune_regression_beats_constant_baseline():
     assert result.metrics["rmse"] < baseline
 
 
-def test_finetune_pair_classification():
-    model, vocab, _, _ = quick_pretrain(epochs=1)
+def _pair_task():
     pairs = []
     labels = []
     base = ["CCO", "CCN", "CCC", "CCS", "COC", "CCCC", "c1ccccc1", "CC=C",
@@ -432,11 +432,37 @@ def test_finetune_pair_classification():
         for j, b in enumerate(base[:6]):
             pairs.append((parse_molecule(a), parse_molecule(b)))
             labels.append(float((i + j) % 2))
-    task = FinetuneTask(kind=TaskKind.PAIR_CLASSIFICATION, molecules=pairs,
+    return FinetuneTask(kind=TaskKind.PAIR_CLASSIFICATION, molecules=pairs,
                         labels=labels, split=SplitMode.RANDOM)
-    result = finetune(model, vocab, task, epochs=2, tune_encoder=False, seed=4)
+
+
+@pytest.mark.parametrize("tune_encoder", [False, True], ids=["frozen", "tuned"])
+def test_finetune_pair_classification(tune_encoder):
+    model, vocab, _, _ = quick_pretrain(epochs=1)
+    task = _pair_task()
+    result = finetune(model, vocab, task, epochs=2, tune_encoder=tune_encoder, seed=4)
     assert "accuracy" in result.metrics
     assert 0.0 <= result.metrics["accuracy"] <= 1.0
+
+
+def test_finetune_frozen_encodes_each_side_once(monkeypatch):
+    """A frozen encoder encodes every task molecule once, ``batch_size``
+    molecules per forward and side, and never again while training."""
+    from chemfuse.encoder import MoleculeEncoder
+
+    model, vocab, _, _ = quick_pretrain(epochs=1)
+    task = _pair_task()
+    calls = []
+    joint_encode = MoleculeEncoder.joint_encode
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs["n"])
+        return joint_encode(self, *args, **kwargs)
+
+    monkeypatch.setattr(MoleculeEncoder, "joint_encode", counted)
+    finetune(model, vocab, task, epochs=3, batch_size=16, tune_encoder=False, seed=4)
+    assert len(calls) == 2 * math.ceil(len(task.molecules) / 16)
+    assert sum(len(n) for n in calls) == 2 * len(task.molecules)
 
 
 # ------------------------------------------------------------------- embedding
@@ -450,6 +476,21 @@ def test_similarity_self_is_one():
         value = similarity(model, vocab, a, b)
         assert math.isfinite(value)
         assert -1.0 <= value < 1.0
+
+
+def test_x_cls_of_packed_matches_one_at_a_time():
+    """Packed rows equal one-molecule rows bitwise, except that a one-atom
+    molecule alone takes numpy's matrix-vector path in the GCN."""
+    model, vocab, _, _ = quick_pretrain(epochs=1)
+    molecules = [parse_molecule(s) for s in
+                 ["CCO", "N", "c1ccccc1", "[NH4+]", "CC(=O)NC", "C1CCCCC1", "O"]]
+    packed = x_cls_of(model, vocab, molecules).data
+    assert packed.shape == (len(molecules), model.config.dim)
+    for row, mol in zip(packed, molecules):
+        alone = x_cls_of(model, vocab, [mol]).data[0]
+        np.testing.assert_allclose(row, alone, rtol=0, atol=1e-12)
+        if mol.graph.m >= 2:
+            np.testing.assert_array_equal(row, alone)
 
 
 def test_embed_corpus_rows():

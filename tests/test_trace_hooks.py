@@ -33,7 +33,7 @@ def test_install_tracer_covers_a_step_and_an_embedding(monkeypatch):
         total, _, _ = pipeline._step_losses(model, records, MaskConfig(seed=1), FlaConfig(),
                                             epoch=0, base_index=0, train_seed=1)
         pipeline.backward(total)
-        pipeline.x_cls_of(model, vocab, tiny_corpus(1).molecules[0])
+        pipeline.x_cls_of(model, vocab, tiny_corpus(1).molecules[:1])
         tracer.end_unit(tracer.clock())
     finally:
         tracer.uninstall()
