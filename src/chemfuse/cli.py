@@ -8,6 +8,7 @@ on stderr, so they compose in shell pipelines. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from types import SimpleNamespace
@@ -268,30 +269,39 @@ def cmd_attn_dump(args) -> int:
 
 def cmd_metrics(args) -> int:
     rows = []
+    source = args.input or "<stdin>"
     stream = open(args.input) if args.input else sys.stdin
     try:
-        for raw in stream:
+        for lineno, raw in enumerate(stream, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            a, b = line.split("\t")[:2]
-            rows.append((float(a), float(b)))
+            try:
+                row = tuple(float(v) for v in line.split("\t")[:2])
+            except ValueError:
+                row = ()
+            if len(row) != 2 or not all(math.isfinite(v) for v in row):
+                raise InputError(f"{source}:{lineno}: expected a finite score and "
+                                 f"a finite label separated by a tab, got {line!r}")
+            if args.task == "cls" and row[1] not in (0.0, 1.0):
+                raise InputError(f"{source}:{lineno}: label is not 0 or 1, got {line!r}")
+            rows.append(row)
     finally:
         if args.input:
             stream.close()
     if not rows:
         raise InputError("no rows for metrics")
-    preds = [r[0] for r in rows]
-    truths = [r[1] for r in rows]
+    preds, truths = zip(*rows)
     try:
         if args.task == "cls":
-            print(f"roc_auc\t{roc_auc(preds, [int(t) for t in truths]):.6f}")
+            results = {"roc_auc": roc_auc(preds, truths)}
         else:
-            print(f"rmse\t{rmse(preds, truths):.6f}")
-            print(f"mse\t{mse(preds, truths):.6f}")
-            print(f"ci\t{concordance_index(preds, truths):.6f}")
+            results = {"rmse": rmse(preds, truths), "mse": mse(preds, truths),
+                       "ci": concordance_index(preds, truths)}
     except DegenerateInput as exc:
         raise InputError(str(exc)) from exc
+    for name, value in results.items():
+        print(f"{name}\t{value:.6f}")
     return 0
 
 

@@ -265,28 +265,17 @@ class MoleculeEncoder:
 
     # --------------------------------------------------------------- encoder
 
-    def joint_encode(self, smiles_emb: Tensor, graph_emb: Tensor,
-                     n: Sequence[int] | None = None, m: Sequence[int] | None = None,
-                     block_cross_modality: bool | Sequence[bool] = False,
+    def joint_encode(self, z: Tensor, n: tuple[int, ...], m: tuple[int, ...],
+                     block_cross_modality: Sequence[bool],
                      retain_attention: bool = False) -> JointEncoding:
         """Run the transformer stack over packed views.
 
-        View k joins the next ``n[k]`` rows of ``smiles_emb`` with the next
-        ``m[k]`` rows of ``graph_emb``; by default both tensors form one
-        view. ``block_cross_modality`` (one flag, or one per view) applies
-        a block-diagonal attention bias so each modality attends only to
-        itself (the single-modality-masking ablation); default is full
-        cross-modality attention.
+        View k owns the next ``n[k]`` token rows and then ``m[k]`` atom rows
+        of ``z``. Where ``block_cross_modality[k]`` is set, a block-diagonal
+        attention bias lets each modality of view k attend only to itself
+        (the single-modality-masking ablation); elsewhere attention crosses
+        modalities.
         """
-        n = tuple(n) if n is not None else (smiles_emb.shape[0],)
-        m = tuple(m) if m is not None else (graph_emb.shape[0],)
-        if isinstance(block_cross_modality, bool):
-            block_cross_modality = [block_cross_modality] * len(n)
-        s_starts = accumulate(n, initial=0)
-        g_starts = accumulate(m, initial=smiles_emb.shape[0])
-        order = np.concatenate([np.r_[s:s + a, g:g + b]
-                                for s, g, a, b in zip(s_starts, g_starts, n, m)])
-        z = gather_rows(concat_rows([smiles_emb, graph_emb]), order)
         biases = []
         for a, b, blocked in zip(n, m, block_cross_modality):
             bias = None
@@ -314,17 +303,27 @@ class MoleculeEncoder:
     def encode(self, token_ids: Sequence[Sequence[int]], graphs: Sequence[MolecularGraph],
                masked_tokens: Sequence[tuple[int, ...]] = (),
                masked_atoms: Sequence[tuple[int, ...]] = (),
-               block_cross_modality: bool | Sequence[bool] = False,
+               block_cross_modality: Sequence[bool] = (),
                retain_attention: bool = False) -> JointEncoding:
         """One packed forward over views, view k being ``token_ids[k]`` with
-        ``graphs[k]``; the mask arguments hold one entry per view."""
+        ``graphs[k]``; the mask and block arguments hold one entry per view
+        (default: nothing masked or blocked). A side, one token-id list or
+        graph object under one mask, is embedded once however many views
+        hold it, and the views read its rows through one gather."""
+        views = len(token_ids)
+        s_sides, s_starts = _sides(token_ids, masked_tokens or [()] * views, len)
+        g_sides, g_starts = _sides(graphs, masked_atoms or [()] * views, lambda g: g.m)
+        smiles = self.embed_smiles([ids for ids, _ in s_sides], [mask for _, mask in s_sides])
+        atoms = self.embed_graph([g for g, _ in g_sides], [mask for _, mask in g_sides])
+        n = tuple(len(ids) for ids in token_ids)
+        m = tuple(graph.m for graph in graphs)
+        offset = smiles.shape[0]
+        order = np.concatenate([np.r_[s:s + a, offset + g:offset + g + b]
+                                for s, g, a, b in zip(s_starts, g_starts, n, m)])
         return self.joint_encode(
-            self.embed_smiles(token_ids, masked_tokens),
-            self.embed_graph(graphs, masked_atoms),
-            n=[len(ids) for ids in token_ids], m=[graph.m for graph in graphs],
-            block_cross_modality=block_cross_modality,
-            retain_attention=retain_attention,
-        )
+            gather_rows(concat_rows([smiles, atoms]), order), n=n, m=m,
+            block_cross_modality=block_cross_modality or [False] * views,
+            retain_attention=retain_attention)
 
     # ---------------------------------------------------------------- pooling
 
@@ -359,6 +358,19 @@ class MoleculeEncoder:
                                       in zip(accumulate(lengths, initial=0), lengths)])
         return FragmentEmbeddings(f_s=f_s, f_g=segment_mean(encoding.x, atom_groups),
                                   K=len(token_groups))
+
+
+def _sides(items: Sequence, masks: Sequence[tuple[int, ...]], rows
+           ) -> tuple[list[tuple], list[int]]:
+    """The distinct ``(item, mask)`` sides, keyed on the item's identity, in
+    first-seen order, and the first packed row of each view's side;
+    ``rows(item)`` counts an item's rows."""
+    sides: dict[tuple, tuple] = {}
+    for item, mask in zip(items, masks):
+        sides.setdefault((id(item), mask), (item, mask))
+    starts = dict(zip(sides, accumulate((rows(item) for item, _ in sides.values()),
+                                        initial=0)))
+    return list(sides.values()), [starts[id(item), mask] for item, mask in zip(items, masks)]
 
 
 def graph_union(graphs: Sequence[MolecularGraph],

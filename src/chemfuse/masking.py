@@ -37,6 +37,10 @@ class Modality(Enum):
     NONE = "None"
 
 
+#: Chance that a one-modality mask falls on the SMILES side.
+MODALITY_COIN = 0.5
+
+
 class StrategyMismatch(ValueError):
     """An ablation sampler was called with the wrong strategy configured."""
 
@@ -47,15 +51,12 @@ class MaskConfig:
 
     r_t: float = 0.2
     r_f: float = 0.6
-    modality_coin: float = 0.5
     strategy: Strategy = Strategy.CMM
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.r_t <= 1.0 or not 0.0 <= self.r_f <= 1.0:
             raise ValueError("mask ratios must lie in [0, 1]")
-        if not 0.0 <= self.modality_coin <= 1.0:
-            raise ValueError("modality coin must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def sample_fragment_mask(sample, fragment_map, config: MaskConfig,
     k = fragment_map.K
     frag_ids = _draw(rng, k, mask_count(k, config.r_f))
     chosen = set(frag_ids)
-    smiles_side = rng.random() < config.modality_coin
+    smiles_side = rng.random() < MODALITY_COIN
     if smiles_side:
         token_pos = tuple(i for i, lab in enumerate(fragment_map.l_s) if lab in chosen)
         return MaskedSample(
@@ -138,7 +139,7 @@ def sample_ablation_mask(sample, config: MaskConfig,
         return sample_token_mask(sample, config, rng)
     n = len(sample.token_ids)
     m = sample.graph.m
-    if rng.random() < config.modality_coin:
+    if rng.random() < MODALITY_COIN:
         token_pos = _draw(rng, n, mask_count(n, config.r_t))
         return MaskedSample(
             masked_token_positions=token_pos,

@@ -10,15 +10,18 @@ class DegenerateInput(ValueError):
 
 
 def roc_auc(scores, labels) -> float:
-    """Mann-Whitney AUC with midrank tie handling.
+    """Mann-Whitney AUC with midrank tie handling; labels are 0 or 1.
 
     Raises:
+        ValueError: if a label is neither 0 nor 1.
         DegenerateInput: if only one class is present.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.size == 0:
         raise DegenerateInput("scores and labels must be nonempty and aligned")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("ROC-AUC labels must be 0 or 1")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:

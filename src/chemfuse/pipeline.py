@@ -4,8 +4,8 @@ The pretraining step realizes the four-objective sum per batch: every
 molecule contributes one token-masked view and one fragment-masked view
 (strategy CMM), a clean view (alignment, matching positives, domain
 targets), and one mismatched-pair view for matching negatives. All views
-of a step run through the encoder as one packed pass. Each distinct
-(molecule, mask) side is embedded once; every view that leaves a side
+of a step run through one ``MoleculeEncoder.encode`` call, which embeds
+each distinct (molecule, mask) side once: every view that leaves a side
 unmasked, and every mismatched pair, reuses the clean side. One optimizer
 step runs per batch under a linear warmup / linear decay schedule.
 """
@@ -24,7 +24,7 @@ import numpy as np
 
 from .chem import SmilesError, parse_smiles
 from .chem.graph import MolecularGraph, TokenSequence
-from .encoder import UNK_ID, JointEncoding, ModelConfig, MoleculeEncoder, ParamFactory
+from .encoder import UNK_ID, ModelConfig, MoleculeEncoder, ParamFactory
 from .features import (
     EmptyCorpus,
     N_GROUPS,
@@ -212,8 +212,7 @@ class MoleculeRecord:
 
 def prepare_records(corpus: Corpus, vocab: Vocabulary,
                     context_vocab: ContextVocabulary,
-                    fingerprint_width: int = 2048,
-                    fingerprint_radius: int = 2) -> list[MoleculeRecord]:
+                    fingerprint_width: int = 2048) -> list[MoleculeRecord]:
     records = []
     for mol in corpus.molecules:
         records.append(MoleculeRecord(
@@ -224,8 +223,7 @@ def prepare_records(corpus: Corpus, vocab: Vocabulary,
             token_ids=vocab.ids_for(mol.tokens),
             context_ids=context_vocab.ids_for_graph(mol.graph),
             fingerprint_bits=morgan_fingerprint(
-                mol.graph, radius=fingerprint_radius,
-                width=fingerprint_width).bits.astype(np.float64),
+                mol.graph, width=fingerprint_width).bits.astype(np.float64),
             group_bits=detect_functional_groups(mol.graph).astype(np.float64),
             labels=mol.labels,
         ))
@@ -339,35 +337,6 @@ def derangement(n: int) -> list[int]:
     return [(i + 1) % n for i in range(n)]
 
 
-def _packed_rows(lengths: list[int], picks: list[int]) -> np.ndarray:
-    """Row indices of the segments ``picks`` of a packing of ``lengths``."""
-    starts = np.cumsum([0] + lengths)
-    return np.concatenate([np.arange(starts[k], starts[k + 1]) for k in picks])
-
-
-def _encode_views(enc: MoleculeEncoder, records: list[MoleculeRecord],
-                  views: list[tuple[int, int, MaskedSample, bool]]) -> JointEncoding:
-    """One packed forward over ``views``, each (SMILES record, graph record,
-    masks, blocked). Every distinct (record, mask) side is embedded once."""
-    s_sides: dict[tuple, int] = {}
-    g_sides: dict[tuple, int] = {}
-    for i, j, sample, _ in views:
-        s_sides.setdefault((i, sample.masked_token_positions), len(s_sides))
-        g_sides.setdefault((j, sample.masked_atom_positions), len(g_sides))
-    smiles = enc.embed_smiles([records[i].token_ids for i, _ in s_sides],
-                              [mask for _, mask in s_sides])
-    graphs = enc.embed_graph([records[j].graph for j, _ in g_sides],
-                             [mask for _, mask in g_sides])
-    n = [len(records[i].token_ids) for i, _, _, _ in views]
-    m = [records[j].graph.m for _, j, _, _ in views]
-    s_rows = _packed_rows([len(records[i].token_ids) for i, _ in s_sides],
-                          [s_sides[i, s.masked_token_positions] for i, _, s, _ in views])
-    g_rows = _packed_rows([records[j].graph.m for j, _ in g_sides],
-                          [g_sides[j, s.masked_atom_positions] for _, j, s, _ in views])
-    return enc.joint_encode(gather_rows(smiles, s_rows), gather_rows(graphs, g_rows),
-                            n=n, m=m, block_cross_modality=[v[3] for v in views])
-
-
 def _step_losses(model: PretrainModel, records: list[MoleculeRecord],
                  mask_cfg: MaskConfig, fla_cfg: FlaConfig, epoch: int,
                  base_index: int, train_seed: int) -> tuple:
@@ -396,11 +365,14 @@ def _step_losses(model: PretrainModel, records: list[MoleculeRecord],
     except BatchTooSmall:
         partners = []
     clean = MaskedSample()
-    views = ([(i, i, s, block) for i, s in enumerate(tok_samples)]
-             + [(i, i, s, False) for i, s in enumerate(frag_samples)]
-             + [(i, i, clean, False) for i in range(b)]
-             + [(i, j, clean, False) for i, j in enumerate(partners)])
-    encoding = _encode_views(enc, records, views)
+    views = ([(rec, rec, s, block) for rec, s in zip(records, tok_samples)]
+             + [(rec, rec, s, False) for rec, s in zip(records, frag_samples)]
+             + [(rec, rec, clean, False) for rec in records]
+             + [(records[i], records[j], clean, False) for i, j in enumerate(partners)])
+    s_recs, g_recs, samples, blocked = zip(*views)
+    encoding = enc.encode([rec.token_ids for rec in s_recs], [rec.graph for rec in g_recs],
+                          [s.masked_token_positions for s in samples],
+                          [s.masked_atom_positions for s in samples], blocked)
     first_clean = b + len(frag_samples)
     clean_views = encoding.views(range(first_clean, first_clean + b))
 
@@ -448,7 +420,6 @@ def format_log_line(step: int, report: LossReport) -> str:
 def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
              model_kwargs: dict | None = None,
              checkpoint_dir: str | Path | None = None,
-             fla_config: FlaConfig | None = None,
              log_sink=None) -> tuple[PretrainModel, Vocabulary,
                                      ContextVocabulary, list[LossReport]]:
     """Run the full pretraining loop and return the trained model.
@@ -483,7 +454,6 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
     records = fitting
     steps_per_epoch = math.ceil(len(records) / train_config.batch_size)
     total_steps = steps_per_epoch * train_config.epochs
-    fla_cfg = fla_config or FlaConfig()
     optimizer = AdamState(lr=train_config.lr,
                           weight_decay=train_config.weight_decay)
     history: list[LossReport] = []
@@ -501,7 +471,7 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
         for batch_index, start in enumerate(range(0, len(shuffled), size)):
             try:
                 total, report, _ = _step_losses(
-                    model, shuffled[start:start + size], mask_config, fla_cfg, epoch,
+                    model, shuffled[start:start + size], mask_config, FlaConfig(), epoch,
                     base_index=start, train_seed=train_config.seed)
                 for p in params:
                     p.zero_grad()
@@ -551,6 +521,8 @@ class FinetuneTask:
     def n_classes(self) -> int:
         if self.kind is TaskKind.REGRESSION:
             return 1
+        if self.kind is TaskKind.BINARY_CLASSIFICATION:
+            return 2
         return int(max(self.labels)) + 1
 
 
@@ -560,8 +532,8 @@ def load_task(path: str | Path, kind: TaskKind,
 
     Rows whose molecules do not parse, or without a label, are skipped; so
     are regression rows whose label is not a number. A regression label
-    must be finite and a classification or pair label a non-negative
-    integer class, else InvalidLabel names the line.
+    must be finite, a classification label 0 or 1 and a pair label a
+    non-negative integer class, else InvalidLabel names the line.
     """
     try:
         text = Path(path).read_text()
@@ -589,6 +561,9 @@ def load_task(path: str | Path, kind: TaskKind,
         if kind is TaskKind.REGRESSION:
             if not math.isfinite(label):
                 raise InvalidLabel(f"{path}:{lineno}: label {label_text!r} is not finite")
+        elif kind is TaskKind.BINARY_CLASSIFICATION:
+            if label not in (0.0, 1.0):
+                raise InvalidLabel(f"{path}:{lineno}: label {label_text!r} is not 0 or 1")
         elif not (label >= 0 and label.is_integer()):
             raise InvalidLabel(f"{path}:{lineno}: label {label_text!r} is not "
                                "a non-negative integer class")
@@ -599,17 +574,20 @@ def load_task(path: str | Path, kind: TaskKind,
     return FinetuneTask(kind=kind, molecules=molecules, labels=labels, split=split)
 
 
-def split_task(task: FinetuneTask, fractions=(0.8, 0.1, 0.1),
-               seed: int = 0) -> tuple[list[int], list[int], list[int]]:
+#: Train, validation and test shares of a fine-tuning task.
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
+
+
+def split_task(task: FinetuneTask, seed: int = 0) -> tuple[list[int], list[int], list[int]]:
     if task.split is SplitMode.SCAFFOLD:
         keys = [scaffold_key(mols[0].graph) for mols in task.molecules]
-        train, valid, test = scaffold_split(keys, fractions)
+        train, valid, test = scaffold_split(keys, SPLIT_FRACTIONS)
     else:
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(task.molecules)).tolist()
         n = len(order)
-        n_train = int(round(fractions[0] * n))
-        n_valid = int(round(fractions[1] * n))
+        n_train = int(round(SPLIT_FRACTIONS[0] * n))
+        n_valid = int(round(SPLIT_FRACTIONS[1] * n))
         train = sorted(order[:n_train])
         valid = sorted(order[n_train:n_train + n_valid])
         test = sorted(order[n_train + n_valid:])
@@ -646,8 +624,7 @@ def _task_loss(logits, labels_np, kind: TaskKind):
 def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
              epochs: int = 20, batch_size: int = 16, lr: float = 1e-3,
              weight_decay: float = 0.0, seed: int = 0,
-             tune_encoder: bool = True,
-             fractions=(0.8, 0.1, 0.1)) -> FinetuneResult:
+             tune_encoder: bool = True) -> FinetuneResult:
     """Train a two-layer head on x_cls (pair tasks concatenate both x_cls).
 
     A training minibatch is one packed forward per side. Evaluation, and a
@@ -659,7 +636,7 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
     """
     TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr,
                 weight_decay=weight_decay, seed=seed)
-    train_idx, valid_idx, test_idx = split_task(task, fractions, seed=seed)
+    train_idx, valid_idx, test_idx = split_task(task, seed=seed)
     d = model.config.dim
     in_dim = d * (2 if task.kind is TaskKind.PAIR_CLASSIFICATION else 1)
     factory = ParamFactory({}, np.random.default_rng(seed + 1))

@@ -103,6 +103,24 @@ def test_metrics_reg(tmp_path, capsys):
     assert names == ["rmse", "mse", "ci"]
 
 
+@pytest.mark.parametrize("task,rows,bad_line", [("cls", "abc\n", 1),
+                                                ("reg", "1.0\t2.0\n0.5\tx\n", 2),
+                                                ("reg", "0.5\n", 1),
+                                                ("reg", "1.0\t2.0\nnan\t1.0\n", 2),
+                                                ("cls", "0.9\t1\n0.2\tinf\n", 2),
+                                                ("cls", "0.9\t1\n0.2\t0.7\n", 2),
+                                                ("cls", "0.9\t2\n0.2\t0\n", 1),
+                                                ("cls", "0.9\t1\n# c\n0.2\t-1\n", 3)])
+def test_exit_code_metrics_bad_row(tmp_path, capsys, task, rows, bad_line):
+    f = tmp_path / "scores.tsv"
+    f.write_text(rows)
+    code, out, err = run(capsys, ["metrics", str(f), "--task", task])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"scores.tsv:{bad_line}:" in err
+
+
 def test_exit_code_input_error(tmp_path, capsys):
     f = tmp_path / "in.smi"
     f.write_text("C1CC\n")      # unclosed ring
@@ -132,19 +150,30 @@ def test_exit_code_leading_dot(checkpoint, capsys, monkeypatch, command):
 
 
 SMILES_ALPHABET = "CNOSPFIBrlcnosp[]()=#$:/\\@+-.%0123456789H* "
+#: Score/label rows for ``metrics``: numbers, tabs, row breaks, and the
+#: letters of ``nan`` and ``inf``.
+METRICS_ALPHABET = "0123456789.-+e\t\n nafi"
+SMILES_COMMANDS = ["tokenize", "parse", "fragment", "groups", "scaffold", "fingerprint",
+                   "embed", "attn-dump"]
+METRICS_COMMANDS = ["metrics --task cls", "metrics --task reg"]
 
 
 @settings(max_examples=300, deadline=None)
-@example(command="fragment", line=".C")
-@example(command="fragment", line="B()")
-@example(command="embed", line="B()")
-@example(command="parse", line="C()C")
-@given(command=st.sampled_from(["tokenize", "parse", "fragment", "groups",
-                                "scaffold", "fingerprint", "embed", "attn-dump"]),
-       line=st.text(alphabet=SMILES_ALPHABET, min_size=1, max_size=14))
-def test_stdin_commands_exit_0_or_1(checkpoint, command, line):
-    argv = [command] + (["--checkpoint", checkpoint]
-                        if command in ("embed", "attn-dump") else [])
+@example(case=("fragment", ".C"))
+@example(case=("fragment", "B()"))
+@example(case=("embed", "B()"))
+@example(case=("parse", "C()C"))
+@example(case=("metrics --task cls", "abc"))
+@example(case=("metrics --task reg", "0.5\tx"))
+@given(case=st.one_of(
+    st.tuples(st.sampled_from(SMILES_COMMANDS),
+              st.text(alphabet=SMILES_ALPHABET, min_size=1, max_size=14)),
+    st.tuples(st.sampled_from(METRICS_COMMANDS),
+              st.text(alphabet=METRICS_ALPHABET, min_size=1, max_size=14))))
+def test_stdin_commands_exit_0_or_1(checkpoint, case):
+    command, line = case
+    argv = command.split() + (["--checkpoint", checkpoint]
+                              if command in ("embed", "attn-dump") else [])
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(line + "\n")), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -279,6 +308,20 @@ def test_finetune_config_seed_matches_flag(tmp_path, checkpoint, capsys):
     assert out_cfg != out_default
 
 
+def test_finetune_cli_single_class_task(tmp_path, checkpoint, capsys):
+    f = tmp_path / "task.tsv"
+    f.write_text("".join(f"{s}\t0\n" for s in [
+        "CCO", "CCN", "CCC", "CCS", "COC", "CCCC", "CCCO", "CCCN", "CCOC", "CCCS",
+        "CCCCC", "CCCCO"]))
+    code, out, err = run(capsys, [
+        "finetune", str(f), "--checkpoint", checkpoint, "--task", "cls",
+        "--split", "random", "--epochs", "1"])
+    assert code == 0
+    assert out == "roc_auc\tnan\n"
+    warned = [line for line in err.splitlines() if line.startswith("warning: ")]
+    assert len(warned) == 1
+
+
 def test_exit_code_finetune_bad_batch_size(tmp_path, checkpoint, capsys):
     f = tmp_path / "task.tsv"
     f.write_text("\n".join(f"{s}\t{i % 2}" for i, s in enumerate(
@@ -294,7 +337,8 @@ def test_exit_code_finetune_bad_batch_size(tmp_path, checkpoint, capsys):
 @pytest.mark.parametrize("task,labels,bad_line", [("cls", ["1", "0", "-1"], 3),
                                                   ("cls", ["0.5", "1"], 1),
                                                   ("pair", ["1", "two"], 2),
-                                                  ("reg", ["0.5", "inf"], 2)])
+                                                  ("reg", ["0.5", "inf"], 2),
+                                                  ("cls", ["1", "0", "2"], 3)])
 def test_exit_code_bad_label(tmp_path, checkpoint, capsys, task, labels, bad_line):
     smiles = ["CCO", "CCN", "CCC", "CCS", "COC", "CCCC", "CCCO", "CCCN", "CCOC", "CCCS"]
     rows = [f"{s}\t" + ("CCO\t" if task == "pair" else "")

@@ -15,7 +15,7 @@ from chemfuse.encoder import (
     dump_attention,
 )
 from chemfuse.fragments import FragmentMap, FragmentOutOfRange, build_fragment_map
-from chemfuse.nn import constant, mean_rows
+from chemfuse.nn import concat_rows, constant, mean_rows
 
 CFG = ModelConfig(vocab_size=24, context_vocab_size=12, dim=16, transformer_layers=2,
                   heads=4, gnn_layers=2, gnn_width=8, max_positions=64,
@@ -95,15 +95,51 @@ def test_joint_encode_x_cls_is_row_mean():
                                encoding.x.data.mean(axis=0), atol=1e-12)
 
 
+def test_encode_embeds_a_repeated_side_once(monkeypatch):
+    """Views that hold the same token-id list or graph object under the same
+    mask share one embedded side, and their rows are bitwise those of the
+    same views given as distinct copies."""
+    calls = {"embed_smiles": [], "embed_graph": []}
+    for name in calls:
+        original = getattr(MoleculeEncoder, name)
+
+        def counted(self, sides, *args, _original=original, _name=name):
+            calls[_name].append(len(sides))
+            return _original(self, sides, *args)
+
+        monkeypatch.setattr(MoleculeEncoder, name, counted)
+    enc = make_encoder()
+    smiles = ["CC(=O)OC", "c1ccccc1N", "CC(=O)OC", "CC(=O)OC"]
+    masked_tokens = [(1,), (), (), (1,)]
+    masked_atoms = [(), (0,), (), ()]
+    g, t = parse_smiles(smiles[0])
+    h, u = parse_smiles(smiles[1])
+    ids = ids_for(t)
+    shared = enc.encode([ids, ids_for(u), ids, ids], [g, h, g, g],
+                        masked_tokens, masked_atoms)
+    assert calls == {"embed_smiles": [3], "embed_graph": [2]}
+    graphs, token_lists = zip(*(parse_smiles(s) for s in smiles))
+    copies = enc.encode([ids_for(tokens) for tokens in token_lists], list(graphs),
+                        masked_tokens, masked_atoms)
+    assert calls == {"embed_smiles": [3, 4], "embed_graph": [2, 4]}
+    assert (shared.n, shared.m, shared.starts) == (copies.n, copies.m, copies.starts)
+    np.testing.assert_array_equal(shared.x.data, copies.x.data)
+    np.testing.assert_array_equal(shared.x_cls.data, copies.x_cls.data)
+
+
+def _joint_input(enc, tokens, graph):
+    """One view's joint input rows: its token rows, then its atom rows."""
+    return concat_rows([enc.embed_smiles([ids_for(tokens)]), enc.embed_graph([graph])])
+
+
 def test_joint_encode_cross_modality_reach():
     enc = make_encoder()
     g, t = parse_smiles("CCO")
-    s_emb = enc.embed_smiles([ids_for(t)])
-    g_emb = enc.embed_graph([g])
-    base = enc.joint_encode(s_emb, g_emb).x.data
-    bumped = constant(g_emb.data.copy())
-    bumped.data[0] += 0.1
-    after = enc.joint_encode(s_emb, bumped).x.data
+    z = _joint_input(enc, t, g)
+    base = enc.joint_encode(z, (t.n,), (g.m,), [False]).x.data
+    bumped = constant(z.data.copy())
+    bumped.data[t.n] += 0.1     # the first atom row
+    after = enc.joint_encode(bumped, (t.n,), (g.m,), [False]).x.data
     n = t.n
     for i in range(n):     # every SMILES row feels the graph perturbation
         assert np.abs(after[i] - base[i]).max() > 0
@@ -112,12 +148,11 @@ def test_joint_encode_cross_modality_reach():
 def test_joint_encode_block_mask_isolates_modalities():
     enc = make_encoder()
     g, t = parse_smiles("CCO")
-    s_emb = enc.embed_smiles([ids_for(t)])
-    g_emb = enc.embed_graph([g])
-    base = enc.joint_encode(s_emb, g_emb, block_cross_modality=True).x.data
-    bumped = constant(g_emb.data.copy())
-    bumped.data[1] += 0.5
-    after = enc.joint_encode(s_emb, bumped, block_cross_modality=True).x.data
+    z = _joint_input(enc, t, g)
+    base = enc.joint_encode(z, (t.n,), (g.m,), [True]).x.data
+    bumped = constant(z.data.copy())
+    bumped.data[t.n + 1] += 0.5     # the second atom row
+    after = enc.joint_encode(bumped, (t.n,), (g.m,), [True]).x.data
     np.testing.assert_array_equal(after[:t.n], base[:t.n])
     assert not np.allclose(after[t.n:], base[t.n:])
 

@@ -123,8 +123,6 @@ def test_ablation_rejects_cmm():
 def test_mask_config_validation():
     with pytest.raises(ValueError):
         MaskConfig(r_t=1.5)
-    with pytest.raises(ValueError):
-        MaskConfig(modality_coin=-0.1)
 
 
 # ------------------------------------------------------------- context vocab

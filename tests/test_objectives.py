@@ -339,22 +339,16 @@ def test_grad_all_five_heads():
         views = ([(r, s) for r, s in zip(records, tok_samples)]
                  + [(r, s) for r, s in zip(records, frag_samples)]
                  + [(r, clean) for r in records])
-        encoding = enc.joint_encode(
-            enc.embed_smiles([r.token_ids for r, _ in views],
-                             [s.masked_token_positions for _, s in views]),
-            enc.embed_graph([r.graph for r, _ in views],
-                            [s.masked_atom_positions for _, s in views]),
-            n=[len(r.token_ids) for r, _ in views], m=[r.graph.m for r, _ in views])
+        encoding = enc.encode([r.token_ids for r, _ in views], [r.graph for r, _ in views],
+                              [s.masked_token_positions for _, s in views],
+                              [s.masked_atom_positions for _, s in views])
         l_t, _ = loss_cmm_token(encoding.views(range(0, 2)), tok_samples, heads)
         l_f, _ = loss_cmm_fragment(encoding.views(range(2, 4)), frag_samples, heads)
         clean_views = encoding.views(range(4, 6))
         pooled = enc.pool_fragments(clean_views, [r.fragment_map for r in records])
         l_a, _ = loss_fla(pooled.f_s, pooled.f_g, FlaConfig(tau=0.5))
-        neg = enc.joint_encode(
-            enc.embed_smiles([records[0].token_ids, records[1].token_ids]),
-            enc.embed_graph([records[1].graph, records[0].graph]),
-            n=[len(records[0].token_ids), len(records[1].token_ids)],
-            m=[records[1].graph.m, records[0].graph.m]).x_cls
+        neg = enc.encode([records[0].token_ids, records[1].token_ids],
+                         [records[1].graph, records[0].graph]).x_cls
         l_s, _ = loss_sgm(clean_views.x_cls, neg, heads)
         l_d, _ = loss_dkl(clean_views.x_cls, fixed_fps, fixed_fgs, heads)
         total, _ = total_loss(l_t, l_f, l_a, l_s, l_d)

@@ -58,7 +58,7 @@ SMALL_MODEL = dict(dim=16, transformer_layers=1, heads=2, gnn_layers=1,
                    gnn_width=8, fingerprint_width=64)
 
 #: Tape nodes one ``_step_losses`` builds on ``_small_model_and_records()``.
-STEP_TAPE_NODES = 117
+STEP_TAPE_NODES = 115
 
 
 def tiny_corpus(n=12):
@@ -151,7 +151,7 @@ def _reference_step_losses(model, records, mask_cfg, fla_cfg, epoch, base_index,
         tok_samples.append(tok)
         tok_encs.append(enc.encode(
             [rec.token_ids], [rec.graph], masked_tokens=[tok.masked_token_positions],
-            masked_atoms=[tok.masked_atom_positions], block_cross_modality=block))
+            masked_atoms=[tok.masked_atom_positions], block_cross_modality=[block]))
         clean.append(enc.encode([rec.token_ids], [rec.graph]))
     l_t, tok_aux = loss_cmm_token(_concat_encodings(tok_encs), tok_samples, heads)
     l_f = loss_cmm_fragment(_concat_encodings(frag_encs), frag_samples, heads)[0] \
@@ -159,8 +159,7 @@ def _reference_step_losses(model, records, mask_cfg, fla_cfg, epoch, base_index,
     pooled = [enc.pool_fragments(e, [rec.fragment_map]) for e, rec in zip(clean, records)]
     l_fla, _ = loss_fla(concat_rows([q.f_s for q in pooled]),
                         concat_rows([q.f_g for q in pooled]), fla_cfg)
-    neg = [enc.joint_encode(enc.embed_smiles([records[i].token_ids]),
-                            enc.embed_graph([records[j].graph])).x_cls
+    neg = [enc.encode([records[i].token_ids], [records[j].graph]).x_cls
            for i, j in enumerate(derangement(len(records)))]
     clean_x_cls = concat_rows([e.x_cls for e in clean])
     l_sgm, sgm_aux = loss_sgm(clean_x_cls, concat_rows(neg), heads)
@@ -280,15 +279,13 @@ def test_packed_views_match_views_alone():
     model, records = _small_model_and_records(n=12)
     enc = model.encoder
     masks = [(tuple(range(0, len(r.token_ids), 3)), (r.graph.m - 1,)) for r in records]
-    packed = enc.joint_encode(
-        enc.embed_smiles([r.token_ids for r in records], [t for t, _ in masks]),
-        enc.embed_graph([r.graph for r in records], [a for _, a in masks]),
-        n=[len(r.token_ids) for r in records], m=[r.graph.m for r in records],
-        block_cross_modality=[k % 2 == 1 for k in range(len(records))])
+    packed = enc.encode([r.token_ids for r in records], [r.graph for r in records],
+                        [t for t, _ in masks], [a for _, a in masks],
+                        [k % 2 == 1 for k in range(len(records))])
     assert len(set(packed.n)) > 3
     for k, (rec, (tok, atoms)) in enumerate(zip(records, masks)):
         alone = enc.encode([rec.token_ids], [rec.graph], masked_tokens=[tok],
-                           masked_atoms=[atoms], block_cross_modality=k % 2 == 1)
+                           masked_atoms=[atoms], block_cross_modality=[k % 2 == 1])
         start, length = packed.starts[k], packed.n[k] + packed.m[k]
         np.testing.assert_array_equal(packed.x.data[start:start + length], alone.x.data)
         np.testing.assert_array_equal(packed.x_cls.data[k], alone.x_cls.data[0])
@@ -510,6 +507,13 @@ def test_roc_auc_and_ci_trivial():
         roc_auc([0.5, 0.7], [1, 1])
     with pytest.raises(DegenerateInput):
         concordance_index([1.0, 2.0], [5.0, 5.0])
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1, -1], [0, 1, 0.5], [0, 1, np.nan]])
+def test_roc_auc_rejects_labels_other_than_0_or_1(labels):
+    # Such a label would still take a rank and could push the AUC past 1.
+    with pytest.raises(ValueError, match="0 or 1"):
+        roc_auc([0.1, 0.4, 0.9], labels)
 
 
 def test_roc_auc_random_statistics():
