@@ -24,7 +24,9 @@ from .encoder import (
     dump_attention,
 )
 from .features import (
+    BadFingerprintShape,
     EmptyCorpus,
+    check_fingerprint_shape,
     group_names_present,
     morgan_fingerprint,
     murcko_scaffold,
@@ -32,7 +34,7 @@ from .features import (
 from .fragments import build_fragment_map
 from .masking import MaskConfig, Strategy, sample_fragment_mask, sample_token_mask
 from .metrics import DegenerateInput, concordance_index, mse, rmse, roc_auc
-from .nn import CheckpointCorrupt
+from .nn import CheckpointCorrupt, no_grad
 from .pipeline import (
     AllLinesFailed,
     ConfigError,
@@ -43,6 +45,7 @@ from .pipeline import (
     TaskKind,
     TrainConfig,
     build_vocabulary,
+    embed_rows,
     finetune,
     ingest,
     load_pretrained,
@@ -51,7 +54,6 @@ from .pipeline import (
     parse_molecule,
     pretrain,
     similarity,
-    x_cls_of,
 )
 from .masking import build_context_vocab
 
@@ -102,6 +104,7 @@ def cmd_fragment(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
+    check_fingerprint_shape(args.radius, args.width)
     for smiles in _read_smiles_lines(args.input):
         graph, _ = parse_smiles(smiles)
         fp = morgan_fingerprint(graph, radius=args.radius, width=args.width)
@@ -124,8 +127,11 @@ def cmd_scaffold(args) -> int:
 
 
 def cmd_mask(args) -> int:
-    cfg = MaskConfig(r_t=args.r_t, r_f=args.r_f,
-                     strategy=Strategy(args.mask_strategy), seed=args.seed)
+    try:
+        cfg = MaskConfig(r_t=args.r_t, r_f=args.r_f,
+                         strategy=Strategy(args.mask_strategy), seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(f"mask flags: {exc}") from exc
     molecules = [parse_molecule(s) for s in _read_smiles_lines(args.input)]
     if not molecules:
         raise InputError("no molecules to mask")
@@ -229,12 +235,9 @@ def cmd_finetune(args) -> int:
 
 def cmd_embed(args) -> int:
     model, vocab, _, _ = load_pretrained(args.checkpoint)
-    for smiles in _read_smiles_lines(args.input):
-        # ``x_cls`` keeps this molecule's tape alive until the next one is
-        # built, so the allocator reuses its memory instead of handing it
-        # back and page-faulting it in again for every molecule.
-        x_cls = x_cls_of(model, vocab, [parse_molecule(smiles)])
-        print("\t".join(f"{v:.6f}" for v in x_cls.data[0]))
+    molecules = (parse_molecule(smiles) for smiles in _read_smiles_lines(args.input))
+    for row in embed_rows(model, vocab, molecules):
+        print("\t".join(f"{v:.6f}" for v in row))
     return 0
 
 
@@ -248,8 +251,9 @@ def cmd_attn_dump(args) -> int:
     model, vocab, _, _ = load_pretrained(args.checkpoint)
     for smiles in _read_smiles_lines(args.input):
         mol = parse_molecule(smiles)
-        encoding = model.encoder.encode(
-            [vocab.ids_for(mol.tokens)], [mol.graph], retain_attention=True)
+        with no_grad():
+            encoding = model.encoder.encode(
+                [vocab.ids_for(mol.tokens)], [mol.graph], retain_attention=True)
         mats = dump_attention(encoding, args.layer)
         names = [t.text for t in mol.tokens.tokens] + \
             [f"atom{i}:{a.element}" for i, a in enumerate(mol.graph.atoms)]
@@ -400,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SmilesError, InputError, FileUnreadable, AllLinesFailed,
             EmptySplit, EmptyCorpus, ConfigError, FileNotFoundError,
             PositionOverflow, LayerOutOfRange, ModelConfigError, InvalidLabel,
-            CheckpointCorrupt) as exc:
+            CheckpointCorrupt, BadFingerprintShape) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

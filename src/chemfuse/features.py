@@ -136,6 +136,18 @@ class Fingerprint:
         return bytes(np.packbits(self.bits.astype(np.uint8))).hex()
 
 
+class BadFingerprintShape(ValueError):
+    """A fingerprint radius below 0, or a width that is not a power of two
+    of at least 64."""
+
+
+def check_fingerprint_shape(radius: int, width: int) -> None:
+    if radius < 0:
+        raise BadFingerprintShape(f"radius must be at least 0, got {radius}")
+    if width < 64 or width & (width - 1):
+        raise BadFingerprintShape(f"width must be a power of two >= 64, got {width}")
+
+
 def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
                        width: int = 2048) -> Fingerprint:
     """Iterative neighborhood-hash fingerprint.
@@ -145,8 +157,7 @@ def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
     tuples. An environment whose bond set stopped growing is a duplicate of
     the previous radius and sets no new bit. Bit index = id mod width.
     """
-    if width < 64 or width & (width - 1):
-        raise ValueError(f"width must be a power of two >= 64, got {width}")
+    check_fingerprint_shape(radius, width)
     bits = np.zeros(width, dtype=np.uint8)
     ids = [_seed_atom_id(graph, i) for i in range(graph.m)]
     for aid in ids:

@@ -30,6 +30,7 @@ from .tensor import (
     mean_all,
     mean_rows,
     mul,
+    no_grad,
     normalize_rows,
     pick,
     relu,

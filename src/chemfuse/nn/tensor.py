@@ -4,12 +4,14 @@ Tensors are 2-D float64 numpy arrays on a dynamically built tape; scalars
 are shaped (1, 1). Ops are plain functions returning new tensors;
 ``backward(loss)`` runs reverse-mode accumulation into every reachable
 ``Parameter``. Parameter gradients persist across backward calls until
-``zero_grad``; intermediate gradients are transient.
+``zero_grad``; intermediate gradients are transient. Inside ``no_grad()``
+ops record nothing: each result is a plain leaf.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,8 +92,25 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g.copy() if t.grad is None else t.grad + g
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run ops without a tape, as for inference: results have no parents and
+    no backward, so each op's saved arrays are freed when it returns."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], None]) -> Tensor:
+    if not _recording:
+        return Tensor(data)
     requires = any(p.requires for p in parents)
     return Tensor(data, tuple(parents), backward if requires else None, requires)
 

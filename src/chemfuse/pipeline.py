@@ -18,13 +18,13 @@ import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .chem import SmilesError, parse_smiles
 from .chem.graph import MolecularGraph, TokenSequence
-from .encoder import UNK_ID, ModelConfig, MoleculeEncoder, ParamFactory
+from .encoder import UNK_ID, ModelConfig, MoleculeEncoder, ParamFactory, PositionOverflow
 from .features import (
     EmptyCorpus,
     N_GROUPS,
@@ -59,6 +59,7 @@ from .nn import (
     load_checkpoint,
     log_softmax_rows,
     mean_all,
+    no_grad,
     pick,
     relu,
     restore_into,
@@ -629,7 +630,8 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
 
     A training minibatch is one packed forward per side. Evaluation, and a
     frozen encoder, which encodes the task once, also pack ``batch_size``
-    molecules per forward, which bounds the dense graph-union operator.
+    molecules per forward, which bounds the dense graph-union operator, and
+    run without a tape.
     Selects the epoch with the best validation loss, then reports test
     metrics; a single-class test split reports ROC-AUC as NaN with a
     warning. The training values are range-checked as pretraining's are.
@@ -651,8 +653,9 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
                             for side in zip(*(task.molecules[i] for i in indices))])
 
     def encoded(indices) -> np.ndarray:
-        return np.concatenate([x_cls_rows(indices[lo:lo + batch_size]).data
-                               for lo in range(0, len(indices), batch_size)])
+        with no_grad():
+            return np.concatenate([x_cls_rows(indices[lo:lo + batch_size]).data
+                                   for lo in range(0, len(indices), batch_size)])
 
     frozen = None if tune_encoder else encoded(range(len(task.molecules)))
 
@@ -664,10 +667,12 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
         return affine(relu(affine(x, w1, b1)), w2, b2)
 
     def eval_loss(indices):
-        return _task_loss(head_forward(indices), labels[indices], task.kind).item()
+        with no_grad():
+            return _task_loss(head_forward(indices), labels[indices], task.kind).item()
 
     def predictions(indices):
-        logits = head_forward(indices).data
+        with no_grad():
+            logits = head_forward(indices).data
         if task.kind is TaskKind.REGRESSION:
             return logits[:, 0]
         if task.kind is TaskKind.BINARY_CLASSIFICATION:
@@ -722,18 +727,66 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
 
 # ------------------------------------------------------------------- embedding
 
+#: Molecules per ``embed_rows`` forward after the first. A pack holds its
+#: rows back until it is full, and its dense graph union grows with the square
+#: of its atoms: on the benchmark's ``embed_mixed`` corpus 5, 10 and 20 ran at
+#: the same throughput, and 20 took the tail op time from about 50 to 95 ms.
+EMBED_PACK = 10
+
+
+def _inferred_rows(model: PretrainModel, vocab: Vocabulary,
+                   molecules: list[ParsedMolecule]) -> np.ndarray:
+    if not molecules:
+        return np.zeros((0, model.config.dim))
+    with no_grad():
+        return x_cls_of(model, vocab, molecules).data
+
+
+def embed_rows(model: PretrainModel, vocab: Vocabulary,
+               molecules: Iterable[ParsedMolecule]) -> Iterator[np.ndarray]:
+    """The x_cls row of each of ``molecules``, in order, from packed forwards
+    without a tape: the first molecule alone, so that its row is out as soon
+    as it can be, then ``EMBED_PACK`` molecules per forward.
+
+    Molecules are pulled only when a pack needs them. One longer than the
+    position table raises PositionOverflow as it joins a pack. When that, or
+    pulling a molecule, fails, the rows of the molecules already pulled are
+    yielded first.
+    """
+    limit = model.config.max_positions
+    source = iter(molecules)
+    pack: list[ParsedMolecule] = []
+    size = 1
+    while True:
+        try:
+            mol = next(source, None)
+            if mol is not None and len(mol.tokens.tokens) > limit:
+                raise PositionOverflow(
+                    f"{len(mol.tokens.tokens)} tokens exceed max_positions={limit}")
+        except Exception:
+            yield from _inferred_rows(model, vocab, pack)
+            raise
+        if mol is None:
+            break
+        pack.append(mol)
+        if len(pack) == size:
+            yield from _inferred_rows(model, vocab, pack)
+            pack, size = [], EMBED_PACK
+    yield from _inferred_rows(model, vocab, pack)
+
+
 def embed_corpus(model: PretrainModel, vocab: Vocabulary,
                  corpus: Corpus) -> np.ndarray:
     """One x_cls row per molecule, in corpus order."""
-    rows = [x_cls_of(model, vocab, [mol]).data[0] for mol in corpus.molecules]
+    rows = list(embed_rows(model, vocab, corpus.molecules))
     return np.stack(rows) if rows else np.zeros((0, model.config.dim))
 
 
 def similarity(model: PretrainModel, vocab: Vocabulary,
                smiles_a: str, smiles_b: str) -> float:
     """Cosine similarity of the two molecules' x_cls embeddings."""
-    a, b = x_cls_of(model, vocab, [parse_molecule(smiles_a),
-                                   parse_molecule(smiles_b)]).data
+    a, b = _inferred_rows(model, vocab, [parse_molecule(smiles_a),
+                                         parse_molecule(smiles_b)])
     denom = np.linalg.norm(a) * np.linalg.norm(b)
     return float(a @ b / denom) if denom else 0.0
 

@@ -8,12 +8,23 @@ import struct
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chemfuse.cli import _train_config_from, build_parser, main
 from chemfuse.masking import MaskConfig
-from chemfuse.pipeline import Corpus, TrainConfig, parse_molecule, pretrain
+from chemfuse.pipeline import (
+    Corpus,
+    TrainConfig,
+    embed_rows,
+    load_pretrained,
+    parse_molecule,
+    pretrain,
+    x_cls_of,
+)
+
+from conftest import load_corpus_lines
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +149,81 @@ def test_exit_code_overlong_molecule(checkpoint, capsys, monkeypatch, command):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "max_positions" in err
+
+
+@pytest.mark.parametrize("flags", [["--r-t", "5"], ["--r-f", "-1"]])
+def test_exit_code_mask_bad_ratio(capsys, monkeypatch, flags):
+    code, out, err = run(capsys, ["mask"] + flags, stdin="CCO\n", monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [["--width", "0"], ["--width", "100"],
+                                   ["--radius", "-1"]])
+def test_exit_code_fingerprint_bad_flags(capsys, monkeypatch, flags):
+    code, out, err = run(capsys, ["fingerprint"] + flags, stdin="CCO\n",
+                         monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _embed_lines() -> list[str]:
+    """23 lines: the first alone, two full packs and a part pack, with the
+    one-atom molecules C (line 7) and [NH4+] (line 12, opening a pack)."""
+    lines = load_corpus_lines("golden_500.smi")[:21]
+    lines.insert(6, "C")
+    lines.insert(11, "[NH4+]")
+    return lines
+
+
+def test_embed_packs_match_one_molecule_rows(checkpoint, capsys, monkeypatch):
+    lines = _embed_lines()
+    model, vocab, _, _ = load_pretrained(checkpoint)
+    molecules = [parse_molecule(s) for s in lines]
+    rows = list(embed_rows(model, vocab, molecules))
+    assert len(rows) == len(lines)
+    for row, mol in zip(rows, molecules):
+        alone = x_cls_of(model, vocab, [mol]).data[0]
+        np.testing.assert_allclose(row, alone, rtol=0, atol=1e-12)
+        if mol.graph.m >= 2:
+            np.testing.assert_array_equal(row, alone)
+    code, out, err = run(capsys, ["embed", "--checkpoint", checkpoint],
+                         stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["\t".join(f"{v:.6f}" for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("bad_line,bad", [(5, "C1CC"), (13, "C" * 300)])
+def test_embed_prints_rows_before_a_bad_line(checkpoint, capsys, monkeypatch,
+                                             bad_line, bad):
+    lines = _embed_lines()
+    _, clean, _ = run(capsys, ["embed", "--checkpoint", checkpoint],
+                      stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch)
+    lines[bad_line - 1] = bad
+    code, out, err = run(capsys, ["embed", "--checkpoint", checkpoint],
+                         stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch)
+    assert code == 1
+    assert out.splitlines() == clean.splitlines()[:bad_line - 1]
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_embed_writes_the_first_row_before_reading_the_second_line(checkpoint):
+    out = io.StringIO()
+    rows_written_when_pulled = []
+
+    class Stdin:
+        def __iter__(self):
+            for line in ("CCO\n", "CCN\n", "CC(=O)OC\n"):
+                rows_written_when_pulled.append(out.getvalue().count("\n"))
+                yield line
+
+    with mock.patch.object(sys, "stdin", Stdin()), contextlib.redirect_stdout(out):
+        code = main(["embed", "--checkpoint", checkpoint])
+    assert code == 0
+    assert rows_written_when_pulled[:2] == [0, 1]
+    assert len(out.getvalue().splitlines()) == 3
 
 
 @pytest.mark.parametrize("command", ["fragment", "embed"])

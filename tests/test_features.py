@@ -149,6 +149,8 @@ def test_fp_width_validation():
     g, _ = parse_smiles("CC")
     with pytest.raises(ValueError):
         morgan_fingerprint(g, width=100)
+    with pytest.raises(ValueError, match="radius"):
+        morgan_fingerprint(g, radius=-1)
 
 
 # ----------------------------------------------------------- functional groups

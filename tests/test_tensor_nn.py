@@ -29,6 +29,7 @@ from chemfuse.nn import (
     mean_rows,
     mul,
     multi_head_attention,
+    no_grad,
     normalize_rows,
     pick,
     relu,
@@ -528,3 +529,80 @@ def test_adam_weight_decay_decoupled():
     w.zero_grad()  # zero gradient: only decay moves the weight
     adam_step([w], state)
     assert w.data[0, 0] == pytest.approx(1.0 - 0.1 * 0.5)
+
+
+# -------------------------------------------------------------------- no_grad
+
+def _forward_ops(w, b, g, beta, attn, gcn, graph):
+    """One result of each kind of op, from parameters."""
+    atom_feats, adj, edge_sum = graph_union([graph])
+    h = add(matmul(constant(atom_feats[:, :w.shape[0]]), w), b)
+    x = layer_norm_rows(gelu(h), g, beta)
+    return [h, x, embedding_lookup(w, [0, 2, 2]), concat_rows([x, x]),
+            multi_head_attention(x, 2, attn, [2, graph.m - 2]),
+            gcn_layer(x, adj, edge_sum, gcn), segment_mean(x, [[0, 1], [2]]),
+            mean_all(softplus(x)), log_softmax_rows(x), normalize_rows(x)]
+
+
+def _no_grad_params(width=8):
+    graph, _ = parse_smiles("CC(=O)OC")
+    fbond = graph_union([graph])[2].shape[1]
+    return [rand_param("w", 6, width), rand_param("b", 1, width),
+            rand_param("g", 1, width), rand_param("beta", 1, width),
+            _attn_params(width, "ng"), _gcn_params(width, fbond, "ng"), graph]
+
+
+def test_no_grad_ops_have_no_parents_and_no_backward():
+    args = _no_grad_params()
+    recorded = _forward_ops(*args)
+    assert all(t._backward is not None and t._parents for t in recorded)
+    with no_grad():
+        outs = _forward_ops(*args)
+    for rec, out in zip(recorded, outs):
+        assert out._parents == () and out._backward is None and not out.requires
+        np.testing.assert_array_equal(out.data, rec.data)
+
+
+def test_no_grad_leaves_parameter_grads_untouched():
+    args = _no_grad_params()
+    params = args[:4] + [*vars(args[4]).values(), *vars(args[5]).values()]
+    before = []
+    for p in params:
+        p.grad = RNG.normal(size=p.data.shape)
+        before.append((p.grad, p.grad.copy()))
+    with no_grad():
+        loss = mean_all(_forward_ops(*args)[-1])
+    backward(loss)
+    for p, (buffer, values) in zip(params, before):
+        assert p.grad is buffer
+        np.testing.assert_array_equal(p.grad, values)
+
+
+def test_no_grad_restores_recording_after_exception_and_nesting():
+    w = rand_param("w", 2, 2)
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside the block")
+    assert add(w, w)._backward is not None
+    with no_grad():
+        with no_grad():
+            pass
+        assert add(w, w)._backward is None
+    assert add(w, w)._backward is not None
+
+
+def test_no_grad_packed_x_cls_is_bitwise_the_recording_forward():
+    from chemfuse.pipeline import build_vocabulary, parse_molecule, x_cls_of
+
+    from test_pipeline import _small_model_and_records, tiny_corpus
+
+    model, _ = _small_model_and_records(n=6)
+    vocab = build_vocabulary(m.tokens for m in tiny_corpus(6).molecules)
+    molecules = [parse_molecule(s) for s in
+                 ["CCO", "C", "c1ccccc1", "[NH4+]", "CC(=O)NC", "C1CCCCC1"]]
+    recorded = x_cls_of(model, vocab, molecules)
+    with no_grad():
+        inferred = x_cls_of(model, vocab, molecules)
+    assert recorded._backward is not None
+    assert inferred._parents == () and inferred._backward is None
+    np.testing.assert_array_equal(inferred.data, recorded.data)
