@@ -11,7 +11,6 @@ import argparse
 import math
 import sys
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .nn import CheckpointCorrupt, no_grad
 from .pipeline import (
     AllLinesFailed,
     ConfigError,
+    Corpus,
     EmptySplit,
     FileUnreadable,
     InvalidLabel,
@@ -45,6 +45,7 @@ from .pipeline import (
     TaskKind,
     TrainConfig,
     build_vocabulary,
+    data_lines,
     embed_rows,
     finetune,
     ingest,
@@ -52,6 +53,7 @@ from .pipeline import (
     load_task,
     parse_config_file,
     parse_molecule,
+    prepare_records,
     pretrain,
     similarity,
 )
@@ -62,29 +64,22 @@ class InputError(ValueError):
     """User-facing input problem: bad flags, files, or molecule lines."""
 
 
-def _read_smiles_lines(path: str | None):
-    stream = open(path) if path else sys.stdin
-    try:
-        for raw in stream:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield line.split("\t")[0]
-    finally:
-        if path:
-            stream.close()
+def _smiles_column(path: str | None):
+    """The first tab-separated field of each data line of ``path`` or stdin."""
+    return (line.split("\t")[0] for _, line in data_lines(path))
 
 
 # ----------------------------------------------------------------- subcommands
 
 def cmd_tokenize(args) -> int:
-    for smiles in _read_smiles_lines(args.input):
+    for smiles in _smiles_column(args.input):
         seq = tokenize(smiles)
         print(" ".join(t.text for t in seq.tokens))
     return 0
 
 
 def cmd_parse(args) -> int:
-    for smiles in _read_smiles_lines(args.input):
+    for smiles in _smiles_column(args.input):
         graph, _ = parse_smiles(smiles)
         atoms = ",".join(a.element.lower() if a.aromatic else a.element
                          for a in graph.atoms)
@@ -94,7 +89,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_fragment(args) -> int:
-    for smiles in _read_smiles_lines(args.input):
+    for smiles in _smiles_column(args.input):
         graph, tokens = parse_smiles(smiles)
         fmap = build_fragment_map(tokens, graph)
         l_g = ",".join(str(x) for x in fmap.l_g)
@@ -105,7 +100,7 @@ def cmd_fragment(args) -> int:
 
 def cmd_fingerprint(args) -> int:
     check_fingerprint_shape(args.radius, args.width)
-    for smiles in _read_smiles_lines(args.input):
+    for smiles in _smiles_column(args.input):
         graph, _ = parse_smiles(smiles)
         fp = morgan_fingerprint(graph, radius=args.radius, width=args.width)
         print(fp.to_hex())
@@ -113,14 +108,14 @@ def cmd_fingerprint(args) -> int:
 
 
 def cmd_groups(args) -> int:
-    for smiles in _read_smiles_lines(args.input):
+    for smiles in _smiles_column(args.input):
         graph, _ = parse_smiles(smiles)
         print(",".join(group_names_present(graph)))
     return 0
 
 
 def cmd_scaffold(args) -> int:
-    for smiles in _read_smiles_lines(args.input):
+    for smiles in _smiles_column(args.input):
         graph, _ = parse_smiles(smiles)
         print(write_smiles(murcko_scaffold(graph)))
     return 0
@@ -132,20 +127,17 @@ def cmd_mask(args) -> int:
                          strategy=Strategy(args.mask_strategy), seed=args.seed)
     except ValueError as exc:
         raise ConfigError(f"mask flags: {exc}") from exc
-    molecules = [parse_molecule(s) for s in _read_smiles_lines(args.input)]
+    molecules = [parse_molecule(s) for s in _smiles_column(args.input)]
     if not molecules:
         raise InputError("no molecules to mask")
     vocab = build_vocabulary(m.tokens for m in molecules)
     context_vocab = build_context_vocab(m.graph for m in molecules)
-    for idx, mol in enumerate(molecules):
-        rec = SimpleNamespace(
-            token_ids=vocab.ids_for(mol.tokens),
-            context_ids=context_vocab.ids_for_graph(mol.graph),
-            graph=mol.graph, fragment_map=mol.fragment_map)
+    records = prepare_records(Corpus(molecules), vocab, context_vocab)
+    for idx, rec in enumerate(records):
         rng = np.random.default_rng([args.seed, idx])
         tok = sample_token_mask(rec, cfg, rng)
-        frag = sample_fragment_mask(rec, mol.fragment_map, cfg, rng)
-        print(f"{mol.smiles}\ttoken_mask={list(tok.masked_token_positions)}"
+        frag = sample_fragment_mask(rec, rec.fragment_map, cfg, rng)
+        print(f"{rec.smiles}\ttoken_mask={list(tok.masked_token_positions)}"
               f"\tatom_mask={list(tok.masked_atom_positions)}"
               f"\ttoken_targets={tok.token_targets}"
               f"\tfragment_ids={list(frag.masked_fragment_ids)}"
@@ -235,7 +227,7 @@ def cmd_finetune(args) -> int:
 
 def cmd_embed(args) -> int:
     model, vocab, _, _ = load_pretrained(args.checkpoint)
-    molecules = (parse_molecule(smiles) for smiles in _read_smiles_lines(args.input))
+    molecules = (parse_molecule(smiles) for smiles in _smiles_column(args.input))
     for row in embed_rows(model, vocab, molecules):
         print("\t".join(f"{v:.6f}" for v in row))
     return 0
@@ -249,7 +241,7 @@ def cmd_similarity(args) -> int:
 
 def cmd_attn_dump(args) -> int:
     model, vocab, _, _ = load_pretrained(args.checkpoint)
-    for smiles in _read_smiles_lines(args.input):
+    for smiles in _smiles_column(args.input):
         mol = parse_molecule(smiles)
         with no_grad():
             encoding = model.encoder.encode(
@@ -274,25 +266,17 @@ def cmd_attn_dump(args) -> int:
 def cmd_metrics(args) -> int:
     rows = []
     source = args.input or "<stdin>"
-    stream = open(args.input) if args.input else sys.stdin
-    try:
-        for lineno, raw in enumerate(stream, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                row = tuple(float(v) for v in line.split("\t")[:2])
-            except ValueError:
-                row = ()
-            if len(row) != 2 or not all(math.isfinite(v) for v in row):
-                raise InputError(f"{source}:{lineno}: expected a finite score and "
-                                 f"a finite label separated by a tab, got {line!r}")
-            if args.task == "cls" and row[1] not in (0.0, 1.0):
-                raise InputError(f"{source}:{lineno}: label is not 0 or 1, got {line!r}")
-            rows.append(row)
-    finally:
-        if args.input:
-            stream.close()
+    for lineno, line in data_lines(args.input):
+        try:
+            row = tuple(float(v) for v in line.split("\t")[:2])
+        except ValueError:
+            row = ()
+        if len(row) != 2 or not all(math.isfinite(v) for v in row):
+            raise InputError(f"{source}:{lineno}: expected a finite score and "
+                             f"a finite label separated by a tab, got {line!r}")
+        if args.task == "cls" and row[1] not in (0.0, 1.0):
+            raise InputError(f"{source}:{lineno}: label is not 0 or 1, got {line!r}")
+        rows.append(row)
     if not rows:
         raise InputError("no rows for metrics")
     preds, truths = zip(*rows)

@@ -57,6 +57,8 @@ class MaskConfig:
     def __post_init__(self):
         if not 0.0 <= self.r_t <= 1.0 or not 0.0 <= self.r_f <= 1.0:
             raise ValueError("mask ratios must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     in order, with no gap, overlap or trailing bytes."""
     root = Path(path)
     try:
-        manifest = json.loads((root / "manifest.json").read_text())
-    except json.JSONDecodeError as exc:
-        raise CheckpointCorrupt(f"unreadable manifest in {path}: {exc}") from exc
+        manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+        blob = (root / "params.bin").read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
+        raise CheckpointCorrupt(f"unreadable checkpoint {path}: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_TAG:
         raise CheckpointCorrupt(f"not a {FORMAT_TAG} checkpoint: {path}")
     try:
@@ -63,7 +64,6 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
                    for e in manifest["tensors"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointCorrupt(f"malformed tensor entry in {path}: {exc!r}") from exc
-    blob = (root / "params.bin").read_bytes()
     tensors: dict[str, np.ndarray] = {}
     end = 0
     for name, shape, start in entries:

@@ -53,15 +53,8 @@ class MissingComponent(ValueError):
     """The total loss is missing one of its components."""
 
 
-@dataclass(frozen=True)
-class FlaConfig:
-    """Contrastive alignment settings; in-batch negatives are always on."""
-
-    tau: float = 0.05
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("temperature must be positive")
+#: Temperature of the fragment alignment loss.
+FLA_TAU = 0.05
 
 
 class Heads:
@@ -168,7 +161,7 @@ def loss_cmm_fragment(encoding: JointEncoding, samples: list[MaskedSample],
     return loss, {}
 
 
-def loss_fla(f_s: Tensor, f_g: Tensor, config: FlaConfig) -> tuple[Tensor, dict]:
+def loss_fla(f_s: Tensor, f_g: Tensor, tau: float = FLA_TAU) -> tuple[Tensor, dict]:
     """Symmetric temperature-scaled contrastive alignment over fragments.
 
     Row k of ``f_s``/``f_g`` is the same fragment seen from each modality;
@@ -181,7 +174,7 @@ def loss_fla(f_s: Tensor, f_g: Tensor, config: FlaConfig) -> tuple[Tensor, dict]
     if total < 2:
         raise SingleFragmentBatch("need at least two fragments in the batch")
     sims = matmul(normalize_rows(f_s), transpose(normalize_rows(f_g)))
-    scaled = scale(sims, 1.0 / config.tau)
+    scaled = scale(sims, 1.0 / tau)
     diag = list(range(total))
     loss_s = scale(mean_all(pick(log_softmax_rows(scaled), diag)), -1.0)
     loss_g = scale(mean_all(pick(log_softmax_rows(transpose(scaled)), diag)), -1.0)

@@ -12,6 +12,7 @@ step runs per batch under a linear warmup / linear decay schedule.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 import warnings
@@ -47,6 +48,7 @@ from .masking import (
 from .metrics import DegenerateInput, concordance_index, mse, rmse, roc_auc
 from .nn import (
     AdamState,
+    CheckpointCorrupt,
     NonFiniteInput,
     Parameter,
     Tensor,
@@ -70,7 +72,6 @@ from .nn import (
 from .nn.layers import affine
 from .objectives import (
     BatchTooSmall,
-    FlaConfig,
     Heads,
     LossReport,
     SingleFragmentBatch,
@@ -168,30 +169,40 @@ def parse_molecule(smiles: str, labels: tuple[str, ...] = ()) -> ParsedMolecule:
                           labels=labels)
 
 
-def ingest(path: str | Path) -> Corpus:
-    """Read one SMILES per line (optional tab-separated label columns).
+def data_lines(path: str | Path | None) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped line)`` for each line of ``path``, or of stdin
+    when ``path`` is None, that is neither blank nor a '#' comment.
 
-    Blank lines and '#' comments are ignored; unparseable lines are skipped
-    and counted. Raises FileUnreadable / AllLinesFailed.
+    Files are read as UTF-8. Each line is read only when it is asked for. A
+    file or stdin that cannot be opened, read or decoded raises
+    FileUnreadable naming it.
     """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read corpus {path}: {exc}") from exc
+        with (open(path, encoding="utf-8") if path is not None
+              else contextlib.nullcontext(sys.stdin)) as stream:
+            for lineno, raw in enumerate(stream, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except (OSError, UnicodeDecodeError) as exc:
+        name = "<stdin>" if path is None else path
+        raise FileUnreadable(f"cannot read {name}: {exc}") from exc
+
+
+def ingest(path: str | Path) -> Corpus:
+    """Read one SMILES per ``data_lines`` line (optional tab-separated label
+    columns); unparseable lines are skipped and counted. Raises
+    FileUnreadable / AllLinesFailed.
+    """
     molecules: list[ParsedMolecule] = []
     skipped = 0
-    saw_data = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        saw_data = True
+    for _, line in data_lines(path):
         fields = line.split("\t")
         try:
             molecules.append(parse_molecule(fields[0], tuple(fields[1:])))
         except SmilesError:
             skipped += 1
-    if saw_data and not molecules:
+    if skipped and not molecules:
         raise AllLinesFailed(f"no line of {path} parsed as SMILES")
     return Corpus(molecules=molecules, skipped=skipped)
 
@@ -293,14 +304,16 @@ def save_pretrained(path: str | Path, model: PretrainModel, vocab: Vocabulary,
 def load_pretrained(path: str | Path) -> tuple[PretrainModel, Vocabulary,
                                                ContextVocabulary, dict]:
     manifest, tensors = load_checkpoint(path)
-    config = manifest["config"]
-    model_config = ModelConfig(**config["model"])
-    model = PretrainModel(model_config, seed=manifest["seed"])
+    try:
+        config = manifest["config"]
+        model = PretrainModel(ModelConfig(**config["model"]), seed=manifest["seed"])
+        vocab = Vocabulary(token_to_id={
+            text: i + len(Vocabulary.SPECIALS)
+            for i, text in enumerate(config["vocab_tokens"])})
+        context_vocab = _context_vocab_from_json(config["context_keys"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointCorrupt(f"malformed config in {path}: {exc!r}") from exc
     restore_into(model.params, tensors)
-    vocab = Vocabulary(token_to_id={
-        text: i + len(Vocabulary.SPECIALS)
-        for i, text in enumerate(config["vocab_tokens"])})
-    context_vocab = _context_vocab_from_json(config["context_keys"])
     return model, vocab, context_vocab, manifest
 
 
@@ -316,7 +329,8 @@ class TrainConfig:
     seed: int = 7
 
     def __post_init__(self):
-        for name, lowest in (("epochs", 1), ("batch_size", 1), ("warmup_steps", 0)):
+        for name, lowest in (("epochs", 1), ("batch_size", 1), ("warmup_steps", 0),
+                             ("seed", 0)):
             if getattr(self, name) < lowest:
                 raise ConfigError(
                     f"{name} must be at least {lowest}, got {getattr(self, name)}")
@@ -339,7 +353,7 @@ def derangement(n: int) -> list[int]:
 
 
 def _step_losses(model: PretrainModel, records: list[MoleculeRecord],
-                 mask_cfg: MaskConfig, fla_cfg: FlaConfig, epoch: int,
+                 mask_cfg: MaskConfig, epoch: int,
                  base_index: int, train_seed: int) -> tuple:
     """Encode every view of one batch of ``records`` in one packed pass and
     assemble the total loss; ``base_index`` is the position of the batch's
@@ -387,7 +401,7 @@ def _step_losses(model: PretrainModel, records: list[MoleculeRecord],
     pooled = enc.pool_fragments(clean_views, [rec.fragment_map for rec in records])
     fla_aux = {}
     try:
-        l_fla, fla_aux = loss_fla(pooled.f_s, pooled.f_g, fla_cfg)
+        l_fla, fla_aux = loss_fla(pooled.f_s, pooled.f_g)
     except SingleFragmentBatch:
         l_fla = constant(0.0)
 
@@ -472,7 +486,7 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
         for batch_index, start in enumerate(range(0, len(shuffled), size)):
             try:
                 total, report, _ = _step_losses(
-                    model, shuffled[start:start + size], mask_config, FlaConfig(), epoch,
+                    model, shuffled[start:start + size], mask_config, epoch,
                     base_index=start, train_seed=train_config.seed)
                 for p in params:
                     p.zero_grad()
@@ -536,17 +550,10 @@ def load_task(path: str | Path, kind: TaskKind,
     must be finite, a classification label 0 or 1 and a pair label a
     non-negative integer class, else InvalidLabel names the line.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read task {path}: {exc}") from exc
     molecules: list[tuple[ParsedMolecule, ...]] = []
     labels: list[float] = []
     n_mols = 2 if kind is TaskKind.PAIR_CLASSIFICATION else 1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(path):
         fields = line.split("\t")
         try:
             label_text = fields[n_mols]
@@ -794,16 +801,11 @@ def similarity(model: PretrainModel, vocab: Vocabulary,
 # ---------------------------------------------------------------- configuration
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read ``key = value`` lines; '#' starts a comment; later keys win."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read config {path}: {exc}") from exc
+    """Read ``key = value`` lines; '#' starts a comment anywhere on a line;
+    later keys win."""
     out: dict[str, str] = {}
-    for raw in text.splitlines():
+    for _, raw in data_lines(path):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         if "=" not in line:
             raise ConfigError(f"config line without '=': {raw!r}")
         key, value = line.split("=", 1)

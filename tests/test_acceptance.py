@@ -25,7 +25,7 @@ from chemfuse.masking import (
 )
 from chemfuse.metrics import concordance_index, roc_auc
 from chemfuse.nn import constant, mean_all
-from chemfuse.objectives import FlaConfig, Heads, loss_cmm_token, loss_dkl, loss_fla, loss_sgm
+from chemfuse.objectives import Heads, loss_cmm_token, loss_dkl, loss_fla, loss_sgm
 from chemfuse.pipeline import (
     SplitMode,
     TaskKind,
@@ -176,7 +176,7 @@ def test_criterion_3_gradient_suite():
                   heads.fg_w1, heads.fg_w2, heads.fg_b2])
         fs = Parameter("fs", rng.normal(size=(3, cfg.dim)))
         fg = Parameter("fg", rng.normal(size=(3, cfg.dim)))
-        fd_check(lambda: loss_fla(fs, fg, FlaConfig(tau=0.5))[0], [fs, fg])
+        fd_check(lambda: loss_fla(fs, fg, tau=0.5)[0], [fs, fg])
     elapsed = time.time() - start
     assert elapsed < 60.0
     report(3, f"layers and all five heads pass finite differences in {elapsed:.1f}s")
@@ -236,7 +236,7 @@ def test_criterion_4_loss_oracles():
         k = int(rng.integers(2, 6))
         f_s = rng.normal(size=(k, cfg.dim))
         f_g = rng.normal(size=(k, cfg.dim))
-        got, _ = loss_fla(constant(f_s), constant(f_g), FlaConfig(tau=tau))
+        got, _ = loss_fla(constant(f_s), constant(f_g), tau=tau)
         ns = f_s / np.linalg.norm(f_s, axis=1, keepdims=True)
         ng = f_g / np.linalg.norm(f_g, axis=1, keepdims=True)
         sims = ns @ ng.T
@@ -277,7 +277,7 @@ def test_criterion_4_loss_oracles():
                                            abs=1e-10)
 
     # Closed-form FLA case: cosine 1 positive vs cosine 0 negative.
-    loss, _ = loss_fla(constant(np.eye(2)), constant(np.eye(2)), FlaConfig(tau=0.05))
+    loss, _ = loss_fla(constant(np.eye(2)), constant(np.eye(2)))
     per_direction = math.log1p(math.exp(-20.0))
     assert loss.item() / 2 == pytest.approx(per_direction, abs=1e-12)
     report(4, "20 random batches match loop oracles at 1e-10; "

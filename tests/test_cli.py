@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chemfuse.cli import _train_config_from, build_parser, main
 from chemfuse.masking import MaskConfig
+from chemfuse.nn import CheckpointCorrupt
 from chemfuse.pipeline import (
     Corpus,
     TrainConfig,
@@ -240,7 +241,7 @@ SMILES_ALPHABET = "CNOSPFIBrlcnosp[]()=#$:/\\@+-.%0123456789H* "
 #: letters of ``nan`` and ``inf``.
 METRICS_ALPHABET = "0123456789.-+e\t\n nafi"
 SMILES_COMMANDS = ["tokenize", "parse", "fragment", "groups", "scaffold", "fingerprint",
-                   "embed", "attn-dump"]
+                   "mask", "embed", "attn-dump"]
 METRICS_COMMANDS = ["metrics --task cls", "metrics --task reg"]
 
 
@@ -268,6 +269,55 @@ def test_stdin_commands_exit_0_or_1(checkpoint, case):
     if code == 1:
         assert len(err.getvalue().splitlines()) == 1
         assert err.getvalue().startswith("error: ")
+
+
+#: Every subcommand argv that reads a file; ``{bad}`` is the unreadable one.
+FILE_READING_ARGVS = [
+    [name, "{bad}"] for name in ("tokenize", "parse", "fragment", "groups", "scaffold",
+                                 "fingerprint", "mask", "metrics")
+] + [
+    ["embed", "{bad}", "--checkpoint", "{ckpt}"],
+    ["attn-dump", "{bad}", "--checkpoint", "{ckpt}"],
+    ["pretrain", "{bad}", "--checkpoint", "{out}"],
+    ["pretrain", "{smi}", "--checkpoint", "{out}", "--config", "{bad}"],
+    ["finetune", "{bad}", "--checkpoint", "{ckpt}"],
+    ["finetune", "{task}", "--checkpoint", "{ckpt}", "--config", "{bad}"],
+]
+
+
+@pytest.mark.parametrize("bad_kind", ["directory", "not_utf8"])
+@pytest.mark.parametrize("argv", FILE_READING_ARGVS, ids=" ".join)
+def test_exit_code_unreadable_input(tmp_path, checkpoint, capsys, argv, bad_kind):
+    bad = tmp_path / "bad"
+    if bad_kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfeCCO\n")
+    smi = tmp_path / "c.smi"
+    smi.write_text("CCO\nCCN\n")
+    paths = dict(bad=bad, ckpt=checkpoint, out=tmp_path / "out", smi=smi,
+                 task=_twelve_row_task(tmp_path))
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot read {bad}: ")
+
+
+@pytest.mark.parametrize("command", ["mask", "pretrain", "finetune"])
+def test_exit_code_negative_seed(tmp_path, checkpoint, capsys, monkeypatch, command):
+    smi = tmp_path / "c.smi"
+    smi.write_text("CCO\nCCN\n")
+    argv = {"mask": ["mask"],
+            "pretrain": ["pretrain", str(smi), "--checkpoint", str(tmp_path / "out")],
+            "finetune": ["finetune", str(_twelve_row_task(tmp_path)),
+                         "--checkpoint", checkpoint, "--split", "random"]}[command]
+    code, out, err = run(capsys, argv + ["--seed", "-1"], stdin="CCO\n",
+                         monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "seed must be at least 0, got -1" in err
 
 
 @pytest.mark.parametrize("config", ["oops\n", "epochs = abc\n", "r_t = 5\n",
@@ -467,12 +517,37 @@ def _corrupt_entry(ckpt):
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _corrupt_plain_file(ckpt):
+    shutil.rmtree(ckpt)
+    ckpt.write_text("not a directory\n")
+
+
+def _corrupt_manifest_encoding(ckpt):
+    (ckpt / "manifest.json").write_bytes(b"\xff" + (ckpt / "manifest.json").read_bytes())
+
+
+def _corrupt_missing_config(ckpt):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    del manifest["config"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _corrupt_model_key(ckpt):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["config"]["model"]["no_such_key"] = 1
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
 @pytest.mark.parametrize("corrupt", [_corrupt_truncated, _corrupt_trailing,
-                                     _corrupt_overlapping, _corrupt_entry, _corrupt_nan])
+                                     _corrupt_overlapping, _corrupt_entry, _corrupt_nan,
+                                     _corrupt_plain_file, _corrupt_manifest_encoding,
+                                     _corrupt_missing_config, _corrupt_model_key])
 def test_exit_code_corrupt_checkpoint(tmp_path, checkpoint, capsys, monkeypatch, corrupt):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(checkpoint, ckpt)
     corrupt(ckpt)
+    with pytest.raises(CheckpointCorrupt):
+        load_pretrained(ckpt)
     code, out, err = run(capsys, ["embed", "--checkpoint", str(ckpt)],
                          stdin="CCO\n", monkeypatch=monkeypatch)
     assert code == 1

@@ -12,7 +12,6 @@ from chemfuse.masking import MaskConfig, MaskedSample, Modality, sample_fragment
 from chemfuse.nn import NonFiniteInput, backward, concat_rows, constant, segment_mean
 from chemfuse.objectives import (
     BatchTooSmall,
-    FlaConfig,
     Heads,
     MissingComponent,
     NoMaskedPositions,
@@ -123,7 +122,7 @@ def test_cmm_fragment_reads_only_masked_modality():
 def test_fla_closed_form_orthogonal():
     f_s = constant(np.eye(2))
     f_g = constant(np.eye(2))
-    loss, aux = loss_fla(f_s, f_g, FlaConfig(tau=0.05))
+    loss, aux = loss_fla(f_s, f_g)
     per_direction = math.log1p(math.exp(-1.0 / 0.05))
     assert loss.item() == pytest.approx(2 * per_direction, abs=1e-12)
     assert aux["matched_cosine"] == pytest.approx(1.0)
@@ -132,7 +131,7 @@ def test_fla_closed_form_orthogonal():
 def test_fla_equal_similarity_is_log2():
     f_s = constant(np.array([[1.0, 0.0], [1.0, 0.0]]))
     f_g = constant(np.array([[0.0, 1.0], [0.0, 1.0]]))
-    loss, _ = loss_fla(f_s, f_g, FlaConfig(tau=0.05))
+    loss, _ = loss_fla(f_s, f_g)
     assert loss.item() == pytest.approx(2 * math.log(2), abs=1e-12)
 
 
@@ -142,7 +141,7 @@ def test_fla_matches_pairwise_oracle():
         k = int(RNG.integers(2, 7))
         f_s = RNG.normal(size=(k, 5))
         f_g = RNG.normal(size=(k, 5))
-        loss, _ = loss_fla(constant(f_s), constant(f_g), FlaConfig(tau=tau))
+        loss, _ = loss_fla(constant(f_s), constant(f_g), tau=tau)
         ns = f_s / np.linalg.norm(f_s, axis=1, keepdims=True)
         ng = f_g / np.linalg.norm(f_g, axis=1, keepdims=True)
         sims = ns @ ng.T
@@ -157,7 +156,7 @@ def test_fla_matches_pairwise_oracle():
 
 def test_fla_single_fragment_rejected():
     with pytest.raises(SingleFragmentBatch):
-        loss_fla(constant(np.ones((1, 4))), constant(np.ones((1, 4))), FlaConfig())
+        loss_fla(constant(np.ones((1, 4))), constant(np.ones((1, 4))))
 
 
 def test_fla_far_negative_contribution_bounded():
@@ -177,7 +176,7 @@ def test_fla_far_negative_contribution_bounded():
         # fragment and compare row-0 content via the total.
         f_s = constant(np.stack([e0, e1, -e0]))
         f_g = constant(np.stack([e0, e1, -e0]))
-        loss_full, _ = loss_fla(f_s, f_g, FlaConfig(tau=tau))
+        loss_full, _ = loss_fla(f_s, f_g, tau=tau)
         assert math.isfinite(loss_full.item()) and loss_full.item() >= 0
 
 
@@ -203,7 +202,7 @@ def test_losses_nonnegative_on_random_inputs():
         assert loss_cmm_token(enc, [sample], heads)[0].item() >= 0
         f = constant(RNG.normal(size=(3, CFG.dim)))
         g = constant(RNG.normal(size=(3, CFG.dim)))
-        assert loss_fla(f, g, FlaConfig())[0].item() >= 0
+        assert loss_fla(f, g)[0].item() >= 0
         pos = constant(RNG.normal(size=(2, CFG.dim)))
         neg = constant(RNG.normal(size=(2, CFG.dim)))
         assert loss_sgm(pos, neg, heads)[0].item() >= 0
@@ -221,7 +220,7 @@ def test_fla_monotone_in_positive_similarity():
     for pull in (0.0, 0.5, 0.9):
         f_s = base.copy()
         f_s[0] = (1 - pull) * np.array([0.3, 0.9]) + pull * base[0]
-        loss, _ = loss_fla(constant(f_s), f_g, FlaConfig(tau=0.5))
+        loss, _ = loss_fla(constant(f_s), f_g, tau=0.5)
         losses.append(loss.item())
     assert losses[0] > losses[1] > losses[2]
 
@@ -346,7 +345,7 @@ def test_grad_all_five_heads():
         l_f, _ = loss_cmm_fragment(encoding.views(range(2, 4)), frag_samples, heads)
         clean_views = encoding.views(range(4, 6))
         pooled = enc.pool_fragments(clean_views, [r.fragment_map for r in records])
-        l_a, _ = loss_fla(pooled.f_s, pooled.f_g, FlaConfig(tau=0.5))
+        l_a, _ = loss_fla(pooled.f_s, pooled.f_g, tau=0.5)
         neg = enc.encode([records[0].token_ids, records[1].token_ids],
                          [records[1].graph, records[0].graph]).x_cls
         l_s, _ = loss_sgm(clean_views.x_cls, neg, heads)
@@ -371,7 +370,7 @@ def test_total_gradient_is_sum_of_component_gradients():
         l_t, _ = loss_cmm_token(e, [sample], heads)
         pooled = enc.pool_fragments(e, [fmap])
         if fmap.K >= 2:
-            l_a, _ = loss_fla(pooled.f_s, pooled.f_g, FlaConfig(tau=0.5))
+            l_a, _ = loss_fla(pooled.f_s, pooled.f_g, tau=0.5)
         else:
             l_a = constant(0.0)
         if component == "t":

@@ -1,6 +1,8 @@
 """Pipeline tests: corpora, training steps, schedule, checkpoints, fine-tuning."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from chemfuse.metrics import DegenerateInput, concordance_index, roc_auc, rmse
 from chemfuse.nn import backward, concat_rows, constant
 from chemfuse.objectives import (
     BatchTooSmall,
-    FlaConfig,
     loss_cmm_fragment,
     loss_cmm_token,
     loss_dkl,
@@ -37,6 +38,7 @@ from chemfuse.pipeline import (
     _record_rng,
     _step_losses,
     build_vocabulary,
+    data_lines,
     derangement,
     embed_corpus,
     finetune,
@@ -112,6 +114,39 @@ def test_ingest_skips_leading_dot(tmp_path):
     assert corpus.skipped == 1
 
 
+def test_data_lines_skips_blank_and_comment_lines_lazily(tmp_path, monkeypatch):
+    raw = ["CCO\n", "\n", "  # note\n", "  CCN\t1 \n", "C#N # kept\n"]
+    want = [(1, "CCO"), (4, "CCN\t1"), (5, "C#N # kept")]
+    f = tmp_path / "lines.smi"
+    f.write_text("".join(raw))
+    assert list(data_lines(f)) == want
+    pulled = []
+
+    class Stdin:
+        def __iter__(self):
+            for line in raw:
+                pulled.append(line)
+                yield line
+
+    monkeypatch.setattr(sys, "stdin", Stdin())
+    lines = data_lines(None)
+    assert pulled == []
+    assert next(lines) == want[0]
+    assert len(pulled) == 1
+    assert list(lines) == want[1:]
+
+
+@pytest.mark.parametrize("bad_kind", ["directory", "not_utf8", "missing"])
+def test_data_lines_unreadable_file(tmp_path, bad_kind):
+    bad = tmp_path / "bad"
+    if bad_kind == "directory":
+        bad.mkdir()
+    elif bad_kind == "not_utf8":
+        bad.write_bytes(b"CCO\n\xff\n")
+    with pytest.raises(FileUnreadable, match=re.escape(f"cannot read {bad}: ")):
+        list(data_lines(bad))
+
+
 def test_ingest_errors(tmp_path):
     with pytest.raises(FileUnreadable):
         ingest(tmp_path / "missing.smi")
@@ -129,8 +164,7 @@ def _concat_encodings(encodings):
                          m=sum((e.m for e in encodings), ()))
 
 
-def _reference_step_losses(model, records, mask_cfg, fla_cfg, epoch, base_index,
-                           train_seed):
+def _reference_step_losses(model, records, mask_cfg, epoch, base_index, train_seed):
     """Every view encoded on its own from scratch, one ``encode`` call
     per view, each clean view pooled on its own, and the matching negatives
     recomputed."""
@@ -158,7 +192,7 @@ def _reference_step_losses(model, records, mask_cfg, fla_cfg, epoch, base_index,
         if frag_encs else constant(0.0)
     pooled = [enc.pool_fragments(e, [rec.fragment_map]) for e, rec in zip(clean, records)]
     l_fla, _ = loss_fla(concat_rows([q.f_s for q in pooled]),
-                        concat_rows([q.f_g for q in pooled]), fla_cfg)
+                        concat_rows([q.f_g for q in pooled]))
     neg = [enc.encode([records[i].token_ids], [records[j].graph]).x_cls
            for i, j in enumerate(derangement(len(records)))]
     clean_x_cls = concat_rows([e.x_cls for e in clean])
@@ -194,7 +228,7 @@ def test_step_losses_match_per_view_reference(strategy):
     params = list(model.params.values())
     results = []
     for step in (_reference_step_losses, _step_losses):
-        total, report = step(model, records, mask_cfg, FlaConfig(), epoch=2,
+        total, report = step(model, records, mask_cfg, epoch=2,
                              base_index=4, train_seed=1)[:2]
         for p in params:
             p.zero_grad()
@@ -233,7 +267,7 @@ def test_step_losses_embeds_each_side_once_per_view(monkeypatch):
 
     monkeypatch.setattr(pipeline, "sample_fragment_mask", recorded)
     model, records = _small_model_and_records()
-    _step_losses(model, records, MaskConfig(seed=1), FlaConfig(), epoch=0,
+    _step_losses(model, records, MaskConfig(seed=1), epoch=0,
                  base_index=0, train_seed=1)
     sides = [s.masked_modality for s in frag_samples]
     assert len(sides) == len(records) == 6
@@ -265,8 +299,8 @@ def test_step_losses_tape_node_budget(monkeypatch):
     big_model, big_records = _small_model_and_records(n=12)
 
     def step(model, records):
-        return lambda: _step_losses(model, records, MaskConfig(seed=1), FlaConfig(),
-                                    epoch=0, base_index=0, train_seed=1)
+        return lambda: _step_losses(model, records, MaskConfig(seed=1), epoch=0,
+                                    base_index=0, train_seed=1)
 
     nodes = _count_tape_nodes(monkeypatch, step(model, records))
     assert nodes <= 1.1 * STEP_TAPE_NODES, nodes

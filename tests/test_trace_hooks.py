@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 from chemfuse.masking import MaskConfig
-from chemfuse.objectives import FlaConfig
 
 from test_pipeline import _small_model_and_records, tiny_corpus
 
@@ -30,8 +29,8 @@ def test_install_tracer_covers_a_step_and_an_embedding(monkeypatch):
     install_tracer(tracer)
     try:
         tracer.begin_unit("pipeline.step", tracer.clock())
-        total, _, _ = pipeline._step_losses(model, records, MaskConfig(seed=1), FlaConfig(),
-                                            epoch=0, base_index=0, train_seed=1)
+        total, _, _ = pipeline._step_losses(model, records, MaskConfig(seed=1), epoch=0,
+                                            base_index=0, train_seed=1)
         pipeline.backward(total)
         pipeline.x_cls_of(model, vocab, tiny_corpus(1).molecules[:1])
         tracer.end_unit(tracer.clock())
