@@ -35,7 +35,7 @@ from .graph import (
     TokenKind,
     TokenSequence,
 )
-from .tokenizer import tokenize
+from .tokenizer import tokenize, unsupported
 
 #: Fixed implicit-hydrogen valence table for the organic subset.
 VALENCE_TABLE = {
@@ -173,19 +173,18 @@ class _Parser:
         self.graph.mark_rings()
         return self.graph
 
-    def _connect(self, new_atom: int) -> None:
-        if self.prev is None:
-            if self.pending is not None:
-                raise DanglingBond("bond symbol with no preceding atom")
-            return
-        order, stereo = self.pending if self.pending else (None, BondStereo.NONE)
-        a, b = self.graph.atoms[self.prev], self.graph.atoms[new_atom]
+    def _bond(self, a: int, b: int,
+              spec: tuple[BondOrder, BondStereo] | None) -> None:
+        """Bond atoms ``a`` and ``b`` as ``spec`` says; an unset order is
+        aromatic between two aromatic atoms and single otherwise."""
+        order, stereo = spec if spec else (None, BondStereo.NONE)
+        aromatic = self.graph.atoms[a].aromatic and self.graph.atoms[b].aromatic
         if order is None:
-            order = BondOrder.AROMATIC if (a.aromatic and b.aromatic) else BondOrder.SINGLE
-        if order is BondOrder.AROMATIC and not (a.aromatic and b.aromatic):
+            order = BondOrder.AROMATIC if aromatic else BondOrder.SINGLE
+        if order is BondOrder.AROMATIC and not aromatic:
             raise SmilesError("aromatic bond between non-aromatic atoms")
         try:
-            self.graph.add_bond(Bond(a=self.prev, b=new_atom, order=order, stereo=stereo))
+            self.graph.add_bond(Bond(a=a, b=b, order=order, stereo=stereo))
         except ValueError as exc:
             raise DanglingBond(str(exc)) from exc
         self.pending = None
@@ -199,7 +198,8 @@ class _Parser:
         new_atom = self.graph.add_atom(atom)
         if token.atom_index != new_atom:
             raise SmilesError("token/atom provenance got out of sync")
-        self._connect(new_atom)
+        if self.prev is not None:  # no bond is pending without a previous atom
+            self._bond(self.prev, new_atom, self.pending)
         self.prev = new_atom
 
     def _on_bond(self, idx: int, token: Token) -> None:
@@ -225,17 +225,7 @@ class _Parser:
         specs = [s for s in (self.pending, other_pending) if s is not None]
         if len(specs) == 2 and specs[0][0] is not specs[1][0]:
             raise DanglingBond(f"conflicting bond orders on ring digit {digit}")
-        order, stereo = specs[0] if specs else (None, BondStereo.NONE)
-        a, b = self.graph.atoms[other], self.graph.atoms[self.prev]
-        if order is None:
-            order = BondOrder.AROMATIC if (a.aromatic and b.aromatic) else BondOrder.SINGLE
-        if order is BondOrder.AROMATIC and not (a.aromatic and b.aromatic):
-            raise SmilesError("aromatic ring bond between non-aromatic atoms")
-        try:
-            self.graph.add_bond(Bond(a=other, b=self.prev, order=order, stereo=stereo))
-        except ValueError as exc:
-            raise DanglingBond(str(exc)) from exc
-        self.pending = None
+        self._bond(other, self.prev, specs[0] if specs else None)
 
     def _on_branch(self, idx: int, token: Token) -> None:
         if self.pending is not None:
@@ -265,9 +255,7 @@ class _Parser:
         self.graph.atoms[self.prev].chirality = mark
 
     def _on_other(self, idx: int, token: Token) -> None:
-        if token.text.isalpha():
-            raise UnknownElement(f"unknown atom symbol {token.text!r}")
-        raise UnsupportedFeature(f"unsupported character {token.text!r}")
+        raise unsupported(token)
 
 
 def parse_smiles(smiles: str) -> tuple[MolecularGraph, TokenSequence]:

@@ -11,7 +11,13 @@ from __future__ import annotations
 
 import re
 
-from .errors import EmptyInput, UnbalancedBracket
+from .errors import (
+    EmptyInput,
+    SmilesError,
+    UnbalancedBracket,
+    UnknownElement,
+    UnsupportedFeature,
+)
 from .graph import Token, TokenKind, TokenSequence
 
 _TOKEN_RE = re.compile(
@@ -39,6 +45,14 @@ def _classify(text: str) -> TokenKind:
     if text in ("@", "@@"):
         return TokenKind.STEREO_MARK
     return TokenKind.OTHER
+
+
+def unsupported(token: Token) -> SmilesError:
+    """The error for an OTHER token: a letter run is an unknown atom symbol,
+    anything else an unsupported character."""
+    if token.text.isalpha():
+        return UnknownElement(f"unknown atom symbol {token.text!r}")
+    return UnsupportedFeature(f"unsupported character {token.text!r}")
 
 
 def tokenize(smiles: str) -> TokenSequence:

@@ -95,11 +95,17 @@ def _write_component(graph: MolecularGraph, start: int) -> str:
             d += 1
         return d
 
+    # Emission runs off an explicit stack, so chain length is not bounded by
+    # Python's recursion limit. An entry is an atom to emit or text to append.
     out: list[str] = []
-
-    def emit(node: int) -> None:
-        out.append(_atom_text(graph.atoms[node]))
-        for bi in graph.adjacency[node]:
+    todo: list[int | str] = [start]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        out.append(_atom_text(graph.atoms[item]))
+        for bi in graph.adjacency[item]:
             if bi not in ring_bonds:
                 continue
             if bi in open_digits:
@@ -108,18 +114,18 @@ def _write_component(graph: MolecularGraph, start: int) -> str:
                 digit = take_digit()
                 open_digits[bi] = digit
                 out.append(_bond_text(graph.bonds[bi], graph) + _digit_text(digit))
-        children = dfs_children.get(node, [])
-        for pos, (child, bi) in enumerate(children):
-            bond_txt = _bond_text(graph.bonds[bi], graph)
+        # Every child but the last is a parenthesised branch; pushed in
+        # reverse so they pop in order.
+        children = dfs_children.get(item, [])
+        for pos in reversed(range(len(children))):
+            child, bi = children[pos]
             last = pos == len(children) - 1
             if not last:
-                out.append("(")
-            out.append(bond_txt)
-            emit(child)
+                todo.append(")")
+            todo.append(child)
+            todo.append(_bond_text(graph.bonds[bi], graph))
             if not last:
-                out.append(")")
-
-    emit(start)
+                todo.append("(")
     return "".join(out)
 
 

@@ -14,7 +14,8 @@ import warnings
 
 import numpy as np
 
-from .chem import SmilesError, parse_smiles, tokenize, write_smiles
+from .chem import SmilesError, TokenKind, parse_smiles, tokenize, write_smiles
+from .chem.tokenizer import unsupported
 from .encoder import (
     LayerOutOfRange,
     ModelConfig,
@@ -74,6 +75,9 @@ def _smiles_column(path: str | None):
 def cmd_tokenize(args) -> int:
     for smiles in _smiles_column(args.input):
         seq = tokenize(smiles)
+        for token in seq.tokens:
+            if token.kind is TokenKind.OTHER:
+                raise unsupported(token)
         print(" ".join(t.text for t in seq.tokens))
     return 0
 
@@ -121,10 +125,39 @@ def cmd_scaffold(args) -> int:
     return 0
 
 
+#: Settings a flag or a config line may give, with the cast for config values.
+TRAIN_KEYS = {"epochs": int, "batch_size": int, "lr": float, "warmup_steps": int,
+              "weight_decay": float, "seed": int}
+FINETUNE_KEYS = {k: TRAIN_KEYS[k] for k in ("epochs", "batch_size", "lr",
+                                             "weight_decay", "seed")}
+MODEL_KEYS = {"dim": int, "transformer_layers": int, "heads": int, "gnn_layers": int,
+              "gnn_width": int, "max_positions": int, "fingerprint_width": int}
+MASK_KEYS = {"r_t": float, "r_f": float}
+
+
+def _settings(args, cfg: dict, keys: dict) -> dict:
+    """For each of ``keys``, the flag when given, else the cast config value;
+    a key set by neither is left out, so the library's default applies."""
+    out = {}
+    for key, cast in keys.items():
+        flag = getattr(args, key, None)
+        if flag is not None:
+            out[key] = flag
+        elif key in cfg:
+            try:
+                out[key] = cast(cfg[key])
+            except ValueError as exc:
+                raise ConfigError(f"config {key} = {cfg[key]!r}: {exc}") from exc
+    return out
+
+
+def _train_config_from(args, cfg: dict) -> TrainConfig:
+    return TrainConfig(**_settings(args, cfg, TRAIN_KEYS))
+
+
 def cmd_mask(args) -> int:
     try:
-        cfg = MaskConfig(r_t=args.r_t, r_f=args.r_f,
-                         strategy=Strategy(args.mask_strategy), seed=args.seed)
+        cfg = MaskConfig(**_settings(args, {}, MASK_KEYS | {"seed": int}))
     except ValueError as exc:
         raise ConfigError(f"mask flags: {exc}") from exc
     molecules = [parse_molecule(s) for s in _smiles_column(args.input)]
@@ -134,7 +167,7 @@ def cmd_mask(args) -> int:
     context_vocab = build_context_vocab(m.graph for m in molecules)
     records = prepare_records(Corpus(molecules), vocab, context_vocab)
     for idx, rec in enumerate(records):
-        rng = np.random.default_rng([args.seed, idx])
+        rng = np.random.default_rng([cfg.seed, idx])
         tok = sample_token_mask(rec, cfg, rng)
         frag = sample_fragment_mask(rec, rec.fragment_map, cfg, rng)
         print(f"{rec.smiles}\ttoken_mask={list(tok.masked_token_positions)}"
@@ -145,48 +178,15 @@ def cmd_mask(args) -> int:
     return 0
 
 
-def _config_value(cfg: dict, key: str, cast, default, flag=None):
-    """The flag when given, else ``cast(cfg[key])``, else ``default``."""
-    if flag is not None:
-        return flag
-    if key not in cfg:
-        return default
-    try:
-        return cast(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"config {key} = {cfg[key]!r}: {exc}") from exc
-
-
-def _train_config_from(args, cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=_config_value(cfg, "epochs", int, 30, args.epochs),
-        batch_size=_config_value(cfg, "batch_size", int, 16, args.batch_size),
-        lr=_config_value(cfg, "lr", float, 2e-3, args.lr),
-        warmup_steps=_config_value(cfg, "warmup_steps", int, 40, args.warmup),
-        weight_decay=_config_value(cfg, "weight_decay", float, 0.0),
-        seed=_config_value(cfg, "seed", int, 7, args.seed),
-    )
-
-
-def _model_kwargs_from(cfg: dict) -> dict:
-    keys = {
-        "dim": int, "transformer_layers": int, "heads": int, "gnn_layers": int,
-        "gnn_width": int, "max_positions": int, "fingerprint_width": int,
-    }
-    kwargs = {k: _config_value(cfg, k, cast, None) for k, cast in keys.items() if k in cfg}
-    # Checked with the smallest vocabularies before any input is read.
-    ModelConfig(vocab_size=3, context_vocab_size=1, **kwargs)
-    return kwargs
-
-
 def cmd_pretrain(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
     train_cfg = _train_config_from(args, cfg)
-    model_kwargs = _model_kwargs_from(cfg)
-    r_t = _config_value(cfg, "r_t", float, 0.2)
-    r_f = _config_value(cfg, "r_f", float, 0.6)
+    model_kwargs = _settings(args, cfg, MODEL_KEYS)
+    # Checked with the smallest vocabularies before any input is read.
+    ModelConfig(vocab_size=3, context_vocab_size=1, **model_kwargs)
+    ratios = _settings(args, cfg, MASK_KEYS)
     try:
-        mask_cfg = MaskConfig(r_t=r_t, r_f=r_f, strategy=Strategy(args.mask_strategy),
+        mask_cfg = MaskConfig(**ratios, strategy=Strategy(args.mask_strategy),
                               seed=train_cfg.seed)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
@@ -203,18 +203,13 @@ def cmd_pretrain(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
+    settings = _settings(args, cfg, FINETUNE_KEYS)
     model, vocab, _, _ = load_pretrained(args.checkpoint)
     task = load_task(args.input, TaskKind(args.task), SplitMode(args.split))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = finetune(
-            model, vocab, task,
-            epochs=_config_value(cfg, "epochs", int, 20, args.epochs),
-            batch_size=_config_value(cfg, "batch_size", int, 16, args.batch_size),
-            lr=_config_value(cfg, "lr", float, 1e-3, args.lr),
-            weight_decay=_config_value(cfg, "weight_decay", float, 0.0),
-            seed=_config_value(cfg, "seed", int, 0, args.seed),
-            tune_encoder=not args.freeze_encoder)
+        result = finetune(model, vocab, task, tune_encoder=not args.freeze_encoder,
+                          **settings)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     sizes = result.split_sizes
@@ -323,11 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("mask", cmd_mask, help="readable masked-sample dump")
     p.add_argument("input", nargs="?")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--r-t", dest="r_t", type=float, default=0.2)
-    p.add_argument("--r-f", dest="r_f", type=float, default=0.6)
-    p.add_argument("--mask-strategy", choices=[s.value for s in Strategy],
-                   default="cmm")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--r-t", dest="r_t", type=float)
+    p.add_argument("--r-f", dest="r_f", type=float)
 
     p = add("pretrain", cmd_pretrain, help="run the pretraining loop")
     p.add_argument("input")
@@ -337,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--warmup", type=int)
+    p.add_argument("--warmup", dest="warmup_steps", type=int)
     p.add_argument("--mask-strategy", choices=[s.value for s in Strategy],
-                   default="cmm")
+                   default=MaskConfig.strategy.value)
 
     p = add("finetune", cmd_finetune, help="train a task head on x_cls")
     p.add_argument("input")

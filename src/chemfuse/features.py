@@ -192,7 +192,8 @@ def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
 
 # ---------------------------------------------------------- functional groups
 
-def _is_carbonyl_c(g: MolecularGraph, i: int) -> bool:
+def is_carbonyl_carbon(g: MolecularGraph, i: int) -> bool:
+    """A non-aromatic carbon with a double bond to oxygen (an acyl carbon)."""
     a = g.atoms[i]
     return a.element == "C" and not a.aromatic and any(
         bond.order is BondOrder.DOUBLE and g.atoms[j].element == "O"
@@ -217,7 +218,7 @@ def _has_hydroxyl(g):
             continue
         j = g.neighbors(idx)[0][0]
         nb = g.atoms[j]
-        if nb.element == "C" and not nb.aromatic and not _is_carbonyl_c(g, j):
+        if nb.element == "C" and not nb.aromatic and not is_carbonyl_carbon(g, j):
             return True
     return False
 
@@ -233,7 +234,7 @@ def _has_phenol(g):
 
 def _has_carboxylic_acid(g):
     for i in range(g.m):
-        if not _is_carbonyl_c(g, i):
+        if not is_carbonyl_carbon(g, i):
             continue
         for j, bond in g.neighbors(i):
             if bond.order is BondOrder.SINGLE and g.atoms[j].element == "O":
@@ -245,7 +246,7 @@ def _has_carboxylic_acid(g):
 
 def _has_ester(g):
     for i in range(g.m):
-        if not _is_carbonyl_c(g, i):
+        if not is_carbonyl_carbon(g, i):
             continue
         for j, bond in g.neighbors(i):
             if (bond.order is BondOrder.SINGLE and g.atoms[j].element == "O"
@@ -256,7 +257,7 @@ def _has_ester(g):
 
 def _has_amide(g):
     return any(
-        _is_carbonyl_c(g, i) and any(
+        is_carbonyl_carbon(g, i) and any(
             bond.order is BondOrder.SINGLE and g.atoms[j].element == "N"
             for j, bond in g.neighbors(i))
         for i in range(g.m)
@@ -265,14 +266,14 @@ def _has_amide(g):
 
 def _has_aldehyde(g):
     return any(
-        _is_carbonyl_c(g, i) and g.atoms[i].total_h >= 1
+        is_carbonyl_carbon(g, i) and g.atoms[i].total_h >= 1
         for i in range(g.m)
     )
 
 
 def _has_ketone(g):
     for i in range(g.m):
-        if not _is_carbonyl_c(g, i) or g.atoms[i].total_h:
+        if not is_carbonyl_carbon(g, i) or g.atoms[i].total_h:
             continue
         if len(_single_c_neighbors(g, i)) == 2:
             return True
@@ -285,7 +286,7 @@ def _has_ether(g):
             continue
         nbrs = g.neighbors(i)
         if all(bond.order is BondOrder.SINGLE and g.atoms[j].element == "C"
-               and not _is_carbonyl_c(g, j) for j, bond in nbrs):
+               and not is_carbonyl_carbon(g, j) for j, bond in nbrs):
             return True
     return False
 
@@ -297,7 +298,7 @@ def _plain_amine_n(g, i):
     nbrs = g.neighbors(i)
     if any(bond.order is not BondOrder.SINGLE for _, bond in nbrs):
         return False
-    if any(g.atoms[j].element != "C" or _is_carbonyl_c(g, j) for j, _ in nbrs):
+    if any(g.atoms[j].element != "C" or is_carbonyl_carbon(g, j) for j, _ in nbrs):
         return False
     return True
 
@@ -338,7 +339,8 @@ def _has_thiol(g):
     )
 
 
-def _sulfonyl_s(g, i):
+def is_sulfonyl_sulfur(g: MolecularGraph, i: int) -> bool:
+    """A sulfur with at least two double bonds to oxygen."""
     return g.atoms[i].element == "S" and sum(
         1 for j, bond in g.neighbors(i)
         if bond.order is BondOrder.DOUBLE and g.atoms[j].element == "O"
@@ -348,7 +350,7 @@ def _sulfonyl_s(g, i):
 def _has_thioether(g):
     for i, a in enumerate(g.atoms):
         if (a.element == "S" and not a.aromatic and a.degree == 2
-                and not _sulfonyl_s(g, i)
+                and not is_sulfonyl_sulfur(g, i)
                 and all(bond.order is BondOrder.SINGLE and g.atoms[j].element == "C"
                         for j, bond in g.neighbors(i))):
             return True
@@ -357,7 +359,7 @@ def _has_thioether(g):
 
 def _has_sulfonamide(g):
     return any(
-        _sulfonyl_s(g, i) and any(
+        is_sulfonyl_sulfur(g, i) and any(
             bond.order is BondOrder.SINGLE and g.atoms[j].element == "N"
             for j, bond in g.neighbors(i))
         for i in range(g.m)
@@ -366,7 +368,7 @@ def _has_sulfonamide(g):
 
 def _has_sulfone(g):
     for i in range(g.m):
-        if not _sulfonyl_s(g, i):
+        if not is_sulfonyl_sulfur(g, i):
             continue
         single = [(j, b) for j, b in g.neighbors(i) if b.order is BondOrder.SINGLE]
         if len(single) == 2 and all(g.atoms[j].element == "C" for j, _ in single):

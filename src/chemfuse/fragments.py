@@ -25,6 +25,7 @@ from typing import Callable
 
 from .chem.errors import SmilesError
 from .chem.graph import BondOrder, MolecularGraph, TokenKind, TokenSequence
+from .features import is_carbonyl_carbon, is_sulfonyl_sulfur
 
 
 class OrphanSymbol(SmilesError):
@@ -40,21 +41,8 @@ def _all_single(graph: MolecularGraph, i: int) -> bool:
     return all(graph.bonds[bi].order is BondOrder.SINGLE for bi in graph.adjacency[i])
 
 
-def _double_bonds_to(graph: MolecularGraph, i: int, element: str) -> int:
-    return sum(
-        1
-        for j, bond in graph.neighbors(i)
-        if bond.order is BondOrder.DOUBLE and graph.atoms[j].element == element
-    )
-
-
 def _ring_neighbors(graph: MolecularGraph, i: int) -> list[int]:
     return [j for j, bond in graph.neighbors(i) if bond.in_ring]
-
-
-def _is_acyl_carbon(g: MolecularGraph, i: int) -> bool:
-    a = g.atoms[i]
-    return a.element == "C" and not a.aromatic and _double_bonds_to(g, i, "O") >= 1
 
 
 def _is_ether_oxygen(g: MolecularGraph, i: int) -> bool:
@@ -91,10 +79,6 @@ def _is_thioether_sulfur(g: MolecularGraph, i: int) -> bool:
     a = g.atoms[i]
     return (a.element == "S" and not a.aromatic and not a.in_ring
             and a.degree == 2 and a.formal_charge == 0 and _all_single(g, i))
-
-
-def _is_sulfonyl_sulfur(g: MolecularGraph, i: int) -> bool:
-    return g.atoms[i].element == "S" and _double_bonds_to(g, i, "O") >= 2
 
 
 def _is_hetero_ring_carbon(g: MolecularGraph, i: int) -> bool:
@@ -142,14 +126,14 @@ class CleavageRule:
 
 #: The link-environment table. Order is documentation only.
 ENVIRONMENTS: tuple[CleavageRule, ...] = (
-    CleavageRule("L1", "acyl carbon", _is_acyl_carbon),
+    CleavageRule("L1", "acyl carbon", is_carbonyl_carbon),
     CleavageRule("L3", "ether/ester oxygen", _is_ether_oxygen),
     CleavageRule("L4", "alkyl carbon", _is_alkyl_carbon),
     CleavageRule("L5", "amine nitrogen", _is_amine_nitrogen),
     CleavageRule("L9", "aromatic nitrogen", _is_aromatic_nitrogen),
     CleavageRule("L10", "ring amine nitrogen", _is_ring_amine_nitrogen),
     CleavageRule("L11", "thioether sulfur", _is_thioether_sulfur),
-    CleavageRule("L12", "sulfonyl sulfur", _is_sulfonyl_sulfur),
+    CleavageRule("L12", "sulfonyl sulfur", is_sulfonyl_sulfur),
     CleavageRule("L13", "ring carbon next to ring heteroatom", _is_hetero_ring_carbon),
     CleavageRule("L14", "heteroaromatic carbon", _is_heteroaromatic_carbon),
     CleavageRule("L15", "carbocycle carbon", _is_carbocycle_carbon),

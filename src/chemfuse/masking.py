@@ -80,48 +80,43 @@ def mask_count(total: int, ratio: float) -> int:
     return max(1, math.floor(total * ratio))
 
 
-def _draw(rng: np.random.Generator, total: int, count: int) -> tuple[int, ...]:
+def _draw(rng: np.random.Generator, total: int, ratio: float) -> tuple[int, ...]:
+    count = mask_count(total, ratio)
     return tuple(sorted(int(i) for i in rng.choice(total, size=count, replace=False)))
 
 
-def sample_token_mask(sample, config: MaskConfig,
-                      rng: np.random.Generator) -> MaskedSample:
-    """Independent token and atom masks at ratio ``r_t`` in both modalities."""
-    n = len(sample.token_ids)
-    m = sample.graph.m
-    token_pos = _draw(rng, n, mask_count(n, config.r_t))
-    atom_pos = _draw(rng, m, mask_count(m, config.r_t))
+def _masked(sample, modality: Modality, token_pos: tuple[int, ...] = (),
+            atom_pos: tuple[int, ...] = (),
+            frag_ids: tuple[int, ...] = ()) -> MaskedSample:
+    """The sample's masked positions with their targets read from ``sample``."""
     return MaskedSample(
         masked_token_positions=token_pos,
         masked_atom_positions=atom_pos,
-        masked_modality=Modality.NONE,
+        masked_fragment_ids=frag_ids,
+        masked_modality=modality,
         token_targets={i: sample.token_ids[i] for i in token_pos},
         atom_context_targets={i: sample.context_ids[i] for i in atom_pos},
     )
 
 
+def sample_token_mask(sample, config: MaskConfig,
+                      rng: np.random.Generator) -> MaskedSample:
+    """Independent token and atom masks at ratio ``r_t`` in both modalities."""
+    token_pos = _draw(rng, len(sample.token_ids), config.r_t)
+    atom_pos = _draw(rng, sample.graph.m, config.r_t)
+    return _masked(sample, Modality.NONE, token_pos, atom_pos)
+
+
 def sample_fragment_mask(sample, fragment_map, config: MaskConfig,
                          rng: np.random.Generator) -> MaskedSample:
     """Mask whole fragments in exactly one modality chosen by the coin."""
-    k = fragment_map.K
-    frag_ids = _draw(rng, k, mask_count(k, config.r_f))
+    frag_ids = _draw(rng, fragment_map.K, config.r_f)
     chosen = set(frag_ids)
-    smiles_side = rng.random() < MODALITY_COIN
-    if smiles_side:
+    if rng.random() < MODALITY_COIN:
         token_pos = tuple(i for i, lab in enumerate(fragment_map.l_s) if lab in chosen)
-        return MaskedSample(
-            masked_token_positions=token_pos,
-            masked_fragment_ids=frag_ids,
-            masked_modality=Modality.SMILES,
-            token_targets={i: sample.token_ids[i] for i in token_pos},
-        )
+        return _masked(sample, Modality.SMILES, token_pos=token_pos, frag_ids=frag_ids)
     atom_pos = tuple(i for i, lab in enumerate(fragment_map.l_g) if lab in chosen)
-    return MaskedSample(
-        masked_atom_positions=atom_pos,
-        masked_fragment_ids=frag_ids,
-        masked_modality=Modality.GRAPH,
-        atom_context_targets={i: sample.context_ids[i] for i in atom_pos},
-    )
+    return _masked(sample, Modality.GRAPH, atom_pos=atom_pos, frag_ids=frag_ids)
 
 
 def sample_ablation_mask(sample, config: MaskConfig,
@@ -139,21 +134,10 @@ def sample_ablation_mask(sample, config: MaskConfig,
         raise StrategyMismatch("ablation sampler called with the CMM strategy")
     if config.strategy is Strategy.SINGLE_MODALITY:
         return sample_token_mask(sample, config, rng)
-    n = len(sample.token_ids)
-    m = sample.graph.m
     if rng.random() < MODALITY_COIN:
-        token_pos = _draw(rng, n, mask_count(n, config.r_t))
-        return MaskedSample(
-            masked_token_positions=token_pos,
-            masked_modality=Modality.SMILES,
-            token_targets={i: sample.token_ids[i] for i in token_pos},
-        )
-    atom_pos = _draw(rng, m, mask_count(m, config.r_t))
-    return MaskedSample(
-        masked_atom_positions=atom_pos,
-        masked_modality=Modality.GRAPH,
-        atom_context_targets={i: sample.context_ids[i] for i in atom_pos},
-    )
+        token_pos = _draw(rng, len(sample.token_ids), config.r_t)
+        return _masked(sample, Modality.SMILES, token_pos=token_pos)
+    return _masked(sample, Modality.GRAPH, atom_pos=_draw(rng, sample.graph.m, config.r_t))
 
 
 # ------------------------------------------------------------ context classes

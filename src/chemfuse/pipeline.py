@@ -181,10 +181,13 @@ def data_lines(path: str | Path | None) -> Iterator[tuple[int, str]]:
         with (open(path, encoding="utf-8") if path is not None
               else contextlib.nullcontext(sys.stdin)) as stream:
             for lineno, raw in enumerate(stream, start=1):
+                # Python decodes stdin with escapes for bytes that are not
+                # UTF-8; restore and decode them strictly, as a file is.
+                raw.encode("utf-8", "surrogateescape").decode("utf-8")
                 line = raw.strip()
                 if line and not line.startswith("#"):
                     yield lineno, line
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         name = "<stdin>" if path is None else path
         raise FileUnreadable(f"cannot read {name}: {exc}") from exc
 
@@ -444,11 +447,18 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
     contribute a single view and a zero fragment term. Molecules longer
     than the position table are skipped, with a count on stderr. A NaN in
     any component aborts with the offending batch index. When
-    ``checkpoint_dir`` is set, a checkpoint is (re)written after each
+    ``checkpoint_dir`` is set, it is created before the first step (a
+    ConfigError if it cannot be) and a checkpoint is (re)written after each
     epoch.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot pretrain on an empty corpus")
+    if checkpoint_dir is not None:
+        try:
+            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create checkpoint directory {checkpoint_dir}: {exc}") from exc
     vocab = build_vocabulary(m.tokens for m in corpus.molecules)
     context_vocab = build_context_vocab(m.graph for m in corpus.molecules)
     model_kwargs = dict(model_kwargs or {})

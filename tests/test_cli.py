@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chemfuse.chem import canonical_key, parse_smiles
 from chemfuse.cli import _train_config_from, build_parser, main
-from chemfuse.masking import MaskConfig
+from chemfuse.masking import MaskConfig, sample_token_mask
 from chemfuse.nn import CheckpointCorrupt
 from chemfuse.pipeline import (
     Corpus,
+    FinetuneResult,
     TrainConfig,
     embed_rows,
     load_pretrained,
@@ -343,6 +345,81 @@ def test_seed_precedence_flag_then_config(flags, expected):
     args = build_parser().parse_args(["pretrain", "c.smi", "--checkpoint", "ck"] + flags)
     assert _train_config_from(args, {"seed": "3"}).seed == expected
     assert _train_config_from(args, {}).seed == (expected if flags else 7)
+
+
+def test_cli_defaults_are_the_library_defaults(tmp_path, checkpoint, capsys, monkeypatch):
+    args = build_parser().parse_args(["pretrain", "c.smi", "--checkpoint", "ck"])
+    assert _train_config_from(args, {}) == TrainConfig()
+    passed = {}
+
+    def stub_finetune(model, vocab, task, **settings):
+        passed.update(settings)
+        return FinetuneResult(metrics={}, best_epoch=0, history=[],
+                              split_sizes=(0, 0, 0))
+
+    monkeypatch.setattr("chemfuse.cli.finetune", stub_finetune)
+    code, _, _ = run(capsys, ["finetune", str(_twelve_row_task(tmp_path)),
+                              "--checkpoint", checkpoint])
+    assert code == 0
+    assert passed == {"tune_encoder": True}
+    configs = []
+
+    def recording_token_mask(rec, cfg, rng):
+        configs.append(cfg)
+        return sample_token_mask(rec, cfg, rng)
+
+    monkeypatch.setattr("chemfuse.cli.sample_token_mask", recording_token_mask)
+    code, _, _ = run(capsys, ["mask"], stdin="CCO\n", monkeypatch=monkeypatch)
+    assert code == 0
+    assert configs == [MaskConfig()]
+
+
+def test_scaffold_of_a_long_chain(capsys, monkeypatch):
+    smiles = "C1CC1" + "C" * 1500 + "C1CC1"
+    code, out, err = run(capsys, ["scaffold"], stdin=smiles + "\n",
+                         monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    written, _ = parse_smiles(out.strip())
+    assert canonical_key(written) == canonical_key(parse_smiles(smiles)[0])
+
+
+@pytest.mark.parametrize("blocker", ["file", "under_file"])
+def test_exit_code_unusable_checkpoint_path(tmp_path, capsys, blocker):
+    corpus = tmp_path / "c.smi"
+    corpus.write_text("CCO\nCCN\n")
+    ckpt = tmp_path / "file"
+    ckpt.write_text("")
+    if blocker == "under_file":
+        ckpt = ckpt / "sub"
+    code, out, err = run(capsys, ["pretrain", str(corpus), "--checkpoint", str(ckpt)])
+    assert code == 1
+    assert out == ""   # no step ran: not even the log header was written
+    lines = err.splitlines()
+    assert [line for line in lines if "error" in line] == lines[-1:]
+    assert lines[-1].startswith(f"error: cannot create checkpoint directory {ckpt}: ")
+
+
+@pytest.mark.parametrize("smiles", ["C C", "C&C", "C\u00c4"])
+def test_tokenize_rejects_what_parse_rejects(capsys, monkeypatch, smiles):
+    results = [run(capsys, [command], stdin=smiles + "\n", monkeypatch=monkeypatch)
+               for command in ("tokenize", "parse")]
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(("error: unsupported character ", "error: unknown atom symbol "))
+
+
+def test_exit_code_stdin_not_utf8(capsys, monkeypatch):
+    # What Python makes of stdin under the C and C.UTF-8 locales.
+    stdin = io.TextIOWrapper(io.BytesIO(b"CCO\n\xff\n"), encoding="utf-8",
+                             errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, ["tokenize"])
+    assert code == 1
+    assert out == "C C O\n"
+    assert err == ("error: cannot read <stdin>: 'utf-8' codec can't decode byte "
+                   "0xff in position 0: invalid start byte\n")
 
 
 def test_exit_code_attn_dump_layer_out_of_range(checkpoint, capsys, monkeypatch):
