@@ -27,7 +27,7 @@ class TokenKind(Enum):
 ATOM_BEARING = (TokenKind.ATOM, TokenKind.BRACKET_ATOM)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One lexical token of a SMILES string.
 
@@ -82,7 +82,7 @@ class BondStereo(Enum):
     DOWN = "Down"  # '\\'
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     """One heavy atom with its chemistry attributes.
 
@@ -107,7 +107,7 @@ class Atom:
         return self.explicit_h if self.explicit_h is not None else self.implicit_h
 
 
-@dataclass
+@dataclass(slots=True)
 class Bond:
     """Covalent bond between atoms ``a`` and ``b`` (a != b)."""
 
@@ -129,12 +129,16 @@ class MolecularGraph:
     """Atoms plus bonds plus the per-atom incidence lists.
 
     The graph may be disconnected (dot-separated SMILES components).
-    ``adjacency[i]`` lists bond indices incident to atom ``i``.
+    ``adjacency[i]`` lists bond indices incident to atom ``i``; the
+    neighbour table beside it holds the matching ``(neighbor, bond)`` pairs
+    in the same order, built once by ``add_bond``.
     """
 
     atoms: list[Atom] = field(default_factory=list)
     bonds: list[Bond] = field(default_factory=list)
     adjacency: list[list[int]] = field(default_factory=list)
+    _pairs: list[list[tuple[int, Bond]]] = field(
+        default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -143,33 +147,35 @@ class MolecularGraph:
     def add_atom(self, atom: Atom) -> int:
         self.atoms.append(atom)
         self.adjacency.append([])
+        self._pairs.append([])
         return len(self.atoms) - 1
 
     def add_bond(self, bond: Bond) -> int:
         if bond.a == bond.b:
             raise ValueError(f"self-bond on atom {bond.a}")
-        if any(self.bonds[bi].key() == bond.key() for bi in self.adjacency[bond.a]):
+        if self.bond_between(bond.a, bond.b) is not None:
             raise ValueError(f"duplicate bond {bond.key()}")
         self.bonds.append(bond)
         idx = len(self.bonds) - 1
-        self.adjacency[bond.a].append(idx)
-        self.adjacency[bond.b].append(idx)
-        self.atoms[bond.a].degree += 1
-        self.atoms[bond.b].degree += 1
+        for i, j in ((bond.a, bond.b), (bond.b, bond.a)):
+            self.adjacency[i].append(idx)
+            self._pairs[i].append((j, bond))
+            self.atoms[i].degree += 1
         return idx
 
     def neighbors(self, i: int) -> list[tuple[int, Bond]]:
-        """(neighbor atom index, bond) pairs for atom ``i``."""
-        return [(self.bonds[bi].other(i), self.bonds[bi]) for bi in self.adjacency[i]]
+        """(neighbor atom index, bond) pairs for atom ``i``, in
+        ``adjacency[i]`` order. The list is the graph's own: do not mutate."""
+        return self._pairs[i]
 
     def bond_between(self, a: int, b: int) -> Bond | None:
-        for bi in self.adjacency[a]:
-            if self.bonds[bi].other(a) == b:
-                return self.bonds[bi]
+        for j, bond in self._pairs[a]:
+            if j == b:
+                return bond
         return None
 
     def valence_sum(self, i: int) -> float:
-        return sum(self.bonds[bi].order.valence for bi in self.adjacency[i])
+        return sum(bond.order.valence for _, bond in self._pairs[i])
 
     def mark_rings(self) -> None:
         """Set ``in_ring`` on bonds and atoms.
@@ -228,7 +234,7 @@ class MolecularGraph:
             queue = [start]
             while queue:
                 node = queue.pop()
-                for nxt, _ in self.neighbors(node):
+                for nxt, _ in self._pairs[node]:
                     if not seen[nxt]:
                         seen[nxt] = True
                         comp.append(nxt)

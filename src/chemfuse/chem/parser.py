@@ -150,18 +150,18 @@ class _Parser:
         self.open_rings: dict[str, tuple[int, tuple[BondOrder, BondStereo] | None]] = {}
 
     def run(self) -> MolecularGraph:
+        handlers = {
+            TokenKind.ATOM: self._on_atom,
+            TokenKind.BRACKET_ATOM: self._on_atom,
+            TokenKind.BOND_SYMBOL: self._on_bond,
+            TokenKind.RING_DIGIT: self._on_ring,
+            TokenKind.BRANCH: self._on_branch,
+            TokenKind.DOT: self._on_dot,
+            TokenKind.STEREO_MARK: self._on_stereo,
+            TokenKind.OTHER: self._on_other,
+        }
         for idx, token in enumerate(self.tokens.tokens):
-            handler = {
-                TokenKind.ATOM: self._on_atom,
-                TokenKind.BRACKET_ATOM: self._on_atom,
-                TokenKind.BOND_SYMBOL: self._on_bond,
-                TokenKind.RING_DIGIT: self._on_ring,
-                TokenKind.BRANCH: self._on_branch,
-                TokenKind.DOT: self._on_dot,
-                TokenKind.STEREO_MARK: self._on_stereo,
-                TokenKind.OTHER: self._on_other,
-            }[token.kind]
-            handler(idx, token)
+            handlers[token.kind](idx, token)
         if self.pending is not None:
             raise DanglingBond("bond symbol at end of input")
         if self.branch_stack:

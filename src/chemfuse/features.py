@@ -88,34 +88,38 @@ def featurize(graph: MolecularGraph) -> tuple[np.ndarray, np.ndarray]:
 
 # --------------------------------------------------------------- fingerprint
 
-_MIX_CONST = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+_MIX_CONST = np.uint64(0x9E3779B97F4A7C15)
+_MIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_MUL2 = np.uint64(0x94D049BB133111EB)
+_HASH_START = np.uint64(0x51AFD7ED558CCD25)
 
 
-def _mix64(value: int) -> int:
-    """splitmix64 finalizer: deterministic across platforms and runs."""
-    z = (value + _MIX_CONST) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
-def _hash_tuple(items: tuple) -> int:
-    h = 0x51AFD7ED558CCD25
-    for item in items:
-        h = _mix64(h ^ _mix64(item))
-    return h
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over a ``uint64`` array, wrapping mod 2**64:
+    deterministic across platforms and runs."""
+    z = z + _MIX_CONST
+    z = (z ^ (z >> np.uint64(30))) * _MIX_MUL1
+    z = (z ^ (z >> np.uint64(27))) * _MIX_MUL2
+    return z ^ (z >> np.uint64(31))
 
 
 _ELEMENT_CODE = {sym: i for i, sym in enumerate(
     "H B C N O F Na Mg Si P S Cl K Ca Se Br I".split(), start=1)}
 
 
-def _seed_atom_id(graph: MolecularGraph, i: int) -> int:
-    a = graph.atoms[i]
-    code = _ELEMENT_CODE.get(a.element, 0)
-    return _hash_tuple((code, a.degree, a.formal_charge + 16, a.total_h,
-                        int(a.aromatic)))
+def _seed_atom_ids(graph: MolecularGraph) -> np.ndarray:
+    """Hash of (element code, degree, charge + 16, H count, aromatic) per
+    atom. Items wrap to 64 bits, so a charge below -16 hashes as its two's
+    complement."""
+    items = np.array([
+        [_ELEMENT_CODE.get(a.element, 0), a.degree, (a.formal_charge + 16) & _MASK64,
+         a.total_h & _MASK64, int(a.aromatic)]
+        for a in graph.atoms], dtype=np.uint64).reshape(graph.m, 5)
+    h = np.full(graph.m, _HASH_START, dtype=np.uint64)
+    for column in _mix64(items).T:
+        h = _mix64(h ^ column)
+    return h
 
 
 @dataclass(frozen=True)
@@ -128,9 +132,6 @@ class Fingerprint:
     @property
     def width(self) -> int:
         return int(self.bits.shape[0])
-
-    def popcount(self) -> int:
-        return int(self.bits.sum())
 
     def to_hex(self) -> str:
         return bytes(np.packbits(self.bits.astype(np.uint8))).hex()
@@ -156,35 +157,51 @@ def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
     and are rehashed ``radius`` times over sorted (bond order, neighbor id)
     tuples. An environment whose bond set stopped growing is a duplicate of
     the previous radius and sets no new bit. Bit index = id mod width.
+
+    Every atom of a radius is hashed at once: one sort of the directed
+    edges by (source, bond order, neighbor id) lays out each atom's sorted
+    neighborhood, which is then folded in rank by rank.
     """
     check_fingerprint_shape(radius, width)
+    m = graph.m
     bits = np.zeros(width, dtype=np.uint8)
-    ids = [_seed_atom_id(graph, i) for i in range(graph.m)]
-    for aid in ids:
-        bits[aid % width] = 1
+    ids = _seed_atom_ids(graph)
+    bits[(ids % np.uint64(width)).astype(np.intp)] = 1
 
-    # bond_envs[i] = set of bond indices within the current radius of atom i.
-    bond_envs: list[frozenset[int]] = [frozenset() for _ in range(graph.m)]
-    alive = [True] * graph.m
+    # Directed edges: bond k runs a -> b as edge k and b -> a as edge k + bonds.
+    ends = np.array([(b.a, b.b, b.order.value) for b in graph.bonds],
+                    dtype=np.int64).reshape(-1, 3)
+    src = np.concatenate([ends[:, 0], ends[:, 1]])
+    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    order = np.concatenate([ends[:, 2], ends[:, 2]])
+    mixed_order = _mix64(order.astype(np.uint64))
+    degree = np.bincount(src, minlength=m)
+    first = np.cumsum(degree) - degree  # atom i's edges once sorted by source
+    ranks = []  # (atoms with more than r neighbors, their r-th sorted edge)
+    for r in range(int(degree.max(initial=0))):
+        atoms = np.flatnonzero(degree > r)
+        ranks.append((atoms, first[atoms] + r))
+    env_edges = list(zip(src.tolist(), dst.tolist(),
+                         [1 << k for k in range(len(graph.bonds))] * 2))
+
+    # bond_envs[i] = bitset of bond indices within the current radius of atom i.
+    bond_envs = [0] * m
+    alive = np.ones(m, dtype=bool)
     for _ in range(radius):
-        new_ids = []
-        new_envs = []
-        for i in range(graph.m):
-            neighborhood = tuple(sorted(
-                (bond.order.value, ids[j]) for j, bond in graph.neighbors(i)
-            ))
-            new_ids.append(_hash_tuple((ids[i],) + tuple(
-                x for pair in neighborhood for x in pair)))
-            env = set(bond_envs[i])
-            env.update(graph.adjacency[i])
-            for j, _ in graph.neighbors(i):
-                env.update(bond_envs[j])
-            new_envs.append(frozenset(env))
-        for i in range(graph.m):
-            if alive[i] and new_envs[i] != bond_envs[i]:
-                bits[new_ids[i] % width] = 1
-            elif new_envs[i] == bond_envs[i]:
-                alive[i] = False
+        edge = np.lexsort((ids[dst], order, src))
+        edge_order = mixed_order[edge]
+        mixed_ids = _mix64(ids)
+        edge_id = mixed_ids[dst[edge]]
+        new_ids = _mix64(_HASH_START ^ mixed_ids)
+        for atoms, pos in ranks:
+            h = _mix64(new_ids[atoms] ^ edge_order[pos])
+            new_ids[atoms] = _mix64(h ^ edge_id[pos])
+        new_envs = list(bond_envs)
+        for i, j, bond_bit in env_edges:
+            new_envs[i] |= bond_bit | bond_envs[j]
+        alive &= np.array([new != old for new, old in zip(new_envs, bond_envs)],
+                          dtype=bool)
+        bits[(new_ids[alive] % np.uint64(width)).astype(np.intp)] = 1
         ids = new_ids
         bond_envs = new_envs
     return Fingerprint(bits=bits, radius=radius)

@@ -20,6 +20,7 @@ Token labels are then derived with four rules:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -164,19 +165,6 @@ def atom_environments(graph: MolecularGraph, i: int) -> set[str]:
     return {rule.rule_id for rule in ENVIRONMENTS if rule.matches(graph, i)}
 
 
-def _bond_is_cleavable(graph: MolecularGraph, bond_index: int) -> bool:
-    bond = graph.bonds[bond_index]
-    if bond.order is not BondOrder.SINGLE or bond.in_ring:
-        return False
-    envs_a = atom_environments(graph, bond.a)
-    if not envs_a:
-        return False
-    envs_b = atom_environments(graph, bond.b)
-    return any(
-        frozenset((ea, eb)) in COMPATIBLE_PAIRS for ea in envs_a for eb in envs_b
-    )
-
-
 def brics_cleave(graph: MolecularGraph) -> tuple[int, list[int], list[int]]:
     """Cut every cleavable bond and label atoms by connected component.
 
@@ -184,8 +172,22 @@ def brics_cleave(graph: MolecularGraph) -> tuple[int, list[int], list[int]]:
     ``i`` and ``cleaved`` lists the removed bond indices. Fragment ids are
     numbered by the smallest atom index each fragment contains; a molecule
     with no cleavable bond gets K=1 and all-zero labels.
+
+    A bond is cleavable when it is single, acyclic, and its end atoms match
+    a compatible pair of environments; each atom's environments are
+    computed at most once.
     """
-    cleaved = [bi for bi in range(len(graph.bonds)) if _bond_is_cleavable(graph, bi)]
+    environments = functools.cache(functools.partial(atom_environments, graph))
+    cleaved = []
+    for bi, bond in enumerate(graph.bonds):
+        if bond.order is not BondOrder.SINGLE or bond.in_ring:
+            continue
+        envs_a = environments(bond.a)
+        if not envs_a:
+            continue
+        envs_b = environments(bond.b)
+        if any(frozenset((ea, eb)) in COMPATIBLE_PAIRS for ea in envs_a for eb in envs_b):
+            cleaved.append(bi)
     removed = set(cleaved)
     l_g = [-1] * graph.m
     k = 0
@@ -269,15 +271,3 @@ def build_fragment_map(tokens: TokenSequence, graph: MolecularGraph) -> Fragment
     l_s = label_smiles_tokens(tokens, graph, l_g)
     return FragmentMap(K=k, l_g=tuple(l_g), l_s=tuple(l_s))
 
-
-def fragment_members(fmap: FragmentMap, k: int) -> tuple[list[int], list[int]]:
-    """Atom ids and token ids belonging to fragment ``k``.
-
-    Raises:
-        FragmentOutOfRange: if ``k`` is not in [0, K).
-    """
-    if not 0 <= k < fmap.K:
-        raise FragmentOutOfRange(f"fragment {k} out of range [0, {fmap.K})")
-    atoms = [i for i, label in enumerate(fmap.l_g) if label == k]
-    toks = [i for i, label in enumerate(fmap.l_s) if label == k]
-    return atoms, toks

@@ -8,7 +8,9 @@ identical training runs produce byte-identical checkpoints.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,9 @@ FORMAT_TAG = "chemfuse-checkpoint-v1"
 
 def save_checkpoint(path: str | Path, params: dict[str, Parameter],
                     config: dict, seed: int, step: int) -> None:
+    """Write both files to temporary siblings, then ``os.replace`` each
+    into place, so a failed write leaves the previous checkpoint as it was.
+    An ``OSError`` is raised with no temporary file left behind."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -39,9 +44,20 @@ def save_checkpoint(path: str | Path, params: dict[str, Parameter],
         "config": config,
         "tensors": entries,
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-    (out / "params.bin").write_bytes(bytes(blob))
+    files = {"params.bin": bytes(blob),
+             "manifest.json": (json.dumps(manifest, sort_keys=True, indent=1)
+                               + "\n").encode()}
+    temps = {name: out / f".{name}.tmp" for name in files}
+    try:
+        for name, data in files.items():
+            temps[name].write_bytes(data)
+        for name, temp in temps.items():
+            os.replace(temp, out / name)
+    except OSError:
+        for temp in temps.values():
+            with contextlib.suppress(OSError):  # keep the error being raised
+                temp.unlink()
+        raise
 
 
 class CheckpointCorrupt(ValueError):

@@ -301,7 +301,10 @@ def save_pretrained(path: str | Path, model: PretrainModel, vocab: Vocabulary,
             "strategy": mask_config.strategy.value,
         } if mask_config else None,
     }
-    save_checkpoint(path, model.params, config=config, seed=model.seed, step=step)
+    try:
+        save_checkpoint(path, model.params, config=config, seed=model.seed, step=step)
+    except OSError as exc:
+        raise ConfigError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
 def load_pretrained(path: str | Path) -> tuple[PretrainModel, Vocabulary,

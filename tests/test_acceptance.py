@@ -15,7 +15,7 @@ import pytest
 
 from chemfuse.chem import are_isomorphic, parse_smiles, tokenize, write_smiles
 from chemfuse.encoder import ModelConfig
-from chemfuse.fragments import build_fragment_map, fragment_members, label_smiles_tokens
+from chemfuse.fragments import build_fragment_map, label_smiles_tokens
 from chemfuse.masking import (
     MaskConfig,
     Modality,
@@ -37,6 +37,7 @@ from chemfuse.pipeline import (
 )
 
 from conftest import DATA_DIR, graph_operators
+from oracles import fragment_members
 from test_tensor_nn import fd_check
 
 

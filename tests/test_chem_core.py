@@ -169,6 +169,29 @@ def test_implicit_h_conservation_aliphatic():
         assert atom.implicit_h + int(g.valence_sum(i)) == VALENCE_TABLE[atom.element]
 
 
+
+def test_neighbors_follow_adjacency_order(golden_smiles):
+    # The neighbour table is built beside adjacency as bonds are added; it
+    # must list the same bonds in the same order, for parsed graphs and for
+    # graphs rebuilt from a subset of atoms.
+    from chemfuse.features import murcko_scaffold
+
+    for s in golden_smiles:
+        g, _ = parse_smiles(s)
+        for graph in (g, murcko_scaffold(g)):
+            for i in range(graph.m):
+                pairs = graph.neighbors(i)
+                assert [j for j, _ in pairs] == [
+                    graph.bonds[bi].other(i) for bi in graph.adjacency[i]], s
+                assert all(bond is graph.bonds[bi]
+                           for (_, bond), bi in zip(pairs, graph.adjacency[i])), s
+
+
+def test_parse_rejects_a_second_bond_between_two_atoms():
+    with pytest.raises(DanglingBond, match="duplicate bond"):
+        parse_smiles("C12CC12")
+
+
 # ------------------------------------------------------------------- writer
 
 def test_write_roundtrip_small():

@@ -6,6 +6,7 @@ import json
 import shutil
 import struct
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from chemfuse.cli import _train_config_from, build_parser, main
 from chemfuse.masking import MaskConfig, sample_token_mask
 from chemfuse.nn import CheckpointCorrupt
 from chemfuse.pipeline import (
+    ConfigError,
     Corpus,
     FinetuneResult,
     TrainConfig,
@@ -24,6 +26,7 @@ from chemfuse.pipeline import (
     load_pretrained,
     parse_molecule,
     pretrain,
+    save_pretrained,
     x_cls_of,
 )
 
@@ -397,6 +400,50 @@ def test_exit_code_unusable_checkpoint_path(tmp_path, capsys, blocker):
     lines = err.splitlines()
     assert [line for line in lines if "error" in line] == lines[-1:]
     assert lines[-1].startswith(f"error: cannot create checkpoint directory {ckpt}: ")
+
+
+def test_exit_code_checkpoint_manifest_is_a_directory(tmp_path, capsys):
+    corpus = tmp_path / "c.smi"
+    corpus.write_text("CCO\nCCN\nCC(=O)OC\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim = 16\ntransformer_layers = 1\nheads = 2\n"
+                   "gnn_layers = 1\ngnn_width = 8\nfingerprint_width = 64\n")
+    ckpt = tmp_path / "ck"
+    (ckpt / "manifest.json").mkdir(parents=True)
+    code, _, err = run(capsys, ["pretrain", str(corpus), "--checkpoint", str(ckpt),
+                                "--config", str(cfg), "--epochs", "1"])
+    assert code == 1
+    lines = err.splitlines()
+    assert [line for line in lines if "error" in line] == lines[-1:]
+    assert lines[-1].startswith(f"error: cannot write checkpoint {ckpt}: ")
+    assert not [p.name for p in ckpt.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, checkpoint,
+                                                               monkeypatch):
+    ckpt = tmp_path / "ck"
+    shutil.copytree(checkpoint, ckpt)
+    before = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+    model, vocab, context_vocab, _ = load_pretrained(ckpt)
+    for param in model.params.values():
+        param.data = param.data + 1.0
+    write_bytes = Path.write_bytes
+    writes = []
+
+    def second_write_fails(self, data):
+        writes.append(self)
+        if len(writes) == 2:
+            write_bytes(self, data[:7])   # a partial file, as on a full disk
+            raise OSError(28, "No space left on device")
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", second_write_fails)
+    with pytest.raises(ConfigError, match=f"cannot write checkpoint {ckpt}: "):
+        save_pretrained(ckpt, model, vocab, context_vocab, step=99)
+    monkeypatch.undo()
+    assert len(writes) == 2
+    assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == before
+    load_pretrained(ckpt)
 
 
 @pytest.mark.parametrize("smiles", ["C C", "C&C", "C\u00c4"])

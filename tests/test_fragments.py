@@ -10,9 +10,11 @@ from chemfuse.fragments import (
     atom_environments,
     brics_cleave,
     build_fragment_map,
-    fragment_members,
     label_smiles_tokens,
 )
+
+import oracles
+from oracles import fragment_members
 
 
 def test_single_atom_one_fragment():
@@ -99,6 +101,15 @@ def test_environment_pair_walkthrough_oracle():
             if any(frozenset((x, y)) in COMPATIBLE_PAIRS for x in ea for y in eb):
                 expected.append(bi)
         assert cleaved == expected, s
+
+
+
+def test_cleave_matches_per_bond_oracle(golden_smiles):
+    # Each atom's environments are computed once per molecule; the oracle
+    # recomputes them for every bond and must agree.
+    for s in golden_smiles + oracles.generated_corpus(5, 40):
+        g, _ = parse_smiles(s)
+        assert brics_cleave(g) == oracles.brics_cleave(g), s
 
 
 # ----------------------------------------------------------------- token labels
