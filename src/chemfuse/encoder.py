@@ -32,7 +32,8 @@ from .features import (
     masked_bond_row,
 )
 from .fragments import FragmentMap, FragmentOutOfRange
-from .nn.layers import AttentionParams, GcnLayerParams, affine, gcn_layer, multi_head_attention
+from .nn.layers import (AttentionParams, GcnLayerParams, affine, feed_forward, gcn_layer,
+                        multi_head_attention)
 from .nn.tensor import (
     Parameter,
     Tensor,
@@ -41,7 +42,6 @@ from .nn.tensor import (
     constant,
     embedding_lookup,
     gather_rows,
-    gelu,
     layer_norm_rows,
     segment_mean,
 )
@@ -291,8 +291,7 @@ class MoleculeEncoder:
             attn_out = multi_head_attention(z, self.config.heads, block.attn, lengths,
                                             attn_bias=biases, retain=retain)
             h = layer_norm_rows(add(z, attn_out), *block.ln1)
-            ffn = affine(gelu(affine(h, block.ffn_w1, block.ffn_b1)),
-                         block.ffn_w2, block.ffn_b2)
+            ffn = feed_forward(h, block.ffn_w1, block.ffn_b1, block.ffn_w2, block.ffn_b2)
             z = layer_norm_rows(add(h, ffn), *block.ln2)
             if maps is not None:
                 maps.append(retain)

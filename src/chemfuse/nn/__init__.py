@@ -6,6 +6,7 @@ from .layers import (
     AttentionParams,
     GcnLayerParams,
     affine,
+    feed_forward,
     gcn_layer,
     multi_head_attention,
 )

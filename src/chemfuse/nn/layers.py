@@ -1,5 +1,6 @@
-"""Neural layers: affine, plus multi-head attention and the residual GCN
-layer, each fused into one tape node with a hand-written backward."""
+"""Neural layers: affine, plus the transformer feed-forward block,
+multi-head attention and the residual GCN layer, each fused into one tape
+node with a hand-written backward."""
 
 from __future__ import annotations
 
@@ -13,16 +14,53 @@ from .tensor import (
     Tensor,
     _accumulate,
     _by_length,
+    _gelu,
     _layer_norm_backward,
     _layer_norm_forward,
     _node,
+    _taping,
     add,
     matmul,
 )
 
+#: Elements per row tile of the feed-forward GELU: 256 KiB of float64, so a
+#: tile's temporaries stay in cache; wider layers take fewer rows per tile.
+FFN_TILE = 32768
+
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``affine(gelu(affine(x, w1, b1)), w2, b2)`` as one tape node, bit for
+    bit. The matmuls run whole and the biases are added in place; the GELU
+    runs over row tiles of ``FFN_TILE`` elements, and so does its
+    derivative, made in the forward while the tile is in cache."""
+    if (x.shape[1], w1.shape[1], w2.shape[1]) != (w1.shape[0], w2.shape[0], b2.shape[1]) \
+            or b1.shape != (1, w1.shape[1]) or b2.shape[0] != 1:
+        raise ShapeMismatch(f"feed_forward {x.shape} through {w1.shape}, {b1.shape}, "
+                            f"{w2.shape}, {b2.shape}")
+    hidden = x.data @ w1.data
+    hidden += b1.data
+    deriv = np.empty_like(hidden) if _taping((x, w1, b1, w2, b2)) else None
+    step = max(1, FFN_TILE // hidden.shape[1])
+    for lo in range(0, hidden.shape[0], step):
+        tile = hidden[lo:lo + step]
+        _gelu(tile, tile, None if deriv is None else deriv[lo:lo + step])
+    out_data = hidden @ w2.data
+    out_data += b2.data
+
+    def bwd(g):
+        _accumulate(w2, hidden.T @ g)
+        _accumulate(b2, g.sum(axis=0, keepdims=True))
+        d_hidden = g @ w2.data.T
+        d_hidden *= deriv
+        _accumulate(w1, x.data.T @ d_hidden)
+        _accumulate(b1, d_hidden.sum(axis=0, keepdims=True))
+        _accumulate(x, d_hidden @ w1.data.T)
+
+    return _node(out_data, (x, w1, b1, w2, b2), bwd)
 
 
 @dataclass

@@ -25,10 +25,13 @@ class AdamState:
 
 
 def adam_step(params: Iterable[Parameter], state: AdamState) -> None:
-    """One decoupled-weight-decay Adam update over ``params``.
+    """One decoupled-weight-decay Adam update over ``params``, in place.
 
-    Gradients must already be populated; parameters with all-zero gradients
-    and zero weight decay are left untouched.
+    Gradients must already be populated; a parameter whose grad is None is
+    skipped. A zero gradient does not hold a parameter still: once it has
+    had a non-zero gradient, its moments keep moving it, and weight decay
+    moves it from the first step. A parameter's moment buffers are made at
+    its first step.
     """
     state.step += 1
     t = state.step
@@ -38,13 +41,16 @@ def adam_step(params: Iterable[Parameter], state: AdamState) -> None:
         g = p.grad
         if g is None:
             continue
-        m = state.m.setdefault(p.name, np.zeros_like(p.data))
-        v = state.v.setdefault(p.name, np.zeros_like(p.data))
+        if p.name not in state.m:
+            state.m[p.name], state.v[p.name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        m, v = state.m[p.name], state.v[p.name]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        update = m / bc1
+        update /= np.sqrt(v / bc2) + state.eps
         if state.weight_decay:
-            update = update + state.weight_decay * p.data
-        p.data -= state.lr * update
+            update += state.weight_decay * p.data
+        update *= state.lr
+        p.data -= update

@@ -6,6 +6,13 @@ are shaped (1, 1). Ops are plain functions returning new tensors;
 ``Parameter``. Parameter gradients persist across backward calls until
 ``zero_grad``; intermediate gradients are transient. Inside ``no_grad()``
 ops record nothing: each result is a plain leaf.
+
+Gradients are handed on, not copied. No backward writes into the ``g`` it
+is given, nor into an array it has passed to ``_accumulate``, since that
+array may become another node's gradient as it is. An intermediate keeps
+its first gradient as given and sums later contributions into a new array;
+a ``Parameter`` owns its buffer and adds each contribution into it in
+place, starting from a copy when its grad is None.
 """
 
 from __future__ import annotations
@@ -89,7 +96,12 @@ def constant(data) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires:
         return
-    t.grad = g.copy() if t.grad is None else t.grad + g
+    if t.grad is None:
+        t.grad = g.copy() if isinstance(t, Parameter) else g
+    elif isinstance(t, Parameter):
+        t.grad += g
+    else:
+        t.grad = t.grad + g
 
 
 _recording = True
@@ -105,6 +117,11 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _recording = previous
+
+
+def _taping(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` records a node that ``backward`` runs."""
+    return _recording and any(p.requires for p in parents)
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor],
@@ -234,37 +251,43 @@ _GELU_ALPHA = np.sqrt(2.0 / np.pi)
 _GELU_BETA = 0.044715
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Tanh-form gaussian error linear unit.
-
-    Written with in-place updates to save temporaries; each value is the
-    one the plain formula gives.
+def _gelu(x: np.ndarray, out: np.ndarray, deriv: np.ndarray | None = None) -> None:
+    """Tanh-form GELU of ``x`` into ``out`` (which may be ``x``) and, when
+    given, its derivative into ``deriv``, in place and in this order:
+        t = tanh(alpha * (x + beta * x^3)),  out = 0.5 * x * (1 + t),
+        deriv = 0.5 * x * (1 - t^2) * alpha * (1 + 3 * beta * x^2) + 0.5 * (1 + t).
     """
-    x = a.data
-    t = x * x
-    t *= x
+    square = x * x
+    t = square * x
     t *= _GELU_BETA
     t += x
     t *= _GELU_ALPHA
     np.tanh(t, out=t)
-    out_data = 0.5 * x
-    out_data *= 1.0 + t
-
-    def bwd(g):
-        # 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * alpha * (1 + 3 * beta * x^2)
-        d_inner = x * x
+    half_x = 0.5 * x
+    one_plus_t = 1.0 + t
+    if deriv is not None:
+        d_inner = square
         d_inner *= 3.0 * _GELU_BETA
         d_inner += 1.0
         d_inner *= _GELU_ALPHA
-        da = t * t
-        np.subtract(1.0, da, out=da)
-        da *= 0.5 * x
-        da *= d_inner
-        d_inner[...] = 1.0 + t
-        d_inner *= 0.5
-        da += d_inner
-        da *= g
-        _accumulate(a, da)
+        np.multiply(t, t, out=t)
+        np.subtract(1.0, t, out=t)
+        t *= half_x
+        t *= d_inner
+        np.multiply(one_plus_t, 0.5, out=d_inner)
+        np.add(t, d_inner, out=deriv)
+    np.multiply(half_x, one_plus_t, out=out)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Tanh-form gaussian error linear unit (``layers.feed_forward`` fuses
+    it with the FFN's two affine maps)."""
+    out_data = np.empty_like(a.data)
+    deriv = np.empty_like(a.data) if _taping((a,)) else None
+    _gelu(a.data, out_data, deriv)
+
+    def bwd(g):
+        _accumulate(a, deriv * g)
 
     return _node(out_data, (a,), bwd)
 
@@ -442,7 +465,8 @@ def segment_mean(a: Tensor, segments: Sequence[Sequence[int]]) -> Tensor:
     Every segment must be nonempty. Segments of one length are summed as a
     (G, length, c) stack along its middle axis, which adds each segment's
     rows in order exactly as ``mean(axis=0)`` does, so a segment's mean does
-    not depend on the other segments.
+    not depend on the other segments. Where no row is in two segments, the
+    backward assigns each row's share instead of using ``np.add.at``.
     """
     rows = [np.asarray(s, dtype=np.int64) for s in segments]
     if not rows or min(len(r) for r in rows) < 1:
@@ -452,13 +476,19 @@ def segment_mean(a: Tensor, segments: Sequence[Sequence[int]]) -> Tensor:
     out_data = np.empty((len(rows), a.shape[1]))
     for length, members, idx in groups:
         out_data[members] = a.data[idx].sum(axis=1) / length
+    flat = np.concatenate(rows)
+    disjoint = np.unique(flat).size == flat.size
 
     def bwd(g):
         if not a.requires:
             return
         acc = np.zeros_like(a.data)
         for length, members, idx in groups:
-            np.add.at(acc, idx, (g[members] / length)[:, None, :])
+            share = (g[members] / length)[:, None, :]
+            if disjoint:
+                acc[idx] = share + 0.0  # -0.0 becomes 0.0, as in np.add.at
+            else:
+                np.add.at(acc, idx, share)
         _accumulate(a, acc)
 
     return _node(out_data, (a,), bwd)

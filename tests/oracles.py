@@ -146,3 +146,68 @@ def fragment_members(fmap: FragmentMap, k: int) -> tuple[list[int], list[int]]:
     atoms = [i for i, label in enumerate(fmap.l_g) if label == k]
     toks = [i for i, label in enumerate(fmap.l_s) if label == k]
     return atoms, toks
+
+
+# -------------------------------------------------------------------- nn ops
+
+def gelu_and_derivative(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-form GELU of ``x`` and its derivative, each as its own chain of
+    in-place updates."""
+    alpha, beta = np.sqrt(2.0 / np.pi), 0.044715
+    t = x * x
+    t *= x
+    t *= beta
+    t += x
+    t *= alpha
+    np.tanh(t, out=t)
+    out = 0.5 * x
+    out *= 1.0 + t
+    d_inner = x * x
+    d_inner *= 3.0 * beta
+    d_inner += 1.0
+    d_inner *= alpha
+    da = t * t
+    np.subtract(1.0, da, out=da)
+    da *= 0.5 * x
+    da *= d_inner
+    d_inner[...] = 1.0 + t
+    d_inner *= 0.5
+    da += d_inner
+    return out, da
+
+
+def segment_mean_grad(rows: int, segments, g: np.ndarray) -> np.ndarray:
+    """Gradient of ``segment_mean`` with respect to its ``rows``-row input:
+    every segment adds its share into its rows with ``np.add.at``, segments
+    of one length as one call, lengths in order of first appearance."""
+    acc = np.zeros((rows, g.shape[1]))
+    lengths: dict[int, list[int]] = {}
+    for k, seg in enumerate(segments):
+        lengths.setdefault(len(seg), []).append(k)
+    for length, members in lengths.items():
+        idx = np.stack([np.asarray(segments[k], dtype=np.int64) for k in members])
+        np.add.at(acc, idx, (g[members] / length)[:, None, :])
+    return acc
+
+
+def adam_step(params, state) -> None:
+    """Decoupled-weight-decay Adam with moments made by ``setdefault`` and
+    the update built from fresh temporaries."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for p in params:
+        g = p.grad
+        if g is None:
+            continue
+        m = state.m.setdefault(p.name, np.zeros_like(p.data))
+        v = state.v.setdefault(p.name, np.zeros_like(p.data))
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        if state.weight_decay:
+            update = update + state.weight_decay * p.data
+        p.data -= state.lr * update

@@ -107,7 +107,7 @@ def test_criterion_2_fragment_suite(golden_smiles):
 
 def test_criterion_3_gradient_suite():
     from chemfuse.nn import (
-        AttentionParams, GcnLayerParams, Parameter, gcn_layer, gelu,
+        AttentionParams, GcnLayerParams, Parameter, feed_forward, gcn_layer, gelu,
         layer_norm_rows, matmul, mul, multi_head_attention, normalize_rows,
         relu, softmax_rows, softplus,
     )
@@ -129,7 +129,7 @@ def test_criterion_3_gradient_suite():
         a2, b2 = rp("a2", 3, 3), rp("b2", 3, 4)
         fd_check(lambda: mean_all(matmul(a2, b2)), [a2, b2])
 
-    # Attention and message passing, 5 instances each.
+    # Attention, message passing and the feed-forward block, 5 instances each.
     graph, _ = parse_smiles("CC(=O)N")
     from chemfuse.features import featurize
     _, bond_feats = featurize(graph)
@@ -146,6 +146,9 @@ def test_criterion_3_gradient_suite():
         h = constant(rng.normal(size=(graph.m, 4)))
         fd_check(lambda: mean_all(gcn_layer(h, *ops, gp)),
                  [gp.w, gp.bond_w, gp.ln_gamma, gp.ln_beta])
+        fx = rp("fx", 3, 4)
+        ffn = [rp("fw1", 4, 6), rp("fb1", 1, 6), rp("fw2", 6, 4), rp("fb2", 1, 4)]
+        fd_check(lambda: mean_all(mul(feed_forward(fx, *ffn), x)), [fx, *ffn])
 
     # All five loss heads, 5 random instances each.
     cfg = ModelConfig(vocab_size=9, context_vocab_size=5, dim=8,

@@ -14,12 +14,17 @@ from chemfuse.nn import (
     NotScalarLoss,
     Parameter,
     ShapeMismatch,
+    Tensor,
     adam_step,
     add,
+    affine,
     backward,
+    concat_cols,
     concat_rows,
     constant,
     embedding_lookup,
+    feed_forward,
+    gather_rows,
     gcn_layer,
     gelu,
     layer_norm_rows,
@@ -42,6 +47,9 @@ from chemfuse.nn import (
     transpose,
 )
 
+from chemfuse.nn.layers import FFN_TILE
+
+import oracles
 from conftest import graph_operators
 
 RNG = np.random.default_rng(42)
@@ -354,6 +362,19 @@ def test_grad_segment_mean(trial):
     fd_check(lambda: loss(segment_mean(x, segments)), [x])
 
 
+@pytest.mark.parametrize("segments", [
+    [[0, 1, 2], [5, 3], [4], [7, 6]],                   # disjoint, one row unused
+    [[0, 1, 2], [5, 3], [4], [1, 4], [3, 0], [2, 2]],   # overlapping
+])
+def test_segment_mean_grad_is_bitwise_the_add_at_oracle(segments):
+    x = Tensor(RNG.normal(size=(8, 3)), requires=True)
+    out = segment_mean(x, segments)
+    g = RNG.normal(size=out.shape)
+    g[0, 1] = g[2, 0] = -0.0
+    out._backward(g)
+    assert x.grad.tobytes() == oracles.segment_mean_grad(8, segments, g).tobytes()
+
+
 def test_segment_mean_is_each_segment_mean():
     x = RNG.normal(size=(9, 4))
     segments = [range(0, 3), [8, 2, 5], range(3, 6), [7]]
@@ -493,6 +514,148 @@ def test_grad_gcn_union_of_graphs(trial):
              [h, p.w, p.bond_w, p.ln_gamma, p.ln_beta])
 
 
+# ---------------------------------------------------------------- feed-forward
+
+def _ffn_params(dim, hidden, prefix="f"):
+    return [rand_param(f"{prefix}_w1", dim, hidden), rand_param(f"{prefix}_b1", 1, hidden),
+            rand_param(f"{prefix}_w2", hidden, dim), rand_param(f"{prefix}_b2", 1, dim)]
+
+
+def _unfused_ffn(x, w1, b1, w2, b2):
+    return affine(gelu(affine(x, w1, b1)), w2, b2)
+
+
+def test_gelu_is_bitwise_the_reference():
+    x = RNG.normal(scale=3.0, size=(7, 33))
+    a = Parameter("gelu_in", x)
+    out = gelu(a)
+    g = RNG.normal(size=x.shape)
+    out._backward(g)
+    want, deriv = oracles.gelu_and_derivative(x)
+    assert out.data.tobytes() == want.tobytes()
+    assert a.grad.tobytes() == (0.0 + deriv * g).tobytes()
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_grad_feed_forward(trial):
+    x = rand_param(f"ffx{trial}", 5, 4)
+    params = _ffn_params(4, 6)
+    loss = _weighted_loss((5, 4))
+    fd_check(lambda: loss(feed_forward(x, *params)), [x, *params])
+
+
+@pytest.mark.parametrize("tiles", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
+def test_feed_forward_is_bitwise_the_unfused_chain(tiles):
+    """Rows 1, tile - 1, tile, tile + 1 and 3 * tile + 5: output and all five
+    gradients equal the chain's bit for bit, with and without a tape."""
+    hidden = 256
+    tile = FFN_TILE // hidden
+    rows = tiles[0] * tile + tiles[1]
+    x = rand_param("ffx", rows, 8)
+    params = _ffn_params(8, hidden)
+    weights = constant(RNG.normal(size=(rows, 8)))
+    results = []
+    for op in (_unfused_ffn, feed_forward):
+        for p in (x, *params):
+            p.zero_grad()
+        out = op(x, *params)
+        backward(sum_all(mul(out, weights)))
+        results.append([out.data] + [p.grad for p in (x, *params)])
+    for got, want in zip(results[1], results[0]):
+        assert got.tobytes() == want.tobytes()
+    with no_grad():
+        inferred = feed_forward(x, *params)
+    assert inferred.data.tobytes() == results[0][0].tobytes()
+
+
+def test_feed_forward_rejects_mismatched_shapes():
+    w1, b1, w2, b2 = _ffn_params(4, 6)
+    with pytest.raises(ShapeMismatch):
+        feed_forward(rand_param("x", 3, 5), w1, b1, w2, b2)
+    with pytest.raises(ShapeMismatch):
+        feed_forward(rand_param("x", 3, 4), w1, b2, w2, b2)
+
+
+# ------------------------------------------------------------ gradient ownership
+
+def test_no_backward_writes_into_its_gradient():
+    """Every op's backward, fused ones included, runs on a read-only ``g``:
+    an in-place write into it, or into a gradient handed on from it, raises."""
+    args = _no_grad_params()
+    w, b = args[0], args[1]
+    a = rand_param("own_a", 3, 8)
+    stack = _forward_ops(*args) + [
+        mul(a, a), sub(a, scale(a, 0.5)), transpose(a), relu(a), softmax_rows(a),
+        pick(a, [0, 3, 7]), concat_cols([a, a]), sum_all(a), gather_rows(a, [2, 0]),
+        segment_mean(a, [[0, 1], [1, 2]]), feed_forward(a, *_ffn_params(8, 16, "own")),
+        add(matmul(a, transpose(w)), constant(np.ones((1, 6)))), mean_rows(add(w, b)),
+    ]
+    seen, ops = set(), set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        if node._backward is None:
+            continue
+        ops.add(node._backward.__qualname__.split(".")[0])
+        g = RNG.normal(size=node.shape)
+        g.flags.writeable = False
+        node._backward(g)
+    assert ops >= {
+        "add", "mul", "scale", "matmul", "transpose", "relu", "gelu", "softplus",
+        "softmax_rows", "log_softmax_rows", "layer_norm_rows", "embedding_lookup",
+        "concat_rows", "concat_cols", "pick", "sum_all", "mean_all", "segment_mean",
+        "normalize_rows", "multi_head_attention", "gcn_layer", "feed_forward"}
+
+
+@pytest.mark.parametrize("build, x_grad, y_grad", [
+    (lambda h, k: add(h, h), lambda w: w + w, None),
+    (lambda h, k: concat_rows([h, h]), lambda w: w[:4] + w[4:], None),
+    # add hands one array to both inputs: h's later share must not change k's.
+    (lambda h, k: add(add(h, k), h), lambda w: w + w, lambda w: w),
+])
+def test_grad_of_an_intermediate_used_twice(build, x_grad, y_grad):
+    x, y = rand_param("hx", 4, 6), rand_param("hy", 4, 6)
+    out = build(scale(x, 0.5), scale(y, 0.5))
+    weights = RNG.normal(size=out.shape)
+    x.zero_grad()
+    y.zero_grad()
+    backward(sum_all(mul(out, constant(weights))))
+    assert x.grad.tobytes() == (0.5 * x_grad(weights)).tobytes()
+    if y_grad is None:
+        assert not y.grad.any()
+    else:
+        assert y.grad.tobytes() == (0.5 * y_grad(weights)).tobytes()
+
+
+@pytest.mark.parametrize("trial", range(2))
+def test_grad_one_tensor_feeding_two_feed_forwards(trial):
+    x = rand_param(f"two{trial}", 3, 4)
+    first, second = _ffn_params(4, 6, "one"), _ffn_params(4, 6, "two")
+    loss = _weighted_loss((3, 4))
+
+    def build():
+        h = scale(x, 0.5)
+        return loss(add(feed_forward(h, *first), feed_forward(h, *second)))
+
+    fd_check(build, [x, *first, *second])
+
+
+def test_two_backward_calls_accumulate():
+    x = rand_param("acc_x", 3, 4)
+    params = _ffn_params(4, 6, "acc")
+    loss = _weighted_loss((3, 4))(feed_forward(scale(x, 0.5), *params))
+    for p in (x, *params):
+        p.zero_grad()
+    backward(loss)
+    once = [p.grad.copy() for p in (x, *params)]
+    backward(loss)
+    for p, g in zip((x, *params), once):
+        assert p.grad.tobytes() == (g + g).tobytes()
+
+
 # ------------------------------------------------------------------------ adam
 
 def test_adam_zero_grad_no_move():
@@ -521,6 +684,41 @@ def test_adam_converges_2d_quadratic():
         backward(sum_all(mul(w, w)))
         adam_step([w], state)
     assert np.abs(w.data).max() < 1e-3
+
+
+def test_adam_zero_grad_after_a_step_still_moves():
+    w = Parameter("w", np.array([[1.0, -2.0]]))
+    state = AdamState(lr=0.1)
+    w.grad = np.array([[0.5, -0.5]])
+    adam_step([w], state)
+    after_first = w.data.copy()
+    w.zero_grad()
+    adam_step([w], state)
+    assert np.all(w.data != after_first)
+    assert np.all(np.abs(w.data - after_first) > 0.05)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_is_bitwise_the_reference(weight_decay):
+    rng = np.random.default_rng(5)
+    shapes = {"a": (3, 4), "b": (1, 4), "c": (2, 2)}
+    mine = [Parameter(n, rng.normal(size=s)) for n, s in shapes.items()]
+    ref = [Parameter(n, p.data.copy()) for n, p in zip(shapes, mine)]
+    states = AdamState(lr=0.01, weight_decay=weight_decay), \
+        AdamState(lr=0.01, weight_decay=weight_decay)
+    for step in range(5):
+        grads = [rng.normal(size=s) for s in shapes.values()]
+        grads[1] = None if step == 2 else grads[1]
+        grads[2] = np.zeros(shapes["c"]) if step >= 3 else grads[2]
+        for params in (mine, ref):
+            for p, g in zip(params, grads):
+                p.grad = None if g is None else g.copy()
+        adam_step(mine, states[0])
+        oracles.adam_step(ref, states[1])
+        for p, q in zip(mine, ref):
+            assert p.data.tobytes() == q.data.tobytes()
+            assert states[0].m[p.name].tobytes() == states[1].m[q.name].tobytes()
+            assert states[0].v[p.name].tobytes() == states[1].v[q.name].tobytes()
 
 
 def test_adam_weight_decay_decoupled():
