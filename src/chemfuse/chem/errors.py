@@ -1,7 +1,9 @@
 """Exception types raised by the SMILES tokenizer, parser and graph tools."""
 
+from ..errors import InputError
 
-class SmilesError(ValueError):
+
+class SmilesError(InputError):
     """Base class for all SMILES processing errors."""
 
 

@@ -1,9 +1,10 @@
 """SMILES parser: token stream to molecular graph with provenance.
 
-Supported grammar: organic-subset atoms, bracket atoms with charge /
-explicit H / chirality, ring closures (including ``%nn``), branches, bond
-symbols ``- = # : / \\``, dots, and bare ``@`` / ``@@`` marks. Isotopes,
-wildcard atoms and quadruple bonds are rejected with a clear error.
+Supported grammar: organic-subset atoms, bracket atoms with a charge of at
+most two digits or ``++`` / ``--``, one H digit and chirality (OpenSMILES),
+ring closures (including ``%nn``), branches, bond symbols ``- = # : / \\``,
+dots, and bare ``@`` / ``@@`` marks. Isotopes, wildcard atoms and quadruple
+bonds are rejected with a clear error.
 
 Aromaticity is taken as written (lowercase atoms, ``:`` bonds); there is no
 kekulization or perception pass. Implicit hydrogens come from a fixed
@@ -64,7 +65,7 @@ _BOND_FOR_SYMBOL = {
 
 _BRACKET_RE = re.compile(
     r"\[(?P<isotope>\d+)?(?P<symbol>[A-Za-z][a-z]?|\*)(?P<chiral>@{1,2})?"
-    r"(?P<hcount>H\d*)?(?P<charge>\+\d+|-\d+|\++|-+)?(?P<map>:\d+)?\]"
+    r"(?P<hcount>H\d?)?(?P<charge>[+-]\d{1,2}|\+\+?|--?)?(?P<map>:\d+)?\]"
 )
 
 

@@ -14,34 +14,20 @@ import warnings
 
 import numpy as np
 
-from .chem import SmilesError, TokenKind, parse_smiles, tokenize, write_smiles
+from .chem import TokenKind, parse_smiles, tokenize, write_smiles
 from .chem.tokenizer import unsupported
-from .encoder import (
-    LayerOutOfRange,
-    ModelConfig,
-    ModelConfigError,
-    PositionOverflow,
-    dump_attention,
-)
-from .features import (
-    BadFingerprintShape,
-    EmptyCorpus,
-    check_fingerprint_shape,
-    group_names_present,
-    morgan_fingerprint,
-    murcko_scaffold,
-)
+from .encoder import ModelConfig, dump_attention
+from .errors import InputError
+from .features import (check_fingerprint_shape, group_names_present, morgan_fingerprint,
+                        murcko_scaffold)
 from .fragments import build_fragment_map
-from .masking import MaskConfig, Strategy, sample_fragment_mask, sample_token_mask
-from .metrics import DegenerateInput, concordance_index, mse, rmse, roc_auc
-from .nn import CheckpointCorrupt, no_grad
+from .masking import (MaskConfig, Strategy, build_context_vocab, sample_fragment_mask,
+                       sample_token_mask)
+from .metrics import concordance_index, mse, rmse, roc_auc
+from .nn import no_grad
 from .pipeline import (
-    AllLinesFailed,
     ConfigError,
     Corpus,
-    EmptySplit,
-    FileUnreadable,
-    InvalidLabel,
     SplitMode,
     TaskKind,
     TrainConfig,
@@ -58,11 +44,6 @@ from .pipeline import (
     pretrain,
     similarity,
 )
-from .masking import build_context_vocab
-
-
-class InputError(ValueError):
-    """User-facing input problem: bad flags, files, or molecule lines."""
 
 
 def _smiles_column(path: str | None):
@@ -156,10 +137,7 @@ def _train_config_from(args, cfg: dict) -> TrainConfig:
 
 
 def cmd_mask(args) -> int:
-    try:
-        cfg = MaskConfig(**_settings(args, {}, MASK_KEYS | {"seed": int}))
-    except ValueError as exc:
-        raise ConfigError(f"mask flags: {exc}") from exc
+    cfg = MaskConfig(**_settings(args, {}, MASK_KEYS | {"seed": int}))
     molecules = [parse_molecule(s) for s in _smiles_column(args.input)]
     if not molecules:
         raise InputError("no molecules to mask")
@@ -184,12 +162,8 @@ def cmd_pretrain(args) -> int:
     model_kwargs = _settings(args, cfg, MODEL_KEYS)
     # Checked with the smallest vocabularies before any input is read.
     ModelConfig(vocab_size=3, context_vocab_size=1, **model_kwargs)
-    ratios = _settings(args, cfg, MASK_KEYS)
-    try:
-        mask_cfg = MaskConfig(**ratios, strategy=Strategy(args.mask_strategy),
-                              seed=train_cfg.seed)
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    mask_cfg = MaskConfig(**_settings(args, cfg, MASK_KEYS),
+                          strategy=Strategy(args.mask_strategy), seed=train_cfg.seed)
     corpus = ingest(args.input)
     print(f"ingested {len(corpus)} molecules ({corpus.skipped} skipped)",
           file=sys.stderr)
@@ -275,14 +249,11 @@ def cmd_metrics(args) -> int:
     if not rows:
         raise InputError("no rows for metrics")
     preds, truths = zip(*rows)
-    try:
-        if args.task == "cls":
-            results = {"roc_auc": roc_auc(preds, truths)}
-        else:
-            results = {"rmse": rmse(preds, truths), "mse": mse(preds, truths),
-                       "ci": concordance_index(preds, truths)}
-    except DegenerateInput as exc:
-        raise InputError(str(exc)) from exc
+    if args.task == "cls":
+        results = {"roc_auc": roc_auc(preds, truths)}
+    else:
+        results = {"rmse": rmse(preds, truths), "mse": mse(preds, truths),
+                   "ci": concordance_index(preds, truths)}
     for name, value in results.items():
         print(f"{name}\t{value:.6f}")
     return 0
@@ -378,10 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.fn(args)
-    except (SmilesError, InputError, FileUnreadable, AllLinesFailed,
-            EmptySplit, EmptyCorpus, ConfigError, FileNotFoundError,
-            PositionOverflow, LayerOutOfRange, ModelConfigError, InvalidLabel,
-            CheckpointCorrupt, BadFingerprintShape) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .chem.graph import MolecularGraph
+from .errors import InputError
 from .features import (
     ATOM_FEATURE_DIM,
     BOND_FEATURE_DIM,
@@ -53,7 +54,7 @@ PAD_ID, MASK_ID, UNK_ID = 0, 1, 2
 BLOCK = -1e30
 
 
-class PositionOverflow(ValueError):
+class PositionOverflow(InputError):
     """Token sequence longer than the configured position table."""
 
 
@@ -61,11 +62,11 @@ class RetentionDisabled(RuntimeError):
     """Attention maps were requested but not retained during the forward."""
 
 
-class LayerOutOfRange(IndexError):
+class LayerOutOfRange(InputError, IndexError):
     """Attention dump asked for a layer the model does not have."""
 
 
-class ModelConfigError(ValueError):
+class ModelConfigError(InputError):
     """Encoder dimensions that are out of range or do not fit together."""
 
 

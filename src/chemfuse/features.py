@@ -14,6 +14,7 @@ import numpy as np
 from .chem.canon import canonical_key
 from .chem.graph import Atom, Bond, BondOrder, Chirality, MolecularGraph
 from .chem.parser import _fill_implicit_h
+from .errors import InputError
 
 # ------------------------------------------------------------------ features
 
@@ -137,7 +138,7 @@ class Fingerprint:
         return bytes(np.packbits(self.bits.astype(np.uint8))).hex()
 
 
-class BadFingerprintShape(ValueError):
+class BadFingerprintShape(InputError):
     """A fingerprint radius below 0, or a width that is not a power of two
     of at least 64."""
 
@@ -500,7 +501,7 @@ def scaffold_key(graph: MolecularGraph) -> str:
     return canonical_key(murcko_scaffold(graph))
 
 
-class EmptyCorpus(ValueError):
+class EmptyCorpus(InputError):
     """Raised when a split or vocabulary build receives no molecules."""
 
 

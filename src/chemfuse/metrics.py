@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
 
-class DegenerateInput(ValueError):
+
+class DegenerateInput(InputError):
     """Metric undefined for this input (single class, or no ordered pairs)."""
 
 

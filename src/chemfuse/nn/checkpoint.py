@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import InputError
 from .tensor import Parameter
 
 FORMAT_TAG = "chemfuse-checkpoint-v1"
@@ -60,7 +61,7 @@ def save_checkpoint(path: str | Path, params: dict[str, Parameter],
         raise
 
 
-class CheckpointCorrupt(ValueError):
+class CheckpointCorrupt(InputError):
     """A checkpoint's manifest and blob do not describe the same tensors."""
 
 

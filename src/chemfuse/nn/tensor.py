@@ -76,7 +76,9 @@ class Parameter(Tensor):
         self.grad = np.zeros_like(arr)
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        self.grad.fill(0.0)
 
 
 def constant(data) -> Tensor:
@@ -297,7 +299,8 @@ def softplus(a: Tensor) -> Tensor:
     out_data = np.logaddexp(0.0, x)
 
     def bwd(g):
-        _accumulate(a, g / (1.0 + np.exp(-x)))
+        with np.errstate(over="ignore"):  # exp(-x) = inf gives the exact 0
+            _accumulate(a, g / (1.0 + np.exp(-x)))
 
     return _node(out_data, (a,), bwd)
 

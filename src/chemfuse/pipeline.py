@@ -26,6 +26,7 @@ import numpy as np
 from .chem import SmilesError, parse_smiles
 from .chem.graph import MolecularGraph, TokenSequence
 from .encoder import UNK_ID, ModelConfig, MoleculeEncoder, ParamFactory, PositionOverflow
+from .errors import InputError
 from .features import (
     EmptyCorpus,
     N_GROUPS,
@@ -84,24 +85,37 @@ from .objectives import (
 )
 
 
-class FileUnreadable(OSError):
+class FileUnreadable(InputError, OSError):
     """The corpus or task file cannot be read."""
 
 
-class AllLinesFailed(ValueError):
+class AllLinesFailed(InputError):
     """Every line of the input failed to parse."""
 
 
-class EmptySplit(ValueError):
+class EmptySplit(InputError):
     """A train/valid/test split received zero molecules."""
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """A config file line or value cannot be used."""
 
 
-class InvalidLabel(ValueError):
+class InvalidLabel(InputError):
     """A task row whose label cannot be a target of its task kind."""
+
+
+class TrainingDiverged(InputError):
+    """Training met a NaN or infinity, as a far too large learning rate makes."""
+
+
+@contextlib.contextmanager
+def _diverges_at(where: str) -> Iterator[None]:
+    """Report a NaN or infinity raised in the block as a diverged run."""
+    try:
+        yield
+    except NonFiniteInput as exc:
+        raise TrainingDiverged(f"non-finite loss at {where}: {exc}") from exc
 
 
 # ------------------------------------------------------------------ vocabulary
@@ -449,7 +463,7 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
     fragment-masked view in the same batch (CMM); ablation strategies
     contribute a single view and a zero fragment term. Molecules longer
     than the position table are skipped, with a count on stderr. A NaN in
-    any component aborts with the offending batch index. When
+    any component raises TrainingDiverged naming the batch. When
     ``checkpoint_dir`` is set, it is created before the first step (a
     ConfigError if it cannot be) and a checkpoint is (re)written after each
     epoch.
@@ -497,7 +511,7 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
         shuffled = [records[i] for i in order]
         size = train_config.batch_size
         for batch_index, start in enumerate(range(0, len(shuffled), size)):
-            try:
+            with _diverges_at(f"epoch {epoch} batch {batch_index}"):
                 total, report, _ = _step_losses(
                     model, shuffled[start:start + size], mask_config, epoch,
                     base_index=start, train_seed=train_config.seed)
@@ -505,10 +519,6 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
                     p.zero_grad()
                 backward(total)
                 del total  # the tape is not needed while the next one is built
-            except NonFiniteInput as exc:
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch} batch {batch_index}: {exc}"
-                ) from exc
             optimizer.lr = learning_rate_at(step, total_steps,
                                             train_config.warmup_steps,
                                             train_config.lr)
@@ -708,14 +718,16 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
     history = []
     for epoch in range(epochs):
         order = order_rng.permutation(len(train_idx))
-        for lo in range(0, len(order), batch_size):
+        for batch_index, lo in enumerate(range(0, len(order), batch_size)):
             chunk = [train_idx[i] for i in order[lo:lo + batch_size]]
-            loss = _task_loss(head_forward(chunk, train=True), labels[chunk], task.kind)
-            for p in trainable:
-                p.zero_grad()
-            backward(loss)
+            with _diverges_at(f"epoch {epoch} batch {batch_index}"):
+                loss = _task_loss(head_forward(chunk, train=True), labels[chunk], task.kind)
+                for p in trainable:
+                    p.zero_grad()
+                backward(loss)
             adam_step(trainable, optimizer)
-        val = eval_loss(valid_idx)
+        with _diverges_at(f"epoch {epoch} validation"):
+            val = eval_loss(valid_idx)
         history.append({"epoch": epoch, "valid_loss": val})
         if val < best[0]:
             best = (val, epoch, [p.data.copy() for p in trainable])

@@ -107,6 +107,21 @@ def test_parse_ammonium():
     assert len(g.bonds) == 0
 
 
+@pytest.mark.parametrize("smiles, charge, hydrogens", [
+    ("[C-20]", -20, 0), ("[Fe++]", 2, 0), ("[O--]", -2, 0), ("[NH4+]", 1, 4),
+    ("[CH]", 0, 1), ("[Co+3]", 3, 0)])
+def test_parse_bracket_charge_and_hcount(smiles, charge, hydrogens):
+    atom = parse_smiles(smiles)[0].atoms[0]
+    assert (atom.formal_charge, atom.explicit_h) == (charge, hydrogens)
+
+
+@pytest.mark.parametrize("smiles", ["[C-100]", "[C+999]", "[C+++]", "[O---]",
+                                    "[NH10]", "[CH99999999999999999999]"])
+def test_parse_rejects_brackets_outside_the_grammar(smiles):
+    with pytest.raises(SmilesError, match="malformed bracket atom"):
+        parse_smiles(smiles)
+
+
 def test_parse_provenance_bijection():
     g, seq = parse_smiles("CC(=O)N[C@H]1CCCC1.O")
     atom_tokens = [i for i, t in enumerate(seq.tokens) if t.is_atom]

@@ -165,6 +165,27 @@ def test_exit_code_mask_bad_ratio(capsys, monkeypatch, flags):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+#: Out-of-grammar bracket atoms: a 23-digit charge and a 20-digit H count.
+HUGE_BRACKETS = "[C-99999999999999999999999]CC[NH99999999999999999999]"
+
+
+@pytest.mark.parametrize("command", ["parse", "groups", "fragment", "fingerprint",
+                                     "mask", "scaffold"])
+def test_exit_code_bracket_outside_the_grammar(capsys, monkeypatch, command):
+    code, out, err = run(capsys, [command], stdin=HUGE_BRACKETS + "\n",
+                         monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err == "error: malformed bracket atom '[C-99999999999999999999999]'\n"
+
+
+def test_tokenize_does_not_check_bracket_contents(capsys, monkeypatch):
+    code, out, _ = run(capsys, ["tokenize"], stdin=HUGE_BRACKETS + "\n",
+                       monkeypatch=monkeypatch)
+    assert code == 0
+    assert out == "[C-99999999999999999999999] C C [NH99999999999999999999]\n"
+
+
 @pytest.mark.parametrize("flags", [["--width", "0"], ["--width", "100"],
                                    ["--radius", "-1"]])
 def test_exit_code_fingerprint_bad_flags(capsys, monkeypatch, flags):
@@ -695,3 +716,45 @@ def test_pretrain_skips_overlong_molecules(tmp_path, capsys):
     code, _, err = run(capsys, argv)
     assert code == 1
     assert err.splitlines()[-1].startswith("error: ")
+
+
+def _diverged_error(err: str) -> str:
+    """The one ``error:`` line of a diverged run's stderr."""
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "internal error" not in err
+    assert errors[0].startswith("error: non-finite loss at epoch ")
+    return errors[0]
+
+
+def test_exit_code_pretrain_diverges(tmp_path, capsys):
+    corpus = tmp_path / "c.smi"
+    corpus.write_text("CCO\nCCN\nCC(=O)OC\nc1ccccc1\nCCCC\nCCOCC\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim = 16\ntransformer_layers = 1\nheads = 2\n"
+                   "gnn_layers = 1\ngnn_width = 8\nfingerprint_width = 64\n")
+    code, _, err = run(capsys, ["pretrain", str(corpus), "--checkpoint",
+                                str(tmp_path / "ckpt"), "--config", str(cfg),
+                                "--epochs", "2", "--batch-size", "3", "--lr", "1e300"])
+    assert code == 1
+    assert _diverged_error(err).startswith("error: non-finite loss at epoch 0 batch 1: ")
+
+
+@pytest.mark.parametrize("flags", [[], ["--freeze-encoder"]])
+def test_exit_code_finetune_diverges(tmp_path, checkpoint, capsys, flags):
+    code, out, err = run(capsys, [
+        "finetune", str(_twelve_row_task(tmp_path)), "--checkpoint", checkpoint,
+        "--split", "random", "--lr", "1e300"] + flags)
+    assert code == 1
+    assert out == ""
+    _diverged_error(err)
+
+
+def test_exit_code_finetune_on_labels_near_the_float64_limit(tmp_path, checkpoint, capsys):
+    f = tmp_path / "task.tsv"
+    f.write_text("".join(f"{s}\t{'-' if i % 2 else ''}1e308\n" for i, s in enumerate(
+        ["CCO", "CCN", "CCC", "CCS", "COC", "CCCC", "CCCO", "CCCN", "CCOC", "CCCS"])))
+    code, out, err = run(capsys, ["finetune", str(f), "--checkpoint", checkpoint,
+                                  "--task", "reg", "--split", "random"])
+    assert code == 1
+    assert out == ""
+    _diverged_error(err)

@@ -180,11 +180,14 @@ def test_fp_matches_loop_oracle_on_large_molecules():
 @pytest.mark.filterwarnings("error")
 def test_fp_matches_loop_oracle_on_extreme_items():
     # A charge below -16 makes a negative hash item, which wraps to 64 bits;
-    # so do counts past 2**64. The empty scaffold has no atoms at all.
-    smiles = ("[C-20]", "[C-20]C(=O)[N+3]", "[C-99999999999999999999999]",
-              "[CH99999999999999999999]C", "[Na+].[Cl-]", "C.C")
+    # so do counts past 2**64, which only atoms built outside the SMILES
+    # grammar can hold. The empty scaffold has no atoms at all.
+    smiles = ("[C-20]", "[C-20]C(=O)[N+3]", "[Na+].[Cl-]", "C.C")
     graphs = [parse_smiles(s)[0] for s in smiles]
-    graphs.append(murcko_scaffold(parse_smiles("CCO")[0]))
+    huge_charge, huge_h = parse_smiles("[C]")[0], parse_smiles("[CH]C")[0]
+    huge_charge.atoms[0].formal_charge = -10**23
+    huge_h.atoms[0].explicit_h = 10**20
+    graphs += [huge_charge, huge_h, murcko_scaffold(parse_smiles("CCO")[0])]
     assert graphs[-1].m == 0
     _assert_fp_matches_oracle(graphs)
 

@@ -163,6 +163,22 @@ def test_backward_accumulates_until_zeroed():
     assert np.all(w.grad == 0)
 
 
+def test_zero_grad_zeroes_the_buffer_in_place():
+    w = rand_param("w", 2, 3)
+    backward(sum_all(w))
+    buffer = w.grad
+    w.zero_grad()
+    assert w.grad is buffer
+    assert buffer.tobytes() == np.zeros((2, 3)).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_softplus_backward_far_below_zero_is_zero_without_a_warning():
+    x = Parameter("x", np.full((1, 2), -1000.0))
+    backward(sum_all(softplus(x)))
+    assert x.grad.tobytes() == np.zeros((1, 2)).tobytes()
+
+
 def test_backward_rejects_nonscalar_and_nonfinite():
     w = rand_param("w", 2, 2)
     with pytest.raises(NotScalarLoss):
@@ -560,7 +576,7 @@ def test_feed_forward_is_bitwise_the_unfused_chain(tiles):
             p.zero_grad()
         out = op(x, *params)
         backward(sum_all(mul(out, weights)))
-        results.append([out.data] + [p.grad for p in (x, *params)])
+        results.append([out.data] + [p.grad.copy() for p in (x, *params)])
     for got, want in zip(results[1], results[0]):
         assert got.tobytes() == want.tobytes()
     with no_grad():
