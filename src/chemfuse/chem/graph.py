@@ -139,6 +139,9 @@ class MolecularGraph:
     adjacency: list[list[int]] = field(default_factory=list)
     _pairs: list[list[tuple[int, Bond]]] = field(
         default_factory=list, init=False, repr=False, compare=False)
+    #: ``features.featurize``'s rows of this graph, made on first use (a
+    #: parsed graph does not change after ``parse_smiles`` returns it).
+    feature_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:

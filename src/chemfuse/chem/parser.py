@@ -147,7 +147,8 @@ class _Parser:
         self.graph = MolecularGraph()
         self.prev: int | None = None
         self.pending: tuple[BondOrder, BondStereo] | None = None
-        self.branch_stack: list[int] = []
+        #: Per open branch: the atom it hangs from and the atom count at '('.
+        self.branch_stack: list[tuple[int, int]] = []
         self.open_rings: dict[str, tuple[int, tuple[BondOrder, BondStereo] | None]] = {}
 
     def run(self) -> MolecularGraph:
@@ -234,13 +235,13 @@ class _Parser:
         if token.text == "(":
             if self.prev is None:
                 raise DanglingBond("branch '(' with no preceding atom")
-            self.branch_stack.append(self.prev)
+            self.branch_stack.append((self.prev, self.graph.m))
         else:
             if not self.branch_stack:
                 raise SmilesError("branch ')' without matching '('")
-            if self.tokens.tokens[idx - 1].text == "(":
+            self.prev, atoms_before = self.branch_stack.pop()
+            if self.graph.m == atoms_before:  # OpenSMILES: a branch holds a chain
                 raise SmilesError("empty branch '()'")
-            self.prev = self.branch_stack.pop()
 
     def _on_dot(self, idx: int, token: Token) -> None:
         if self.pending is not None:

@@ -104,29 +104,49 @@ class ModelConfig:
 class JointEncoding:
     """Transformer output rows of one or more views, packed without padding.
 
-    View k owns the rows ``starts[k]`` onwards of ``x``: its ``n[k]`` token
-    rows, then its ``m[k]`` atom rows. Row k of ``x_cls`` is their mean.
-    ``attention`` holds, per layer, each view's per-head maps in view order.
+    View k owns the rows ``starts[k]`` onwards of ``x``. ``read[k]`` is None
+    when they are all its ``n[k]`` token rows and then its ``m[k]`` atom
+    rows, or else the positions (token i is position i, atom j is
+    ``n[k] + j``) whose rows, in that order, are all the view keeps; see
+    ``rows``. ``x_cls`` holds the mean of each full view's rows, one row per
+    full view in view order: a partial view has none. ``attention`` holds,
+    per layer, each view's per-head maps in view order.
     """
 
     x: Tensor
-    x_cls: Tensor
+    x_cls: Tensor | None
     n: tuple[int, ...]
     m: tuple[int, ...]
     attention: list[list[np.ndarray]] | None = None
     starts: tuple[int, ...] = ()
+    read: tuple[tuple[int, ...] | None, ...] = ()
 
     def __post_init__(self):
+        if not self.read:
+            self.read = (None,) * len(self.n)
         if not self.starts:
-            lengths = [a + b for a, b in zip(self.n, self.m)]
-            self.starts = tuple(accumulate(lengths[:-1], initial=0))
+            kept = [a + b if r is None else len(r) for a, b, r in zip(self.n, self.m, self.read)]
+            self.starts = tuple(accumulate(kept[:-1], initial=0))
+
+    def rows(self, view: int, positions: Sequence[int]) -> list[int]:
+        """The rows of ``x`` that hold ``positions`` of view ``view``."""
+        start, read = self.starts[view], self.read[view]
+        if read is None:
+            return [start + p for p in positions]
+        row_of = {p: start + r for r, p in enumerate(read)}
+        return [row_of[p] for p in positions]
 
     def views(self, picked: range) -> JointEncoding:
-        """The views ``picked``; they still read the shared rows ``x``."""
-        return JointEncoding(x=self.x, x_cls=gather_rows(self.x_cls, picked),
+        """The views ``picked``; they still read the shared rows ``x``, and
+        their ``x_cls`` holds the rows of those kept in full."""
+        full = list(accumulate((r is None for r in self.read), initial=0))
+        cls_rows = [full[k] for k in picked if self.read[k] is None]
+        return JointEncoding(x=self.x,
+                             x_cls=gather_rows(self.x_cls, cls_rows) if cls_rows else None,
                              n=tuple(self.n[k] for k in picked),
                              m=tuple(self.m[k] for k in picked),
-                             starts=tuple(self.starts[k] for k in picked))
+                             starts=tuple(self.starts[k] for k in picked),
+                             read=tuple(self.read[k] for k in picked))
 
 
 @dataclass
@@ -268,15 +288,20 @@ class MoleculeEncoder:
 
     def joint_encode(self, z: Tensor, n: tuple[int, ...], m: tuple[int, ...],
                      block_cross_modality: Sequence[bool],
-                     retain_attention: bool = False) -> JointEncoding:
+                     retain_attention: bool = False,
+                     read: Sequence[tuple[int, ...] | None] = ()) -> JointEncoding:
         """Run the transformer stack over packed views.
 
         View k owns the next ``n[k]`` token rows and then ``m[k]`` atom rows
         of ``z``. Where ``block_cross_modality[k]`` is set, a block-diagonal
         attention bias lets each modality of view k attend only to itself
         (the single-modality-masking ablation); elsewhere attention crosses
-        modalities.
+        modalities. ``read[k]`` (default: None for every view) is None to
+        keep every row of view k, or the positions its caller reads: the last
+        block's attention still runs over every row, and its layer norms and
+        feed-forward over the read rows only (see ``JointEncoding``).
         """
+        read = tuple(read) or (None,) * len(n)
         biases = []
         for a, b, blocked in zip(n, m, block_cross_modality):
             bias = None
@@ -286,30 +311,44 @@ class MoleculeEncoder:
                 bias[a:, :a] = BLOCK
             biases.append(bias)
         lengths = [a + b for a, b in zip(n, m)]
+        kept = None
+        if any(r is not None for r in read):
+            kept = np.concatenate([
+                np.arange(s, s + length) if r is None else s + np.asarray(r, dtype=np.int64)
+                for s, length, r in zip(accumulate(lengths, initial=0), lengths, read)])
         maps: list[list[np.ndarray]] | None = [] if retain_attention else None
-        for block in self.blocks:
+        for layer, block in enumerate(self.blocks):
             retain = [] if retain_attention else None
             attn_out = multi_head_attention(z, self.config.heads, block.attn, lengths,
                                             attn_bias=biases, retain=retain)
-            h = layer_norm_rows(add(z, attn_out), *block.ln1)
+            h = add(z, attn_out)
+            if kept is not None and layer == len(self.blocks) - 1:
+                h = gather_rows(h, kept)
+            h = layer_norm_rows(h, *block.ln1)
             ffn = feed_forward(h, block.ffn_w1, block.ffn_b1, block.ffn_w2, block.ffn_b2)
             z = layer_norm_rows(add(h, ffn), *block.ln2)
             if maps is not None:
                 maps.append(retain)
-        starts = tuple(accumulate(lengths[:-1], initial=0))
-        x_cls = segment_mean(z, [range(s, s + length) for s, length in zip(starts, lengths)])
-        return JointEncoding(x=z, x_cls=x_cls, n=n, m=m, attention=maps, starts=starts)
+        if kept is not None and not self.blocks:
+            z = gather_rows(z, kept)
+        encoding = JointEncoding(x=z, x_cls=None, n=n, m=m, attention=maps, read=read)
+        full = [range(s, s + a + b) for s, a, b, r in zip(encoding.starts, n, m, read)
+                if r is None]
+        encoding.x_cls = segment_mean(z, full) if full else None
+        return encoding
 
     def encode(self, token_ids: Sequence[Sequence[int]], graphs: Sequence[MolecularGraph],
                masked_tokens: Sequence[tuple[int, ...]] = (),
                masked_atoms: Sequence[tuple[int, ...]] = (),
                block_cross_modality: Sequence[bool] = (),
-               retain_attention: bool = False) -> JointEncoding:
+               retain_attention: bool = False,
+               read: Sequence[tuple[int, ...] | None] = ()) -> JointEncoding:
         """One packed forward over views, view k being ``token_ids[k]`` with
-        ``graphs[k]``; the mask and block arguments hold one entry per view
-        (default: nothing masked or blocked). A side, one token-id list or
-        graph object under one mask, is embedded once however many views
-        hold it, and the views read its rows through one gather."""
+        ``graphs[k]``; the mask, block and read arguments hold one entry per
+        view (default: nothing masked or blocked, every row kept; see
+        ``joint_encode``). A side, one token-id list or graph object under
+        one mask, is embedded once however many views hold it, and the views
+        read its rows through one gather."""
         views = len(token_ids)
         s_sides, s_starts = _sides(token_ids, masked_tokens or [()] * views, len)
         g_sides, g_starts = _sides(graphs, masked_atoms or [()] * views, lambda g: g.m)
@@ -317,13 +356,14 @@ class MoleculeEncoder:
         atoms = self.embed_graph([g for g, _ in g_sides], [mask for _, mask in g_sides])
         n = tuple(len(ids) for ids in token_ids)
         m = tuple(graph.m for graph in graphs)
+        # View k's token rows, then its atom rows, which follow all token rows.
         offset = smiles.shape[0]
-        order = np.concatenate([np.r_[s:s + a, offset + g:offset + g + b]
-                                for s, g, a, b in zip(s_starts, g_starts, n, m)])
+        order = _ranges([start for s, g in zip(s_starts, g_starts) for start in (s, offset + g)],
+                        [count for a, b in zip(n, m) for count in (a, b)])
         return self.joint_encode(
             gather_rows(concat_rows([smiles, atoms]), order), n=n, m=m,
             block_cross_modality=block_cross_modality or [False] * views,
-            retain_attention=retain_attention)
+            retain_attention=retain_attention, read=read)
 
     # ---------------------------------------------------------------- pooling
 
@@ -339,6 +379,8 @@ class MoleculeEncoder:
         if len(fmaps) != len(encoding.n):
             raise FragmentOutOfRange(
                 f"{len(fmaps)} fragment maps for {len(encoding.n)} views")
+        if any(r is not None for r in encoding.read):
+            raise FragmentOutOfRange("fragments are pooled from views kept in full")
         token_groups: list[list[int]] = []
         atom_groups: list[list[int]] = []
         for start, n, m, fmap in zip(encoding.starts, encoding.n, encoding.m, fmaps):
@@ -358,6 +400,13 @@ class MoleculeEncoder:
                                       in zip(accumulate(lengths, initial=0), lengths)])
         return FragmentEmbeddings(f_s=f_s, f_g=segment_mean(encoding.x, atom_groups),
                                   K=len(token_groups))
+
+
+def _ranges(starts: Sequence[int], counts: Sequence[int]) -> np.ndarray:
+    """``range(starts[i], starts[i] + counts[i])`` for each i, concatenated."""
+    counts = np.asarray(counts, dtype=np.int64)
+    shift = np.asarray(starts, dtype=np.int64) - (np.cumsum(counts) - counts)
+    return np.repeat(shift, counts) + np.arange(counts.sum())
 
 
 def _sides(items: Sequence, masks: Sequence[tuple[int, ...]], rows
@@ -387,14 +436,10 @@ def graph_union(graphs: Sequence[MolecularGraph],
     total = sum(graph.m for graph in graphs)
     adj = np.zeros((total, total))
     edge_sum = np.zeros((total, BOND_FEATURE_DIM))
-    features: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     atom_rows = []
     offset = 0
     for graph, masked in zip(graphs, masked_atoms):
-        # A graph seen under several masks is featurized once.
-        if id(graph) not in features:
-            features[id(graph)] = featurize(graph)
-        atom_feats, bond_feats = (a.copy() for a in features[id(graph)])
+        atom_feats, bond_feats = (a.copy() for a in featurize(graph))
         masked = set(masked)
         for i in masked:
             atom_feats[i] = masked_atom_row()

@@ -79,12 +79,16 @@ def masked_bond_row() -> np.ndarray:
 
 
 def featurize(graph: MolecularGraph) -> tuple[np.ndarray, np.ndarray]:
-    """One feature row per atom and per bond (unmasked)."""
-    atoms = np.stack([atom_feature_row(a) for a in graph.atoms]) if graph.m else \
-        np.zeros((0, ATOM_FEATURE_DIM))
-    bonds = np.stack([bond_feature_row(b) for b in graph.bonds]) if graph.bonds else \
-        np.zeros((0, BOND_FEATURE_DIM))
-    return atoms, bonds
+    """One feature row per atom and per bond (unmasked), made once per graph
+    and shared: the arrays are read-only."""
+    if graph.feature_rows is None:
+        atoms = np.stack([atom_feature_row(a) for a in graph.atoms]) if graph.m else \
+            np.zeros((0, ATOM_FEATURE_DIM))
+        bonds = np.stack([bond_feature_row(b) for b in graph.bonds]) if graph.bonds else \
+            np.zeros((0, BOND_FEATURE_DIM))
+        atoms.flags.writeable = bonds.flags.writeable = False
+        graph.feature_rows = (atoms, bonds)
+    return graph.feature_rows
 
 
 # --------------------------------------------------------------- fingerprint

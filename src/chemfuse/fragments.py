@@ -30,8 +30,8 @@ from .features import is_carbonyl_carbon, is_sulfonyl_sulfur
 
 
 class OrphanSymbol(SmilesError):
-    """A non-atom token has no qualifying neighbor atom to inherit from,
-    as the ``(`` of an empty branch at the end of ``B()``."""
+    """A non-atom token has no qualifying neighbor atom to inherit from, as
+    a leading ``=``; no token sequence that parses has one."""
 
 
 class FragmentOutOfRange(IndexError):

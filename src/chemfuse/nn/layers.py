@@ -77,15 +77,10 @@ class AttentionParams:
     bo: Tensor
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """(G, L, heads * hd) -> (G, heads, L, hd)."""
-    return x.reshape(*x.shape[:2], heads, -1).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(G, heads, L, hd) -> (G * L, heads * hd)."""
-    g, heads, length, hd = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(g * length, heads * hd)
+def _split_heads(rows: np.ndarray, length: int, heads: int) -> np.ndarray:
+    """(G * length, heads * hd) -> (G, heads, length, hd) as a view: only
+    axes are split, so column slices of a wider array stay views too."""
+    return rows.reshape(-1, length, heads, rows.shape[1] // heads).transpose(0, 2, 1, 3)
 
 
 def _t(x: np.ndarray) -> np.ndarray:
@@ -102,12 +97,15 @@ def multi_head_attention(x: Tensor, heads: int, params: AttentionParams,
     The rows of ``x`` are sequences of ``lengths``, each attending only
     within itself. ``attn_bias`` is None or holds, per sequence, an
     (L x L) array added to every head's scores, or None; use large
-    negatives to block positions. Sequences of one length run as one
-    (G, heads, L, head_dim) batch; each sequence's arithmetic is the same
-    as when it runs alone (a single row alone takes numpy's matrix-vector
-    path, so its last bits may differ). When ``retain`` is a list, each
-    sequence's per-head probability matrices are appended to it as plain
-    data, sequence by sequence.
+    negatives to block positions. The rows are permuted once so that the
+    sequences of each length lie together (not at all when they already
+    do), and each such group runs as one (G, heads, L, head_dim) batch read
+    from its block of rows; the output is permuted back. Q, K and V come
+    from one product with the three weights side by side. Each sequence's
+    arithmetic is the same as when it runs alone (a single row alone takes
+    numpy's matrix-vector path, so its last bits may differ). When
+    ``retain`` is a list, each sequence's per-head probability matrices are
+    appended to it as plain data, sequence by sequence.
     """
     p = params
     width = p.wq.shape[1]
@@ -118,59 +116,69 @@ def multi_head_attention(x: Tensor, heads: int, params: AttentionParams,
                             f"and {sum(lengths)} rows of sequences")
     starts = np.cumsum(lengths) - lengths
     biases = attn_bias or [None] * len(lengths)
-    groups = []
-    for length, members in _by_length(lengths).items():
-        rows = starts[members][:, None] + np.arange(length)
-        bias = None
-        if any(biases[k] is not None for k in members):
-            bias = np.stack([np.zeros((length, length)) if biases[k] is None
-                             else biases[k] for k in members])[:, None]
-        groups.append((rows, bias, members))
+    groups = list(_by_length(lengths).items())
+    order = np.concatenate([(starts[members][:, None] + np.arange(length)).ravel()
+                            for length, members in groups] or [np.arange(0)])
+    grouped = np.array_equal(order, np.arange(order.size))
+    x_rows = x.data if grouped else x.data[order]
+    w_qkv = np.concatenate([p.wq.data, p.wk.data, p.wv.data], axis=1)
+    qkv = x_rows @ w_qkv
+    qkv += np.concatenate([p.bq.data, p.bk.data, p.bv.data], axis=1)
     factor = 1.0 / np.sqrt(width // heads)
-    x_data = x.data
-    q = x_data @ p.wq.data + p.bq.data
-    k = x_data @ p.wk.data + p.bk.data
-    v = x_data @ p.wv.data + p.bv.data
-    context = np.empty_like(q)
+    context = np.empty((order.size, width))
     saved = []
-    for rows, bias, _ in groups:
-        qh, kh, vh = (_split_heads(a[rows], heads) for a in (q, k, v))
+    lo = 0
+    for length, members in groups:
+        block = slice(lo, lo + len(members) * length)
+        lo = block.stop
+        qh, kh, vh = (_split_heads(qkv[block, i * width:(i + 1) * width], length, heads)
+                      for i in range(3))
         probs = qh @ _t(kh)
         probs *= factor
-        if bias is not None:
-            probs += bias
+        if any(biases[k] is not None for k in members):
+            probs += np.stack([np.zeros((length, length)) if biases[k] is None
+                               else biases[k] for k in members])[:, None]
         probs -= probs.max(axis=3, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=3, keepdims=True)
-        context[rows.ravel()] = _merge_heads(probs @ vh)
-        saved.append((rows, qh, kh, vh, probs))
+        _split_heads(context[block], length, heads)[...] = probs @ vh
+        saved.append((block, length, qh, kh, vh, probs))
     if retain is not None:
-        by_sequence = {s: seq for (*_, members), (*_, probs) in zip(groups, saved)
+        by_sequence = {s: seq for (_, members), (*_, probs) in zip(groups, saved)
                        for s, seq in zip(members, probs)}
         retain.extend(head.copy() for s in sorted(by_sequence) for head in by_sequence[s])
-    out_data = context @ p.wo.data + p.bo.data
+    out_data = context @ p.wo.data
+    out_data += p.bo.data
+    if not grouped:
+        inverse = np.argsort(order)
+        out_data = out_data[inverse]
 
     def bwd(g):
-        _accumulate(p.wo, context.T @ g)
-        _accumulate(p.bo, g.sum(axis=0, keepdims=True))
-        d_context = g @ p.wo.data.T
+        g_rows = g if grouped else g[order]
+        _accumulate(p.wo, context.T @ g_rows)
+        _accumulate(p.bo, g_rows.sum(axis=0, keepdims=True))
+        d_context = g_rows @ p.wo.data.T
         # Every row belongs to exactly one sequence, so each is written once.
-        d_q, d_k, d_v = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-        for rows, qh, kh, vh, probs in saved:
-            d_ctx = _split_heads(d_context[rows], heads)
+        d_qkv = np.empty_like(qkv)
+        for block, length, qh, kh, vh, probs in saved:
+            d_ctx = _split_heads(d_context[block], length, heads)
             d_scores = d_ctx @ _t(vh)
             d_scores -= (d_scores * probs).sum(axis=3, keepdims=True)
             d_scores *= probs
             d_scores *= factor
-            flat = rows.ravel()
-            d_q[flat] = _merge_heads(d_scores @ kh)
-            d_k[flat] = _merge_heads(_t(d_scores) @ qh)
-            d_v[flat] = _merge_heads(_t(probs) @ d_ctx)
-        for w, b, d in ((p.wq, p.bq, d_q), (p.wk, p.bk, d_k), (p.wv, p.bv, d_v)):
-            _accumulate(w, x_data.T @ d)
-            _accumulate(b, d.sum(axis=0, keepdims=True))
-        # Keys and values are summed first; other orders change the last bits.
-        _accumulate(x, d_q @ p.wq.data.T + (d_k @ p.wk.data.T + d_v @ p.wv.data.T))
+            d_q, d_k, d_v = (_split_heads(d_qkv[block, i * width:(i + 1) * width],
+                                          length, heads) for i in range(3))
+            d_q[...] = d_scores @ kh
+            d_k[...] = _t(d_scores) @ qh
+            d_v[...] = _t(probs) @ d_ctx
+        d_w = x_rows.T @ d_qkv
+        d_b = d_qkv.sum(axis=0, keepdims=True)
+        for i, (w, b) in enumerate(((p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv))):
+            _accumulate(w, d_w[:, i * width:(i + 1) * width])
+            _accumulate(b, d_b[:, i * width:(i + 1) * width])
+        if x.requires:
+            d_x = d_qkv @ w_qkv.T
+            _accumulate(x, d_x if grouped else d_x[inverse])
 
     return _node(out_data, (x, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo), bwd)
 

@@ -370,16 +370,39 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeMismatch(
             f"embedding id out of range [0, {table.shape[0]})")
-    out_data = table.data[idx].copy()
+    out_data = table.data[idx]
 
     def bwd(g):
-        if not table.requires:
-            return
-        acc = np.zeros_like(table.data)
-        np.add.at(acc, idx, g)
-        _accumulate(table, acc)
+        if table.requires:
+            _accumulate(table, scatter_add_rows(idx, g, table.shape[0]))
 
     return _node(out_data, (table,), bwd)
+
+
+def scatter_add_rows(ids: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
+    """``rows`` rows where row r sums the rows ``g[i]`` with ``ids[i] == r``,
+    bit for bit as ``np.add.at`` into zeros.
+
+    A stable sort keeps each id's rows in their order, and the runs of one
+    length are summed as a (runs, length, c) stack along its middle axis,
+    which numpy adds row after row as ``np.add.at`` does (``np.add.reduceat``
+    adds the first row to the sum of the rest). One column would be summed
+    pairwise, so it is accumulated instead. ``+ 0.0`` turns a -0.0 sum into
+    the 0.0 that starting from zero gives.
+    """
+    acc = np.zeros((rows, g.shape[1]))
+    if ids.size:
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        first = np.flatnonzero(np.diff(sorted_ids, prepend=-1))  # ids are >= 0
+        counts = np.diff(first, append=ids.size)
+        for count in np.unique(counts):
+            starts = first[counts == count]
+            runs = g[order[starts[:, None] + np.arange(count)]]
+            summed = runs.sum(axis=1) if g.shape[1] > 1 else \
+                np.add.accumulate(runs, axis=1)[:, -1]
+            acc[sorted_ids[starts]] = summed + 0.0
+    return acc
 
 
 def gather_rows(a: Tensor, rows: Sequence[int]) -> Tensor:

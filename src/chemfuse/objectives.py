@@ -116,14 +116,14 @@ def _masked_prediction_loss(encoding: JointEncoding, samples: list[MaskedSample]
     modality with no masked positions contributes zero.
     """
     token_rows, token_targets, atom_rows, atom_targets = [], [], [], []
-    for start, n, sample in zip(encoding.starts, encoding.n, samples):
+    for k, (n, sample) in enumerate(zip(encoding.n, samples)):
         side = sample.masked_modality
         if not masked_modality_only or side is Modality.SMILES:
-            token_rows.extend(start + i for i in sample.masked_token_positions)
+            token_rows.extend(encoding.rows(k, sample.masked_token_positions))
             token_targets.extend(sample.token_targets[i]
                                  for i in sample.masked_token_positions)
         if not masked_modality_only or side is Modality.GRAPH:
-            atom_rows.extend(start + n + j for j in sample.masked_atom_positions)
+            atom_rows.extend(encoding.rows(k, [n + j for j in sample.masked_atom_positions]))
             atom_targets.extend(sample.atom_context_targets[j]
                                 for j in sample.masked_atom_positions)
     if not token_rows and not atom_rows:

@@ -13,6 +13,7 @@ step runs per batch under a linear warmup / linear decay schedule.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import sys
 import warnings
@@ -58,7 +59,6 @@ from .nn import (
     backward,
     concat_cols,
     constant,
-    gather_rows,
     load_checkpoint,
     log_softmax_rows,
     mean_all,
@@ -111,11 +111,16 @@ class TrainingDiverged(InputError):
 
 @contextlib.contextmanager
 def _diverges_at(where: str) -> Iterator[None]:
-    """Report a NaN or infinity raised in the block as a diverged run."""
-    try:
-        yield
-    except NonFiniteInput as exc:
-        raise TrainingDiverged(f"non-finite loss at {where}: {exc}") from exc
+    """Report a NaN or infinity raised in the block as a diverged run. The
+    block's warnings, such as numpy's overflow warnings on the way to the
+    NaN, are held back: dropped with a divergence, re-emitted otherwise."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            yield
+        except NonFiniteInput as exc:
+            raise TrainingDiverged(f"non-finite loss at {where}: {exc}") from exc
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
 
 
 # ------------------------------------------------------------------ vocabulary
@@ -163,8 +168,12 @@ class ParsedMolecule:
     smiles: str
     tokens: TokenSequence
     graph: MolecularGraph
-    fragment_map: FragmentMap
     labels: tuple[str, ...] = ()
+
+    @functools.cached_property
+    def fragment_map(self) -> FragmentMap:
+        """Built on first read: embedding and fine-tuning never read it."""
+        return build_fragment_map(self.tokens, self.graph)
 
 
 @dataclass
@@ -178,9 +187,7 @@ class Corpus:
 
 def parse_molecule(smiles: str, labels: tuple[str, ...] = ()) -> ParsedMolecule:
     graph, tokens = parse_smiles(smiles)
-    return ParsedMolecule(smiles=smiles, tokens=tokens, graph=graph,
-                          fragment_map=build_fragment_map(tokens, graph),
-                          labels=labels)
+    return ParsedMolecule(smiles=smiles, tokens=tokens, graph=graph, labels=labels)
 
 
 def data_lines(path: str | Path | None) -> Iterator[tuple[int, str]]:
@@ -381,7 +388,8 @@ def _step_losses(model: PretrainModel, records: list[MoleculeRecord],
 
     The views run token-masked, fragment-masked (CMM only), clean, then
     mismatched (clean SMILES of molecule i with the clean graph of its
-    derangement partner), one per molecule each.
+    derangement partner), one per molecule each. A masked view keeps only
+    the rows of its masked positions, the rows its loss reads.
     """
     enc = model.encoder
     heads = model.heads
@@ -405,9 +413,12 @@ def _step_losses(model: PretrainModel, records: list[MoleculeRecord],
              + [(rec, rec, clean, False) for rec in records]
              + [(records[i], records[j], clean, False) for i, j in enumerate(partners)])
     s_recs, g_recs, samples, blocked = zip(*views)
+    reads = [None if s is clean else s.masked_token_positions
+             + tuple(len(rec.token_ids) + j for j in s.masked_atom_positions)
+             for rec, s in zip(s_recs, samples)]
     encoding = enc.encode([rec.token_ids for rec in s_recs], [rec.graph for rec in g_recs],
                           [s.masked_token_positions for s in samples],
-                          [s.masked_atom_positions for s in samples], blocked)
+                          [s.masked_atom_positions for s in samples], blocked, read=reads)
     first_clean = b + len(frag_samples)
     clean_views = encoding.views(range(first_clean, first_clean + b))
 
@@ -427,7 +438,7 @@ def _step_losses(model: PretrainModel, records: list[MoleculeRecord],
 
     sgm_aux = {}
     if partners:
-        neg = gather_rows(encoding.x_cls, range(first_clean + b, first_clean + 2 * b))
+        neg = encoding.views(range(first_clean + b, first_clean + 2 * b)).x_cls
         l_sgm, sgm_aux = loss_sgm(clean_views.x_cls, neg, heads)
     else:
         l_sgm = constant(0.0)

@@ -211,3 +211,11 @@ def adam_step(params, state) -> None:
         if state.weight_decay:
             update = update + state.weight_decay * p.data
         p.data -= state.lr * update
+
+
+def add_at_rows(ids: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
+    """``rows`` rows of zeros with each row of ``g`` added into row ``ids[i]``
+    by ``np.add.at``, in the order of ``ids``."""
+    acc = np.zeros((rows, g.shape[1]))
+    np.add.at(acc, ids, g)
+    return acc

@@ -171,7 +171,8 @@ def test_parse_errors():
         parse_smiles("C$C")
     with pytest.raises(UnsupportedFeature):
         parse_smiles("C*")
-    for empty_branch in ("B()", "C()C", "C(C)()C"):
+    # OpenSMILES: a branch holds a chain, so one that adds no atom is empty.
+    for empty_branch in ("B()", "C()C", "C(C)()C", "C(.)", "CC(.)", "C(.)C", "C(1)CC1"):
         with pytest.raises(SmilesError, match="empty branch"):
             parse_smiles(empty_branch)
 

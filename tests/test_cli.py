@@ -253,6 +253,38 @@ def test_embed_writes_the_first_row_before_reading_the_second_line(checkpoint):
     assert len(out.getvalue().splitlines()) == 3
 
 
+@pytest.mark.parametrize("smiles", ["C(.)", "CC(.)"])
+@pytest.mark.parametrize("command", ["parse", "fragment", "groups", "scaffold", "fingerprint",
+                                     "mask", "embed", "attn-dump"])
+def test_branch_without_an_atom_exits_1(checkpoint, capsys, monkeypatch, command, smiles):
+    argv = [command] + (["--checkpoint", checkpoint]
+                        if command in ("embed", "attn-dump") else [])
+    code, out, err = run(capsys, argv, stdin=smiles + "\n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", "error: empty branch '()'\n")
+
+
+def test_diverging_pretrain_prints_one_error_line_and_no_warning(tmp_path):
+    """numpy's overflow warnings on the way to the NaN are dropped with the
+    divergence; run in a fresh interpreter so that stderr is the real one."""
+    import subprocess
+
+    corpus = tmp_path / "six.smi"
+    corpus.write_text("\n".join(load_corpus_lines("toy_200.smi")[:6]) + "\n")
+    config = tmp_path / "small.cfg"
+    config.write_text("dim = 16\nheads = 2\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "chemfuse.cli", "pretrain", str(corpus),
+         "--checkpoint", str(tmp_path / "ck"), "--config", str(config),
+         "--lr", "1e300", "--epochs", "3", "--batch-size", "3"],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=120)
+    assert proc.returncode == 1
+    ingested, error = proc.stderr.splitlines()
+    assert ingested.startswith("ingested ")
+    assert error.startswith("error: non-finite loss at epoch 0 batch ")
+
+
 @pytest.mark.parametrize("command", ["fragment", "embed"])
 def test_exit_code_leading_dot(checkpoint, capsys, monkeypatch, command):
     argv = [command] + (["--checkpoint", checkpoint] if command == "embed" else [])

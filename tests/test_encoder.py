@@ -95,6 +95,34 @@ def test_joint_encode_x_cls_is_row_mean():
                                encoding.x.data.mean(axis=0), atol=1e-12)
 
 
+@pytest.mark.parametrize("layers", [0, 1, 2])
+def test_encode_keeps_only_the_read_rows(layers):
+    """A view given read positions keeps their rows, in the order given and
+    bitwise as the all-rows forward computes them, and has no x_cls row;
+    a view given None keeps every row and its x_cls."""
+    from dataclasses import replace
+
+    enc = MoleculeEncoder(replace(CFG, transformer_layers=layers), seed=2)
+    mols = [parse_smiles(s) for s in ("CC(=O)OC", "c1ccccc1O", "CCN")]
+    ids = [ids_for(t) for _, t in mols]
+    graphs = [g for g, _ in mols]
+    masked_tokens, masked_atoms = [(1,), (), (0, 2)], [(0,), (3,), ()]
+    read = [(1, 8 + 0), None, (2, 0)]       # token 1 and atom 0 of view 0
+    full = enc.encode(ids, graphs, masked_tokens, masked_atoms)
+    kept = enc.encode(ids, graphs, masked_tokens, masked_atoms, read=read)
+    assert kept.x.shape[0] == 2 + len(ids[1]) + graphs[1].m + 2
+    assert kept.x_cls.shape[0] == 1
+    np.testing.assert_array_equal(kept.x_cls.data[0], full.x_cls.data[1])
+    for k, positions in enumerate(read):
+        positions = positions or range(len(ids[k]) + graphs[k].m)
+        np.testing.assert_array_equal(kept.x.data[kept.rows(k, positions)],
+                                      full.x.data[full.rows(k, positions)])
+    assert kept.rows(2, (0, 2)) == [kept.starts[2] + 1, kept.starts[2]]
+    assert kept.views(range(0, 1)).x_cls is None
+    with pytest.raises(FragmentOutOfRange):
+        enc.pool_fragments(kept, [build_fragment_map(t, g) for g, t in mols])
+
+
 def test_encode_embeds_a_repeated_side_once(monkeypatch):
     """Views that hold the same token-id list or graph object under the same
     mask share one embedded side, and their rows are bitwise those of the

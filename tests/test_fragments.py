@@ -1,8 +1,9 @@
 """Fragment cleavage and token-labeling tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chemfuse.chem import BondOrder, parse_smiles
+from chemfuse.chem import BondOrder, SmilesError, parse_smiles
 from chemfuse.fragments import (
     COMPATIBLE_PAIRS,
     FragmentOutOfRange,
@@ -192,3 +193,35 @@ def test_fragment_members_bounds():
     assert atoms == [0, 1, 2] and toks == [0, 1, 2]
     with pytest.raises(FragmentOutOfRange):
         fragment_members(fmap, fmap.K)
+
+
+#: Branch, dot and ring-bond cases around the parser's branch rule; some
+#: parse and some do not.
+HAND_WRITTEN = ["C(.)", "CC(.)", "C()", "C(.)C", "C(.C)C", "C(C)(.O)C", "C(1)CC1", "C1CC(C1)",
+                "C1.C1", "CC(=O)(O)", "C(C(C(C)))", "c1ccccc1.Cl", "C.(C)", "(C)C", "C(C)C.",
+                "C=(C)", "C(=C)", "C(-1)CC1", "C%10CC%10", "[NH4+].[Cl-]", "C(C).C(.N)O"]
+
+
+def test_every_molecule_that_parses_labels(golden_smiles):
+    """Labelling cannot fail on a parsed molecule: every token finds the
+    atom its rule names."""
+    parsed = 0
+    for s in golden_smiles + HAND_WRITTEN:
+        try:
+            g, t = parse_smiles(s)
+        except SmilesError:
+            continue
+        fmap = build_fragment_map(t, g)
+        assert len(fmap.l_s) == t.n and len(fmap.l_g) == g.m
+        parsed += 1
+    assert parsed > len(golden_smiles) // 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="CNOcn()=#.%0123456789[]H+-", min_size=1, max_size=14))
+def test_random_text_that_parses_labels(text):
+    try:
+        g, t = parse_smiles(text)
+    except SmilesError:
+        return
+    build_fragment_map(t, g)

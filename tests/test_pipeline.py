@@ -241,6 +241,49 @@ def test_step_losses_match_per_view_reference(strategy):
                                    err_msg=name)
 
 
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_read_rows_step_matches_the_all_rows_step(strategy, monkeypatch):
+    """A step whose masked views keep only the rows their losses read gives
+    the all-rows step's losses and parameter gradients within 1e-12, and
+    every read row bitwise."""
+    from chemfuse.encoder import MoleculeEncoder
+
+    model, records = _small_model_and_records()
+    params = list(model.params.values())
+    runs = []
+    for keep_read in (True, False):
+        seen = {}
+
+        def encode(*args, read=(), _keep=keep_read, _seen=seen, **kwargs):
+            _seen["read"] = read
+            _seen["encoding"] = MoleculeEncoder.encode(
+                model.encoder, *args, read=read if _keep else (), **kwargs)
+            return _seen["encoding"]
+
+        monkeypatch.setattr(model.encoder, "encode", encode)
+        total, report, _ = _step_losses(model, records, MaskConfig(strategy=strategy, seed=1),
+                                        epoch=1, base_index=3, train_seed=2)
+        for p in params:
+            p.zero_grad()
+        backward(total)
+        runs.append((report, {p.name: p.grad.copy() for p in params}, seen))
+    (report, grads, kept), (want_report, want_grads, full) = runs
+    for name, value in vars(want_report).items():
+        assert getattr(report, name) == pytest.approx(value, rel=0, abs=1e-12, nan_ok=True)
+    for name, grad in want_grads.items():
+        np.testing.assert_allclose(grads[name], grad, rtol=0, atol=1e-12, err_msg=name)
+    read = kept["read"]
+    partial = [k for k, r in enumerate(read) if r is not None]
+    assert partial and kept["encoding"].x.shape[0] < full["encoding"].x.shape[0]
+    for k in partial:
+        np.testing.assert_array_equal(
+            kept["encoding"].x.data[kept["encoding"].rows(k, read[k])],
+            full["encoding"].x.data[full["encoding"].rows(k, read[k])])
+    whole = [k for k, r in enumerate(read) if r is None]
+    np.testing.assert_array_equal(kept["encoding"].x_cls.data,
+                                  full["encoding"].x_cls.data[whole])
+
+
 def test_step_losses_embeds_each_side_once_per_view(monkeypatch):
     """Under CMM a step embeds each side once for the clean view, once for
     the token-masked view, and once more where a fragment mask hides it,
@@ -507,6 +550,26 @@ def test_similarity_self_is_one():
         value = similarity(model, vocab, a, b)
         assert math.isfinite(value)
         assert -1.0 <= value < 1.0
+
+
+def test_fragment_map_is_built_on_first_read(monkeypatch):
+    """Embedding never reads a molecule's fragment map, so none is built;
+    the first read builds it once."""
+    from chemfuse import pipeline
+
+    model, _ = _small_model_and_records()
+    vocab = build_vocabulary(m.tokens for m in tiny_corpus(6).molecules)
+    real = pipeline.build_fragment_map
+    built = []
+    monkeypatch.setattr(pipeline, "build_fragment_map",
+                        lambda tokens, graph: built.append(graph) or real(tokens, graph))
+    molecules = [parse_molecule(s) for s in ("CCO", "c1ccccc1N", "CC(=O)OC")]
+    assert len(list(pipeline.embed_rows(model, vocab, molecules))) == 3
+    assert built == []
+    mol = molecules[2]
+    assert mol.fragment_map == real(mol.tokens, mol.graph)
+    assert mol.fragment_map is mol.fragment_map
+    assert built == [mol.graph]
 
 
 def test_x_cls_of_packed_matches_one_at_a_time():

@@ -48,6 +48,7 @@ from chemfuse.nn import (
 )
 
 from chemfuse.nn.layers import FFN_TILE
+from chemfuse.nn.tensor import scatter_add_rows
 
 import oracles
 from conftest import graph_operators
@@ -368,6 +369,74 @@ def test_packed_attention_matches_each_sequence_alone():
             np.testing.assert_array_equal(got, want)
         start += length
     assert np.all(retained[4][:1, 1:] == 0.0)
+
+
+def _lengths_out_of_group_order_and_biases():
+    """Six packed sequences whose equal lengths are not neighbours, so the
+    rows must be permuted into length groups and back; two are blocked
+    across a modality boundary as the encoder does."""
+    lengths = [2, 4, 3, 2, 4, 3]
+    biases = [None] * len(lengths)
+    for k, cut in ((1, 1), (5, 2)):
+        bias = np.zeros((lengths[k], lengths[k]))
+        bias[:cut, cut:] = BLOCK
+        bias[cut:, :cut] = BLOCK
+        biases[k] = bias
+    return lengths, biases
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_grad_attention_lengths_out_of_group_order(trial):
+    p = _attn_params(4, prefix=f"og{trial}")
+    lengths, biases = _lengths_out_of_group_order_and_biases()
+    x = rand_param("x", sum(lengths), 4)
+    loss = _weighted_loss((sum(lengths), 4))
+    fd_check(lambda: loss(multi_head_attention(x, 2, p, lengths, attn_bias=biases)),
+             [x] + _attn_param_list(p))
+
+
+def test_attention_rows_out_of_group_order_match_each_sequence_alone():
+    p = _attn_params(8)
+    lengths, biases = _lengths_out_of_group_order_and_biases()
+    x = RNG.normal(size=(sum(lengths), 8))
+    packed = multi_head_attention(constant(x), 2, p, lengths, attn_bias=biases).data
+    start = 0
+    for length, bias in zip(lengths, biases):
+        alone = multi_head_attention(constant(x[start:start + length]), 2, p, [length],
+                                     attn_bias=[bias]).data
+        np.testing.assert_array_equal(packed[start:start + length], alone)
+        start += length
+
+
+@pytest.mark.parametrize("ids", [
+    [3, 0, 3, 1, 3, 0],       # repeated and unsorted
+    [0, 1, 2, 4],             # sorted, one row untouched
+    [],                       # nothing gathered
+    [2, 2, 2, 2],             # one row only
+], ids=["repeated", "sorted", "empty", "one-row"])
+@pytest.mark.parametrize("cols", [1, 3])
+def test_scatter_add_rows_is_bitwise_the_add_at_oracle(ids, cols):
+    idx = np.asarray(ids, dtype=np.int64)
+    g = RNG.normal(size=(len(ids), cols))
+    if len(ids) >= 4:
+        g[0, 0] = g[2, 0] = -0.0             # two -0.0 into one row
+        g[3, -1] = -0.0                      # a -0.0 beside values
+    want = oracles.add_at_rows(idx, g, 5)
+    assert scatter_add_rows(idx, g, 5).tobytes() == want.tobytes()
+    table = Tensor(RNG.normal(size=(5, cols)), requires=True)
+    out = embedding_lookup(table, ids)
+    out._backward(g)
+    assert table.grad.tobytes() == want.tobytes()
+
+
+def test_scatter_add_rows_sums_long_runs_in_order():
+    """Runs of up to 40 rows, where a pairwise or reduceat order would
+    change the last bits of a sum of mixed magnitudes."""
+    idx = RNG.integers(0, 4, size=120)
+    for cols in (1, 2, 64):
+        g = RNG.normal(size=(120, cols)) * 10.0 ** RNG.integers(-8, 8, size=(120, 1))
+        assert scatter_add_rows(idx, g, 4).tobytes() == \
+            oracles.add_at_rows(idx, g, 4).tobytes()
 
 
 @pytest.mark.parametrize("trial", range(3))
