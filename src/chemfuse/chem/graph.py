@@ -8,6 +8,7 @@ index, atoms know their source token.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,6 +22,8 @@ class TokenKind(Enum):
     DOT = "Dot"
     STEREO_MARK = "StereoMark"
     OTHER = "Other"
+
+    __hash__ = object.__hash__  # by identity, in C; Enum's hash runs in Python
 
 
 #: Token kinds that correspond to exactly one atom in the parsed graph.
@@ -70,10 +73,12 @@ class BondOrder(Enum):
     TRIPLE = 3
     AROMATIC = 4
 
-    @property
-    def valence(self) -> float:
-        """Contribution to the bonded valence sum (aromatic counts 1.5)."""
-        return 1.5 if self is BondOrder.AROMATIC else float(self.value)
+    __hash__ = object.__hash__  # by identity, in C; Enum's hash runs in Python
+
+
+#: Each order's contribution to the bonded valence sum (aromatic counts 1.5).
+BOND_VALENCE = {BondOrder.SINGLE: 1.0, BondOrder.DOUBLE: 2.0,
+                BondOrder.TRIPLE: 3.0, BondOrder.AROMATIC: 1.5}
 
 
 class BondStereo(Enum):
@@ -88,7 +93,9 @@ class Atom:
 
     ``implicit_h`` is filled from the valence table for organic-subset atoms;
     bracket atoms carry ``explicit_h`` instead (implicit stays 0). ``degree``
-    and ``in_ring`` are recomputed whenever bonds change.
+    counts the bonds ``add_bond`` has made; ``in_ring`` is set only by
+    ``MolecularGraph.mark_rings``, which ``parse_smiles`` runs once all bonds
+    are in.
     """
 
     element: str
@@ -139,9 +146,8 @@ class MolecularGraph:
     adjacency: list[list[int]] = field(default_factory=list)
     _pairs: list[list[tuple[int, Bond]]] = field(
         default_factory=list, init=False, repr=False, compare=False)
-    #: ``features.featurize``'s rows of this graph, made on first use (a
-    #: parsed graph does not change after ``parse_smiles`` returns it).
-    feature_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    #: What ``once_per_graph`` functions made of this graph, by function.
+    facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -156,7 +162,8 @@ class MolecularGraph:
     def add_bond(self, bond: Bond) -> int:
         if bond.a == bond.b:
             raise ValueError(f"self-bond on atom {bond.a}")
-        if self.bond_between(bond.a, bond.b) is not None:
+        # A bondless atom, as a chain bond's new atom is, has no duplicate.
+        if self._pairs[bond.b] and self.bond_between(bond.a, bond.b) is not None:
             raise ValueError(f"duplicate bond {bond.key()}")
         self.bonds.append(bond)
         idx = len(self.bonds) - 1
@@ -178,13 +185,14 @@ class MolecularGraph:
         return None
 
     def valence_sum(self, i: int) -> float:
-        return sum(bond.order.valence for _, bond in self._pairs[i])
+        return sum(BOND_VALENCE[bond.order] for _, bond in self._pairs[i])
 
     def mark_rings(self) -> None:
         """Set ``in_ring`` on bonds and atoms.
 
         A bond is in a ring iff it is not a bridge; bridges are found with one
-        iterative DFS per component.
+        iterative DFS per component. An atom is in a ring iff one of its
+        bonds is.
         """
         m = self.m
         for bond in self.bonds:
@@ -195,35 +203,34 @@ class MolecularGraph:
         for root in range(m):
             if disc[root] != -1:
                 continue
-            # Iterative Tarjan bridge search: stack entries are
-            # (atom, incoming bond index, iterator position).
-            stack = [(root, -1, 0)]
             disc[root] = low[root] = timer
             timer += 1
+            # Iterative Tarjan bridge search: stack entries are (atom, the
+            # tree bond it was reached by, iterator over its neighbours).
+            stack = [(root, None, iter(self._pairs[root]))]
             while stack:
-                node, in_bond, ptr = stack.pop()
-                if ptr < len(self.adjacency[node]):
-                    stack.append((node, in_bond, ptr + 1))
-                    bi = self.adjacency[node][ptr]
-                    if bi == in_bond:
+                node, in_bond, pairs = stack[-1]
+                for nxt, bond in pairs:
+                    if bond is in_bond:
                         continue
-                    nxt = self.bonds[bi].other(node)
                     if disc[nxt] == -1:
                         disc[nxt] = low[nxt] = timer
                         timer += 1
-                        stack.append((nxt, bi, 0))
-                    else:
-                        # Non-tree edge: always on a cycle.
-                        self.bonds[bi].in_ring = True
-                        low[node] = min(low[node], disc[nxt])
+                        stack.append((nxt, bond, iter(self._pairs[nxt])))
+                        break
+                    # Non-tree edge: always on a cycle.
+                    bond.in_ring = True
+                    low[node] = min(low[node], disc[nxt])
                 else:
-                    if in_bond != -1:
-                        parent = self.bonds[in_bond].other(node)
+                    stack.pop()
+                    if stack:
+                        parent = stack[-1][0]
                         low[parent] = min(low[parent], low[node])
                         if low[node] <= disc[parent]:
-                            self.bonds[in_bond].in_ring = True
+                            in_bond.in_ring = True
+        ring_atoms = {i for bond in self.bonds if bond.in_ring for i in (bond.a, bond.b)}
         for i, atom in enumerate(self.atoms):
-            atom.in_ring = any(self.bonds[bi].in_ring for bi in self.adjacency[i])
+            atom.in_ring = i in ring_atoms
 
     def connected_components(self) -> list[list[int]]:
         """Atom index lists, one per component, in first-atom order."""
@@ -244,3 +251,17 @@ class MolecularGraph:
                         queue.append(nxt)
             comps.append(sorted(comp))
         return comps
+
+
+def once_per_graph(make):
+    """Decorate ``make(graph)`` so that each graph computes it on its first
+    call and returns the kept value after: a parsed graph does not change
+    after ``parse_smiles`` returns it. The value is shared: do not mutate it."""
+    @functools.wraps(make)
+    def get(graph: MolecularGraph):
+        try:
+            return graph.facts[get]
+        except KeyError:
+            value = graph.facts[get] = make(graph)
+            return value
+    return get

@@ -14,6 +14,7 @@ the count clamped at zero.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -114,14 +115,16 @@ def _parse_bracket(token: Token) -> Atom:
                 explicit_h=explicit_h, chirality=chirality)
 
 
-def _organic_atom(text: str) -> Atom:
+@functools.cache  # only the tokenizer's fixed organic texts reach it
+def _organic_symbol(text: str) -> tuple[str, bool]:
+    """(element, aromatic) of an organic-subset atom token's text."""
     aromatic = text.islower()
     element = text.capitalize() if aromatic else text
     if element not in VALENCE_TABLE:
         raise UnknownElement(f"{text!r} is not an organic-subset atom")
     if aromatic and element not in {"B", "C", "N", "O", "P", "S"}:
         raise UnknownElement(f"{text!r} cannot be aromatic outside brackets")
-    return Atom(element=element, aromatic=aromatic)
+    return element, aromatic
 
 
 def _fill_implicit_h(graph: MolecularGraph) -> None:
@@ -194,9 +197,9 @@ class _Parser:
     def _on_atom(self, idx: int, token: Token) -> None:
         if token.kind is TokenKind.BRACKET_ATOM:
             atom = _parse_bracket(token)
+            atom.source_token = idx
         else:
-            atom = _organic_atom(token.text)
-        atom.source_token = idx
+            atom = Atom(*_organic_symbol(token.text), source_token=idx)
         new_atom = self.graph.add_atom(atom)
         if token.atom_index != new_atom:
             raise SmilesError("token/atom provenance got out of sync")

@@ -5,6 +5,10 @@ bracket atoms ``[...]``, two-letter halogens (Cl, Br), two-digit ring
 closures (``%nn``) and stereo marks (``@``, ``@@``) are single tokens;
 every other printable character is its own token. Tokenization is total:
 the concatenation of all token texts always equals the input string.
+
+Organic and aromatic atoms, bond symbols, branches, the dot, stereo marks
+and the digits 0-9 take their kind from one fixed table; a token starting
+with ``[`` is a bracket atom; only the rest are classified by rule.
 """
 
 from __future__ import annotations
@@ -18,32 +22,30 @@ from .errors import (
     UnknownElement,
     UnsupportedFeature,
 )
-from .graph import Token, TokenKind, TokenSequence
+from .graph import ATOM_BEARING, Token, TokenKind, TokenSequence
 
 _TOKEN_RE = re.compile(
     r"(\[[^\]]*\]|Br|Cl|@@|%\d{2}|.)", re.DOTALL
 )
 
-_ORGANIC_UPPER = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"}
-_AROMATIC_LOWER = {"b", "c", "n", "o", "p", "s"}
-_BOND_CHARS = {"-", "=", "#", "$", ":", "/", "\\"}
+#: Kind of every token text that has a fixed kind.
+_KIND_OF = {
+    **dict.fromkeys(("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I",
+                     "b", "c", "n", "o", "p", "s"), TokenKind.ATOM),
+    **dict.fromkeys("-=#$:/\\", TokenKind.BOND_SYMBOL),
+    **dict.fromkeys("()", TokenKind.BRANCH),
+    ".": TokenKind.DOT,
+    **dict.fromkeys(("@", "@@"), TokenKind.STEREO_MARK),
+    **dict.fromkeys("0123456789", TokenKind.RING_DIGIT),
+}
 
 
 def _classify(text: str) -> TokenKind:
+    """Kind of a token text outside the fixed table."""
     if text.startswith("["):
         return TokenKind.BRACKET_ATOM
-    if text in _ORGANIC_UPPER or text in _AROMATIC_LOWER:
-        return TokenKind.ATOM
     if text.isdigit() or text.startswith("%"):
         return TokenKind.RING_DIGIT
-    if text in _BOND_CHARS:
-        return TokenKind.BOND_SYMBOL
-    if text in ("(", ")"):
-        return TokenKind.BRANCH
-    if text == ".":
-        return TokenKind.DOT
-    if text in ("@", "@@"):
-        return TokenKind.STEREO_MARK
     return TokenKind.OTHER
 
 
@@ -71,18 +73,18 @@ def tokenize(smiles: str) -> TokenSequence:
     tokens: list[Token] = []
     atom_counter = 0
     pos = 0
-    for match in _TOKEN_RE.finditer(smiles):
-        text = match.group(0)
+    kind_of = _KIND_OF.get
+    for text in _TOKEN_RE.findall(smiles):
         if text == "[":
             # The bracket-atom alternative failed to match, so this '[' has
             # no closing ']'.
             raise UnbalancedBracket(f"'[' at byte {pos} never closed in {smiles!r}")
-        kind = _classify(text)
-        atom_index = None
-        if kind in (TokenKind.ATOM, TokenKind.BRACKET_ATOM):
-            atom_index = atom_counter
+        kind = kind_of(text) or _classify(text)
+        end = pos + len(text)  # tokens are contiguous
+        if kind in ATOM_BEARING:
+            tokens.append(Token(text, kind, (pos, end), atom_counter))
             atom_counter += 1
-        tokens.append(Token(text=text, kind=kind, char_span=(pos, match.end()),
-                            atom_index=atom_index))
-        pos = match.end()
+        else:
+            tokens.append(Token(text, kind, (pos, end)))
+        pos = end
     return TokenSequence(tokens=tuple(tokens), source=smiles)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chem.graph import MolecularGraph
+from .chem.graph import MolecularGraph, once_per_graph
 from .errors import InputError
 from .features import (
     ATOM_FEATURE_DIM,
@@ -433,26 +433,36 @@ def graph_union(graphs: Sequence[MolecularGraph],
     are replaced by the mask rows.
     """
     masked_atoms = masked_atoms or [()] * len(graphs)
-    total = sum(graph.m for graph in graphs)
-    adj = np.zeros((total, total))
-    edge_sum = np.zeros((total, BOND_FEATURE_DIM))
-    atom_rows = []
+    atom_rows, bond_rows, ends, masked = [], [], [], []
     offset = 0
-    for graph, masked in zip(graphs, masked_atoms):
-        atom_feats, bond_feats = (a.copy() for a in featurize(graph))
-        masked = set(masked)
-        for i in masked:
-            atom_feats[i] = masked_atom_row()
-        for bi, bond in enumerate(graph.bonds):
-            if bond.a in masked or bond.b in masked:
-                bond_feats[bi] = masked_bond_row()
-            a, b = offset + bond.a, offset + bond.b
-            adj[a, b] = adj[b, a] = 1.0
-            edge_sum[a] += bond_feats[bi]
-            edge_sum[b] += bond_feats[bi]
+    for graph, atoms in zip(graphs, masked_atoms):
+        atom_feats, bond_feats = featurize(graph)
         atom_rows.append(atom_feats)
+        bond_rows.append(bond_feats)
+        ends.append(_bond_ends(graph) + offset)
+        masked.extend(offset + i for i in atoms)
         offset += graph.m
-    return np.concatenate(atom_rows), adj, edge_sum
+    atom_feats = np.concatenate(atom_rows)
+    bond_feats = np.concatenate(bond_rows)
+    ends = np.concatenate(ends)
+    if masked:
+        is_masked = np.zeros(offset, dtype=bool)
+        is_masked[masked] = True
+        atom_feats[is_masked] = masked_atom_row()
+        bond_feats[is_masked[ends].any(axis=1)] = masked_bond_row()
+    adj = np.zeros((offset, offset))
+    adj[ends.ravel(), ends[:, ::-1].ravel()] = 1.0
+    # One scatter over the endpoints interleaved in bond order (a0, b0, a1,
+    # ...) adds each row's terms in the order the bonds list them.
+    edge_sum = np.zeros((offset, BOND_FEATURE_DIM))
+    np.add.at(edge_sum, ends.ravel(), np.repeat(bond_feats, 2, axis=0))
+    return atom_feats, adj, edge_sum
+
+
+@once_per_graph
+def _bond_ends(graph: MolecularGraph) -> np.ndarray:
+    """(bonds, 2) int64 end atoms of each bond, made once per graph."""
+    return np.array([(b.a, b.b) for b in graph.bonds], dtype=np.int64).reshape(-1, 2)
 
 
 def dump_attention(encoding: JointEncoding, layer: int) -> np.ndarray:

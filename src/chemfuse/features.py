@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chem.canon import canonical_key
-from .chem.graph import Atom, Bond, BondOrder, Chirality, MolecularGraph
+from .chem.graph import Atom, Bond, BondOrder, Chirality, MolecularGraph, once_per_graph
 from .chem.parser import _fill_implicit_h
 from .errors import InputError
 
@@ -78,17 +78,16 @@ def masked_bond_row() -> np.ndarray:
     return row
 
 
+@once_per_graph
 def featurize(graph: MolecularGraph) -> tuple[np.ndarray, np.ndarray]:
     """One feature row per atom and per bond (unmasked), made once per graph
     and shared: the arrays are read-only."""
-    if graph.feature_rows is None:
-        atoms = np.stack([atom_feature_row(a) for a in graph.atoms]) if graph.m else \
-            np.zeros((0, ATOM_FEATURE_DIM))
-        bonds = np.stack([bond_feature_row(b) for b in graph.bonds]) if graph.bonds else \
-            np.zeros((0, BOND_FEATURE_DIM))
-        atoms.flags.writeable = bonds.flags.writeable = False
-        graph.feature_rows = (atoms, bonds)
-    return graph.feature_rows
+    atoms = np.stack([atom_feature_row(a) for a in graph.atoms]) if graph.m else \
+        np.zeros((0, ATOM_FEATURE_DIM))
+    bonds = np.stack([bond_feature_row(b) for b in graph.bonds]) if graph.bonds else \
+        np.zeros((0, BOND_FEATURE_DIM))
+    atoms.flags.writeable = bonds.flags.writeable = False
+    return atoms, bonds
 
 
 # --------------------------------------------------------------- fingerprint
@@ -165,7 +164,8 @@ def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
 
     Every atom of a radius is hashed at once: one sort of the directed
     edges by (source, bond order, neighbor id) lays out each atom's sorted
-    neighborhood, which is then folded in rank by rank.
+    neighborhood, which is then folded in rank by rank. Bond environments
+    are rows of packed bits, grown for every atom at once.
     """
     check_fingerprint_shape(radius, width)
     m = graph.m
@@ -176,6 +176,7 @@ def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
     # Directed edges: bond k runs a -> b as edge k and b -> a as edge k + bonds.
     ends = np.array([(b.a, b.b, b.order.value) for b in graph.bonds],
                     dtype=np.int64).reshape(-1, 3)
+    n_bonds = len(ends)
     src = np.concatenate([ends[:, 0], ends[:, 1]])
     dst = np.concatenate([ends[:, 1], ends[:, 0]])
     order = np.concatenate([ends[:, 2], ends[:, 2]])
@@ -186,41 +187,48 @@ def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
     for r in range(int(degree.max(initial=0))):
         atoms = np.flatnonzero(degree > r)
         ranks.append((atoms, first[atoms] + r))
-    env_edges = list(zip(src.tolist(), dst.tolist(),
-                         [1 << k for k in range(len(graph.bonds))] * 2))
-
-    # bond_envs[i] = bitset of bond indices within the current radius of atom i.
-    bond_envs = [0] * m
+    # env[i] = packed bits of the bonds within the current radius of atom i;
+    # each radius ORs in i's own bonds and its neighbours' environments.
+    own = np.zeros((m, n_bonds), dtype=bool)
+    own[src, np.tile(np.arange(n_bonds), 2)] = True
+    own = np.packbits(own, axis=1)
+    env = np.zeros_like(own)
+    bonded = degree > 0
     alive = np.ones(m, dtype=bool)
     for _ in range(radius):
         edge = np.lexsort((ids[dst], order, src))
         edge_order = mixed_order[edge]
+        neighbor = dst[edge]
         mixed_ids = _mix64(ids)
-        edge_id = mixed_ids[dst[edge]]
+        edge_id = mixed_ids[neighbor]
         new_ids = _mix64(_HASH_START ^ mixed_ids)
         for atoms, pos in ranks:
             h = _mix64(new_ids[atoms] ^ edge_order[pos])
             new_ids[atoms] = _mix64(h ^ edge_id[pos])
-        new_envs = list(bond_envs)
-        for i, j, bond_bit in env_edges:
-            new_envs[i] |= bond_bit | bond_envs[j]
-        alive &= np.array([new != old for new, old in zip(new_envs, bond_envs)],
-                          dtype=bool)
+        new_env = env | own
+        if n_bonds:
+            new_env[bonded] |= np.bitwise_or.reduceat(env[neighbor], first[bonded])
+        alive &= (new_env != env).any(axis=1)
         bits[(new_ids[alive] % np.uint64(width)).astype(np.intp)] = 1
         ids = new_ids
-        bond_envs = new_envs
+        env = new_env
     return Fingerprint(bits=bits, radius=radius)
 
 
 # ---------------------------------------------------------- functional groups
 
+@once_per_graph
+def acyl_carbons(g: MolecularGraph) -> tuple[int, ...]:
+    """Indices of the non-aromatic carbons with a double bond to oxygen (the
+    acyl carbons), made once per graph."""
+    return tuple(i for i, a in enumerate(g.atoms) if a.element == "C" and not a.aromatic
+                 and any(bond.order is BondOrder.DOUBLE and g.atoms[j].element == "O"
+                         for j, bond in g.neighbors(i)))
+
+
 def is_carbonyl_carbon(g: MolecularGraph, i: int) -> bool:
     """A non-aromatic carbon with a double bond to oxygen (an acyl carbon)."""
-    a = g.atoms[i]
-    return a.element == "C" and not a.aromatic and any(
-        bond.order is BondOrder.DOUBLE and g.atoms[j].element == "O"
-        for j, bond in g.neighbors(i)
-    )
+    return i in acyl_carbons(g)
 
 
 def _hydroxyl_o(g: MolecularGraph, i: int) -> bool:
@@ -255,9 +263,7 @@ def _has_phenol(g):
 
 
 def _has_carboxylic_acid(g):
-    for i in range(g.m):
-        if not is_carbonyl_carbon(g, i):
-            continue
+    for i in acyl_carbons(g):
         for j, bond in g.neighbors(i):
             if bond.order is BondOrder.SINGLE and g.atoms[j].element == "O":
                 o = g.atoms[j]
@@ -267,9 +273,7 @@ def _has_carboxylic_acid(g):
 
 
 def _has_ester(g):
-    for i in range(g.m):
-        if not is_carbonyl_carbon(g, i):
-            continue
+    for i in acyl_carbons(g):
         for j, bond in g.neighbors(i):
             if (bond.order is BondOrder.SINGLE and g.atoms[j].element == "O"
                     and g.atoms[j].degree == 2):
@@ -279,27 +283,18 @@ def _has_ester(g):
 
 def _has_amide(g):
     return any(
-        is_carbonyl_carbon(g, i) and any(
-            bond.order is BondOrder.SINGLE and g.atoms[j].element == "N"
-            for j, bond in g.neighbors(i))
-        for i in range(g.m)
+        bond.order is BondOrder.SINGLE and g.atoms[j].element == "N"
+        for i in acyl_carbons(g) for j, bond in g.neighbors(i)
     )
 
 
 def _has_aldehyde(g):
-    return any(
-        is_carbonyl_carbon(g, i) and g.atoms[i].total_h >= 1
-        for i in range(g.m)
-    )
+    return any(g.atoms[i].total_h >= 1 for i in acyl_carbons(g))
 
 
 def _has_ketone(g):
-    for i in range(g.m):
-        if not is_carbonyl_carbon(g, i) or g.atoms[i].total_h:
-            continue
-        if len(_single_c_neighbors(g, i)) == 2:
-            return True
-    return False
+    return any(not g.atoms[i].total_h and len(_single_c_neighbors(g, i)) == 2
+               for i in acyl_carbons(g))
 
 
 def _has_ether(g):
@@ -327,7 +322,7 @@ def _plain_amine_n(g, i):
 
 def _has_amine_of_degree(g, degree):
     return any(
-        _plain_amine_n(g, i) and g.atoms[i].degree == degree
+        g.atoms[i].degree == degree and _plain_amine_n(g, i)
         for i in range(g.m)
     )
 

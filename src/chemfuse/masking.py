@@ -15,13 +15,14 @@ A "sample" is any object with ``token_ids`` (list of vocab ids),
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .chem.graph import MolecularGraph
+from .chem.graph import BondOrder, MolecularGraph, once_per_graph
 from .errors import InputError
 from .features import EmptyCorpus
 
@@ -145,14 +146,27 @@ def sample_ablation_mask(sample, config: MaskConfig,
 
 ContextKey = tuple[str, tuple[tuple[int, str], ...]]
 
+_ORDER_VALUE = {order: order.value for order in BondOrder}
+
 
 def context_key(graph: MolecularGraph, atom_index: int) -> ContextKey:
     """(element, sorted (bond order, neighbor element) multiset) at 1 hop."""
     neighborhood = tuple(sorted(
-        (bond.order.value, graph.atoms[j].element)
+        (_ORDER_VALUE[bond.order], graph.atoms[j].element)
         for j, bond in graph.neighbors(atom_index)
     ))
     return (graph.atoms[atom_index].element, neighborhood)
+
+
+#: The first-seen tuple of each recent key, so that a graph's kept keys
+#: are pointers to shared tuples: a corpus has a few hundred distinct keys.
+_shared_key = functools.lru_cache(maxsize=4096)(lambda key: key)
+
+
+@once_per_graph
+def context_keys(graph: MolecularGraph) -> tuple[ContextKey, ...]:
+    """Every atom's ``context_key``, made once per graph."""
+    return tuple([_shared_key(context_key(graph, i)) for i in range(graph.m)])
 
 
 @dataclass(frozen=True)
@@ -173,7 +187,8 @@ class ContextVocabulary:
         return self.key_to_id.get(key, self.other_id)
 
     def ids_for_graph(self, graph: MolecularGraph) -> list[int]:
-        return [self.id_for(context_key(graph, i)) for i in range(graph.m)]
+        other = self.other_id
+        return [self.key_to_id.get(key, other) for key in context_keys(graph)]
 
 
 def build_context_vocab(graphs) -> ContextVocabulary:
@@ -182,8 +197,7 @@ def build_context_vocab(graphs) -> ContextVocabulary:
     count = 0
     for graph in graphs:
         count += 1
-        for i in range(graph.m):
-            key = context_key(graph, i)
+        for key in context_keys(graph):
             if key not in key_to_id:
                 key_to_id[key] = len(key_to_id)
     if count == 0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import math
 import sys
 import warnings
@@ -110,17 +111,37 @@ class TrainingDiverged(InputError):
 
 
 @contextlib.contextmanager
-def _diverges_at(where: str) -> Iterator[None]:
+def _diverges_at(where: str, shown: set) -> Iterator[None]:
     """Report a NaN or infinity raised in the block as a diverged run. The
     block's warnings, such as numpy's overflow warnings on the way to the
-    NaN, are held back: dropped with a divergence, re-emitted otherwise."""
+    NaN, are held back: dropped with a divergence, re-emitted otherwise if
+    not yet in ``shown``, the run's set, which stands in for the
+    once-per-location registry that ``catch_warnings`` resets."""
     with warnings.catch_warnings(record=True) as caught:
         try:
             yield
         except NonFiniteInput as exc:
             raise TrainingDiverged(f"non-finite loss at {where}: {exc}") from exc
     for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+        key = (str(w.message), w.category, w.filename, w.lineno)
+        if key not in shown:
+            shown.add(key)
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                   source=w.source)
+
+
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore the caller's setting.
+    Molecules and records hold no reference cycles: ingesting and preparing
+    2,000 of them in 50-line chunks ran about 1,700 collections, freeing none."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ------------------------------------------------------------------ vocabulary
@@ -213,6 +234,7 @@ def data_lines(path: str | Path | None) -> Iterator[tuple[int, str]]:
         raise FileUnreadable(f"cannot read {name}: {exc}") from exc
 
 
+@_collector_paused()
 def ingest(path: str | Path) -> Corpus:
     """Read one SMILES per ``data_lines`` line (optional tab-separated label
     columns); unparseable lines are skipped and counted. Raises
@@ -246,6 +268,7 @@ class MoleculeRecord:
     labels: tuple[str, ...] = ()
 
 
+@_collector_paused()
 def prepare_records(corpus: Corpus, vocab: Vocabulary,
                     context_vocab: ContextVocabulary,
                     fingerprint_width: int = 2048) -> list[MoleculeRecord]:
@@ -514,6 +537,7 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
         print(LOG_HEADER, file=log_sink)
     step = 0
     params = list(model.params.values())
+    shown: set = set()
     for epoch in range(train_config.epochs):
         # Seeded reshuffle per epoch: batch composition (and with it the
         # matching negatives) varies while runs stay reproducible.
@@ -522,7 +546,7 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
         shuffled = [records[i] for i in order]
         size = train_config.batch_size
         for batch_index, start in enumerate(range(0, len(shuffled), size)):
-            with _diverges_at(f"epoch {epoch} batch {batch_index}"):
+            with _diverges_at(f"epoch {epoch} batch {batch_index}", shown):
                 total, report, _ = _step_losses(
                     model, shuffled[start:start + size], mask_config, epoch,
                     base_index=start, train_seed=train_config.seed)
@@ -727,17 +751,18 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
     order_rng = np.random.default_rng(seed + 2)
     best = (float("inf"), -1, None)
     history = []
+    shown: set = set()
     for epoch in range(epochs):
         order = order_rng.permutation(len(train_idx))
         for batch_index, lo in enumerate(range(0, len(order), batch_size)):
             chunk = [train_idx[i] for i in order[lo:lo + batch_size]]
-            with _diverges_at(f"epoch {epoch} batch {batch_index}"):
+            with _diverges_at(f"epoch {epoch} batch {batch_index}", shown):
                 loss = _task_loss(head_forward(chunk, train=True), labels[chunk], task.kind)
                 for p in trainable:
                     p.zero_grad()
                 backward(loss)
             adam_step(trainable, optimizer)
-        with _diverges_at(f"epoch {epoch} validation"):
+        with _diverges_at(f"epoch {epoch} validation", shown):
             val = eval_loss(valid_idx)
         history.append({"epoch": epoch, "valid_loss": val})
         if val < best[0]:

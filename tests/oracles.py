@@ -8,12 +8,21 @@ behaviour: a difference from the library is a bug in the library.
 from __future__ import annotations
 
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
 
-from chemfuse.chem import BondOrder, MolecularGraph
-from chemfuse.features import Fingerprint, check_fingerprint_shape
+from chemfuse.chem import BondOrder, MolecularGraph, Token, TokenKind, TokenSequence
+from chemfuse.chem.errors import EmptyInput, UnbalancedBracket
+from chemfuse.features import (
+    BOND_FEATURE_DIM,
+    Fingerprint,
+    check_fingerprint_shape,
+    featurize,
+    masked_atom_row,
+    masked_bond_row,
+)
 from chemfuse.fragments import (
     COMPATIBLE_PAIRS,
     FragmentMap,
@@ -31,6 +40,117 @@ def generated_corpus(seed: int, count: int) -> list[str]:
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     return gen.large_corpus(seed, count)
+
+
+# ----------------------------------------------------------------- front end
+
+_TOKEN_RE = re.compile(r"(\[[^\]]*\]|Br|Cl|@@|%\d{2}|.)", re.DOTALL)
+_ORGANIC_UPPER = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"}
+_AROMATIC_LOWER = {"b", "c", "n", "o", "p", "s"}
+_BOND_CHARS = {"-", "=", "#", "$", ":", "/", "\\"}
+
+
+def _classify(text: str) -> TokenKind:
+    if text.startswith("["):
+        return TokenKind.BRACKET_ATOM
+    if text in _ORGANIC_UPPER or text in _AROMATIC_LOWER:
+        return TokenKind.ATOM
+    if text.isdigit() or text.startswith("%"):
+        return TokenKind.RING_DIGIT
+    if text in _BOND_CHARS:
+        return TokenKind.BOND_SYMBOL
+    if text in ("(", ")"):
+        return TokenKind.BRANCH
+    if text == ".":
+        return TokenKind.DOT
+    if text in ("@", "@@"):
+        return TokenKind.STEREO_MARK
+    return TokenKind.OTHER
+
+
+def tokenize(smiles: str) -> TokenSequence:
+    """The tokenizer classifying every token text by rule, with spans from
+    the regex matches."""
+    if not smiles:
+        raise EmptyInput("cannot tokenize an empty SMILES string")
+    tokens = []
+    atom_counter = 0
+    pos = 0
+    for match in _TOKEN_RE.finditer(smiles):
+        text = match.group(0)
+        if text == "[":
+            raise UnbalancedBracket(f"'[' at byte {pos} never closed in {smiles!r}")
+        kind = _classify(text)
+        atom_index = None
+        if kind in (TokenKind.ATOM, TokenKind.BRACKET_ATOM):
+            atom_index = atom_counter
+            atom_counter += 1
+        tokens.append(Token(text=text, kind=kind, char_span=(pos, match.end()),
+                            atom_index=atom_index))
+        pos = match.end()
+    return TokenSequence(tokens=tuple(tokens), source=smiles)
+
+
+def mark_rings(graph: MolecularGraph) -> None:
+    """Ring flags from a bridge search that steps one edge per stack entry,
+    then each atom's flag from a scan of its bonds."""
+    m = graph.m
+    for bond in graph.bonds:
+        bond.in_ring = False
+    disc = [-1] * m
+    low = [0] * m
+    timer = 0
+    for root in range(m):
+        if disc[root] != -1:
+            continue
+        stack = [(root, -1, 0)]
+        disc[root] = low[root] = timer
+        timer += 1
+        while stack:
+            node, in_bond, ptr = stack.pop()
+            if ptr < len(graph.adjacency[node]):
+                stack.append((node, in_bond, ptr + 1))
+                bi = graph.adjacency[node][ptr]
+                if bi == in_bond:
+                    continue
+                nxt = graph.bonds[bi].other(node)
+                if disc[nxt] == -1:
+                    disc[nxt] = low[nxt] = timer
+                    timer += 1
+                    stack.append((nxt, bi, 0))
+                else:
+                    graph.bonds[bi].in_ring = True
+                    low[node] = min(low[node], disc[nxt])
+            elif in_bond != -1:
+                parent = graph.bonds[in_bond].other(node)
+                low[parent] = min(low[parent], low[node])
+                if low[node] <= disc[parent]:
+                    graph.bonds[in_bond].in_ring = True
+    for i, atom in enumerate(graph.atoms):
+        atom.in_ring = any(graph.bonds[bi].in_ring for bi in graph.adjacency[i])
+
+
+def is_carbonyl_carbon(g: MolecularGraph, i: int) -> bool:
+    """The acyl-carbon test made afresh from atom ``i``'s neighbours."""
+    a = g.atoms[i]
+    return a.element == "C" and not a.aromatic and any(
+        bond.order is BondOrder.DOUBLE and g.atoms[j].element == "O"
+        for j, bond in g.neighbors(i)
+    )
+
+
+def context_ids(graphs: list[MolecularGraph]) -> list[list[int]]:
+    """Per graph, each atom's context class under a vocabulary built from
+    ``graphs`` by first occurrence, every key made afresh."""
+    def key(g, i):
+        return (g.atoms[i].element, tuple(sorted(
+            (bond.order.value, g.atoms[j].element) for j, bond in g.neighbors(i))))
+
+    key_to_id: dict = {}
+    for g in graphs:
+        for i in range(g.m):
+            key_to_id.setdefault(key(g, i), len(key_to_id))
+    return [[key_to_id[key(g, i)] for i in range(g.m)] for g in graphs]
 
 
 # --------------------------------------------------------------- fingerprint
@@ -146,6 +266,34 @@ def fragment_members(fmap: FragmentMap, k: int) -> tuple[list[int], list[int]]:
     atoms = [i for i, label in enumerate(fmap.l_g) if label == k]
     toks = [i for i, label in enumerate(fmap.l_s) if label == k]
     return atoms, toks
+
+
+# ------------------------------------------------------------------- encoder
+
+def graph_union(graphs, masked_atoms=()):
+    """``encoder.graph_union`` bond by bond: each bond sets its two adjacency
+    entries and adds its feature row to both end atoms' sums in turn."""
+    masked_atoms = masked_atoms or [()] * len(graphs)
+    total = sum(graph.m for graph in graphs)
+    adj = np.zeros((total, total))
+    edge_sum = np.zeros((total, BOND_FEATURE_DIM))
+    atom_rows = []
+    offset = 0
+    for graph, masked in zip(graphs, masked_atoms):
+        atom_feats, bond_feats = (a.copy() for a in featurize(graph))
+        masked = set(masked)
+        for i in masked:
+            atom_feats[i] = masked_atom_row()
+        for bi, bond in enumerate(graph.bonds):
+            if bond.a in masked or bond.b in masked:
+                bond_feats[bi] = masked_bond_row()
+            a, b = offset + bond.a, offset + bond.b
+            adj[a, b] = adj[b, a] = 1.0
+            edge_sum[a] += bond_feats[bi]
+            edge_sum[b] += bond_feats[bi]
+        atom_rows.append(atom_feats)
+        offset += graph.m
+    return np.concatenate(atom_rows), adj, edge_sum
 
 
 # -------------------------------------------------------------------- nn ops

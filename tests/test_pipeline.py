@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from chemfuse.pipeline import (
     SplitMode,
     TaskKind,
     TrainConfig,
+    _diverges_at,
     _record_rng,
     _step_losses,
     build_vocabulary,
@@ -463,6 +465,21 @@ def test_split_task_empty_split_error():
     with pytest.raises(EmptySplit):
         from chemfuse.pipeline import split_task
         split_task(task)
+
+
+def test_held_warnings_print_once_per_run():
+    shown = set()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for step in range(3):
+            with _diverges_at(f"step {step}", shown):
+                np.array([1e300]) * 1e300
+                warnings.warn("held", UserWarning)
+                if step == 2:
+                    warnings.warn("held", UserWarning)  # a second location
+    lines = {w.lineno for w in caught if str(w.message) == "held"}
+    assert [w.category for w in caught] == [RuntimeWarning, UserWarning, UserWarning]
+    assert len(lines) == 2
 
 
 def test_finetune_degenerate_labels_nan_with_warning(tmp_path):

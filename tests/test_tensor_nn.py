@@ -589,6 +589,20 @@ def test_graph_union_is_block_diagonal():
     assert not np.array_equal(edge_sum[graphs[0].m:], unmasked)
 
 
+def test_graph_union_matches_loop_oracle_bitwise(golden_smiles):
+    graphs = [parse_smiles(s)[0] for s in golden_smiles]
+    rng = np.random.default_rng(0)
+    for lo in range(0, len(graphs), 16):
+        sides = graphs[lo:lo + 16]
+        masked = [tuple(np.flatnonzero(rng.random(g.m) < 0.3).tolist()) for g in sides]
+        for mask in ((), masked):
+            got = graph_union(sides, mask)
+            want = oracles.graph_union(sides, mask)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("trial", range(3))
 def test_grad_gcn_union_of_graphs(trial):
     _, _, (_, adj, edge_sum) = _two_graph_union()
