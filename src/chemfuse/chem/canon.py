@@ -73,12 +73,7 @@ def canonical_ranks(graph: MolecularGraph) -> list[int]:
 
     Automorphic atoms (e.g. the two carbons of ethane) share a rank.
     """
-    if graph.m == 0:
-        return []
-    ranks = _refine([graph])[0]
-    # Densify within this graph alone.
-    order = {r: i for i, r in enumerate(sorted(set(ranks)))}
-    return [order[r] for r in ranks]
+    return _refine([graph])[0]
 
 
 def canonical_key(graph: MolecularGraph) -> str:

@@ -9,6 +9,7 @@ index, atoms know their source token.
 from __future__ import annotations
 
 import functools
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -232,8 +233,9 @@ class MolecularGraph:
         for i, atom in enumerate(self.atoms):
             atom.in_ring = i in ring_atoms
 
-    def connected_components(self) -> list[list[int]]:
-        """Atom index lists, one per component, in first-atom order."""
+    def connected_components(self, cut: Collection[int] = ()) -> list[list[int]]:
+        """Atom index lists, one per component, in first-atom order, with the
+        bonds whose indices are in ``cut`` left out."""
         seen = [False] * self.m
         comps = []
         for start in range(self.m):
@@ -244,8 +246,8 @@ class MolecularGraph:
             queue = [start]
             while queue:
                 node = queue.pop()
-                for nxt, _ in self._pairs[node]:
-                    if not seen[nxt]:
+                for bi, (nxt, _) in zip(self.adjacency[node], self._pairs[node]):
+                    if not seen[nxt] and bi not in cut:
                         seen[nxt] = True
                         comp.append(nxt)
                         queue.append(nxt)

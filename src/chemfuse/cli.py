@@ -14,13 +14,12 @@ import warnings
 
 import numpy as np
 
-from .chem import TokenKind, parse_smiles, tokenize, write_smiles
+from .chem import TokenKind, tokenize, write_smiles
 from .chem.tokenizer import unsupported
 from .encoder import ModelConfig, dump_attention
 from .errors import InputError
 from .features import (check_fingerprint_shape, group_names_present, morgan_fingerprint,
                         murcko_scaffold)
-from .fragments import build_fragment_map
 from .masking import (MaskConfig, Strategy, build_context_vocab, sample_fragment_mask,
                        sample_token_mask)
 from .metrics import concordance_index, mse, rmse, roc_auc
@@ -28,6 +27,7 @@ from .nn import no_grad
 from .pipeline import (
     ConfigError,
     Corpus,
+    ParsedMolecule,
     SplitMode,
     TaskKind,
     TrainConfig,
@@ -63,47 +63,32 @@ def cmd_tokenize(args) -> int:
     return 0
 
 
-def cmd_parse(args) -> int:
+def cmd_per_molecule(args) -> int:
+    """Print ``args.line(args, molecule)`` for each input molecule."""
     for smiles in _smiles_column(args.input):
-        graph, _ = parse_smiles(smiles)
-        atoms = ",".join(a.element.lower() if a.aromatic else a.element
-                         for a in graph.atoms)
-        bonds = ",".join(f"{b.a}-{b.b}:{b.order.value}" for b in graph.bonds)
-        print(f"{graph.m}\t{len(graph.bonds)}\t{atoms}\t{bonds}")
+        print(args.line(args, parse_molecule(smiles)))
     return 0
 
 
-def cmd_fragment(args) -> int:
-    for smiles in _smiles_column(args.input):
-        graph, tokens = parse_smiles(smiles)
-        fmap = build_fragment_map(tokens, graph)
-        l_g = ",".join(str(x) for x in fmap.l_g)
-        l_s = ",".join(str(x) for x in fmap.l_s)
-        print(f"{fmap.K}\t{l_g}\t{l_s}")
-    return 0
+def _parse_line(args, mol: ParsedMolecule) -> str:
+    atoms = ",".join(a.element.lower() if a.aromatic else a.element for a in mol.graph.atoms)
+    bonds = ",".join(f"{b.a}-{b.b}:{b.order.value}" for b in mol.graph.bonds)
+    return f"{mol.graph.m}\t{len(mol.graph.bonds)}\t{atoms}\t{bonds}"
+
+
+def _fragment_line(args, mol: ParsedMolecule) -> str:
+    fmap = mol.fragment_map
+    return "\t".join([str(fmap.K), ",".join(map(str, fmap.l_g)), ",".join(map(str, fmap.l_s))])
+
+
+def _fingerprint_line(args, mol: ParsedMolecule) -> str:
+    bits = morgan_fingerprint(mol.graph, radius=args.radius, width=args.width)
+    return np.packbits(bits).tobytes().hex()
 
 
 def cmd_fingerprint(args) -> int:
     check_fingerprint_shape(args.radius, args.width)
-    for smiles in _smiles_column(args.input):
-        graph, _ = parse_smiles(smiles)
-        fp = morgan_fingerprint(graph, radius=args.radius, width=args.width)
-        print(fp.to_hex())
-    return 0
-
-
-def cmd_groups(args) -> int:
-    for smiles in _smiles_column(args.input):
-        graph, _ = parse_smiles(smiles)
-        print(",".join(group_names_present(graph)))
-    return 0
-
-
-def cmd_scaffold(args) -> int:
-    for smiles in _smiles_column(args.input):
-        graph, _ = parse_smiles(smiles)
-        print(write_smiles(murcko_scaffold(graph)))
-    return 0
+    return cmd_per_molecule(args)
 
 
 #: Settings a flag or a config line may give, with the cast for config values.
@@ -272,17 +257,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    for name, fn, desc in (
-        ("tokenize", cmd_tokenize, "space-joined tokens per molecule"),
-        ("parse", cmd_parse, "atom/bond summary per molecule"),
-        ("fragment", cmd_fragment, "K, atom labels, token labels per molecule"),
-        ("groups", cmd_groups, "functional groups present per molecule"),
-        ("scaffold", cmd_scaffold, "scaffold SMILES per molecule"),
+    p = add("tokenize", cmd_tokenize, help="space-joined tokens per molecule")
+    p.add_argument("input", nargs="?", help="SMILES file (default stdin)")
+    for name, line, desc in (
+        ("parse", _parse_line, "atom/bond summary per molecule"),
+        ("fragment", _fragment_line, "K, atom labels, token labels per molecule"),
+        ("groups", lambda args, mol: ",".join(group_names_present(mol.graph)),
+         "functional groups present per molecule"),
+        ("scaffold", lambda args, mol: write_smiles(murcko_scaffold(mol.graph)),
+         "scaffold SMILES per molecule"),
     ):
-        p = add(name, fn, help=desc)
+        p = add(name, cmd_per_molecule, help=desc)
+        p.set_defaults(line=line)
         p.add_argument("input", nargs="?", help="SMILES file (default stdin)")
 
     p = add("fingerprint", cmd_fingerprint, help="hex fingerprint per molecule")
+    p.set_defaults(line=_fingerprint_line)
     p.add_argument("input", nargs="?")
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--width", type=int, default=2048)

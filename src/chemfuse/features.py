@@ -7,8 +7,6 @@ predicates, and scaffold keys come from canonical ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .chem.canon import canonical_key
@@ -126,21 +124,6 @@ def _seed_atom_ids(graph: MolecularGraph) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """Fixed-width circular fingerprint bit vector."""
-
-    bits: np.ndarray
-    radius: int
-
-    @property
-    def width(self) -> int:
-        return int(self.bits.shape[0])
-
-    def to_hex(self) -> str:
-        return bytes(np.packbits(self.bits.astype(np.uint8))).hex()
-
-
 class BadFingerprintShape(InputError):
     """A fingerprint radius below 0, or a width that is not a power of two
     of at least 64."""
@@ -154,8 +137,9 @@ def check_fingerprint_shape(radius: int, width: int) -> None:
 
 
 def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
-                       width: int = 2048) -> Fingerprint:
-    """Iterative neighborhood-hash fingerprint.
+                       width: int = 2048) -> np.ndarray:
+    """Iterative neighborhood-hash fingerprint: ``width`` bits as a uint8
+    array of zeros and ones.
 
     Atom identifiers start from (element, degree, charge, H-count, aromatic)
     and are rehashed ``radius`` times over sorted (bond order, neighbor id)
@@ -212,7 +196,7 @@ def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
         bits[(new_ids[alive] % np.uint64(width)).astype(np.intp)] = 1
         ids = new_ids
         env = new_env
-    return Fingerprint(bits=bits, radius=radius)
+    return bits
 
 
 # ---------------------------------------------------------- functional groups

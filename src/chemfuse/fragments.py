@@ -118,28 +118,35 @@ def _is_aromatic_carbon(g: MolecularGraph, i: int) -> bool:
 
 @dataclass(frozen=True)
 class CleavageRule:
-    """One link environment: a named structural predicate over (graph, atom)."""
+    """One link environment: a named structural predicate over (graph, atom)
+    that only atoms of ``element`` can match."""
 
     rule_id: str
     name: str
+    element: str
     matches: Callable[[MolecularGraph, int], bool]
 
 
 #: The link-environment table. Order is documentation only.
 ENVIRONMENTS: tuple[CleavageRule, ...] = (
-    CleavageRule("L1", "acyl carbon", is_carbonyl_carbon),
-    CleavageRule("L3", "ether/ester oxygen", _is_ether_oxygen),
-    CleavageRule("L4", "alkyl carbon", _is_alkyl_carbon),
-    CleavageRule("L5", "amine nitrogen", _is_amine_nitrogen),
-    CleavageRule("L9", "aromatic nitrogen", _is_aromatic_nitrogen),
-    CleavageRule("L10", "ring amine nitrogen", _is_ring_amine_nitrogen),
-    CleavageRule("L11", "thioether sulfur", _is_thioether_sulfur),
-    CleavageRule("L12", "sulfonyl sulfur", is_sulfonyl_sulfur),
-    CleavageRule("L13", "ring carbon next to ring heteroatom", _is_hetero_ring_carbon),
-    CleavageRule("L14", "heteroaromatic carbon", _is_heteroaromatic_carbon),
-    CleavageRule("L15", "carbocycle carbon", _is_carbocycle_carbon),
-    CleavageRule("L16", "aromatic carbon", _is_aromatic_carbon),
+    CleavageRule("L1", "acyl carbon", "C", is_carbonyl_carbon),
+    CleavageRule("L3", "ether/ester oxygen", "O", _is_ether_oxygen),
+    CleavageRule("L4", "alkyl carbon", "C", _is_alkyl_carbon),
+    CleavageRule("L5", "amine nitrogen", "N", _is_amine_nitrogen),
+    CleavageRule("L9", "aromatic nitrogen", "N", _is_aromatic_nitrogen),
+    CleavageRule("L10", "ring amine nitrogen", "N", _is_ring_amine_nitrogen),
+    CleavageRule("L11", "thioether sulfur", "S", _is_thioether_sulfur),
+    CleavageRule("L12", "sulfonyl sulfur", "S", is_sulfonyl_sulfur),
+    CleavageRule("L13", "ring carbon next to ring heteroatom", "C", _is_hetero_ring_carbon),
+    CleavageRule("L14", "heteroaromatic carbon", "C", _is_heteroaromatic_carbon),
+    CleavageRule("L15", "carbocycle carbon", "C", _is_carbocycle_carbon),
+    CleavageRule("L16", "aromatic carbon", "C", _is_aromatic_carbon),
 )
+
+_RULES_BY_ELEMENT: dict[str, tuple[CleavageRule, ...]] = {
+    element: tuple(rule for rule in ENVIRONMENTS if rule.element == element)
+    for element in {rule.element for rule in ENVIRONMENTS}
+}
 
 #: Environment pairs across which a single acyclic bond is cleaved.
 COMPATIBLE_PAIRS: frozenset[frozenset[str]] = frozenset(
@@ -161,8 +168,10 @@ COMPATIBLE_PAIRS: frozenset[frozenset[str]] = frozenset(
 
 
 def atom_environments(graph: MolecularGraph, i: int) -> set[str]:
-    """Ids of all environments atom ``i`` matches."""
-    return {rule.rule_id for rule in ENVIRONMENTS if rule.matches(graph, i)}
+    """Ids of all environments atom ``i`` matches; only the rules for its
+    element are tried."""
+    return {rule.rule_id for rule in _RULES_BY_ELEMENT.get(graph.atoms[i].element, ())
+            if rule.matches(graph, i)}
 
 
 def brics_cleave(graph: MolecularGraph) -> tuple[int, list[int], list[int]]:
@@ -188,25 +197,12 @@ def brics_cleave(graph: MolecularGraph) -> tuple[int, list[int], list[int]]:
         envs_b = environments(bond.b)
         if any(frozenset((ea, eb)) in COMPATIBLE_PAIRS for ea in envs_a for eb in envs_b):
             cleaved.append(bi)
-    removed = set(cleaved)
-    l_g = [-1] * graph.m
-    k = 0
-    for start in range(graph.m):
-        if l_g[start] != -1:
-            continue
-        queue = [start]
-        l_g[start] = k
-        while queue:
-            node = queue.pop()
-            for bi in graph.adjacency[node]:
-                if bi in removed:
-                    continue
-                nxt = graph.bonds[bi].other(node)
-                if l_g[nxt] == -1:
-                    l_g[nxt] = k
-                    queue.append(nxt)
-        k += 1
-    return k, l_g, cleaved
+    components = graph.connected_components(cut=set(cleaved))
+    l_g = [0] * graph.m
+    for k, atoms in enumerate(components):
+        for i in atoms:
+            l_g[i] = k
+    return len(components), l_g, cleaved
 
 
 @dataclass(frozen=True)
@@ -231,37 +227,27 @@ def label_smiles_tokens(tokens: TokenSequence, graph: MolecularGraph,
     """
     if len(l_g) != graph.m:
         raise ValueError(f"l_g has {len(l_g)} labels for {graph.m} atoms")
-    n = tokens.n
-    l_s: list[int | None] = [None] * n
-    for idx, token in enumerate(tokens.tokens):
+    # Left to right, every token takes the label of the last atom seen: an
+    # atom its own, the rest their nearest atom to the left.
+    l_s: list[int | None] = []
+    label = None
+    for token in tokens.tokens:
         if token.is_atom:
-            l_s[idx] = l_g[token.atom_index]
-
-    def left_atom_label(idx: int) -> int:
-        for j in range(idx - 1, -1, -1):
-            if tokens.tokens[j].is_atom:
-                return l_g[tokens.tokens[j].atom_index]
-        raise OrphanSymbol(
-            f"token {idx} ({tokens.tokens[idx].text!r}) has no atom to its left"
-        )
-
-    def right_atom_label(idx: int) -> int:
-        for j in range(idx + 1, n):
-            if tokens.tokens[j].is_atom:
-                return l_g[tokens.tokens[j].atom_index]
-        raise OrphanSymbol(
-            f"token {idx} ({tokens.tokens[idx].text!r}) has no atom to its right"
-        )
-
-    for idx, token in enumerate(tokens.tokens):
-        if l_s[idx] is not None:
-            continue
-        if token.kind is TokenKind.BRANCH and token.text == "(":
-            l_s[idx] = right_atom_label(idx)
-        else:
-            # Bond symbols, dots, ring digits, stereo marks, ')' and any
-            # leftover printable character follow their left nearest atom.
-            l_s[idx] = left_atom_label(idx)
+            label = l_g[token.atom_index]
+        l_s.append(label)
+    # Right to left, each '(' takes the label of the next atom instead.
+    label = None
+    for idx in range(tokens.n - 1, -1, -1):
+        token = tokens.tokens[idx]
+        if token.is_atom:
+            label = l_s[idx]
+        elif token.kind is TokenKind.BRANCH and token.text == "(":
+            l_s[idx] = label
+    if None in l_s:
+        idx = l_s.index(None)
+        token = tokens.tokens[idx]
+        side = "right" if token.kind is TokenKind.BRANCH and token.text == "(" else "left"
+        raise OrphanSymbol(f"token {idx} ({token.text!r}) has no atom to its {side}")
     return l_s  # type: ignore[return-value]
 
 

@@ -130,6 +130,22 @@ def _diverges_at(where: str, shown: set) -> Iterator[None]:
                                    source=w.source)
 
 
+def _train_step(forward, params: list[Parameter], optimizer: AdamState,
+                where: str, shown: set):
+    """One optimizer step of ``optimizer`` over ``params``. ``forward()``
+    builds the loss tape and returns ``(loss, report)``; the report is
+    returned. A NaN or infinity raises TrainingDiverged naming ``where``, as
+    ``_diverges_at`` does. The tape is dropped before the update."""
+    with _diverges_at(where, shown):
+        loss, report = forward()
+        for p in params:
+            p.zero_grad()
+        backward(loss)
+        del loss
+    adam_step(params, optimizer)
+    return report
+
+
 @contextlib.contextmanager
 def _collector_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector, then restore the caller's setting.
@@ -281,9 +297,8 @@ def prepare_records(corpus: Corpus, vocab: Vocabulary,
             fragment_map=mol.fragment_map,
             token_ids=vocab.ids_for(mol.tokens),
             context_ids=context_vocab.ids_for_graph(mol.graph),
-            fingerprint_bits=morgan_fingerprint(
-                mol.graph, width=fingerprint_width).bits.astype(np.float64),
-            group_bits=detect_functional_groups(mol.graph).astype(np.float64),
+            fingerprint_bits=morgan_fingerprint(mol.graph, width=fingerprint_width),
+            group_bits=detect_functional_groups(mol.graph),
             labels=mol.labels,
         ))
     return records
@@ -546,18 +561,14 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
         shuffled = [records[i] for i in order]
         size = train_config.batch_size
         for batch_index, start in enumerate(range(0, len(shuffled), size)):
-            with _diverges_at(f"epoch {epoch} batch {batch_index}", shown):
-                total, report, _ = _step_losses(
-                    model, shuffled[start:start + size], mask_config, epoch,
-                    base_index=start, train_seed=train_config.seed)
-                for p in params:
-                    p.zero_grad()
-                backward(total)
-                del total  # the tape is not needed while the next one is built
             optimizer.lr = learning_rate_at(step, total_steps,
                                             train_config.warmup_steps,
                                             train_config.lr)
-            adam_step(params, optimizer)
+            report = _train_step(
+                lambda: _step_losses(model, shuffled[start:start + size], mask_config,
+                                     epoch, base_index=start,
+                                     train_seed=train_config.seed)[:2],
+                params, optimizer, f"epoch {epoch} batch {batch_index}", shown)
             history.append(report)
             if log_sink is not None:
                 print(format_log_line(step, report), file=log_sink)
@@ -756,12 +767,9 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
         order = order_rng.permutation(len(train_idx))
         for batch_index, lo in enumerate(range(0, len(order), batch_size)):
             chunk = [train_idx[i] for i in order[lo:lo + batch_size]]
-            with _diverges_at(f"epoch {epoch} batch {batch_index}", shown):
-                loss = _task_loss(head_forward(chunk, train=True), labels[chunk], task.kind)
-                for p in trainable:
-                    p.zero_grad()
-                backward(loss)
-            adam_step(trainable, optimizer)
+            _train_step(lambda: (_task_loss(head_forward(chunk, train=True), labels[chunk],
+                                            task.kind), None),
+                        trainable, optimizer, f"epoch {epoch} batch {batch_index}", shown)
         with _diverges_at(f"epoch {epoch} validation", shown):
             val = eval_loss(valid_idx)
         history.append({"epoch": epoch, "valid_loss": val})

@@ -17,7 +17,6 @@ from chemfuse.chem import BondOrder, MolecularGraph, Token, TokenKind, TokenSequ
 from chemfuse.chem.errors import EmptyInput, UnbalancedBracket
 from chemfuse.features import (
     BOND_FEATURE_DIM,
-    Fingerprint,
     check_fingerprint_shape,
     featurize,
     masked_atom_row,
@@ -25,9 +24,9 @@ from chemfuse.features import (
 )
 from chemfuse.fragments import (
     COMPATIBLE_PAIRS,
+    ENVIRONMENTS,
     FragmentMap,
     FragmentOutOfRange,
-    atom_environments,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -183,7 +182,7 @@ def _seed_atom_id(graph: MolecularGraph, i: int) -> int:
 
 
 def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
-                       width: int = 2048) -> Fingerprint:
+                       width: int = 2048) -> np.ndarray:
     """The fingerprint hashed one Python integer at a time."""
     check_fingerprint_shape(radius, width)
     bits = np.zeros(width, dtype=np.uint8)
@@ -213,14 +212,19 @@ def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
                 alive[i] = False
         ids = new_ids
         bond_envs = new_envs
-    return Fingerprint(bits=bits, radius=radius)
+    return bits
 
 
-def popcount(fp: Fingerprint) -> int:
-    return int(fp.bits.sum())
+def popcount(bits: np.ndarray) -> int:
+    return int(bits.sum())
 
 
 # ----------------------------------------------------------------- fragments
+
+def atom_environments(graph: MolecularGraph, i: int) -> set[str]:
+    """Ids of the environments atom ``i`` matches, every rule tried."""
+    return {rule.rule_id for rule in ENVIRONMENTS if rule.matches(graph, i)}
+
 
 def brics_cleave(graph: MolecularGraph) -> tuple[int, list[int], list[int]]:
     """Cleavage with each bond's end-atom environments recomputed per bond."""

@@ -147,6 +147,12 @@ def test_parse_charges_and_dots():
     assert len(g.connected_components()) == 2
 
 
+def test_connected_components_leave_out_cut_bonds():
+    g, _ = parse_smiles("CCOC(=O)C.N")
+    assert g.connected_components() == [[0, 1, 2, 3, 4, 5], [6]]
+    assert g.connected_components(cut={1, 4}) == [[0, 1], [2, 3, 4], [5], [6]]
+
+
 def test_parse_stereo_bonds():
     g, _ = parse_smiles("C/C=C/C")
     assert g.bond_between(1, 2).order is BondOrder.DOUBLE

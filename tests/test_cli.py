@@ -74,6 +74,16 @@ def test_fragment_format(tmp_path, capsys):
     assert lines[1].startswith("2\t")
 
 
+@pytest.mark.parametrize("argv", [["parse"], ["fragment"], ["fingerprint", "--width", "1024"],
+                                  ["groups"], ["scaffold"], ["mask", "--seed", "7"]],
+                         ids=" ".join)
+def test_golden_output_matches_recorded(capsys, argv):
+    data = Path(__file__).parent / "data"
+    code, out, err = run(capsys, argv + [str(data / "golden_500.smi")])
+    assert (code, err) == (0, "")
+    assert out == (data / "cli_golden_500" / f"{argv[0]}.txt").read_text()
+
+
 def test_similarity_identical(checkpoint, capsys):
     code, out, _ = run(capsys, ["similarity", "CCO", "CCO",
                                 "--checkpoint", checkpoint])

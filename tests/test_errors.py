@@ -53,7 +53,7 @@ def test_main_maps_input_errors_to_1_and_the_rest_to_2(monkeypatch, capsys,
     def command(args):
         raise exc
 
-    monkeypatch.setattr(cli, "cmd_parse", command)
-    assert cli.main(["parse"]) == code
+    monkeypatch.setattr(cli, "cmd_tokenize", command)
+    assert cli.main(["tokenize"]) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", err)

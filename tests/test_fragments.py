@@ -113,6 +113,14 @@ def test_cleave_matches_per_bond_oracle(golden_smiles):
         assert brics_cleave(g) == oracles.brics_cleave(g), s
 
 
+def test_atom_environments_match_all_rules_oracle(golden_smiles):
+    # Only the rules for an atom's element are tried; trying all gives the same.
+    for s in golden_smiles + oracles.generated_corpus(5, 200):
+        g, _ = parse_smiles(s)
+        for i in range(g.m):
+            assert atom_environments(g, i) == oracles.atom_environments(g, i), (s, i)
+
+
 # ----------------------------------------------------------------- token labels
 
 def test_label_rule_example_ester():
@@ -158,6 +166,24 @@ def test_label_orphan_symbol():
     g2, _ = parse_smiles("CC")
     with pytest.raises(OrphanSymbol):
         label_smiles_tokens(bad, g2, [0, 0])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("=CC", "token 0 ('=') has no atom to its left"),
+    ("C(", "token 1 ('(') has no atom to its right"),
+    ("=C(", "token 0 ('=') has no atom to its left"),
+    ("(=C", "token 1 ('=') has no atom to its left"),
+    ("((", "token 0 ('(') has no atom to its right"),
+    ("(=", "token 0 ('(') has no atom to its right"),
+])
+def test_label_first_orphan_message(text, message):
+    from chemfuse.chem import MolecularGraph, tokenize
+    tokens = tokenize(text)
+    atoms = sum(tok.is_atom for tok in tokens.tokens)
+    graph = parse_smiles("C" * atoms)[0] if atoms else MolecularGraph()
+    with pytest.raises(OrphanSymbol) as info:
+        label_smiles_tokens(tokens, graph, [0] * atoms)
+    assert str(info.value) == message
 
 
 def test_label_totality_and_heavy_atom_agreement(golden_smiles):

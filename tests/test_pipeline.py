@@ -500,7 +500,7 @@ def test_finetune_regression_beats_constant_baseline():
     molecules = corpus.molecules[:80]
     # Target: fingerprint density, a structure-determined quantity.
     from chemfuse.features import morgan_fingerprint
-    labels = [int(morgan_fingerprint(m.graph, width=256).bits.sum()) / 256.0
+    labels = [int(morgan_fingerprint(m.graph, width=256).sum()) / 256.0
               for m in molecules]
     task = FinetuneTask(kind=TaskKind.REGRESSION,
                         molecules=[(m,) for m in molecules],
