@@ -82,8 +82,8 @@ def _fragment_line(args, mol: ParsedMolecule) -> str:
 
 
 def _fingerprint_line(args, mol: ParsedMolecule) -> str:
-    bits = morgan_fingerprint(mol.graph, radius=args.radius, width=args.width)
-    return np.packbits(bits).tobytes().hex()
+    bits = morgan_fingerprint([mol.graph], radius=args.radius, width=args.width)
+    return np.packbits(bits[0]).tobytes().hex()
 
 
 def cmd_fingerprint(args) -> int:

@@ -7,6 +7,9 @@ predicates, and scaffold keys come from canonical ranks.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import chain
+
 import numpy as np
 
 from .chem.canon import canonical_key
@@ -110,15 +113,15 @@ _ELEMENT_CODE = {sym: i for i, sym in enumerate(
     "H B C N O F Na Mg Si P S Cl K Ca Se Br I".split(), start=1)}
 
 
-def _seed_atom_ids(graph: MolecularGraph) -> np.ndarray:
+def _seed_atom_ids(atoms: list[Atom]) -> np.ndarray:
     """Hash of (element code, degree, charge + 16, H count, aromatic) per
     atom. Items wrap to 64 bits, so a charge below -16 hashes as its two's
     complement."""
-    items = np.array([
-        [_ELEMENT_CODE.get(a.element, 0), a.degree, (a.formal_charge + 16) & _MASK64,
-         a.total_h & _MASK64, int(a.aromatic)]
-        for a in graph.atoms], dtype=np.uint64).reshape(graph.m, 5)
-    h = np.full(graph.m, _HASH_START, dtype=np.uint64)
+    items = np.fromiter(chain.from_iterable(
+        (_ELEMENT_CODE.get(a.element, 0), a.degree, (a.formal_charge + 16) & _MASK64,
+         a.total_h & _MASK64, int(a.aromatic))
+        for a in atoms), dtype=np.uint64, count=5 * len(atoms)).reshape(len(atoms), 5)
+    h = np.full(len(atoms), _HASH_START, dtype=np.uint64)
     for column in _mix64(items).T:
         h = _mix64(h ^ column)
     return h
@@ -136,31 +139,40 @@ def check_fingerprint_shape(radius: int, width: int) -> None:
         raise BadFingerprintShape(f"width must be a power of two >= 64, got {width}")
 
 
-def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
+def morgan_fingerprint(graphs: Sequence[MolecularGraph], radius: int = 2,
                        width: int = 2048) -> np.ndarray:
-    """Iterative neighborhood-hash fingerprint: ``width`` bits as a uint8
-    array of zeros and ones.
+    """Iterative neighborhood-hash fingerprints of a block of molecules: a
+    ``(len(graphs), width)`` uint8 array of zeros and ones, row ``i`` for
+    ``graphs[i]``.
 
     Atom identifiers start from (element, degree, charge, H-count, aromatic)
     and are rehashed ``radius`` times over sorted (bond order, neighbor id)
     tuples. An environment whose bond set stopped growing is a duplicate of
     the previous radius and sets no new bit. Bit index = id mod width.
 
-    Every atom of a radius is hashed at once: one sort of the directed
-    edges by (source, bond order, neighbor id) lays out each atom's sorted
+    Every atom of the block is hashed at once, its index offset by the atoms
+    of the molecules before it: one sort of the directed edges by (source,
+    bond order, neighbor id) per radius lays out each atom's sorted
     neighborhood, which is then folded in rank by rank. Bond environments
-    are rows of packed bits, grown for every atom at once.
+    are rows of packed bits indexed by each molecule's own bond numbers, so
+    a row is as wide as the block's largest bond count, not its total.
     """
     check_fingerprint_shape(radius, width)
-    m = graph.m
-    bits = np.zeros(width, dtype=np.uint8)
-    ids = _seed_atom_ids(graph)
-    bits[(ids % np.uint64(width)).astype(np.intp)] = 1
+    sizes = np.array([g.m for g in graphs], dtype=np.intp)
+    n_bonds = np.array([len(g.bonds) for g in graphs], dtype=np.intp)
+    m = int(sizes.sum())
+    mol = np.repeat(np.arange(len(graphs)), sizes)  # molecule of each atom
+    bits = np.zeros((len(graphs), width), dtype=np.uint8)
+    ids = _seed_atom_ids([a for g in graphs for a in g.atoms])
+    bits[mol, (ids % np.uint64(width)).astype(np.intp)] = 1
 
-    # Directed edges: bond k runs a -> b as edge k and b -> a as edge k + bonds.
-    ends = np.array([(b.a, b.b, b.order.value) for b in graph.bonds],
-                    dtype=np.int64).reshape(-1, 3)
-    n_bonds = len(ends)
+    # Directed edges: bond k runs a -> b as edge k and b -> a as edge k + bonds,
+    # its ends offset to block atom indices; `local` is k within its molecule.
+    ends = np.fromiter(chain.from_iterable((b.a, b.b, b.order.value)
+                                           for g in graphs for b in g.bonds),
+                       dtype=np.int64, count=3 * int(n_bonds.sum())).reshape(-1, 3)
+    ends[:, :2] += np.repeat(np.cumsum(sizes) - sizes, n_bonds)[:, None]
+    local = np.arange(len(ends)) - np.repeat(np.cumsum(n_bonds) - n_bonds, n_bonds)
     src = np.concatenate([ends[:, 0], ends[:, 1]])
     dst = np.concatenate([ends[:, 1], ends[:, 0]])
     order = np.concatenate([ends[:, 2], ends[:, 2]])
@@ -173,8 +185,8 @@ def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
         ranks.append((atoms, first[atoms] + r))
     # env[i] = packed bits of the bonds within the current radius of atom i;
     # each radius ORs in i's own bonds and its neighbours' environments.
-    own = np.zeros((m, n_bonds), dtype=bool)
-    own[src, np.tile(np.arange(n_bonds), 2)] = True
+    own = np.zeros((m, int(n_bonds.max(initial=0))), dtype=bool)
+    own[src, np.tile(local, 2)] = True
     own = np.packbits(own, axis=1)
     env = np.zeros_like(own)
     bonded = degree > 0
@@ -190,10 +202,10 @@ def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
             h = _mix64(new_ids[atoms] ^ edge_order[pos])
             new_ids[atoms] = _mix64(h ^ edge_id[pos])
         new_env = env | own
-        if n_bonds:
+        if len(ends):
             new_env[bonded] |= np.bitwise_or.reduceat(env[neighbor], first[bonded])
         alive &= (new_env != env).any(axis=1)
-        bits[(new_ids[alive] % np.uint64(width)).astype(np.intp)] = 1
+        bits[mol[alive], (new_ids[alive] % np.uint64(width)).astype(np.intp)] = 1
         ids = new_ids
         env = new_env
     return bits

@@ -284,23 +284,34 @@ class MoleculeRecord:
     labels: tuple[str, ...] = ()
 
 
+#: Molecules per ``morgan_fingerprint`` call: its numpy overhead is paid per
+#: block, its transient arrays grow with the block (0.8 MB at 32 and 6.2 MB at
+#: 256 on 40-100 atom molecules), and ``pretrain`` prepares a whole corpus.
+FINGERPRINT_BLOCK = 32
+
+
 @_collector_paused()
 def prepare_records(corpus: Corpus, vocab: Vocabulary,
                     context_vocab: ContextVocabulary,
                     fingerprint_width: int = 2048) -> list[MoleculeRecord]:
+    """One record per molecule; the fingerprint rows are read-only views of
+    their block's array."""
     records = []
-    for mol in corpus.molecules:
-        records.append(MoleculeRecord(
+    for start in range(0, len(corpus.molecules), FINGERPRINT_BLOCK):
+        block = corpus.molecules[start:start + FINGERPRINT_BLOCK]
+        bits = morgan_fingerprint([mol.graph for mol in block], width=fingerprint_width)
+        bits.flags.writeable = False
+        records.extend(MoleculeRecord(
             smiles=mol.smiles,
             tokens=mol.tokens,
             graph=mol.graph,
             fragment_map=mol.fragment_map,
             token_ids=vocab.ids_for(mol.tokens),
             context_ids=context_vocab.ids_for_graph(mol.graph),
-            fingerprint_bits=morgan_fingerprint(mol.graph, width=fingerprint_width),
+            fingerprint_bits=row,
             group_bits=detect_functional_groups(mol.graph),
             labels=mol.labels,
-        ))
+        ) for mol, row in zip(block, bits))
     return records
 
 

@@ -6,6 +6,7 @@ import json
 import shutil
 import struct
 import sys
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -677,14 +678,26 @@ def test_exit_code_bad_label(tmp_path, checkpoint, capsys, task, labels, bad_lin
     assert f"task.tsv:{bad_line}:" in err
 
 
+def _write_blob_and_checksum(ckpt, blob):
+    """Replace params.bin and give the manifest its length and CRC-32, so
+    the load gets past the checksum to the checks behind it."""
+    (ckpt / "params.bin").write_bytes(blob)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest.update(params_bytes=len(blob), params_crc32=zlib.crc32(blob))
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
 def _corrupt_truncated(ckpt):
-    blob = (ckpt / "params.bin").read_bytes()
-    (ckpt / "params.bin").write_bytes(blob[:-8])
+    _write_blob_and_checksum(ckpt, (ckpt / "params.bin").read_bytes()[:-8])
 
 
 def _corrupt_trailing(ckpt):
-    with open(ckpt / "params.bin", "ab") as out:
-        out.write(b"\0" * 8)
+    _write_blob_and_checksum(ckpt, (ckpt / "params.bin").read_bytes() + b"\0" * 8)
+
+
+def _corrupt_blob_changed(ckpt):
+    blob = (ckpt / "params.bin").read_bytes()
+    (ckpt / "params.bin").write_bytes(struct.pack("<d", 0.5) + blob[8:])
 
 
 def _corrupt_overlapping(ckpt):
@@ -695,12 +708,18 @@ def _corrupt_overlapping(ckpt):
 
 def _corrupt_nan(ckpt):
     blob = (ckpt / "params.bin").read_bytes()
-    (ckpt / "params.bin").write_bytes(struct.pack("<d", float("nan")) + blob[8:])
+    _write_blob_and_checksum(ckpt, struct.pack("<d", float("nan")) + blob[8:])
 
 
 def _corrupt_entry(ckpt):
     manifest = json.loads((ckpt / "manifest.json").read_text())
     del manifest["tensors"][0]["shape"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _corrupt_missing_checksum(ckpt):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    del manifest["params_crc32"]
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
 
 
@@ -727,6 +746,7 @@ def _corrupt_model_key(ckpt):
 
 @pytest.mark.parametrize("corrupt", [_corrupt_truncated, _corrupt_trailing,
                                      _corrupt_overlapping, _corrupt_entry, _corrupt_nan,
+                                     _corrupt_blob_changed, _corrupt_missing_checksum,
                                      _corrupt_plain_file, _corrupt_manifest_encoding,
                                      _corrupt_missing_config, _corrupt_model_key])
 def test_exit_code_corrupt_checkpoint(tmp_path, checkpoint, capsys, monkeypatch, corrupt):

@@ -9,6 +9,7 @@ from chemfuse.chem import parse_smiles
 from chemfuse.features import (
     ATOM_FEATURE_DIM,
     BOND_FEATURE_DIM,
+    BadFingerprintShape,
     EmptyCorpus,
     GROUP_NAMES,
     detect_functional_groups,
@@ -69,7 +70,7 @@ def test_featurize_double_bond_and_benzene():
 
 def test_fp_lone_atom_single_bit():
     g, _ = parse_smiles("C")
-    assert oracles.popcount(morgan_fingerprint(g, radius=2)) == 1
+    assert oracles.popcount(morgan_fingerprint([g], radius=2)[0]) == 1
 
 
 def _enumerate_environments(graph, radius):
@@ -130,7 +131,7 @@ def test_fp_popcount_matches_environment_oracle(golden_smiles):
     assert len(small) >= 20
     for s in small:
         g, _ = parse_smiles(s)
-        fp = morgan_fingerprint(g, radius=2, width=2048)
+        fp = morgan_fingerprint([g], radius=2, width=2048)[0]
         oracle = _enumerate_environments(g, 2)
         assert oracles.popcount(fp) <= oracle, s
         assert oracles.popcount(fp) >= oracle - 2, s
@@ -140,18 +141,18 @@ def test_fp_permutation_invariance(golden_smiles):
     rng = random.Random(9)
     for s in golden_smiles[:50]:
         g, _ = parse_smiles(s)
-        ref = morgan_fingerprint(g)
+        ref = morgan_fingerprint([g])[0]
         for _ in range(20):
             perm = permute_graph(g, rng)
-            np.testing.assert_array_equal(morgan_fingerprint(perm), ref)
+            np.testing.assert_array_equal(morgan_fingerprint([perm])[0], ref)
 
 
 def test_fp_width_validation():
     g, _ = parse_smiles("CC")
     with pytest.raises(ValueError):
-        morgan_fingerprint(g, width=100)
+        morgan_fingerprint([g], width=100)
     with pytest.raises(ValueError, match="radius"):
-        morgan_fingerprint(g, radius=-1)
+        morgan_fingerprint([g], radius=-1)
 
 
 
@@ -163,7 +164,7 @@ def _assert_fp_matches_oracle(graphs):
     for g in graphs:
         for radius, width in FP_SHAPES:
             np.testing.assert_array_equal(
-                morgan_fingerprint(g, radius, width),
+                morgan_fingerprint([g], radius, width)[0],
                 oracles.morgan_fingerprint(g, radius, width))
 
 
@@ -191,6 +192,56 @@ def test_fp_matches_loop_oracle_on_extreme_items():
     assert graphs[-1].m == 0
     _assert_fp_matches_oracle(graphs)
 
+
+
+def _mixed_chunks():
+    """Random chunks of generated molecules mixed with a zero-bond molecule,
+    disconnected and lone ions, and the 1,506-atom chain."""
+    odd = [parse_smiles(s)[0] for s in
+           ("C", "[Na+].[Cl-]", "[NH4+]", "C1CC1" + "C" * 1500 + "C1CC1")]
+    pool = odd + [parse_smiles(s)[0] for s in oracles.generated_corpus(4, 30)]
+    rng = random.Random(17)
+    chunks = [odd, odd[::-1]]
+    for size in (1, 2, 5, 9, 16):
+        chunks.append([rng.choice(pool) for _ in range(size)])
+    return chunks
+
+
+@pytest.mark.parametrize("radius,width", FP_SHAPES)
+def test_fp_block_rows_match_loop_oracle(radius, width):
+    oracle = {}
+    for chunk in _mixed_chunks():
+        bits = morgan_fingerprint(chunk, radius, width)
+        assert bits.shape == (len(chunk), width) and bits.dtype == np.uint8
+        for g, row in zip(chunk, bits):
+            if id(g) not in oracle:
+                oracle[id(g)] = oracles.morgan_fingerprint(g, radius, width)
+            np.testing.assert_array_equal(row, oracle[id(g)])
+
+
+def test_fp_row_is_the_same_alone_and_in_any_chunk(golden_smiles):
+    graphs = [parse_smiles(s)[0] for s in golden_smiles[:40]]
+    alone = [morgan_fingerprint([g])[0] for g in graphs]
+    rng = random.Random(3)
+    for _ in range(10):
+        picks = rng.sample(range(len(graphs)), rng.randint(2, 12))
+        bits = morgan_fingerprint([graphs[i] for i in picks])
+        for i, row in zip(picks, bits):
+            np.testing.assert_array_equal(row, alone[i])
+
+
+@pytest.mark.parametrize("radius,width", FP_SHAPES)
+def test_fp_empty_block(radius, width):
+    assert morgan_fingerprint([], radius, width).shape == (0, width)
+
+
+@pytest.mark.parametrize("graphs", [[], ["C", "CCO"]])
+def test_fp_bad_shape_raises_for_any_block(graphs):
+    graphs = [parse_smiles(s)[0] for s in graphs]
+    with pytest.raises(BadFingerprintShape, match="width"):
+        morgan_fingerprint(graphs, width=100)
+    with pytest.raises(BadFingerprintShape, match="radius"):
+        morgan_fingerprint(graphs, radius=-1)
 
 # ----------------------------------------------------------- functional groups
 

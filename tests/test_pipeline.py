@@ -1,9 +1,11 @@
 """Pipeline tests: corpora, training steps, schedule, checkpoints, fine-tuning."""
 
 import math
+import os
 import re
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +58,7 @@ from chemfuse.pipeline import (
     x_cls_of,
 )
 
+import oracles
 from conftest import DATA_DIR
 
 SMALL_MODEL = dict(dim=16, transformer_layers=1, heads=2, gnn_layers=1,
@@ -157,6 +160,36 @@ def test_ingest_errors(tmp_path):
     with pytest.raises(AllLinesFailed):
         ingest(f)
 
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+def test_prepare_records_fingerprints_across_block_boundaries(n):
+    """Fingerprints come in blocks of FINGERPRINT_BLOCK (32) molecules: every
+    record's row equals the loop oracle, the rows are read-only, and DKL on
+    them equals DKL on one-molecule-at-a-time bits, bit for bit."""
+    from chemfuse.encoder import ModelConfig
+    from chemfuse.masking import build_context_vocab
+    from chemfuse.objectives import Heads
+
+    corpus = ingest(DATA_DIR / "toy_200.smi")
+    corpus = Corpus(molecules=corpus.molecules[:n])
+    vocab = build_vocabulary(m.tokens for m in corpus.molecules)
+    ctx = build_context_vocab(m.graph for m in corpus.molecules)
+    records = prepare_records(corpus, vocab, ctx, fingerprint_width=64)
+    assert len(records) == n
+    loop_bits = [oracles.morgan_fingerprint(rec.graph, 2, 64) for rec in records]
+    for rec, want in zip(records, loop_bits):
+        np.testing.assert_array_equal(rec.fingerprint_bits, want)
+        assert rec.fingerprint_bits.dtype == np.uint8
+        assert not rec.fingerprint_bits.flags.writeable
+    config = ModelConfig(vocab_size=vocab.size, context_vocab_size=ctx.size,
+                         n_groups=24, **SMALL_MODEL)
+    heads = Heads(config, seed=5)
+    x_cls = constant(np.random.default_rng(n).normal(size=(n, config.dim)))
+    groups = [rec.group_bits for rec in records]
+    got, _ = loss_dkl(x_cls, [rec.fingerprint_bits for rec in records], groups, heads)
+    want, _ = loss_dkl(x_cls, loop_bits, groups, heads)
+    assert got.item() == want.item()
 
 def _concat_encodings(encodings):
     """Separately computed encodings as one packed encoding for the losses."""
@@ -418,6 +451,37 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     assert manifest["step"] == 2
 
 
+
+def test_crash_between_checkpoint_renames_is_refused(tmp_path, monkeypatch):
+    """A crash after params.bin is replaced but before manifest.json leaves
+    new parameters beside the old manifest, with the same shapes: the
+    manifest's checksum refuses the pair, and the next complete save loads."""
+    from chemfuse.nn import CheckpointCorrupt, Parameter, load_checkpoint, save_checkpoint
+
+    params = {"w": Parameter("w", np.arange(6.0).reshape(2, 3))}
+    save_checkpoint(tmp_path, params, config={}, seed=1, step=1)
+    load_checkpoint(tmp_path)
+    params["w"].data = params["w"].data + 1.0
+    replace, replaced = os.replace, []
+
+    def second_replace_fails(src, dst):
+        replaced.append(Path(dst).name)
+        if len(replaced) == 2:
+            raise OSError(5, "Input/output error")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_replace_fails)
+    with pytest.raises(OSError):
+        save_checkpoint(tmp_path, params, config={}, seed=1, step=2)
+    monkeypatch.undo()
+    assert replaced == ["params.bin", "manifest.json"]
+    with pytest.raises(CheckpointCorrupt, match="CRC-32"):
+        load_checkpoint(tmp_path)
+    save_checkpoint(tmp_path, params, config={}, seed=1, step=2)
+    manifest, tensors = load_checkpoint(tmp_path)
+    assert manifest["step"] == 2
+    np.testing.assert_array_equal(tensors["w"], params["w"].data)
+
 def test_pretrain_determinism_bytes(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     quick_pretrain(epochs=2, seed=5, ckpt=a_dir)
@@ -500,7 +564,7 @@ def test_finetune_regression_beats_constant_baseline():
     molecules = corpus.molecules[:80]
     # Target: fingerprint density, a structure-determined quantity.
     from chemfuse.features import morgan_fingerprint
-    labels = [int(morgan_fingerprint(m.graph, width=256).sum()) / 256.0
+    labels = [int(morgan_fingerprint([m.graph], width=256)[0].sum()) / 256.0
               for m in molecules]
     task = FinetuneTask(kind=TaskKind.REGRESSION,
                         molecules=[(m,) for m in molecules],
