@@ -17,7 +17,7 @@ import numpy as np
 from .chem import TokenKind, tokenize, write_smiles
 from .chem.tokenizer import unsupported
 from .encoder import ModelConfig, dump_attention
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .features import (check_fingerprint_shape, group_names_present, morgan_fingerprint,
                         murcko_scaffold)
 from .masking import (MaskConfig, Strategy, build_context_vocab, sample_fragment_mask,
@@ -25,7 +25,6 @@ from .masking import (MaskConfig, Strategy, build_context_vocab, sample_fragment
 from .metrics import concordance_index, mse, rmse, roc_auc
 from .nn import no_grad
 from .pipeline import (
-    ConfigError,
     Corpus,
     ParsedMolecule,
     SplitMode,
@@ -132,7 +131,7 @@ def cmd_mask(args) -> int:
     for idx, rec in enumerate(records):
         rng = np.random.default_rng([cfg.seed, idx])
         tok = sample_token_mask(rec, cfg, rng)
-        frag = sample_fragment_mask(rec, rec.fragment_map, cfg, rng)
+        frag = sample_fragment_mask(rec, cfg, rng)
         print(f"{rec.smiles}\ttoken_mask={list(tok.masked_token_positions)}"
               f"\tatom_mask={list(tok.masked_atom_positions)}"
               f"\ttoken_targets={tok.token_targets}"

@@ -24,10 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from .chem.graph import MolecularGraph, once_per_graph
-from .errors import InputError
+from .errors import ConfigError, InputError, check_at_least
 from .features import (
     ATOM_FEATURE_DIM,
     BOND_FEATURE_DIM,
+    N_GROUPS,
     featurize,
     masked_atom_row,
     masked_bond_row,
@@ -66,10 +67,6 @@ class LayerOutOfRange(InputError, IndexError):
     """Attention dump asked for a layer the model does not have."""
 
 
-class ModelConfigError(InputError):
-    """Encoder dimensions that are out of range or do not fit together."""
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Encoder dimensions; desk-scale defaults, larger scales reachable."""
@@ -83,21 +80,17 @@ class ModelConfig:
     gnn_width: int = 32
     max_positions: int = 256
     ffn_multiplier: int = 4
-    fingerprint_width: int = 2048
-    n_groups: int = 24
+    fingerprint_width: int = 1024
+    n_groups: int = N_GROUPS
 
     def __post_init__(self):
-        for name, lowest in (("dim", 1), ("heads", 1), ("gnn_width", 1),
-                             ("max_positions", 1), ("ffn_multiplier", 1),
-                             ("fingerprint_width", 1), ("transformer_layers", 0),
-                             ("gnn_layers", 0), ("n_groups", 0)):
-            if getattr(self, name) < lowest:
-                raise ModelConfigError(
-                    f"{name} must be at least {lowest}, got {getattr(self, name)}")
+        check_at_least(self, {"dim": 1, "heads": 1, "gnn_width": 1, "max_positions": 1,
+                              "ffn_multiplier": 1, "fingerprint_width": 1,
+                              "transformer_layers": 0, "gnn_layers": 0, "n_groups": 0})
         if self.dim % self.heads:
-            raise ModelConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
+            raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.vocab_size < 3:
-            raise ModelConfigError("vocabulary must include PAD/MASK/UNK")
+            raise ConfigError("vocabulary must include PAD/MASK/UNK")
 
 
 @dataclass

@@ -148,7 +148,9 @@ def morgan_fingerprint(graphs: Sequence[MolecularGraph], radius: int = 2,
     Atom identifiers start from (element, degree, charge, H-count, aromatic)
     and are rehashed ``radius`` times over sorted (bond order, neighbor id)
     tuples. An environment whose bond set stopped growing is a duplicate of
-    the previous radius and sets no new bit. Bit index = id mod width.
+    the previous radius and sets no new bit; once no environment grows, the
+    loop stops, so a radius past the largest molecule costs nothing more.
+    Bit index = id mod width.
 
     Every atom of the block is hashed at once, its index offset by the atoms
     of the molecules before it: one sort of the directed edges by (source,
@@ -205,6 +207,8 @@ def morgan_fingerprint(graphs: Sequence[MolecularGraph], radius: int = 2,
         if len(ends):
             new_env[bonded] |= np.bitwise_or.reduceat(env[neighbor], first[bonded])
         alive &= (new_env != env).any(axis=1)
+        if not alive.any():
+            break
         bits[mol[alive], (new_ids[alive] % np.uint64(width)).astype(np.intp)] = 1
         ids = new_ids
         env = new_env
@@ -500,25 +504,26 @@ class EmptyCorpus(InputError):
     """Raised when a split or vocabulary build receives no molecules."""
 
 
-def scaffold_split(keys: list[str],
-                   fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-                   ) -> tuple[list[int], list[int], list[int]]:
+#: Train, validation and test shares of a fine-tuning task.
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
+
+
+def scaffold_split(keys: list[str]) -> tuple[list[int], list[int], list[int]]:
     """Partition indices so no scaffold key spans two splits.
 
     Groups are sorted by descending size then key, and assigned greedily:
-    train until it holds at least the train fraction, then valid, then test.
+    train until it holds at least the train share of SPLIT_FRACTIONS, then
+    valid, then test.
     """
     if not keys:
         raise EmptyCorpus("cannot split an empty corpus")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
     groups: dict[str, list[int]] = {}
     for idx, key in enumerate(keys):
         groups.setdefault(key, []).append(idx)
     ordered = sorted(groups.values(), key=lambda g: (-len(g), keys[g[0]]))
     n = len(keys)
-    n_train = fractions[0] * n
-    n_valid = fractions[1] * n
+    n_train = SPLIT_FRACTIONS[0] * n
+    n_valid = SPLIT_FRACTIONS[1] * n
     train: list[int] = []
     valid: list[int] = []
     test: list[int] = []

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .chem.graph import BondOrder, MolecularGraph, once_per_graph
-from .errors import InputError
+from .errors import ConfigError, check_at_least
 from .features import EmptyCorpus
 
 
@@ -58,9 +58,8 @@ class MaskConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.r_t <= 1.0 or not 0.0 <= self.r_f <= 1.0:
-            raise InputError("mask ratios must lie in [0, 1]")
-        if self.seed < 0:
-            raise InputError(f"seed must be at least 0, got {self.seed}")
+            raise ConfigError("mask ratios must lie in [0, 1]")
+        check_at_least(self, {"seed": 0})
 
 
 @dataclass(frozen=True)
@@ -109,9 +108,11 @@ def sample_token_mask(sample, config: MaskConfig,
     return _masked(sample, Modality.NONE, token_pos, atom_pos)
 
 
-def sample_fragment_mask(sample, fragment_map, config: MaskConfig,
+def sample_fragment_mask(sample, config: MaskConfig,
                          rng: np.random.Generator) -> MaskedSample:
-    """Mask whole fragments in exactly one modality chosen by the coin."""
+    """Mask whole fragments of ``sample.fragment_map`` in exactly one
+    modality chosen by the coin."""
+    fragment_map = sample.fragment_map
     frag_ids = _draw(rng, fragment_map.K, config.r_f)
     chosen = set(frag_ids)
     if rng.random() < MODALITY_COIN:

@@ -210,7 +210,7 @@ def gcn_layer(atom_states: Tensor, adj: np.ndarray, edge_sum: np.ndarray,
     pre = inner @ p.w.data
     active = pre > 0
     out_data, xhat, inv = _layer_norm_forward(h + pre * active, p.ln_gamma.data,
-                                              p.ln_beta.data, 1e-5)
+                                              p.ln_beta.data)
 
     def bwd(g):
         _accumulate(p.ln_gamma, (g * xhat).sum(axis=0, keepdims=True))

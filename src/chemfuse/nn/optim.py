@@ -9,15 +9,15 @@ import numpy as np
 
 from .tensor import Parameter
 
+#: Fixed AdamW moment decays and denominator epsilon.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
     """Optimizer state: per-parameter moment buffers keyed by name."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -35,8 +35,8 @@ def adam_step(params: Iterable[Parameter], state: AdamState) -> None:
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for p in params:
         g = p.grad
         if g is None:
@@ -44,12 +44,12 @@ def adam_step(params: Iterable[Parameter], state: AdamState) -> None:
         if p.name not in state.m:
             state.m[p.name], state.v[p.name] = np.zeros_like(p.data), np.zeros_like(p.data)
         m, v = state.m[p.name], state.v[p.name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         update = m / bc1
-        update /= np.sqrt(v / bc2) + state.eps
+        update /= np.sqrt(v / bc2) + EPS
         if state.weight_decay:
             update += state.weight_decay * p.data
         update *= state.lr

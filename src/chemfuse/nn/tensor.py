@@ -329,12 +329,13 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     return _node(out_data, (a,), bwd)
 
 
-def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                        eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise LayerNorm; returns the output, x-hat and 1/std for backward."""
+def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray,
+                        beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise LayerNorm with epsilon 1e-5; returns the output, x-hat and
+    1/std for backward."""
     mu = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x - mu) * inv
     return xhat * gamma + beta, xhat, inv
 
@@ -348,12 +349,11 @@ def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
     return term * inv
 
 
-def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor,
-                    eps: float = 1e-5) -> Tensor:
+def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if gamma.shape != (1, a.shape[1]) or beta.shape != (1, a.shape[1]):
         raise ShapeMismatch(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} vs {a.shape}")
-    out_data, xhat, inv = _layer_norm_forward(a.data, gamma.data, beta.data, eps)
+    out_data, xhat, inv = _layer_norm_forward(a.data, gamma.data, beta.data)
 
     def bwd(g):
         _accumulate(a, _layer_norm_backward(g, xhat, inv, gamma.data))
@@ -525,12 +525,13 @@ def mean_rows(a: Tensor) -> Tensor:
     return segment_mean(a, [range(a.shape[0])])
 
 
-def normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """Rows scaled to unit L2 norm (near-zero rows divide by ``eps``)."""
+def normalize_rows(a: Tensor) -> Tensor:
+    """Rows scaled to unit L2 norm (a row with a norm below 1e-12 divides by
+    1e-12)."""
     x = a.data
     raw = np.sqrt((x ** 2).sum(axis=1, keepdims=True))
-    clamped = raw < eps
-    n = np.where(clamped, eps, raw)
+    clamped = raw < 1e-12
+    n = np.where(clamped, 1e-12, raw)
     out_data = x / n
 
     def bwd(g):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import JointEncoding, ModelConfig, ParamFactory
-from .masking import MaskedSample, Modality
+from .masking import MaskedSample
 from .nn.layers import affine
 from .nn.tensor import (
     NonFiniteInput,
@@ -47,10 +47,6 @@ class SingleFragmentBatch(ValueError):
 
 class BatchTooSmall(ValueError):
     """Matching needs at least two molecules to derange."""
-
-
-class MissingComponent(ValueError):
-    """The total loss is missing one of its components."""
 
 
 #: Temperature of the fragment alignment loss.
@@ -106,26 +102,20 @@ def _nll_and_hits(logits: Tensor, targets: list[int]) -> tuple[Tensor, int]:
 
 
 def _masked_prediction_loss(encoding: JointEncoding, samples: list[MaskedSample],
-                            heads: Heads, masked_modality_only: bool,
-                            what: str) -> tuple[Tensor, dict]:
+                            heads: Heads, what: str) -> tuple[Tensor, dict]:
     """Mean token CE plus mean context CE over the masked positions.
 
     ``samples[k]`` masks view k of ``encoding``. Each head reads its rows
-    with one gather over the packed rows. With ``masked_modality_only`` a
-    sample's positions count only on its ``masked_modality`` side. A
-    modality with no masked positions contributes zero.
+    with one gather over the packed rows. A modality with no masked
+    positions contributes zero.
     """
     token_rows, token_targets, atom_rows, atom_targets = [], [], [], []
     for k, (n, sample) in enumerate(zip(encoding.n, samples)):
-        side = sample.masked_modality
-        if not masked_modality_only or side is Modality.SMILES:
-            token_rows.extend(encoding.rows(k, sample.masked_token_positions))
-            token_targets.extend(sample.token_targets[i]
-                                 for i in sample.masked_token_positions)
-        if not masked_modality_only or side is Modality.GRAPH:
-            atom_rows.extend(encoding.rows(k, [n + j for j in sample.masked_atom_positions]))
-            atom_targets.extend(sample.atom_context_targets[j]
-                                for j in sample.masked_atom_positions)
+        token_rows.extend(encoding.rows(k, sample.masked_token_positions))
+        token_targets.extend(sample.token_targets[i] for i in sample.masked_token_positions)
+        atom_rows.extend(encoding.rows(k, [n + j for j in sample.masked_atom_positions]))
+        atom_targets.extend(sample.atom_context_targets[j]
+                            for j in sample.masked_atom_positions)
     if not token_rows and not atom_rows:
         raise NoMaskedPositions(f"{what} batch has no masked positions")
     loss = constant(0.0)
@@ -151,13 +141,14 @@ def loss_cmm_token(encoding: JointEncoding, samples: list[MaskedSample],
     positions contributes zero; a batch with nothing masked at all raises
     NoMaskedPositions.
     """
-    return _masked_prediction_loss(encoding, samples, heads, False, "token-level")
+    return _masked_prediction_loss(encoding, samples, heads, "token-level")
 
 
 def loss_cmm_fragment(encoding: JointEncoding, samples: list[MaskedSample],
                       heads: Heads) -> tuple[Tensor, dict]:
-    """Fragment-level masked prediction over the masked modality only."""
-    loss, _ = _masked_prediction_loss(encoding, samples, heads, True, "fragment-level")
+    """Fragment-level masked prediction; a fragment-masked sample holds
+    positions on its ``masked_modality`` side only."""
+    loss, _ = _masked_prediction_loss(encoding, samples, heads, "fragment-level")
     return loss, {}
 
 
@@ -228,21 +219,18 @@ class LossReport:
     sgm_accuracy: float = float("nan")
 
 
-def total_loss(l_t: Tensor | None, l_f: Tensor | None, l_fla: Tensor | None,
-               l_sgm: Tensor | None, l_dkl: Tensor | None,
+def total_loss(l_t: Tensor, l_f: Tensor, l_fla: Tensor, l_sgm: Tensor, l_dkl: Tensor,
                mlm_accuracy: float = float("nan"),
                sgm_accuracy: float = float("nan")) -> tuple[Tensor, LossReport]:
-    """Unit-weight sum of the four objectives (CMM = token + fragment).
+    """Unit-weight sum of the four objectives (CMM = token + fragment); an
+    absent term is passed as ``constant(0.0)``.
 
     Raises:
-        MissingComponent: if any component is absent.
         NonFiniteInput: if any component is NaN or infinite.
     """
     names = ("l_t", "l_f", "l_fla", "l_sgm", "l_dkl")
     parts = (l_t, l_f, l_fla, l_sgm, l_dkl)
     for name, part in zip(names, parts):
-        if part is None:
-            raise MissingComponent(f"component {name} was not computed")
         if not np.isfinite(part.data[0, 0]):
             raise NonFiniteInput(f"component {name} is not finite: {part.data[0, 0]}")
     l_cmm = add(l_t, l_f)

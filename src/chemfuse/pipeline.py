@@ -28,10 +28,10 @@ import numpy as np
 from .chem import SmilesError, parse_smiles
 from .chem.graph import MolecularGraph, TokenSequence
 from .encoder import UNK_ID, ModelConfig, MoleculeEncoder, ParamFactory, PositionOverflow
-from .errors import InputError
+from .errors import ConfigError, InputError, check_at_least
 from .features import (
     EmptyCorpus,
-    N_GROUPS,
+    SPLIT_FRACTIONS,
     detect_functional_groups,
     morgan_fingerprint,
     scaffold_key,
@@ -96,10 +96,6 @@ class AllLinesFailed(InputError):
 
 class EmptySplit(InputError):
     """A train/valid/test split received zero molecules."""
-
-
-class ConfigError(InputError):
-    """A config file line or value cannot be used."""
 
 
 class InvalidLabel(InputError):
@@ -179,9 +175,6 @@ class Vocabulary:
 
     def ids_for(self, tokens: TokenSequence) -> list[int]:
         return [self.id_for(t.text) for t in tokens.tokens]
-
-    def texts_in_id_order(self) -> list[str]:
-        return sorted(self.token_to_id, key=self.token_to_id.__getitem__)
 
 
 def build_vocabulary(token_sequences) -> Vocabulary:
@@ -347,8 +340,8 @@ class PretrainModel:
 
 
 def _context_keys_as_json(context_vocab: ContextVocabulary) -> list:
-    ordered = sorted(context_vocab.key_to_id, key=context_vocab.key_to_id.__getitem__)
-    return [[elem, [list(pair) for pair in neigh]] for elem, neigh in ordered]
+    return [[elem, [list(pair) for pair in neigh]]
+            for elem, neigh in context_vocab.key_to_id]
 
 
 def _context_vocab_from_json(payload: list) -> ContextVocabulary:
@@ -364,7 +357,7 @@ def save_pretrained(path: str | Path, model: PretrainModel, vocab: Vocabulary,
                     mask_config: MaskConfig | None = None) -> None:
     config = {
         "model": asdict(model.config),
-        "vocab_tokens": vocab.texts_in_id_order(),
+        "vocab_tokens": list(vocab.token_to_id),
         "context_keys": _context_keys_as_json(context_vocab),
         "mask": {
             "r_t": mask_config.r_t, "r_f": mask_config.r_f,
@@ -405,11 +398,7 @@ class TrainConfig:
     seed: int = 7
 
     def __post_init__(self):
-        for name, lowest in (("epochs", 1), ("batch_size", 1), ("warmup_steps", 0),
-                             ("seed", 0)):
-            if getattr(self, name) < lowest:
-                raise ConfigError(
-                    f"{name} must be at least {lowest}, got {getattr(self, name)}")
+        check_at_least(self, {"epochs": 1, "batch_size": 1, "warmup_steps": 0, "seed": 0})
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
@@ -449,7 +438,7 @@ def _step_losses(model: PretrainModel, records: list[MoleculeRecord],
         rng = _record_rng(train_seed, epoch, base_index + i)
         if mask_cfg.strategy is Strategy.CMM:
             tok_samples.append(sample_token_mask(rec, mask_cfg, rng))
-            frag_samples.append(sample_fragment_mask(rec, rec.fragment_map, mask_cfg, rng))
+            frag_samples.append(sample_fragment_mask(rec, mask_cfg, rng))
         else:
             tok_samples.append(sample_ablation_mask(rec, mask_cfg, rng))
     try:
@@ -538,12 +527,8 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
                 f"cannot create checkpoint directory {checkpoint_dir}: {exc}") from exc
     vocab = build_vocabulary(m.tokens for m in corpus.molecules)
     context_vocab = build_context_vocab(m.graph for m in corpus.molecules)
-    model_kwargs = dict(model_kwargs or {})
-    fp_width = model_kwargs.pop("fingerprint_width", 1024)
-    config = ModelConfig(vocab_size=vocab.size,
-                         context_vocab_size=context_vocab.size,
-                         fingerprint_width=fp_width,
-                         n_groups=N_GROUPS, **model_kwargs)
+    config = ModelConfig(vocab_size=vocab.size, context_vocab_size=context_vocab.size,
+                         **(model_kwargs or {}))
     model = PretrainModel(config, seed=train_config.seed)
     records = prepare_records(corpus, vocab, context_vocab,
                               fingerprint_width=config.fingerprint_width)
@@ -662,14 +647,10 @@ def load_task(path: str | Path, kind: TaskKind,
     return FinetuneTask(kind=kind, molecules=molecules, labels=labels, split=split)
 
 
-#: Train, validation and test shares of a fine-tuning task.
-SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
-
-
 def split_task(task: FinetuneTask, seed: int = 0) -> tuple[list[int], list[int], list[int]]:
     if task.split is SplitMode.SCAFFOLD:
         keys = [scaffold_key(mols[0].graph) for mols in task.molecules]
-        train, valid, test = scaffold_split(keys, SPLIT_FRACTIONS)
+        train, valid, test = scaffold_split(keys)
     else:
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(task.molecules)).tolist()
@@ -721,7 +702,8 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
     run without a tape.
     Selects the epoch with the best validation loss, then reports test
     metrics; a single-class test split reports ROC-AUC as NaN with a
-    warning. The training values are range-checked as pretraining's are.
+    warning. The training values are range-checked as pretraining's are;
+    a pair label whose head cannot be allocated raises InvalidLabel.
     """
     TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr,
                 weight_decay=weight_decay, seed=seed)
@@ -730,7 +712,11 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
     in_dim = d * (2 if task.kind is TaskKind.PAIR_CLASSIFICATION else 1)
     factory = ParamFactory({}, np.random.default_rng(seed + 1))
     w1, b1 = factory.linear("ft1", in_dim, d)
-    w2, b2 = factory.linear("ft2", d, task.n_classes)
+    try:
+        w2, b2 = factory.linear("ft2", d, task.n_classes)
+    except (MemoryError, ValueError) as exc:
+        raise InvalidLabel(f"largest label {max(task.labels):.15g} needs a head "
+                           "too large to allocate") from exc
     trainable = [w1, b1, w2, b2] + (list(model.params.values()) if tune_encoder else [])
     labels = np.asarray(task.labels, dtype=np.float64)
 

@@ -347,19 +347,20 @@ def adam_step(params, state) -> None:
     the update built from fresh temporaries."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
     for p in params:
         g = p.grad
         if g is None:
             continue
         m = state.m.setdefault(p.name, np.zeros_like(p.data))
         v = state.v.setdefault(p.name, np.zeros_like(p.data))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
         if state.weight_decay:
             update = update + state.weight_decay * p.data
         p.data -= state.lr * update

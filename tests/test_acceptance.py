@@ -399,7 +399,7 @@ def test_criterion_8_masking_accounting():
                     assert len(s.masked_atom_positions) == mask_count(m, r_t)
                 for r_f in (0.2, 0.6):
                     cfg = MaskConfig(r_t=0.2, r_f=r_f)
-                    s = sample_fragment_mask(rec, rec.fragment_map, cfg, rng)
+                    s = sample_fragment_mask(rec, cfg, rng)
                     assert len(s.masked_fragment_ids) == mask_count(k, r_f)
                     # Never both modalities in one fragment-level sample.
                     assert not (s.masked_token_positions and s.masked_atom_positions)

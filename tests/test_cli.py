@@ -207,6 +207,14 @@ def test_exit_code_fingerprint_bad_flags(capsys, monkeypatch, flags):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_fingerprint_radius_past_every_environment_stops(capsys, monkeypatch):
+    stdin = "CCO\nCC(=O)O\n[Na+].[Cl-]\n"
+    outs = [run(capsys, ["fingerprint", "--radius", radius, "--width", "64"], stdin=stdin,
+                monkeypatch=monkeypatch) for radius in ("3", str(10 ** 9))]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0 and len(outs[0][1].splitlines()) == 3
+
+
 def _embed_lines() -> list[str]:
     """23 lines: the first alone, two full packs and a part pack, with the
     one-atom molecules C (line 7) and [NH4+] (line 12, opening a pack)."""
@@ -644,6 +652,20 @@ def test_finetune_cli_single_class_task(tmp_path, checkpoint, capsys):
     assert out == "roc_auc\tnan\n"
     warned = [line for line in err.splitlines() if line.startswith("warning: ")]
     assert len(warned) == 1
+
+
+def test_exit_code_pair_label_too_large_for_a_head(tmp_path, checkpoint, capsys):
+    smiles = ["CCO", "CCN", "CCC", "CCS", "COC", "CCCC", "CCCO", "CCCN", "CCOC", "CCCS"]
+    f = tmp_path / "task.tsv"
+    f.write_text("".join(f"{s}\tCCO\t{10 ** 12 if i == 4 else i % 2}\n"
+                         for i, s in enumerate(smiles)))
+    code, out, err = run(capsys, [
+        "finetune", str(f), "--checkpoint", checkpoint, "--task", "pair",
+        "--split", "random", "--epochs", "1"])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "1000000000000" in err
 
 
 def test_exit_code_finetune_bad_batch_size(tmp_path, checkpoint, capsys):

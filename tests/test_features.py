@@ -329,5 +329,3 @@ def test_scaffold_split_deterministic(golden_smiles):
 def test_scaffold_split_errors():
     with pytest.raises(EmptyCorpus):
         scaffold_split([])
-    with pytest.raises(ValueError):
-        scaffold_split(["a"], fractions=(0.5, 0.2, 0.2))

@@ -19,6 +19,8 @@ from chemfuse.masking import (
     sample_token_mask,
 )
 
+import oracles
+
 
 class Record:
     """Minimal stand-in for a pipeline MoleculeRecord."""
@@ -71,7 +73,7 @@ def test_fragment_mask_modality_exclusive():
     cfg = MaskConfig(r_f=0.6)
     smiles_seen = graph_seen = False
     for seed in range(30):
-        s = sample_fragment_mask(rec, rec.fragment_map, cfg, rng(seed))
+        s = sample_fragment_mask(rec, cfg, rng(seed))
         assert len(s.masked_fragment_ids) == mask_count(rec.fragment_map.K, 0.6)
         if s.masked_modality is Modality.SMILES:
             smiles_seen = True
@@ -91,7 +93,7 @@ def test_fragment_mask_modality_exclusive():
 def test_fragment_mask_k1_min_one():
     rec = Record("CCCC")
     assert rec.fragment_map.K == 1
-    s = sample_fragment_mask(rec, rec.fragment_map, MaskConfig(), rng(3))
+    s = sample_fragment_mask(rec, MaskConfig(), rng(3))
     assert s.masked_fragment_ids == (0,)
 
 
@@ -104,6 +106,22 @@ def test_ablation_conditional_single_modality_per_sample():
         has_atoms = bool(s.masked_atom_positions)
         assert has_tokens != has_atoms
         assert s.masked_modality in (Modality.SMILES, Modality.GRAPH)
+
+
+def test_one_modality_samples_hold_positions_on_their_side_only(golden_smiles):
+    """Why the fragment-level loss may read every masked position."""
+    records = [Record(s) for s in golden_smiles + oracles.generated_corpus(6, 40)]
+    samplers = [(sample_fragment_mask, MaskConfig()),
+                (sample_ablation_mask, MaskConfig(strategy=Strategy.CONDITIONAL))]
+    for seed in range(5):
+        for i, rec in enumerate(records):
+            for sampler, cfg in samplers:
+                s = sampler(rec, cfg, rng([seed, i]))
+                if s.masked_modality is Modality.SMILES:
+                    assert s.masked_atom_positions == (), rec.tokens
+                else:
+                    assert s.masked_modality is Modality.GRAPH
+                    assert s.masked_token_positions == (), rec.tokens
 
 
 def test_ablation_single_modality_masks_both():

@@ -13,7 +13,6 @@ from chemfuse.nn import NonFiniteInput, backward, concat_rows, constant, segment
 from chemfuse.objectives import (
     BatchTooSmall,
     Heads,
-    MissingComponent,
     NoMaskedPositions,
     SingleFragmentBatch,
     loss_cmm_fragment,
@@ -286,8 +285,6 @@ def test_total_loss_arithmetic_and_nan_guard():
     assert report.l_cmm == 3
     assert report.total == 15
     assert total.item() == 15
-    with pytest.raises(MissingComponent):
-        total_loss(parts[0], None, parts[2], parts[3], parts[4])
     bad = constant(1.0)
     bad.data[0, 0] = float("nan")
     with pytest.raises(NonFiniteInput):
@@ -325,7 +322,7 @@ def test_grad_all_five_heads():
     cfg = MaskConfig(seed=0)
     tok_samples = [sample_token_mask(r, cfg, np.random.default_rng(5 + i))
                    for i, r in enumerate(records)]
-    frag_samples = [sample_fragment_mask(r, r.fragment_map, cfg,
+    frag_samples = [sample_fragment_mask(r, cfg,
                                          np.random.default_rng(9 + i))
                     for i, r in enumerate(records)]
     fixed_fps = [rng.integers(0, 2, size=CFG.fingerprint_width).astype(float)

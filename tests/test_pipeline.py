@@ -210,7 +210,7 @@ def _reference_step_losses(model, records, mask_cfg, epoch, base_index, train_se
         rng = _record_rng(train_seed, epoch, base_index + i)
         if mask_cfg.strategy is Strategy.CMM:
             tok = sample_token_mask(rec, mask_cfg, rng)
-            frag_samples.append(sample_fragment_mask(rec, rec.fragment_map, mask_cfg, rng))
+            frag_samples.append(sample_fragment_mask(rec, mask_cfg, rng))
             frag_encs.append(enc.encode(
                 [rec.token_ids], [rec.graph],
                 masked_tokens=[frag_samples[-1].masked_token_positions],
