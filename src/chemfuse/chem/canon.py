@@ -9,18 +9,15 @@ at most 64 heavy atoms.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
+import numpy as np
+
 from .errors import SizeLimitExceeded
 from .graph import MolecularGraph
 
 #: Heavy-atom limit for the isomorphism search.
 ISO_ATOM_LIMIT = 64
-
-
-def _seed_invariants(graph: MolecularGraph) -> list[tuple]:
-    return [
-        (a.element, a.degree, a.formal_charge, a.total_h, a.aromatic, a.in_ring)
-        for a in graph.atoms
-    ]
 
 
 def _refine(graphs: list[MolecularGraph]) -> list[list[int]]:
@@ -29,43 +26,44 @@ def _refine(graphs: list[MolecularGraph]) -> list[list[int]]:
     Returns one dense-rank list per input graph. Joint refinement over the
     disjoint union is what makes cross-graph comparison (isomorphism
     candidate filtering) sound.
+
+    Each round ranks atoms by (rank, ascending (bond order, neighbour rank)
+    pairs), a pair coded as ``order * (total + 1) + rank`` in an int64 row.
+    An empty slot codes past every pair, and atoms of one rank have one
+    degree (the seed holds it), so their empty slots fill the same columns. Rounds stop once the
+    number of distinct ranks stops growing.
     """
-    offsets = []
-    total = 0
-    for g in graphs:
-        offsets.append(total)
-        total += g.m
-    neighbor_lists: list[list[tuple[int, int]]] = [[] for _ in range(total)]
-    for g, off in zip(graphs, offsets):
+    atoms = [a for g in graphs for a in g.atoms]
+    seeds = [(a.element, a.degree, a.formal_charge, a.total_h, a.aromatic, a.in_ring)
+             for a in atoms]
+    rank_of = {t: r for r, t in enumerate(sorted(set(seeds)))}
+    ids = np.array([rank_of[t] for t in seeds], dtype=np.int64)
+    total = len(atoms)
+    offsets = list(accumulate((g.m for g in graphs), initial=0))
+    width = max((a.degree for a in atoms), default=0)
+    neighbor = np.zeros((total, width), dtype=np.int64)
+    bond_code = np.full((total, width), np.iinfo(np.int64).max - total)
+    for g, offset in zip(graphs, offsets):
         for i in range(g.m):
-            neighbor_lists[off + i] = [
-                (bond.order.value, off + j) for j, bond in g.neighbors(i)
-            ]
+            for slot, (j, bond) in enumerate(g.neighbors(i)):
+                neighbor[offset + i, slot] = offset + j
+                bond_code[offset + i, slot] = bond.order.value * (total + 1)
 
-    seeds: list[tuple] = []
-    for g in graphs:
-        seeds.extend(_seed_invariants(g))
-    order = {t: r for r, t in enumerate(sorted(set(seeds)))}
-    ids = [order[t] for t in seeds]
-
-    distinct = len(order)
-    for _ in range(max(1, total)):
-        signatures = [
-            (ids[i], tuple(sorted((ov, ids[j]) for ov, j in neighbor_lists[i])))
-            for i in range(total)
-        ]
-        order = {t: r for r, t in enumerate(sorted(set(signatures)))}
-        new_ids = [order[t] for t in signatures]
-        if len(order) == distinct:
-            ids = new_ids
+    table = np.empty((total, 1 + width), dtype=np.int64)
+    distinct = len(rank_of)
+    for _ in range(total):
+        table[:, 0] = ids
+        np.add(bond_code, ids[neighbor], out=table[:, 1:])
+        table[:, 1:].sort(axis=1)
+        by_signature = np.lexsort(table.T[::-1])
+        rows = table[by_signature]
+        rank = np.cumsum(np.concatenate(([0], (rows[1:] != rows[:-1]).any(axis=1))))
+        ids[by_signature] = rank
+        if rank[-1] + 1 == distinct:
             break
-        distinct = len(order)
-        ids = new_ids
-
-    out = []
-    for g, off in zip(graphs, offsets):
-        out.append(ids[off:off + g.m])
-    return out
+        distinct = rank[-1] + 1
+    ranks = ids.tolist()
+    return [ranks[offset:offset + g.m] for g, offset in zip(graphs, offsets)]
 
 
 def canonical_ranks(graph: MolecularGraph) -> list[int]:

@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .masking import (MaskConfig, Strategy, build_context_vocab, sample_fragment
 from .metrics import concordance_index, mse, rmse, roc_auc
 from .nn import no_grad
 from .pipeline import (
-    Corpus,
     ParsedMolecule,
     SplitMode,
     TaskKind,
@@ -39,7 +39,6 @@ from .pipeline import (
     load_task,
     parse_config_file,
     parse_molecule,
-    prepare_records,
     pretrain,
     similarity,
 )
@@ -127,12 +126,15 @@ def cmd_mask(args) -> int:
         raise InputError("no molecules to mask")
     vocab = build_vocabulary(m.tokens for m in molecules)
     context_vocab = build_context_vocab(m.graph for m in molecules)
-    records = prepare_records(Corpus(molecules), vocab, context_vocab)
-    for idx, rec in enumerate(records):
+    for idx, mol in enumerate(molecules):
+        # The samplers read only these four fields of a training record.
+        sample = SimpleNamespace(token_ids=vocab.ids_for(mol.tokens), graph=mol.graph,
+                                 context_ids=context_vocab.ids_for_graph(mol.graph),
+                                 fragment_map=mol.fragment_map)
         rng = np.random.default_rng([cfg.seed, idx])
-        tok = sample_token_mask(rec, cfg, rng)
-        frag = sample_fragment_mask(rec, cfg, rng)
-        print(f"{rec.smiles}\ttoken_mask={list(tok.masked_token_positions)}"
+        tok = sample_token_mask(sample, cfg, rng)
+        frag = sample_fragment_mask(sample, cfg, rng)
+        print(f"{mol.smiles}\ttoken_mask={list(tok.masked_token_positions)}"
               f"\tatom_mask={list(tok.masked_atom_positions)}"
               f"\ttoken_targets={tok.token_targets}"
               f"\tfragment_ids={list(frag.masked_fragment_ids)}"

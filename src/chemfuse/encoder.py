@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .chem.graph import MolecularGraph, once_per_graph
-from .errors import ConfigError, InputError, check_at_least
+from .errors import ConfigError, InputError, allocating, check_at_least
 from .features import (
     ATOM_FEATURE_DIM,
     BOND_FEATURE_DIM,
@@ -145,11 +145,10 @@ class JointEncoding:
 @dataclass
 class FragmentEmbeddings:
     """Per-fragment embeddings, both modalities: one row per fragment id,
-    view after view; ``K`` counts the rows."""
+    view after view."""
 
     f_s: Tensor
     f_g: Tensor
-    K: int
 
 
 class ParamFactory:
@@ -161,29 +160,27 @@ class ParamFactory:
         self.store = store
         self.rng = rng
 
-    def matrix(self, name: str, fan_in: int, fan_out: int) -> Parameter:
-        limit = 1.0 / np.sqrt(fan_in)
-        w = Parameter(name, self.rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        self.store[name] = w
-        return w
-
-    def linear(self, name: str, fan_in: int, fan_out: int) -> tuple[Parameter, Parameter]:
-        w = self.matrix(name + "_w", fan_in, fan_out)
-        b = Parameter(name + "_b", np.zeros((1, fan_out)))
-        self.store[b.name] = b
-        return w, b
-
-    def embedding(self, name: str, rows: int, cols: int) -> Parameter:
-        p = Parameter(name, self.rng.normal(0.0, 0.02, size=(rows, cols)))
-        self.store[name] = p
+    def _add(self, name: str, make, *shape: int) -> Parameter:
+        """Register ``make(shape)`` as parameter ``name``."""
+        with allocating(f"parameter {name} of shape {shape}"):
+            p = self.store[name] = Parameter(name, make(shape))
         return p
 
+    def matrix(self, name: str, fan_in: int, fan_out: int) -> Parameter:
+        limit = 1.0 / np.sqrt(fan_in)
+        return self._add(name, lambda shape: self.rng.uniform(-limit, limit, size=shape),
+                         fan_in, fan_out)
+
+    def linear(self, name: str, fan_in: int, fan_out: int) -> tuple[Parameter, Parameter]:
+        return (self.matrix(name + "_w", fan_in, fan_out),
+                self._add(name + "_b", np.zeros, 1, fan_out))
+
+    def embedding(self, name: str, rows: int, cols: int) -> Parameter:
+        return self._add(name, lambda shape: self.rng.normal(0.0, 0.02, size=shape), rows, cols)
+
     def layer_norm(self, name: str, width: int) -> tuple[Parameter, Parameter]:
-        g = Parameter(name + "_g", np.ones((1, width)))
-        b = Parameter(name + "_b", np.zeros((1, width)))
-        self.store[g.name] = g
-        self.store[b.name] = b
-        return g, b
+        return (self._add(name + "_g", np.ones, 1, width),
+                self._add(name + "_b", np.zeros, 1, width))
 
     def attention(self, name: str, width: int) -> AttentionParams:
         wq, bq = self.linear(name + "_q", width, width)
@@ -391,8 +388,7 @@ class MoleculeEncoder:
         attended = multi_head_attention(tokens, self.config.heads, self.frag_attn, lengths)
         f_s = segment_mean(attended, [range(s, s + length) for s, length
                                       in zip(accumulate(lengths, initial=0), lengths)])
-        return FragmentEmbeddings(f_s=f_s, f_g=segment_mean(encoding.x, atom_groups),
-                                  K=len(token_groups))
+        return FragmentEmbeddings(f_s=f_s, f_g=segment_mean(encoding.x, atom_groups))
 
 
 def _ranges(starts: Sequence[int], counts: Sequence[int]) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from .chem.canon import canonical_key
 from .chem.graph import Atom, Bond, BondOrder, Chirality, MolecularGraph, once_per_graph
 from .chem.parser import _fill_implicit_h
-from .errors import InputError
+from .errors import InputError, allocating
 
 # ------------------------------------------------------------------ features
 
@@ -164,7 +164,8 @@ def morgan_fingerprint(graphs: Sequence[MolecularGraph], radius: int = 2,
     n_bonds = np.array([len(g.bonds) for g in graphs], dtype=np.intp)
     m = int(sizes.sum())
     mol = np.repeat(np.arange(len(graphs)), sizes)  # molecule of each atom
-    bits = np.zeros((len(graphs), width), dtype=np.uint8)
+    with allocating(f"fingerprints of width {width}"):
+        bits = np.zeros((len(graphs), width), dtype=np.uint8)
     ids = _seed_atom_ids([a for g in graphs for a in g.atoms])
     bits[mol, (ids % np.uint64(width)).astype(np.intp)] = 1
 
@@ -464,23 +465,23 @@ def group_names_present(graph: MolecularGraph) -> list[str]:
 def murcko_scaffold(graph: MolecularGraph) -> MolecularGraph:
     """Ring systems plus linkers: prune degree-1 non-ring atoms to fixpoint.
 
-    Acyclic molecules reduce to the empty graph.
+    Acyclic molecules reduce to the empty graph. Leaves are pruned from a
+    queue: pruning only lowers degrees, so any order reaches that fixpoint.
     """
-    keep = set(range(graph.m))
-    degree = {i: graph.atoms[i].degree for i in keep}
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(keep):
-            if degree[i] <= 1 and not graph.atoms[i].in_ring:
-                keep.discard(i)
-                for j, _ in graph.neighbors(i):
-                    if j in keep:
-                        degree[j] -= 1
-                changed = True
-    remap = {old: new for new, old in enumerate(sorted(keep))}
+    degree = [a.degree for a in graph.atoms]
+    leaves = [i for i, a in enumerate(graph.atoms) if a.degree <= 1 and not a.in_ring]
+    keep = [True] * graph.m
+    while leaves:
+        i = leaves.pop()
+        keep[i] = False
+        for j, _ in graph.neighbors(i):
+            if keep[j]:
+                degree[j] -= 1
+                if degree[j] == 1 and not graph.atoms[j].in_ring:
+                    leaves.append(j)
+    remap = {old: new for new, old in enumerate(i for i in range(graph.m) if keep[i])}
     out = MolecularGraph()
-    for old in sorted(keep):
+    for old in remap:
         a = graph.atoms[old]
         out.add_atom(Atom(element=a.element, aromatic=a.aromatic,
                           formal_charge=a.formal_charge, explicit_h=a.explicit_h,

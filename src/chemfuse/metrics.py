@@ -12,7 +12,8 @@ class DegenerateInput(InputError):
 
 
 def roc_auc(scores, labels) -> float:
-    """Mann-Whitney AUC with midrank tie handling; labels are 0 or 1.
+    """Mann-Whitney AUC with midrank tie handling; labels are 0 or 1 and
+    scores finite.
 
     Raises:
         ValueError: if a label is neither 0 nor 1.
@@ -28,16 +29,9 @@ def roc_auc(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise DegenerateInput("ROC-AUC needs both classes present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    _, tie, ties = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(ties)  # 1-based rank of each distinct score's last copy
+    ranks = (last - (ties - 1) / 2.0)[tie]  # midrank, 1-based
     rank_sum = ranks[labels == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -54,10 +48,15 @@ def rmse(predictions, truths) -> float:
     return float(np.sqrt(mse(predictions, truths)))
 
 
+def _signs(values: np.ndarray, pivot: float) -> np.ndarray:
+    """-1, 0 or 1 as each of ``values`` is below, equal to or above ``pivot``."""
+    return (values > pivot).astype(np.int64) - (values < pivot)
+
+
 def concordance_index(predictions, truths) -> float:
     """Fraction of correctly ordered pairs among pairs with distinct truths.
 
-    Prediction ties count one half.
+    Prediction ties count one half. Both inputs must be finite.
 
     Raises:
         DegenerateInput: if no pair of samples has distinct truth values.
@@ -66,19 +65,14 @@ def concordance_index(predictions, truths) -> float:
     truths = np.asarray(truths, dtype=np.float64)
     if predictions.shape != truths.shape:
         raise DegenerateInput("predictions and truths must be aligned")
-    n = predictions.size
-    pairs = 0
-    score = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if truths[i] == truths[j]:
-                continue
-            pairs += 1
-            hi, lo = (i, j) if truths[i] > truths[j] else (j, i)
-            if predictions[hi] > predictions[lo]:
-                score += 1.0
-            elif predictions[hi] == predictions[lo]:
-                score += 0.5
+    # Pair (i, j) scores (1 + sign(t_j - t_i) * sign(p_j - p_i)) / 2 when its
+    # truths differ, so twice the score is an integer sum.
+    pairs = twice_score = 0
+    for i in range(predictions.size - 1):
+        truth_sign = _signs(truths[i + 1:], truths[i])
+        ordered = np.count_nonzero(truth_sign)
+        pairs += ordered
+        twice_score += ordered + int(truth_sign @ _signs(predictions[i + 1:], predictions[i]))
     if pairs == 0:
         raise DegenerateInput("concordance needs at least one ordered pair")
-    return float(score / pairs)
+    return float(twice_score / 2 / pairs)

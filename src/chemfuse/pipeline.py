@@ -198,7 +198,6 @@ class ParsedMolecule:
     smiles: str
     tokens: TokenSequence
     graph: MolecularGraph
-    labels: tuple[str, ...] = ()
 
     @functools.cached_property
     def fragment_map(self) -> FragmentMap:
@@ -215,9 +214,9 @@ class Corpus:
         return len(self.molecules)
 
 
-def parse_molecule(smiles: str, labels: tuple[str, ...] = ()) -> ParsedMolecule:
+def parse_molecule(smiles: str) -> ParsedMolecule:
     graph, tokens = parse_smiles(smiles)
-    return ParsedMolecule(smiles=smiles, tokens=tokens, graph=graph, labels=labels)
+    return ParsedMolecule(smiles=smiles, tokens=tokens, graph=graph)
 
 
 def data_lines(path: str | Path | None) -> Iterator[tuple[int, str]]:
@@ -245,16 +244,15 @@ def data_lines(path: str | Path | None) -> Iterator[tuple[int, str]]:
 
 @_collector_paused()
 def ingest(path: str | Path) -> Corpus:
-    """Read one SMILES per ``data_lines`` line (optional tab-separated label
-    columns); unparseable lines are skipped and counted. Raises
-    FileUnreadable / AllLinesFailed.
+    """Read one SMILES per ``data_lines`` line: the first tab-separated
+    field, with any further columns ignored. Unparseable lines are skipped
+    and counted. Raises FileUnreadable / AllLinesFailed.
     """
     molecules: list[ParsedMolecule] = []
     skipped = 0
     for _, line in data_lines(path):
-        fields = line.split("\t")
         try:
-            molecules.append(parse_molecule(fields[0], tuple(fields[1:])))
+            molecules.append(parse_molecule(line.split("\t")[0]))
         except SmilesError:
             skipped += 1
     if skipped and not molecules:
@@ -274,7 +272,6 @@ class MoleculeRecord:
     context_ids: list[int]
     fingerprint_bits: np.ndarray
     group_bits: np.ndarray
-    labels: tuple[str, ...] = ()
 
 
 #: Molecules per ``morgan_fingerprint`` call: its numpy overhead is paid per
@@ -303,7 +300,6 @@ def prepare_records(corpus: Corpus, vocab: Vocabulary,
             context_ids=context_vocab.ids_for_graph(mol.graph),
             fingerprint_bits=row,
             group_bits=detect_functional_groups(mol.graph),
-            labels=mol.labels,
         ) for mol, row in zip(block, bits))
     return records
 
@@ -670,7 +666,6 @@ def split_task(task: FinetuneTask, seed: int = 0) -> tuple[list[int], list[int],
 class FinetuneResult:
     metrics: dict[str, float]
     best_epoch: int
-    history: list[dict]
     split_sizes: tuple[int, int, int]
 
 
@@ -714,7 +709,7 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
     w1, b1 = factory.linear("ft1", in_dim, d)
     try:
         w2, b2 = factory.linear("ft2", d, task.n_classes)
-    except (MemoryError, ValueError) as exc:
+    except ConfigError as exc:
         raise InvalidLabel(f"largest label {max(task.labels):.15g} needs a head "
                            "too large to allocate") from exc
     trainable = [w1, b1, w2, b2] + (list(model.params.values()) if tune_encoder else [])
@@ -758,7 +753,6 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
     optimizer = AdamState(lr=lr, weight_decay=weight_decay)
     order_rng = np.random.default_rng(seed + 2)
     best = (float("inf"), -1, None)
-    history = []
     shown: set = set()
     for epoch in range(epochs):
         order = order_rng.permutation(len(train_idx))
@@ -769,7 +763,6 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
                         trainable, optimizer, f"epoch {epoch} batch {batch_index}", shown)
         with _diverges_at(f"epoch {epoch} validation", shown):
             val = eval_loss(valid_idx)
-        history.append({"epoch": epoch, "valid_loss": val})
         if val < best[0]:
             best = (val, epoch, [p.data.copy() for p in trainable])
     if best[2] is not None:
@@ -794,7 +787,7 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
             metrics["ci"] = float("nan")
     else:
         metrics["accuracy"] = float((preds == truth).mean())
-    return FinetuneResult(metrics=metrics, best_epoch=best[1], history=history,
+    return FinetuneResult(metrics=metrics, best_epoch=best[1],
                           split_sizes=(len(train_idx), len(valid_idx), len(test_idx)))
 
 

@@ -272,6 +272,69 @@ def fragment_members(fmap: FragmentMap, k: int) -> tuple[list[int], list[int]]:
     return atoms, toks
 
 
+# ------------------------------------------------------------ canon, scaffold
+
+def refine(graphs: list[MolecularGraph]) -> list[list[int]]:
+    """``canon._refine`` with Python tuples: each round sorts the set of
+    (rank, sorted (bond order, neighbour rank) pairs) signatures."""
+    offsets = []
+    total = 0
+    for g in graphs:
+        offsets.append(total)
+        total += g.m
+    neighbor_lists: list[list[tuple[int, int]]] = [[] for _ in range(total)]
+    for g, off in zip(graphs, offsets):
+        for i in range(g.m):
+            neighbor_lists[off + i] = [
+                (bond.order.value, off + j) for j, bond in g.neighbors(i)
+            ]
+
+    seeds: list[tuple] = []
+    for g in graphs:
+        seeds.extend((a.element, a.degree, a.formal_charge, a.total_h, a.aromatic,
+                      a.in_ring) for a in g.atoms)
+    order = {t: r for r, t in enumerate(sorted(set(seeds)))}
+    ids = [order[t] for t in seeds]
+
+    distinct = len(order)
+    for _ in range(max(1, total)):
+        signatures = [
+            (ids[i], tuple(sorted((ov, ids[j]) for ov, j in neighbor_lists[i])))
+            for i in range(total)
+        ]
+        order = {t: r for r, t in enumerate(sorted(set(signatures)))}
+        new_ids = [order[t] for t in signatures]
+        if len(order) == distinct:
+            ids = new_ids
+            break
+        distinct = len(order)
+        ids = new_ids
+
+    out = []
+    for g, off in zip(graphs, offsets):
+        out.append(ids[off:off + g.m])
+    return out
+
+
+def murcko_keep(graph: MolecularGraph) -> list[int]:
+    """The atoms ``features.murcko_scaffold`` keeps, found by re-scanning
+    the kept atoms for non-ring atoms of degree at most one until none is
+    left."""
+    keep = set(range(graph.m))
+    degree = {i: graph.atoms[i].degree for i in keep}
+    changed = True
+    while changed:
+        changed = False
+        for i in sorted(keep):
+            if degree[i] <= 1 and not graph.atoms[i].in_ring:
+                keep.discard(i)
+                for j, _ in graph.neighbors(i):
+                    if j in keep:
+                        degree[j] -= 1
+                changed = True
+    return sorted(keep)
+
+
 # ------------------------------------------------------------------- encoder
 
 def graph_union(graphs, masked_atoms=()):
@@ -372,3 +435,46 @@ def add_at_rows(ids: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
     acc = np.zeros((rows, g.shape[1]))
     np.add.at(acc, ids, g)
     return acc
+
+
+# ------------------------------------------------------------------- metrics
+
+def concordance_index(predictions, truths) -> float:
+    """``metrics.concordance_index`` pair by pair in a double loop."""
+    predictions = np.asarray(predictions, dtype=np.float64)
+    truths = np.asarray(truths, dtype=np.float64)
+    n = predictions.size
+    pairs = 0
+    score = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if truths[i] == truths[j]:
+                continue
+            pairs += 1
+            hi, lo = (i, j) if truths[i] > truths[j] else (j, i)
+            if predictions[hi] > predictions[lo]:
+                score += 1.0
+            elif predictions[hi] == predictions[lo]:
+                score += 0.5
+    return float(score / pairs)
+
+
+def roc_auc(scores, labels) -> float:
+    """``metrics.roc_auc`` with midranks found by walking each run of tied
+    scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
+        i = j + 1
+    rank_sum = ranks[labels == 1].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))

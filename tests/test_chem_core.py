@@ -9,6 +9,7 @@ from chemfuse.chem import (
     BondOrder,
     DanglingBond,
     EmptyInput,
+    MolecularGraph,
     SizeLimitExceeded,
     SmilesError,
     UnbalancedBracket,
@@ -23,7 +24,9 @@ from chemfuse.chem import (
     tokenize,
     write_smiles,
 )
+from chemfuse.chem.canon import _refine
 
+import oracles
 from conftest import permute_graph
 
 
@@ -283,6 +286,34 @@ def test_ranks_permutation_invariance_many(golden_smiles):
         ref = sorted(canonical_ranks(g))
         for _ in range(5):
             assert sorted(canonical_ranks(permute_graph(g, rng))) == ref, s
+
+
+@pytest.fixture(scope="module")
+def rank_graphs(golden_smiles):
+    """golden_500.smi plus 500 generated 40-100 atom molecules."""
+    return [parse_smiles(s)[0] for s in golden_smiles + oracles.generated_corpus(3, 500)]
+
+
+def test_ranks_equal_the_tuple_oracle(rank_graphs):
+    for g in rank_graphs:
+        assert _refine([g]) == oracles.refine([g])
+
+
+def test_joint_ranks_equal_the_tuple_oracle(rank_graphs):
+    rng = random.Random(5)
+    for _ in range(750):
+        pair = rng.sample(rank_graphs, 2)
+        assert _refine(pair) == oracles.refine(pair)
+
+
+@pytest.mark.parametrize("smiles", [
+    "C", "CC", "[Na+].[Cl-]", "C1CC1" + "C" * 300 + "C1CC1", "c1ccccc1" + "C(C)" * 80,
+    "C1CC2CCC1CC2", "C12C3C4C1C5C2C3C45"])
+def test_ranks_of_chains_and_cages_equal_the_tuple_oracle(smiles):
+    g, _ = parse_smiles(smiles)
+    assert _refine([g]) == oracles.refine([g])
+    assert _refine([g, MolecularGraph(), g]) == oracles.refine([g, MolecularGraph(), g])
+    assert _refine([]) == [] and _refine([MolecularGraph()]) == [[]]
 
 
 # --------------------------------------------------------------- isomorphism

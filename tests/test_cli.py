@@ -415,6 +415,53 @@ def test_exit_code_bad_config(tmp_path, capsys, config):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("key", ["dim", "gnn_width", "max_positions", "fingerprint_width"])
+def test_exit_code_setting_too_large_to_allocate(tmp_path, capsys, key):
+    # numpy refuses a dimension past its largest before allocating anything.
+    corpus = tmp_path / "c.smi"
+    corpus.write_text("CCO\nCCN\n")
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"{key} = {2 ** 70}\n")
+    code, out, err = run(capsys, ["pretrain", str(corpus), "--checkpoint",
+                                  str(tmp_path / "ckpt"), "--config", str(cfg)])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: cannot allocate parameter ")
+    assert "Maximum allowed dimension exceeded" in err
+
+
+def test_exit_code_fingerprint_too_wide_to_allocate(capsys, monkeypatch):
+    code, out, err = run(capsys, ["fingerprint", "--width", str(2 ** 70)], stdin="CCO\n",
+                         monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot allocate fingerprints of width {2 ** 70}: ")
+    numpy_zeros = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        # Fails as numpy does for an array larger than the machine can hold.
+        if any(n >= 2 ** 40 for n in np.atleast_1d(shape)):
+            raise MemoryError("Unable to allocate 16.0 TiB")
+        return numpy_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    code, out, err = run(capsys, ["fingerprint", "--width", str(2 ** 44)], stdin="CCO\n",
+                         monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot allocate fingerprints of width {2 ** 44}: " \
+        "Unable to allocate 16.0 TiB\n"
+
+
+def test_mask_makes_no_fingerprints_or_groups(capsys, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("mask prints no fingerprint or group")
+
+    monkeypatch.setattr("chemfuse.pipeline.morgan_fingerprint", unused)
+    monkeypatch.setattr("chemfuse.pipeline.detect_functional_groups", unused)
+    code, out, _ = run(capsys, ["mask", "--seed", "3"], stdin="CC(=O)OC\nc1ccccc1N\n",
+                       monkeypatch=monkeypatch)
+    assert code == 0 and len(out.splitlines()) == 2
+
+
 @pytest.mark.parametrize("flags,expected", [([], 3), (["--seed", "0"], 0)])
 def test_seed_precedence_flag_then_config(flags, expected):
     args = build_parser().parse_args(["pretrain", "c.smi", "--checkpoint", "ck"] + flags)
@@ -429,8 +476,7 @@ def test_cli_defaults_are_the_library_defaults(tmp_path, checkpoint, capsys, mon
 
     def stub_finetune(model, vocab, task, **settings):
         passed.update(settings)
-        return FinetuneResult(metrics={}, best_epoch=0, history=[],
-                              split_sizes=(0, 0, 0))
+        return FinetuneResult(metrics={}, best_epoch=0, split_sizes=(0, 0, 0))
 
     monkeypatch.setattr("chemfuse.cli.finetune", stub_finetune)
     code, _, _ = run(capsys, ["finetune", str(_twelve_row_task(tmp_path)),

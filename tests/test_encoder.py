@@ -10,10 +10,12 @@ from chemfuse.encoder import (
     LayerOutOfRange,
     ModelConfig,
     MoleculeEncoder,
+    ParamFactory,
     PositionOverflow,
     RetentionDisabled,
     dump_attention,
 )
+from chemfuse.errors import ConfigError
 from chemfuse.fragments import FragmentMap, FragmentOutOfRange, build_fragment_map
 from chemfuse.nn import concat_rows, constant, mean_rows
 
@@ -33,6 +35,27 @@ def ids_for(tokens):
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=24, context_vocab_size=4, dim=10, heads=4)
+
+
+def test_param_factory_raises_config_error_when_a_shape_cannot_be_allocated():
+    class NoMemory:
+        """A generator whose every draw fails as numpy's does for an array
+        larger than the machine can hold."""
+
+        def normal(self, *args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 PiB")
+
+        uniform = normal
+
+    factory = ParamFactory({}, NoMemory())
+    with pytest.raises(ConfigError, match=r"parameter emb of shape \(17592186044416, 64\)"):
+        factory.embedding("emb", 2 ** 44, 64)
+    with pytest.raises(ConfigError, match="parameter lin_w of shape"):
+        factory.linear("lin", 64, 2 ** 44)
+    # numpy refuses a dimension past its largest before allocating anything.
+    with pytest.raises(ConfigError, match="Maximum allowed dimension exceeded"):
+        ParamFactory({}, np.random.default_rng(0)).layer_norm("ln", 2 ** 70)
+    assert factory.store == {}
 
 
 def test_embed_smiles_position_term():

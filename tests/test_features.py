@@ -297,6 +297,33 @@ def test_scaffold_keeps_linkers():
     assert murcko_scaffold(g).m == 14
 
 
+def _assert_scaffold_keeps(graph, keep):
+    """The scaffold is ``graph``'s atoms ``keep`` in order, with the bonds
+    among them in bond order."""
+    sc = murcko_scaffold(graph)
+    assert [(a.element, a.aromatic, a.formal_charge, a.chirality) for a in sc.atoms] == \
+        [(a.element, a.aromatic, a.formal_charge, a.chirality)
+         for a in (graph.atoms[i] for i in keep)]
+    new = {old: k for k, old in enumerate(keep)}
+    assert [(b.a, b.b, b.order) for b in sc.bonds] == \
+        [(new[b.a], new[b.b], b.order) for b in graph.bonds if b.a in new and b.b in new]
+
+
+def test_scaffold_keeps_the_fixpoint_oracles_atoms(golden_smiles):
+    for s in golden_smiles + oracles.generated_corpus(3, 500):
+        g, _ = parse_smiles(s)
+        _assert_scaffold_keeps(g, oracles.murcko_keep(g))
+
+
+@pytest.mark.parametrize("smiles", [
+    "C" * 400, "C1CC1" + "C" * 400 + "C1CC1", "c1ccccc1" + "C" * 2000,
+    "c1ccccc1" + "C(C)" * 200 + "c1ccccc1", "C(CC)(CC)(CC)C1CC1" + "C(=O)" * 50,
+    "[Na+].[Cl-].c1ccccc1", "C1CC1.CCCC"])
+def test_scaffold_of_chains_and_tails_keeps_the_oracles_atoms(smiles):
+    g, _ = parse_smiles(smiles)
+    _assert_scaffold_keeps(g, oracles.murcko_keep(g))
+
+
 def test_scaffold_split_one_group():
     tr, va, te = scaffold_split(["k"] * 7)
     assert (len(tr), len(va), len(te)) == (7, 0, 0)

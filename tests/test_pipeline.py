@@ -102,6 +102,12 @@ def test_ingest_counts(tmp_path):
     assert corpus.skipped == 0
 
 
+def test_ingest_ignores_columns_after_the_smiles(tmp_path):
+    f = tmp_path / "corpus.smi"
+    f.write_text("CCO\t1\textra\nCCN\t0\n")
+    assert [m.smiles for m in ingest(f).molecules] == ["CCO", "CCN"]
+
+
 def test_ingest_skips_bad_lines(tmp_path):
     f = tmp_path / "corpus.smi"
     lines = ["CCO"] * 9 + ["C1CC"]   # unclosed ring fails
@@ -731,6 +737,28 @@ def test_metrics_match_bruteforce_oracles():
                 elif preds[i] == preds[j]:
                     num += 0.5
     assert got == pytest.approx(num / pairs, abs=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_metrics_equal_their_loop_oracles():
+    # Few distinct values give many tied scores and truths; every third
+    # trial mixes in continuous values. In the last ones a difference of two
+    # finite values overflows, which must not warn.
+    rng = np.random.default_rng(17)
+    for trial in range(300):
+        n = int(rng.integers(2, 80))
+        preds = rng.integers(-3, 4, size=n) / 2.0
+        truths = rng.integers(0, 5, size=n) * 1.25
+        if trial % 3 == 0:
+            preds = np.where(rng.random(n) < 0.5, preds, rng.normal(size=n))
+        if trial >= 290:
+            preds = rng.integers(-3, 4, size=n) * 5e307
+            truths = (truths - 2.5) * 6e307
+        labels = rng.integers(0, 2, size=n)
+        if len(set(truths)) > 1:
+            assert concordance_index(preds, truths) == oracles.concordance_index(preds, truths)
+        if 0 < labels.sum() < n:
+            assert roc_auc(preds, labels) == oracles.roc_auc(preds, labels)
 
 
 # ---------------------------------------------------------------- config files
