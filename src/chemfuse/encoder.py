@@ -40,6 +40,7 @@ from .nn.tensor import (
     Parameter,
     Tensor,
     add,
+    add_layer_norm,
     concat_rows,
     constant,
     embedding_lookup,
@@ -311,12 +312,12 @@ class MoleculeEncoder:
             retain = [] if retain_attention else None
             attn_out = multi_head_attention(z, self.config.heads, block.attn, lengths,
                                             attn_bias=biases, retain=retain)
-            h = add(z, attn_out)
             if kept is not None and layer == len(self.blocks) - 1:
-                h = gather_rows(h, kept)
-            h = layer_norm_rows(h, *block.ln1)
+                h = layer_norm_rows(gather_rows(add(z, attn_out), kept), *block.ln1)
+            else:
+                h = add_layer_norm(z, attn_out, *block.ln1)
             ffn = feed_forward(h, block.ffn_w1, block.ffn_b1, block.ffn_w2, block.ffn_b2)
-            z = layer_norm_rows(add(h, ffn), *block.ln2)
+            z = add_layer_norm(h, ffn, *block.ln2)
             if maps is not None:
                 maps.append(retain)
         if kept is not None and not self.blocks:

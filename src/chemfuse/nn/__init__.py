@@ -18,6 +18,7 @@ from .tensor import (
     ShapeMismatch,
     Tensor,
     add,
+    add_layer_norm,
     backward,
     concat_cols,
     concat_rows,

@@ -141,7 +141,7 @@ def multi_head_attention(x: Tensor, heads: int, params: AttentionParams,
         probs -= probs.max(axis=3, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=3, keepdims=True)
-        _split_heads(context[block], length, heads)[...] = probs @ vh
+        np.matmul(probs, vh, out=_split_heads(context[block], length, heads))
         saved.append((block, length, qh, kh, vh, probs))
     if retain is not None:
         by_sequence = {s: seq for (_, members), (*_, probs) in zip(groups, saved)
@@ -168,9 +168,9 @@ def multi_head_attention(x: Tensor, heads: int, params: AttentionParams,
             d_scores *= factor
             d_q, d_k, d_v = (_split_heads(d_qkv[block, i * width:(i + 1) * width],
                                           length, heads) for i in range(3))
-            d_q[...] = d_scores @ kh
-            d_k[...] = _t(d_scores) @ qh
-            d_v[...] = _t(probs) @ d_ctx
+            np.matmul(d_scores, kh, out=d_q)
+            np.matmul(_t(d_scores), qh, out=d_k)
+            np.matmul(_t(probs), d_ctx, out=d_v)
         d_w = x_rows.T @ d_qkv
         d_b = d_qkv.sum(axis=0, keepdims=True)
         for i, (w, b) in enumerate(((p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv))):
@@ -209,13 +209,10 @@ def gcn_layer(atom_states: Tensor, adj: np.ndarray, edge_sum: np.ndarray,
     inner = h + (adj @ h + edge_sum @ p.bond_w.data)
     pre = inner @ p.w.data
     active = pre > 0
-    out_data, xhat, inv = _layer_norm_forward(h + pre * active, p.ln_gamma.data,
-                                              p.ln_beta.data)
+    out_data, xhat, inv = _layer_norm_forward(h + pre * active, p.ln_gamma, p.ln_beta)
 
     def bwd(g):
-        _accumulate(p.ln_gamma, (g * xhat).sum(axis=0, keepdims=True))
-        _accumulate(p.ln_beta, g.sum(axis=0, keepdims=True))
-        d_res = _layer_norm_backward(g, xhat, inv, p.ln_gamma.data)
+        d_res = _layer_norm_backward(g, xhat, inv, p.ln_gamma, p.ln_beta)
         d_pre = d_res * active
         _accumulate(p.w, inner.T @ d_pre)
         d_inner = d_pre @ p.w.data.T

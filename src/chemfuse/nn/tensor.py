@@ -329,38 +329,64 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     return _node(out_data, (a,), bwd)
 
 
-def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray,
-                        beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _layer_norm_forward(x: np.ndarray, gamma: Tensor,
+                        beta: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise LayerNorm with epsilon 1e-5; returns the output, x-hat and
-    1/std for backward."""
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x - mu) * inv
-    return xhat * gamma + beta, xhat, inv
+    1/std for backward. The statistics take numpy's ``mean`` and ``var``
+    steps, so the bits are theirs, but the rows are centred once and the
+    centred rows become x-hat in place."""
+    n = x.shape[1]
+    if gamma.shape != (1, n) or beta.shape != (1, n):
+        raise ShapeMismatch(
+            f"layer_norm affine shapes {gamma.shape}/{beta.shape} vs {x.shape}")
+    xhat = x - np.add.reduce(x, axis=1, keepdims=True) / n
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(np.add.reduce(out, axis=1, keepdims=True) / n + 1e-5)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
+    return out, xhat, inv
 
 
 def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
-                         gamma: np.ndarray) -> np.ndarray:
-    """Gradient of a row-wise LayerNorm with respect to its input."""
-    gg = g * gamma
-    term = gg - gg.mean(axis=1, keepdims=True) \
-        - xhat * (gg * xhat).sum(axis=1, keepdims=True) / xhat.shape[1]
-    return term * inv
+                         gamma: Tensor, beta: Tensor) -> np.ndarray:
+    """Accumulates the affine gradients of a row-wise LayerNorm and returns
+    its input gradient ``(gg - mean(gg) - xhat * sum(gg * xhat) / n) * inv``
+    with ``gg = g * gamma``, in that order, in two buffers."""
+    _accumulate(gamma, (g * xhat).sum(axis=0, keepdims=True))
+    _accumulate(beta, g.sum(axis=0, keepdims=True))
+    gg = g * gamma.data
+    term = gg * xhat
+    np.multiply(xhat, np.add.reduce(term, axis=1, keepdims=True), out=term)
+    term /= xhat.shape[1]
+    gg -= np.add.reduce(gg, axis=1, keepdims=True) / xhat.shape[1]
+    gg -= term
+    gg *= inv
+    return gg
 
 
 def layer_norm_rows(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    if gamma.shape != (1, a.shape[1]) or beta.shape != (1, a.shape[1]):
-        raise ShapeMismatch(
-            f"layer_norm affine shapes {gamma.shape}/{beta.shape} vs {a.shape}")
-    out_data, xhat, inv = _layer_norm_forward(a.data, gamma.data, beta.data)
+    out_data, xhat, inv = _layer_norm_forward(a.data, gamma, beta)
 
     def bwd(g):
-        _accumulate(a, _layer_norm_backward(g, xhat, inv, gamma.data))
-        _accumulate(gamma, (g * xhat).sum(axis=0, keepdims=True))
-        _accumulate(beta, g.sum(axis=0, keepdims=True))
+        _accumulate(a, _layer_norm_backward(g, xhat, inv, gamma, beta))
 
     return _node(out_data, (a, gamma, beta), bwd)
+
+
+def add_layer_norm(a: Tensor, b: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """``layer_norm_rows(add(a, b), gamma, beta)`` as one tape node, bit for
+    bit; ``a`` and ``b`` are handed the same input gradient, as by ``add``."""
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"add_layer_norm {a.shape} + {b.shape}")
+    out_data, xhat, inv = _layer_norm_forward(a.data + b.data, gamma, beta)
+
+    def bwd(g):
+        d_in = _layer_norm_backward(g, xhat, inv, gamma, beta)
+        _accumulate(a, d_in)
+        _accumulate(b, d_in)
+
+    return _node(out_data, (a, b, gamma, beta), bwd)
 
 
 # -------------------------------------------------------- indexing / reshaping
@@ -379,19 +405,27 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     return _node(out_data, (table,), bwd)
 
 
+def _one_to_one(ids: np.ndarray, rows: int) -> bool:
+    """Whether no id in ``ids``, each in ``[0, rows)``, repeats."""
+    return ids.size == 0 or np.bincount(ids, minlength=rows).max() == 1
+
+
 def scatter_add_rows(ids: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
     """``rows`` rows where row r sums the rows ``g[i]`` with ``ids[i] == r``,
     bit for bit as ``np.add.at`` into zeros.
 
-    A stable sort keeps each id's rows in their order, and the runs of one
-    length are summed as a (runs, length, c) stack along its middle axis,
-    which numpy adds row after row as ``np.add.at`` does (``np.add.reduceat``
-    adds the first row to the sum of the rest). One column would be summed
-    pairwise, so it is accumulated instead. ``+ 0.0`` turns a -0.0 sum into
-    the 0.0 that starting from zero gives.
+    When no id repeats, each row is assigned. Otherwise a stable sort keeps
+    each id's rows in their order, and the runs of one length are summed as
+    a (runs, length, c) stack along its middle axis, which numpy adds row
+    after row as ``np.add.at`` does (``np.add.reduceat`` adds the first row
+    to the sum of the rest). One column would be summed pairwise, so it is
+    accumulated instead. ``+ 0.0`` turns a -0.0 sum into the 0.0 that
+    starting from zero gives.
     """
     acc = np.zeros((rows, g.shape[1]))
-    if ids.size:
+    if _one_to_one(ids, rows):
+        acc[ids] = g + 0.0
+    else:
         order = np.argsort(ids, kind="stable")
         sorted_ids = ids[order]
         first = np.flatnonzero(np.diff(sorted_ids, prepend=-1))  # ids are >= 0
@@ -488,11 +522,12 @@ def _by_length(lengths) -> dict[int, list[int]]:
 def segment_mean(a: Tensor, segments: Sequence[Sequence[int]]) -> Tensor:
     """Row k is the column-wise mean of the rows ``segments[k]`` of ``a``.
 
-    Every segment must be nonempty. Segments of one length are summed as a
-    (G, length, c) stack along its middle axis, which adds each segment's
-    rows in order exactly as ``mean(axis=0)`` does, so a segment's mean does
-    not depend on the other segments. Where no row is in two segments, the
-    backward assigns each row's share instead of using ``np.add.at``.
+    Every segment must be nonempty, its rows in ``[0, a.shape[0])``.
+    Segments of one length are summed as a (G, length, c) stack along its
+    middle axis, which adds each segment's rows in order exactly as
+    ``mean(axis=0)`` does, so a segment's mean does not depend on the
+    other segments. Where no row is in two segments, the backward assigns
+    each row's share instead of using ``np.add.at``.
     """
     rows = [np.asarray(s, dtype=np.int64) for s in segments]
     if not rows or min(len(r) for r in rows) < 1:
@@ -502,8 +537,7 @@ def segment_mean(a: Tensor, segments: Sequence[Sequence[int]]) -> Tensor:
     out_data = np.empty((len(rows), a.shape[1]))
     for length, members, idx in groups:
         out_data[members] = a.data[idx].sum(axis=1) / length
-    flat = np.concatenate(rows)
-    disjoint = np.unique(flat).size == flat.size
+    disjoint = _one_to_one(np.concatenate(rows), a.shape[0])
 
     def bwd(g):
         if not a.requires:

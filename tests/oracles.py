@@ -391,6 +391,26 @@ def gelu_and_derivative(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, da
 
 
+def layer_norm_forward(x: np.ndarray, gamma: np.ndarray,
+                       beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise LayerNorm with epsilon 1e-5 from ``np.mean`` and ``np.var``;
+    returns the output, x-hat and 1/std."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mu) * inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                        gamma: np.ndarray) -> np.ndarray:
+    """Input gradient of a row-wise LayerNorm as one expression."""
+    gg = g * gamma
+    term = gg - gg.mean(axis=1, keepdims=True) \
+        - xhat * (gg * xhat).sum(axis=1, keepdims=True) / xhat.shape[1]
+    return term * inv
+
+
 def segment_mean_grad(rows: int, segments, g: np.ndarray) -> np.ndarray:
     """Gradient of ``segment_mean`` with respect to its ``rows``-row input:
     every segment adds its share into its rows with ``np.add.at``, segments

@@ -107,8 +107,8 @@ def test_criterion_2_fragment_suite(golden_smiles):
 
 def test_criterion_3_gradient_suite():
     from chemfuse.nn import (
-        AttentionParams, GcnLayerParams, Parameter, feed_forward, gcn_layer, gelu,
-        layer_norm_rows, matmul, mul, multi_head_attention, normalize_rows,
+        AttentionParams, GcnLayerParams, Parameter, add_layer_norm, feed_forward, gcn_layer,
+        gelu, layer_norm_rows, matmul, mul, multi_head_attention, normalize_rows,
         relu, softmax_rows, softplus,
     )
 
@@ -126,6 +126,8 @@ def test_criterion_3_gradient_suite():
             fd_check(lambda op=op: mean_all(op(mul(w, x))), [w])
         g, b = rp("g", 1, 4), rp("b", 1, 4)
         fd_check(lambda: mean_all(layer_norm_rows(w, g, b)), [w, g, b])
+        c = rp("c", 3, 4)
+        fd_check(lambda: mean_all(mul(add_layer_norm(w, c, g, b), x)), [w, c, g, b])
         a2, b2 = rp("a2", 3, 3), rp("b2", 3, 4)
         fd_check(lambda: mean_all(matmul(a2, b2)), [a2, b2])
 

@@ -17,6 +17,7 @@ from chemfuse.nn import (
     Tensor,
     adam_step,
     add,
+    add_layer_norm,
     affine,
     backward,
     concat_cols,
@@ -219,6 +220,60 @@ def test_layer_norm_statistics():
     np.testing.assert_allclose(y.var(axis=1), np.ones(6), rtol=1e-4)
 
 
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 16, 64, 127, 128, 129, 300])
+def test_layer_norm_is_bitwise_the_mean_var_oracle(width):
+    """Widths that numpy sums sequentially, 8-way unrolled and in 128-wide
+    pairwise blocks; 1 to 300 rows at scales 1e-3 to 1e3, with constant
+    rows (variance 0). Output and all three gradients match bit for bit."""
+    for rows, size in ((1, 1e-3), (2, 1e3), (5, 1.0), (33, 1e-2), (128, 1e2), (300, 10.0)):
+        x = RNG.normal(size=(rows, width)) * size + RNG.normal() * size
+        x[2::3] = x[2::3, :1]
+        a = Tensor(x.copy(), requires=True)
+        gamma, beta = rand_param("lng", 1, width), rand_param("lnb", 1, width)
+        out = layer_norm_rows(a, gamma, beta)
+        g = RNG.normal(size=x.shape)
+        out._backward(g)
+        want, xhat, inv = oracles.layer_norm_forward(x, gamma.data, beta.data)
+        assert out.data.tobytes() == want.tobytes()
+        assert a.grad.tobytes() == \
+            oracles.layer_norm_backward(g, xhat, inv, gamma.data).tobytes()
+        assert gamma.grad.tobytes() == (0.0 + (g * xhat).sum(axis=0, keepdims=True)).tobytes()
+        assert beta.grad.tobytes() == (0.0 + g.sum(axis=0, keepdims=True)).tobytes()
+
+
+@pytest.mark.parametrize("same", [False, True], ids=["a-and-b", "a-is-b"])
+def test_add_layer_norm_is_bitwise_the_unfused_chain(same):
+    """Value and all four gradients equal those of add -> layer_norm_rows,
+    with and without a tape. ``a`` and ``b`` are intermediates, as in the
+    encoder, so each keeps the gradient it is handed."""
+    x = rand_param("aln_x", 37, 9)
+    y = x if same else rand_param("aln_y", 37, 9)
+    gamma, beta = rand_param("aln_g", 1, 9), rand_param("aln_be", 1, 9)
+    weights = constant(RNG.normal(size=(37, 9)))
+    params = (x, y, gamma, beta)
+    results = []
+    for op in (lambda a, b, g, be: layer_norm_rows(add(a, b), g, be), add_layer_norm):
+        for p in params:
+            p.zero_grad()
+        a = scale(x, 0.5)
+        out = op(a, a if same else scale(y, 0.5), gamma, beta)
+        backward(sum_all(mul(out, weights)))
+        results.append([out.data] + [p.grad.copy() for p in params])
+    for got, want in zip(results[1], results[0]):
+        assert got.tobytes() == want.tobytes()
+    with no_grad():
+        inferred = add_layer_norm(scale(x, 0.5), scale(y, 0.5), gamma, beta)
+    assert inferred.data.tobytes() == results[0][0].tobytes()
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_grad_add_layer_norm(trial):
+    a, b = rand_param(f"ala{trial}", 4, 6), rand_param(f"alb{trial}", 4, 6)
+    gamma, beta = rand_param("alg", 1, 6), rand_param("albe", 1, 6)
+    loss = _weighted_loss((4, 6))
+    fd_check(lambda: loss(add_layer_norm(a, b, gamma, beta)), [a, b, gamma, beta])
+
+
 def test_shape_mismatch_raised():
     with pytest.raises(ShapeMismatch):
         matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
@@ -226,6 +281,11 @@ def test_shape_mismatch_raised():
         add(constant(np.ones((2, 3))), constant(np.ones((3, 2))))
     with pytest.raises(ShapeMismatch):
         multi_head_attention(constant(np.ones((5, 4))), 2, _attn_params(4), [2, 2])
+    ones = constant(np.ones((1, 3)))
+    with pytest.raises(ShapeMismatch):
+        add_layer_norm(constant(np.ones((2, 3))), ones, ones, ones)
+    with pytest.raises(ShapeMismatch):
+        add_layer_norm(ones, ones, constant(np.ones((1, 2))), ones)
 
 
 # ------------------------------------------------------------------- attention
@@ -427,6 +487,33 @@ def test_scatter_add_rows_is_bitwise_the_add_at_oracle(ids, cols):
     out = embedding_lookup(table, ids)
     out._backward(g)
     assert table.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ids, sorts", [
+    ([4, 0, 3, 1, 2], False),  # a permutation
+    ([3, 0, 4], False),        # a strict subset, unsorted
+    ([], False),               # nothing gathered
+    ([3, 0, 3, 1], True),      # a repeated id takes the sorted path
+], ids=["permutation", "subset", "empty", "repeated"])
+@pytest.mark.parametrize("cols", [1, 4])
+def test_one_to_one_gather_backward_assigns_rows(ids, sorts, cols, monkeypatch):
+    """A gather backward whose ids do not repeat assigns its rows, without
+    a sort, and is still bitwise ``np.add.at``: a -0.0 row comes out 0.0."""
+    idx = np.asarray(ids, dtype=np.int64)
+    g = RNG.normal(size=(len(ids), cols))
+    if len(ids):
+        g[0] = -0.0
+    want = oracles.add_at_rows(idx, g, 5)
+    sorted_calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort",
+                        lambda *args, **kw: sorted_calls.append(1) or argsort(*args, **kw))
+    table = Tensor(RNG.normal(size=(5, cols)), requires=True)
+    gather_rows(table, ids)._backward(g)
+    assert table.grad.tobytes() == want.tobytes()
+    assert bool(sorted_calls) == sorts
+    if len(ids) and not sorts:
+        assert not np.signbit(table.grad[ids[0]]).any()
 
 
 def test_scatter_add_rows_sums_long_runs_in_order():
@@ -687,6 +774,7 @@ def test_no_backward_writes_into_its_gradient():
         mul(a, a), sub(a, scale(a, 0.5)), transpose(a), relu(a), softmax_rows(a),
         pick(a, [0, 3, 7]), concat_cols([a, a]), sum_all(a), gather_rows(a, [2, 0]),
         segment_mean(a, [[0, 1], [1, 2]]), feed_forward(a, *_ffn_params(8, 16, "own")),
+        add_layer_norm(a, scale(a, 0.5), args[2], args[3]),
         add(matmul(a, transpose(w)), constant(np.ones((1, 6)))), mean_rows(add(w, b)),
     ]
     seen, ops = set(), set()
@@ -706,7 +794,8 @@ def test_no_backward_writes_into_its_gradient():
         "add", "mul", "scale", "matmul", "transpose", "relu", "gelu", "softplus",
         "softmax_rows", "log_softmax_rows", "layer_norm_rows", "embedding_lookup",
         "concat_rows", "concat_cols", "pick", "sum_all", "mean_all", "segment_mean",
-        "normalize_rows", "multi_head_attention", "gcn_layer", "feed_forward"}
+        "normalize_rows", "multi_head_attention", "gcn_layer", "feed_forward",
+        "add_layer_norm"}
 
 
 @pytest.mark.parametrize("build, x_grad, y_grad", [
