@@ -10,9 +10,10 @@ Fragment embeddings pool token rows through one shared attention module
 
 Every forward is packed: any number of views run as one pass, their rows
 concatenated without padding. Row-wise layers see one matrix, attention
-runs each view within itself, and the GCN runs over the disjoint union of
-the graphs. A view's arithmetic is the same whether it runs alone or packed
-with others, so encoding one molecule is the one-view case.
+runs each view (a blocked view: each modality) within itself, and the GCN
+runs over the disjoint union of the graphs. A view's arithmetic is the
+same whether it runs alone or packed with others, so encoding one
+molecule is the one-view case.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ from .nn.tensor import (
 
 #: Reserved vocabulary ids (fixed by the vocabulary builder).
 PAD_ID, MASK_ID, UNK_ID = 0, 1, 2
-
-#: Additive attention bias used to block positions.
-BLOCK = -1e30
 
 
 class PositionOverflow(InputError):
@@ -104,7 +102,8 @@ class JointEncoding:
     ``n[k] + j``) whose rows, in that order, are all the view keeps; see
     ``rows``. ``x_cls`` holds the mean of each full view's rows, one row per
     full view in view order: a partial view has none. ``attention`` holds,
-    per layer, each view's per-head maps in view order.
+    per layer, each view's per-head maps in view order; a view blocked
+    across modalities holds its token maps and then its atom maps.
     """
 
     x: Tensor
@@ -284,23 +283,19 @@ class MoleculeEncoder:
         """Run the transformer stack over packed views.
 
         View k owns the next ``n[k]`` token rows and then ``m[k]`` atom rows
-        of ``z``. Where ``block_cross_modality[k]`` is set, a block-diagonal
-        attention bias lets each modality of view k attend only to itself
-        (the single-modality-masking ablation); elsewhere attention crosses
-        modalities. ``read[k]`` (default: None for every view) is None to
-        keep every row of view k, or the positions its caller reads: the last
-        block's attention still runs over every row, and its layer norms and
-        feed-forward over the read rows only (see ``JointEncoding``).
+        of ``z``. Where ``block_cross_modality[k]`` is set, view k attends as
+        two sequences, its tokens and then its atoms, so each modality
+        attends only to itself (the single-modality-masking ablation) and
+        the retained maps are its token maps and then its atom maps;
+        elsewhere attention crosses modalities. ``read[k]`` (default: None
+        for every view) is None to keep every row of view k, or the
+        positions its caller reads: the last block's attention still runs
+        over every row, and its layer norms and feed-forward over the read
+        rows only (see ``JointEncoding``).
         """
         read = tuple(read) or (None,) * len(n)
-        biases = []
-        for a, b, blocked in zip(n, m, block_cross_modality):
-            bias = None
-            if blocked:
-                bias = np.zeros((a + b, a + b))
-                bias[:a, a:] = BLOCK
-                bias[a:, :a] = BLOCK
-            biases.append(bias)
+        sequences = [length for a, b, blocked in zip(n, m, block_cross_modality)
+                    for length in ((a, b) if blocked else (a + b,))]
         lengths = [a + b for a, b in zip(n, m)]
         kept = None
         if any(r is not None for r in read):
@@ -310,8 +305,8 @@ class MoleculeEncoder:
         maps: list[list[np.ndarray]] | None = [] if retain_attention else None
         for layer, block in enumerate(self.blocks):
             retain = [] if retain_attention else None
-            attn_out = multi_head_attention(z, self.config.heads, block.attn, lengths,
-                                            attn_bias=biases, retain=retain)
+            attn_out = multi_head_attention(z, self.config.heads, block.attn, sequences,
+                                            retain=retain)
             if kept is not None and layer == len(self.blocks) - 1:
                 h = layer_norm_rows(gather_rows(add(z, attn_out), kept), *block.ln1)
             else:

@@ -88,20 +88,17 @@ def _t(x: np.ndarray) -> np.ndarray:
 
 
 def multi_head_attention(x: Tensor, heads: int, params: AttentionParams,
-                         lengths: Sequence[int],
-                         attn_bias: Sequence[np.ndarray | None] | None = None,
-                         retain: list | None = None) -> Tensor:
+                         lengths: Sequence[int], retain: list | None = None) -> Tensor:
     """Self-attention over packed sequences: scaled dot-product attention
     per head, concatenated and projected.
 
     The rows of ``x`` are sequences of ``lengths``, each attending only
-    within itself. ``attn_bias`` is None or holds, per sequence, an
-    (L x L) array added to every head's scores, or None; use large
-    negatives to block positions. The rows are permuted once so that the
-    sequences of each length lie together (not at all when they already
-    do), and each such group runs as one (G, heads, L, head_dim) batch read
-    from its block of rows; the output is permuted back. Q, K and V come
-    from one product with the three weights side by side. Each sequence's
+    within itself: sequences are the only bound on attention. The rows are
+    permuted once so that the sequences of each length lie together (not
+    at all when they already do), and each such group runs as one
+    (G, heads, L, head_dim) batch read from its block of rows; the output
+    is permuted back. Q, K and V come from one product with the three
+    weights side by side. Each sequence's
     arithmetic is the same as when it runs alone (a single row alone takes
     numpy's matrix-vector path, so its last bits may differ). When
     ``retain`` is a list, each sequence's per-head probability matrices are
@@ -115,7 +112,6 @@ def multi_head_attention(x: Tensor, heads: int, params: AttentionParams,
         raise ShapeMismatch(f"attention input {x.shape} vs width {p.wq.shape[0]} "
                             f"and {sum(lengths)} rows of sequences")
     starts = np.cumsum(lengths) - lengths
-    biases = attn_bias or [None] * len(lengths)
     groups = list(_by_length(lengths).items())
     order = np.concatenate([(starts[members][:, None] + np.arange(length)).ravel()
                             for length, members in groups] or [np.arange(0)])
@@ -135,9 +131,6 @@ def multi_head_attention(x: Tensor, heads: int, params: AttentionParams,
                       for i in range(3))
         probs = qh @ _t(kh)
         probs *= factor
-        if any(biases[k] is not None for k in members):
-            probs += np.stack([np.zeros((length, length)) if biases[k] is None
-                               else biases[k] for k in members])[:, None]
         probs -= probs.max(axis=3, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=3, keepdims=True)

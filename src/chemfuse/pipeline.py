@@ -437,10 +437,7 @@ def _step_losses(model: PretrainModel, records: list[MoleculeRecord],
             frag_samples.append(sample_fragment_mask(rec, mask_cfg, rng))
         else:
             tok_samples.append(sample_ablation_mask(rec, mask_cfg, rng))
-    try:
-        partners = derangement(b)
-    except BatchTooSmall:
-        partners = []
+    partners = derangement(b) if b > 1 else []
     clean = MaskedSample()
     views = ([(rec, rec, s, block) for rec, s in zip(records, tok_samples)]
              + [(rec, rec, s, False) for rec, s in zip(records, frag_samples)]

@@ -29,6 +29,9 @@ from chemfuse.fragments import (
     FragmentOutOfRange,
 )
 
+from chemfuse.nn.layers import _split_heads, _t
+from chemfuse.nn.tensor import _by_length
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -409,6 +412,59 @@ def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
     term = gg - gg.mean(axis=1, keepdims=True) \
         - xhat * (gg * xhat).sum(axis=1, keepdims=True) / xhat.shape[1]
     return term * inv
+
+
+#: Additive attention bias that blocked a position.
+BLOCK = -1e30
+
+
+def biased_attention(x, heads, params, lengths, attn_bias=None, retain=None) -> np.ndarray:
+    """Forward of packed multi-head attention with a per-sequence additive
+    bias: ``attn_bias`` is None or holds, per sequence, an (L x L) array
+    added to every head's scores, or None. The encoder once blocked the two
+    modalities of a view from each other with ``BLOCK`` off the diagonal
+    blocks; that view now attends as two sequences."""
+    p = params
+    width = p.wq.shape[1]
+    starts = np.cumsum(lengths) - lengths
+    biases = attn_bias or [None] * len(lengths)
+    groups = list(_by_length(lengths).items())
+    order = np.concatenate([(starts[members][:, None] + np.arange(length)).ravel()
+                            for length, members in groups] or [np.arange(0)])
+    grouped = np.array_equal(order, np.arange(order.size))
+    x_rows = x.data if grouped else x.data[order]
+    w_qkv = np.concatenate([p.wq.data, p.wk.data, p.wv.data], axis=1)
+    qkv = x_rows @ w_qkv
+    qkv += np.concatenate([p.bq.data, p.bk.data, p.bv.data], axis=1)
+    factor = 1.0 / np.sqrt(width // heads)
+    context = np.empty((order.size, width))
+    saved = []
+    lo = 0
+    for length, members in groups:
+        block = slice(lo, lo + len(members) * length)
+        lo = block.stop
+        qh, kh, vh = (_split_heads(qkv[block, i * width:(i + 1) * width], length, heads)
+                      for i in range(3))
+        probs = qh @ _t(kh)
+        probs *= factor
+        if any(biases[k] is not None for k in members):
+            probs += np.stack([np.zeros((length, length)) if biases[k] is None
+                               else biases[k] for k in members])[:, None]
+        probs -= probs.max(axis=3, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=3, keepdims=True)
+        np.matmul(probs, vh, out=_split_heads(context[block], length, heads))
+        saved.append((block, length, qh, kh, vh, probs))
+    if retain is not None:
+        by_sequence = {s: seq for (_, members), (*_, probs) in zip(groups, saved)
+                       for s, seq in zip(members, probs)}
+        retain.extend(head.copy() for s in sorted(by_sequence) for head in by_sequence[s])
+    out_data = context @ p.wo.data
+    out_data += p.bo.data
+    if not grouped:
+        inverse = np.argsort(order)
+        out_data = out_data[inverse]
+    return out_data
 
 
 def segment_mean_grad(rows: int, segments, g: np.ndarray) -> np.ndarray:

@@ -304,6 +304,31 @@ def test_diverging_pretrain_prints_one_error_line_and_no_warning(tmp_path):
     assert error.startswith("error: non-finite loss at epoch 0 batch ")
 
 
+@pytest.mark.parametrize("strategy", ["single", "conditional"])
+def test_pretrain_ablation_strategies_log_every_step_and_embed(tmp_path, capsys, strategy):
+    """An ablation run logs one finite TSV line per step and leaves a
+    checkpoint that ``embed`` loads."""
+    corpus = tmp_path / "six.smi"
+    corpus.write_text("\n".join(load_corpus_lines("toy_200.smi")[1:7]) + "\n")
+    config = tmp_path / "tiny.cfg"
+    config.write_text("dim = 16\nheads = 2\ntransformer_layers = 1\ngnn_layers = 1\n"
+                      "gnn_width = 8\nfingerprint_width = 64\n")
+    ckpt = str(tmp_path / "ck")
+    code, out, err = run(capsys, ["pretrain", str(corpus), "--checkpoint", ckpt,
+                                  "--config", str(config), "--mask-strategy", strategy,
+                                  "--epochs", "2", "--batch-size", "3", "--seed", "4"])
+    assert code == 0, err
+    header, *lines = out.splitlines()
+    assert header.split("\t")[:2] == ["step", "l_t"]
+    assert [line.split("\t")[0] for line in lines] == ["0", "1", "2", "3"]
+    for line in lines:
+        assert all(np.isfinite(float(v)) for v in line.split("\t")[1:7])
+    assert err.endswith("(4 steps)\n")
+    code, out, _ = run(capsys, ["embed", str(corpus), "--checkpoint", ckpt])
+    assert code == 0
+    assert [len(row.split("\t")) for row in out.splitlines()] == [16] * 6
+
+
 @pytest.mark.parametrize("command", ["fragment", "embed"])
 def test_exit_code_leading_dot(checkpoint, capsys, monkeypatch, command):
     argv = [command] + (["--checkpoint", checkpoint] if command == "embed" else [])

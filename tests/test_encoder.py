@@ -19,6 +19,8 @@ from chemfuse.errors import ConfigError
 from chemfuse.fragments import FragmentMap, FragmentOutOfRange, build_fragment_map
 from chemfuse.nn import concat_rows, constant, mean_rows
 
+from conftest import load_corpus_lines
+
 CFG = ModelConfig(vocab_size=24, context_vocab_size=12, dim=16, transformer_layers=2,
                   heads=4, gnn_layers=2, gnn_width=8, max_positions=64,
                   fingerprint_width=32, n_groups=6)
@@ -206,6 +208,36 @@ def test_joint_encode_block_mask_isolates_modalities():
     after = enc.joint_encode(bumped, (t.n,), (g.m,), [True]).x.data
     np.testing.assert_array_equal(after[:t.n], base[:t.n])
     assert not np.allclose(after[t.n:], base[t.n:])
+
+
+def test_blocked_view_modalities_are_bitwise_independent():
+    """In a blocked view the token rows do not depend on the graph and the
+    atom rows do not depend on the tokens, to the last bit; each view
+    retains its token maps and then its atom maps."""
+    enc = make_encoder()
+    parsed = [parse_smiles(s) for s in load_corpus_lines("toy_200.smi")[:40]]
+    tokens = [[3 + sum(map(ord, tok.text)) % 21 for tok in t.tokens] for _, t in parsed]
+    graphs = [g for g, _ in parsed]
+    pairs = range(len(parsed) - 1)
+    blocked = [True] * len(pairs)
+    own = enc.encode([tokens[i] for i in pairs], [graphs[i] for i in pairs],
+                     block_cross_modality=blocked, retain_attention=True)
+    next_graph = enc.encode([tokens[i] for i in pairs], [graphs[i + 1] for i in pairs],
+                            block_cross_modality=blocked)
+    next_tokens = enc.encode([tokens[i + 1] for i in pairs], [graphs[i] for i in pairs],
+                             block_cross_modality=blocked)
+    for i in pairs:
+        n, m = own.n[i], own.m[i]
+        start = own.starts[i]
+        rows = own.x.data[start:start + n + m]
+        other = next_graph.starts[i]
+        np.testing.assert_array_equal(next_graph.x.data[other:other + n], rows[:n])
+        other = next_tokens.starts[i] + next_tokens.n[i]
+        np.testing.assert_array_equal(next_tokens.x.data[other:other + m], rows[n:])
+    for layer in own.attention:
+        shapes = [mat.shape for mat in layer]
+        assert shapes == [shape for n, m in zip(own.n, own.m)
+                          for shape in [(n, n)] * CFG.heads + [(m, m)] * CFG.heads]
 
 
 def test_attention_rows_sum_to_one():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chemfuse.chem import parse_smiles
-from chemfuse.encoder import BLOCK, graph_union
+from chemfuse.encoder import graph_union
 from chemfuse.features import featurize
 from chemfuse.nn import (
     AdamState,
@@ -373,99 +373,88 @@ def test_grad_attention_self_input(trial):
              [x] + _attn_param_list(p))
 
 
-@pytest.mark.parametrize("trial", range(3))
-def test_grad_attention_blocked_keys(trial):
-    p = _attn_params(4, prefix=f"b{trial}")
-    x = rand_param("x", 5, 4)
-    bias = np.zeros((5, 5))
-    bias[:, 3] = BLOCK
-    bias[:2, 2:] = BLOCK
-    loss = _weighted_loss((5, 4))
-    retained = []
-    multi_head_attention(x, 2, p, [5], attn_bias=[bias], retain=retained)
-    for mat in retained:
-        assert np.all(mat[bias == BLOCK] == 0.0)
-    fd_check(lambda: loss(multi_head_attention(x, 2, p, [5], attn_bias=[bias])),
-             [x] + _attn_param_list(p))
-
-
-def _packed_lengths_and_biases():
-    """Four packed sequences of three lengths; the second length-3 one has
-    its first position cut off from the rest, as the encoder blocks
-    cross-modality attention. No sequence is a single row: numpy sends a
-    one-row product to a different BLAS routine, whose last bits differ."""
-    blocked = np.zeros((3, 3))
-    blocked[:1, 1:] = BLOCK
-    blocked[1:, :1] = BLOCK
-    return [3, 2, 3, 4], [None, None, blocked, None]
+#: Five packed sequences of three lengths; the 2 and 3 after the first two
+#: are one view's tokens and atoms, as the encoder packs a view blocked across
+#: modalities. No sequence is a single row: numpy sends a one-row product to a
+#: different BLAS routine, whose last bits differ.
+PACKED_LENGTHS = [3, 2, 2, 3, 4]
 
 
 @pytest.mark.parametrize("trial", range(3))
 def test_grad_packed_attention(trial):
     p = _attn_params(4, prefix=f"pk{trial}")
-    lengths, biases = _packed_lengths_and_biases()
+    lengths = PACKED_LENGTHS
     x = rand_param("x", sum(lengths), 4)
     loss = _weighted_loss((sum(lengths), 4))
-    fd_check(lambda: loss(multi_head_attention(x, 2, p, lengths, attn_bias=biases)),
+    fd_check(lambda: loss(multi_head_attention(x, 2, p, lengths)),
              [x] + _attn_param_list(p))
 
 
 def test_packed_attention_matches_each_sequence_alone():
     p = _attn_params(8)
-    lengths, biases = _packed_lengths_and_biases()
+    lengths = PACKED_LENGTHS
     x = RNG.normal(size=(sum(lengths), 8))
     retained = []
-    rows = constant(x)
-    packed = multi_head_attention(rows, 2, p, lengths, attn_bias=biases,
-                                  retain=retained).data
+    packed = multi_head_attention(constant(x), 2, p, lengths, retain=retained).data
     start = 0
-    for k, (length, bias) in enumerate(zip(lengths, biases)):
-        rows = constant(x[start:start + length])
+    for k, length in enumerate(lengths):
         alone_maps = []
-        alone = multi_head_attention(rows, 2, p, [length], attn_bias=[bias],
+        alone = multi_head_attention(constant(x[start:start + length]), 2, p, [length],
                                      retain=alone_maps)
         np.testing.assert_array_equal(packed[start:start + length], alone.data)
         for got, want in zip(retained[2 * k:2 * k + 2], alone_maps):
             np.testing.assert_array_equal(got, want)
         start += length
-    assert np.all(retained[4][:1, 1:] == 0.0)
 
 
-def _lengths_out_of_group_order_and_biases():
-    """Six packed sequences whose equal lengths are not neighbours, so the
-    rows must be permuted into length groups and back; two are blocked
-    across a modality boundary as the encoder does."""
-    lengths = [2, 4, 3, 2, 4, 3]
-    biases = [None] * len(lengths)
-    for k, cut in ((1, 1), (5, 2)):
-        bias = np.zeros((lengths[k], lengths[k]))
-        bias[:cut, cut:] = BLOCK
-        bias[cut:, :cut] = BLOCK
-        biases[k] = bias
-    return lengths, biases
+#: Eight packed sequences whose equal lengths are not neighbours, so the rows
+#: must be permuted into length groups and back; sequences 1-2 and 6-7 are the
+#: tokens and atoms of a blocked view each, as the encoder packs them.
+LENGTHS_OUT_OF_GROUP_ORDER = [2, 2, 2, 3, 2, 4, 2, 3]
 
 
 @pytest.mark.parametrize("trial", range(3))
 def test_grad_attention_lengths_out_of_group_order(trial):
     p = _attn_params(4, prefix=f"og{trial}")
-    lengths, biases = _lengths_out_of_group_order_and_biases()
+    lengths = LENGTHS_OUT_OF_GROUP_ORDER
     x = rand_param("x", sum(lengths), 4)
     loss = _weighted_loss((sum(lengths), 4))
-    fd_check(lambda: loss(multi_head_attention(x, 2, p, lengths, attn_bias=biases)),
+    fd_check(lambda: loss(multi_head_attention(x, 2, p, lengths)),
              [x] + _attn_param_list(p))
 
 
 def test_attention_rows_out_of_group_order_match_each_sequence_alone():
     p = _attn_params(8)
-    lengths, biases = _lengths_out_of_group_order_and_biases()
+    lengths = LENGTHS_OUT_OF_GROUP_ORDER
     x = RNG.normal(size=(sum(lengths), 8))
-    packed = multi_head_attention(constant(x), 2, p, lengths, attn_bias=biases).data
+    packed = multi_head_attention(constant(x), 2, p, lengths).data
     start = 0
-    for length, bias in zip(lengths, biases):
-        alone = multi_head_attention(constant(x[start:start + length]), 2, p, [length],
-                                     attn_bias=[bias]).data
+    for length in lengths:
+        alone = multi_head_attention(constant(x[start:start + length]), 2, p, [length]).data
         np.testing.assert_array_equal(packed[start:start + length], alone)
         start += length
+
+
+@pytest.mark.parametrize("n, m", [(3, 4), (2, 2), (5, 3), (4, 4)])
+def test_two_sequences_match_one_sequence_with_a_blocking_bias(n, m):
+    """Attending as two sequences, n rows then m rows, is the block-diagonal
+    additive bias the encoder once used for a blocked view: the outputs
+    agree, the biased maps are exactly zero across the blocks, and their
+    diagonal blocks are the two sequences' maps."""
+    heads = 2
+    p = _attn_params(8)
+    x = constant(RNG.normal(size=(n + m, 8)))
+    bias = np.zeros((n + m, n + m))
+    bias[:n, n:] = oracles.BLOCK
+    bias[n:, :n] = oracles.BLOCK
+    split_maps, biased_maps = [], []
+    split = multi_head_attention(x, heads, p, [n, m], retain=split_maps).data
+    biased = oracles.biased_attention(x, heads, p, [n + m], [bias], retain=biased_maps)
+    np.testing.assert_allclose(split, biased, rtol=0, atol=1e-12)
+    for h, mat in enumerate(biased_maps):
+        assert np.all(mat[:n, n:] == 0.0) and np.all(mat[n:, :n] == 0.0)
+        np.testing.assert_allclose(mat[:n, :n], split_maps[h], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mat[n:, n:], split_maps[heads + h], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("ids", [
