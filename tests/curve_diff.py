@@ -3,7 +3,8 @@
 A recording is a directory with ``history.tsv``, one line per optimizer
 step holding the step and the five loss components and their total at
 full precision, and ``params.json``, the SHA-256 of the final
-``params.bin`` with the numpy and BLAS build that wrote it. The run is the
+``params.bin`` with the numpy and BLAS build that wrote it and the SIMD
+and BLAS kernels they chose on its CPU. The run is the
 acceptance suite's smoke configuration (``toy_200.smi``, 30 epochs,
 batch 16, seed 7)::
 
@@ -20,6 +21,7 @@ default (CMM) strategy.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import sys
@@ -32,11 +34,31 @@ COMPONENTS = ("l_t", "l_f", "l_fla", "l_sgm", "l_dkl", "total")
 TOLERANCE = 1e-9
 
 
-def build_id() -> str:
-    """The numpy version and BLAS build, which decide a checkpoint's last bits."""
+def _blas_runtime_config() -> str:
+    """OpenBLAS's configuration as loaded, naming the kernel it picked for
+    this CPU; the build's own string if the library cannot be asked."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return (f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')} "
-            f"({' '.join(str(blas.get('openblas configuration', '')).split())})")
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        for name in ("scipy_openblas_get_config64_", "openblas_get_config64_",
+                     "openblas_get_config"):
+            query = getattr(ctypes.CDLL(str(lib)), name, None)
+            if query is not None:
+                query.restype = ctypes.c_char_p
+                return query().decode()
+    return str(blas.get("openblas configuration", ""))
+
+
+def build_id() -> str:
+    """The numpy version, BLAS build and the kernels both use on this CPU,
+    which decide a checkpoint's last bits."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    simd = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+    return (f"numpy {np.__version__} (SIMD {simd or 'baseline'}), "
+            f"{blas.get('name')} {blas.get('version')} "
+            f"({' '.join(_blas_runtime_config().split())})")
 
 
 def history_array(history) -> np.ndarray:

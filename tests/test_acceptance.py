@@ -332,8 +332,9 @@ def test_smoke_run_matches_its_recorded_reference(smoke_run):
     1e-9 at every step; a changed formula moves it further, a reordered
     sum does not (``tests/curve_diff.py`` records and compares histories).
     The checkpoint on disk, which criterion 6's in-place fine-tuning does
-    not touch, has the recorded SHA-256 on the numpy and BLAS build that
-    recorded it; other builds may differ in the last bits."""
+    not touch, has the recorded SHA-256 on the numpy and BLAS build, and
+    the CPU kernels they pick, that recorded it; other builds or CPUs may
+    differ in the last bits."""
     reference, params = read_recording(SMOKE_REFERENCE)
     worst, first = curve_diff(reference, history_array(smoke_run.history))
     assert first is None, (first, worst)
