@@ -16,7 +16,6 @@ from .graph import (
     Atom,
     Bond,
     BondOrder,
-    BondStereo,
     Chirality,
     MolecularGraph,
     Token,
@@ -28,7 +27,7 @@ from .tokenizer import tokenize
 from .writer import write_smiles
 
 __all__ = [
-    "Atom", "Bond", "BondOrder", "BondStereo", "Chirality",
+    "Atom", "Bond", "BondOrder", "Chirality",
     "MolecularGraph", "Token", "TokenKind", "TokenSequence",
     "tokenize", "parse_smiles", "write_smiles",
     "canonical_ranks", "canonical_key", "are_isomorphic",

@@ -55,7 +55,6 @@ class TokenSequence:
     """Ordered tokens of one SMILES string; ``n`` is the token count."""
 
     tokens: tuple[Token, ...]
-    source: str
 
     @property
     def n(self) -> int:
@@ -80,12 +79,6 @@ class BondOrder(Enum):
 #: Each order's contribution to the bonded valence sum (aromatic counts 1.5).
 BOND_VALENCE = {BondOrder.SINGLE: 1.0, BondOrder.DOUBLE: 2.0,
                 BondOrder.TRIPLE: 3.0, BondOrder.AROMATIC: 1.5}
-
-
-class BondStereo(Enum):
-    NONE = "None"
-    UP = "Up"     # '/'
-    DOWN = "Down"  # '\\'
 
 
 @dataclass(slots=True)
@@ -123,7 +116,6 @@ class Bond:
     b: int
     order: BondOrder = BondOrder.SINGLE
     in_ring: bool = False
-    stereo: BondStereo = BondStereo.NONE
 
     def other(self, atom: int) -> int:
         return self.b if atom == self.a else self.a

@@ -3,7 +3,8 @@
 Supported grammar: organic-subset atoms, bracket atoms with a charge of at
 most two digits or ``++`` / ``--``, one H digit and chirality (OpenSMILES),
 ring closures (including ``%nn``), branches, bond symbols ``- = # : / \\``,
-dots, and bare ``@`` / ``@@`` marks. Isotopes, wildcard atoms and quadruple
+dots, and bare ``@`` / ``@@`` marks. ``/`` and ``\\`` are read as single
+bonds: their direction is not kept. Isotopes, wildcard atoms and quadruple
 bonds are rejected with a clear error.
 
 Aromaticity is taken as written (lowercase atoms, ``:`` bonds); there is no
@@ -30,7 +31,6 @@ from .graph import (
     Atom,
     Bond,
     BondOrder,
-    BondStereo,
     Chirality,
     MolecularGraph,
     Token,
@@ -55,14 +55,10 @@ PERIODIC_SYMBOLS = frozenset(
     "Au Hg Tl Pb Bi Po At Rn Fr Ra Ac Th Pa U Np Pu".split()
 )
 
-_BOND_FOR_SYMBOL = {
-    "-": (BondOrder.SINGLE, BondStereo.NONE),
-    "=": (BondOrder.DOUBLE, BondStereo.NONE),
-    "#": (BondOrder.TRIPLE, BondStereo.NONE),
-    ":": (BondOrder.AROMATIC, BondStereo.NONE),
-    "/": (BondOrder.SINGLE, BondStereo.UP),
-    "\\": (BondOrder.SINGLE, BondStereo.DOWN),
-}
+#: Bond order of each bond symbol; '/' and '\\' are single bonds whose
+#: direction is not kept.
+_BOND_FOR_SYMBOL = {"-": BondOrder.SINGLE, "=": BondOrder.DOUBLE, "#": BondOrder.TRIPLE,
+                    ":": BondOrder.AROMATIC, "/": BondOrder.SINGLE, "\\": BondOrder.SINGLE}
 
 _BRACKET_RE = re.compile(
     r"\[(?P<isotope>\d+)?(?P<symbol>[A-Za-z][a-z]?|\*)(?P<chiral>@{1,2})?"
@@ -149,10 +145,10 @@ class _Parser:
         self.tokens = tokens
         self.graph = MolecularGraph()
         self.prev: int | None = None
-        self.pending: tuple[BondOrder, BondStereo] | None = None
+        self.pending: BondOrder | None = None
         #: Per open branch: the atom it hangs from and the atom count at '('.
         self.branch_stack: list[tuple[int, int]] = []
-        self.open_rings: dict[str, tuple[int, tuple[BondOrder, BondStereo] | None]] = {}
+        self.open_rings: dict[str, tuple[int, BondOrder | None]] = {}
 
     def run(self) -> MolecularGraph:
         handlers = {
@@ -178,18 +174,16 @@ class _Parser:
         self.graph.mark_rings()
         return self.graph
 
-    def _bond(self, a: int, b: int,
-              spec: tuple[BondOrder, BondStereo] | None) -> None:
-        """Bond atoms ``a`` and ``b`` as ``spec`` says; an unset order is
+    def _bond(self, a: int, b: int, order: BondOrder | None) -> None:
+        """Bond atoms ``a`` and ``b`` with ``order``; an unset order is
         aromatic between two aromatic atoms and single otherwise."""
-        order, stereo = spec if spec else (None, BondStereo.NONE)
         aromatic = self.graph.atoms[a].aromatic and self.graph.atoms[b].aromatic
         if order is None:
             order = BondOrder.AROMATIC if aromatic else BondOrder.SINGLE
         if order is BondOrder.AROMATIC and not aromatic:
             raise SmilesError("aromatic bond between non-aromatic atoms")
         try:
-            self.graph.add_bond(Bond(a=a, b=b, order=order, stereo=stereo))
+            self.graph.add_bond(Bond(a=a, b=b, order=order))
         except ValueError as exc:
             raise DanglingBond(str(exc)) from exc
         self.pending = None
@@ -227,10 +221,10 @@ class _Parser:
         other, other_pending = self.open_rings.pop(digit)
         if other == self.prev:
             raise DanglingBond(f"ring digit {digit} closes onto its own atom")
-        specs = [s for s in (self.pending, other_pending) if s is not None]
-        if len(specs) == 2 and specs[0][0] is not specs[1][0]:
+        orders = [o for o in (self.pending, other_pending) if o is not None]
+        if len(orders) == 2 and orders[0] is not orders[1]:
             raise DanglingBond(f"conflicting bond orders on ring digit {digit}")
-        self._bond(other, self.prev, specs[0] if specs else None)
+        self._bond(other, self.prev, orders[0] if orders else None)
 
     def _on_branch(self, idx: int, token: Token) -> None:
         if self.pending is not None:

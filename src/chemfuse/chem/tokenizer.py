@@ -87,4 +87,4 @@ def tokenize(smiles: str) -> TokenSequence:
         else:
             tokens.append(Token(text, kind, (pos, end)))
         pos = end
-    return TokenSequence(tokens=tuple(tokens), source=smiles)
+    return TokenSequence(tuple(tokens))

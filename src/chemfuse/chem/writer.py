@@ -1,9 +1,10 @@
 """Serialize a molecular graph back to a SMILES string.
 
 The output is deterministic for a given graph and reparses to an isomorphic
-molecule. Bond-stereo slashes are dropped (isomorphism does not track
-them); chirality and explicit hydrogen counts are preserved via bracket
-atoms. Disconnected components are joined with dots.
+molecule. The graph keeps no bond direction (the parser reads ``/`` and
+``\\`` as single bonds), so none is written; chirality and explicit
+hydrogen counts are preserved via bracket atoms. Disconnected components
+are joined with dots.
 """
 
 from __future__ import annotations

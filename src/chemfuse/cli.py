@@ -17,7 +17,7 @@ import numpy as np
 
 from .chem import TokenKind, tokenize, write_smiles
 from .chem.tokenizer import unsupported
-from .encoder import ModelConfig, dump_attention
+from .encoder import LayerOutOfRange, ModelConfig
 from .errors import ConfigError, InputError
 from .features import (check_fingerprint_shape, group_names_present, morgan_fingerprint,
                         murcko_scaffold)
@@ -115,10 +115,6 @@ def _settings(args, cfg: dict, keys: dict) -> dict:
     return out
 
 
-def _train_config_from(args, cfg: dict) -> TrainConfig:
-    return TrainConfig(**_settings(args, cfg, TRAIN_KEYS))
-
-
 def cmd_mask(args) -> int:
     cfg = MaskConfig(**_settings(args, {}, MASK_KEYS | {"seed": int}))
     molecules = [parse_molecule(s) for s in _smiles_column(args.input)]
@@ -144,7 +140,7 @@ def cmd_mask(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
-    train_cfg = _train_config_from(args, cfg)
+    train_cfg = TrainConfig(**_settings(args, cfg, TRAIN_KEYS))
     model_kwargs = _settings(args, cfg, MODEL_KEYS)
     # Checked with the smallest vocabularies before any input is read.
     ModelConfig(vocab_size=3, context_vocab_size=1, **model_kwargs)
@@ -201,7 +197,10 @@ def cmd_attn_dump(args) -> int:
         with no_grad():
             encoding = model.encoder.encode(
                 [vocab.ids_for(mol.tokens)], [mol.graph], retain_attention=True)
-        mats = dump_attention(encoding, args.layer)
+        layers = encoding.attention
+        if not 0 <= args.layer < len(layers):
+            raise LayerOutOfRange(f"layer {args.layer} outside [0, {len(layers)})")
+        mats = np.stack(layers[args.layer])
         names = [t.text for t in mol.tokens.tokens] + \
             [f"atom{i}:{a.element}" for i, a in enumerate(mol.graph.atoms)]
         frag = list(mol.fragment_map.l_s) + list(mol.fragment_map.l_g)

@@ -58,10 +58,6 @@ class PositionOverflow(InputError):
     """Token sequence longer than the configured position table."""
 
 
-class RetentionDisabled(RuntimeError):
-    """Attention maps were requested but not retained during the forward."""
-
-
 class LayerOutOfRange(InputError, IndexError):
     """Attention dump asked for a layer the model does not have."""
 
@@ -140,15 +136,6 @@ class JointEncoding:
                              m=tuple(self.m[k] for k in picked),
                              starts=tuple(self.starts[k] for k in picked),
                              read=tuple(self.read[k] for k in picked))
-
-
-@dataclass
-class FragmentEmbeddings:
-    """Per-fragment embeddings, both modalities: one row per fragment id,
-    view after view."""
-
-    f_s: Tensor
-    f_g: Tensor
 
 
 class ParamFactory:
@@ -354,9 +341,10 @@ class MoleculeEncoder:
     # ---------------------------------------------------------------- pooling
 
     def pool_fragments(self, encoding: JointEncoding,
-                       fmaps: Sequence[FragmentMap]) -> FragmentEmbeddings:
-        """Per-fragment embeddings from both modalities, ``fmaps[k]`` being
-        the fragment map of view k.
+                       fmaps: Sequence[FragmentMap]) -> tuple[Tensor, Tensor]:
+        """Per-fragment embeddings ``(f_s, f_g)`` of the SMILES and graph
+        sides, one row per fragment id, view after view; ``fmaps[k]`` is the
+        fragment map of view k.
 
         Graph side: plain mean of each fragment's atom rows. SMILES side:
         the shared fragment attention runs over each fragment's token rows,
@@ -384,7 +372,7 @@ class MoleculeEncoder:
         attended = multi_head_attention(tokens, self.config.heads, self.frag_attn, lengths)
         f_s = segment_mean(attended, [range(s, s + length) for s, length
                                       in zip(accumulate(lengths, initial=0), lengths)])
-        return FragmentEmbeddings(f_s=f_s, f_g=segment_mean(encoding.x, atom_groups))
+        return f_s, segment_mean(encoding.x, atom_groups)
 
 
 def _ranges(starts: Sequence[int], counts: Sequence[int]) -> np.ndarray:
@@ -449,18 +437,3 @@ def _bond_ends(graph: MolecularGraph) -> np.ndarray:
     """(bonds, 2) int64 end atoms of each bond, made once per graph."""
     return np.array([(b.a, b.b) for b in graph.bonds], dtype=np.int64).reshape(-1, 2)
 
-
-def dump_attention(encoding: JointEncoding, layer: int) -> np.ndarray:
-    """Per-head attention matrices of one layer of a one-view encoding as
-    (heads, n+m, n+m).
-
-    Raises:
-        RetentionDisabled: if the forward pass did not retain attention.
-        LayerOutOfRange: if ``layer`` is outside the stack.
-    """
-    if encoding.attention is None:
-        raise RetentionDisabled("forward pass ran without retain_attention")
-    if not 0 <= layer < len(encoding.attention):
-        raise LayerOutOfRange(
-            f"layer {layer} outside [0, {len(encoding.attention)})")
-    return np.stack(encoding.attention[layer])

@@ -127,8 +127,8 @@ def sample_ablation_mask(sample, config: MaskConfig,
     """Token-level masking variants used by the masking-strategy ablations.
 
     CONDITIONAL masks token positions in exactly one modality per sample;
-    SINGLE_MODALITY masks both (the same-modality restriction is enforced
-    by the encoder's attention mask, not here).
+    SINGLE_MODALITY masks both (the encoder keeps the modalities apart: it
+    attends over a blocked view's tokens and its atoms as two sequences).
 
     Raises:
         StrategyMismatch: when the configured strategy is CMM.
@@ -183,9 +183,6 @@ class ContextVocabulary:
     @property
     def size(self) -> int:
         return len(self.key_to_id) + 1
-
-    def id_for(self, key: ContextKey) -> int:
-        return self.key_to_id.get(key, self.other_id)
 
     def ids_for_graph(self, graph: MolecularGraph) -> list[int]:
         other = self.other_id

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import zlib
 from pathlib import Path
@@ -91,17 +92,23 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointCorrupt(
             f"params.bin in {path} does not match its manifest's length and CRC-32")
     try:
-        entries = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"]))
+        entries = [(e["name"], tuple(e["shape"]), int(e["offset"]))
                    for e in manifest["tensors"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointCorrupt(f"malformed tensor entry in {path}: {exc!r}") from exc
     tensors: dict[str, np.ndarray] = {}
     end = 0
     for name, shape, start in entries:
+        # JSON integers only (bool is an int subclass), sized in Python ints,
+        # which numpy's int64 product would overflow.
+        if not (isinstance(name, str)
+                and all(type(d) is int and d >= 0 for d in shape)):
+            raise CheckpointCorrupt(
+                f"malformed tensor entry in {path}: name {name!r}, shape {list(shape)!r}")
         if start != end:
             raise CheckpointCorrupt(
                 f"tensor {name!r} starts at byte {start}, expected {end}")
-        end = start + int(np.prod(shape)) * 8
+        end = start + math.prod(shape) * 8
         if end > len(blob):
             raise CheckpointCorrupt(
                 f"tensor {name!r} overruns the {len(blob)}-byte blob")

@@ -210,7 +210,6 @@ class LossReport:
 
     l_t: float
     l_f: float
-    l_cmm: float
     l_fla: float
     l_sgm: float
     l_dkl: float
@@ -233,10 +232,9 @@ def total_loss(l_t: Tensor, l_f: Tensor, l_fla: Tensor, l_sgm: Tensor, l_dkl: Te
     for name, part in zip(names, parts):
         if not np.isfinite(part.data[0, 0]):
             raise NonFiniteInput(f"component {name} is not finite: {part.data[0, 0]}")
-    l_cmm = add(l_t, l_f)
-    total = add(add(l_cmm, l_fla), add(l_sgm, l_dkl))
+    total = add(add(add(l_t, l_f), l_fla), add(l_sgm, l_dkl))
     report = LossReport(
-        l_t=l_t.item(), l_f=l_f.item(), l_cmm=l_cmm.item(), l_fla=l_fla.item(),
+        l_t=l_t.item(), l_f=l_f.item(), l_fla=l_fla.item(),
         l_sgm=l_sgm.item(), l_dkl=l_dkl.item(), total=total.item(),
         mlm_accuracy=mlm_accuracy, sgm_accuracy=sgm_accuracy,
     )

@@ -264,8 +264,6 @@ def ingest(path: str | Path) -> Corpus:
 class MoleculeRecord:
     """Training-ready molecule: ids, fragment labels, and target vectors."""
 
-    smiles: str
-    tokens: TokenSequence
     graph: MolecularGraph
     fragment_map: FragmentMap
     token_ids: list[int]
@@ -282,8 +280,8 @@ FINGERPRINT_BLOCK = 32
 
 @_collector_paused()
 def prepare_records(corpus: Corpus, vocab: Vocabulary,
-                    context_vocab: ContextVocabulary,
-                    fingerprint_width: int = 2048) -> list[MoleculeRecord]:
+                    context_vocab: ContextVocabulary, *,
+                    fingerprint_width: int) -> list[MoleculeRecord]:
     """One record per molecule; the fingerprint rows are read-only views of
     their block's array."""
     records = []
@@ -292,8 +290,6 @@ def prepare_records(corpus: Corpus, vocab: Vocabulary,
         bits = morgan_fingerprint([mol.graph for mol in block], width=fingerprint_width)
         bits.flags.writeable = False
         records.extend(MoleculeRecord(
-            smiles=mol.smiles,
-            tokens=mol.tokens,
             graph=mol.graph,
             fragment_map=mol.fragment_map,
             token_ids=vocab.ids_for(mol.tokens),
@@ -460,10 +456,10 @@ def _step_losses(model: PretrainModel, records: list[MoleculeRecord],
     else:
         l_f = constant(0.0)
 
-    pooled = enc.pool_fragments(clean_views, [rec.fragment_map for rec in records])
+    f_s, f_g = enc.pool_fragments(clean_views, [rec.fragment_map for rec in records])
     fla_aux = {}
     try:
-        l_fla, fla_aux = loss_fla(pooled.f_s, pooled.f_g)
+        l_fla, fla_aux = loss_fla(f_s, f_g)
     except SingleFragmentBatch:
         l_fla = constant(0.0)
 

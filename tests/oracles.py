@@ -90,7 +90,7 @@ def tokenize(smiles: str) -> TokenSequence:
         tokens.append(Token(text=text, kind=kind, char_span=(pos, match.end()),
                             atom_index=atom_index))
         pos = match.end()
-    return TokenSequence(tokens=tuple(tokens), source=smiles)
+    return TokenSequence(tuple(tokens))
 
 
 def mark_rings(graph: MolecularGraph) -> None:

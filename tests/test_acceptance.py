@@ -39,7 +39,17 @@ from chemfuse.pipeline import (
 )
 
 from conftest import DATA_DIR, graph_operators
-from curve_diff import build_id, curve_diff, history_array, read_recording
+from curve_diff import (
+    EMBED_HEAD,
+    TOLERANCE,
+    build_id,
+    curve_diff,
+    downstream,
+    embed_sha256,
+    history_array,
+    read_downstream,
+    read_recording,
+)
 from oracles import fragment_members
 from test_tensor_nn import fd_check
 
@@ -311,9 +321,9 @@ def test_criterion_5_pretraining_smoke(smoke_run):
     all_s, all_g = [], []
     for mol in smoke_run.corpus.molecules[:60]:
         enc = model.encoder.encode([vocab.ids_for(mol.tokens)], [mol.graph])
-        pooled = model.encoder.pool_fragments(enc, [mol.fragment_map])
-        all_s.append(pooled.f_s.data)
-        all_g.append(pooled.f_g.data)
+        f_s, f_g = model.encoder.pool_fragments(enc, [mol.fragment_map])
+        all_s.append(f_s.data)
+        all_g.append(f_g.data)
     f_s = np.concatenate(all_s)
     f_g = np.concatenate(all_g)
     ns = f_s / np.linalg.norm(f_s, axis=1, keepdims=True)
@@ -341,6 +351,26 @@ def test_smoke_run_matches_its_recorded_reference(smoke_run):
     if params["build"] == build_id():
         digest = hashlib.sha256((smoke_run.ckpt / "params.bin").read_bytes()).hexdigest()
         assert digest == params["params_sha256"]
+
+
+def test_smoke_checkpoint_embeds_and_finetunes_as_recorded(smoke_run):
+    """``embed`` of ``golden_500.smi`` and ``finetune nitro_task.tsv --seed 3``
+    from the criterion-5 checkpoint on disk (criterion 6 fine-tunes the live
+    model in place) repeat the recording: the metrics and the first rows
+    within 1e-9, the best epoch and split sizes exactly, and all rows'
+    SHA-256 on the recording's build and CPU."""
+    rows, tuned = downstream(smoke_run.ckpt)
+    head, recorded = read_downstream(SMOKE_REFERENCE)
+    assert rows.shape == (500, SMOKE_MODEL["dim"]) and head.shape == (EMBED_HEAD, rows.shape[1])
+    np.testing.assert_allclose(rows[:EMBED_HEAD], head, rtol=0, atol=TOLERANCE)
+    metrics = tuned.pop("metrics")
+    assert metrics.keys() == recorded["metrics"].keys()
+    for name, value in recorded.pop("metrics").items():
+        assert abs(metrics[name] - value) <= TOLERANCE, (name, metrics[name], value)
+    assert tuned == recorded
+    _, params = read_recording(SMOKE_REFERENCE)
+    if params["build"] == build_id():
+        assert embed_sha256(rows) == params["embed_sha256"]
 
 
 # --------------------------------------------------------------- criterion 6

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chemfuse.chem import canonical_key, parse_smiles
-from chemfuse.cli import _train_config_from, build_parser, main
+from chemfuse.cli import TRAIN_KEYS, _settings, build_parser, main
 from chemfuse.masking import MaskConfig, sample_token_mask
 from chemfuse.nn import CheckpointCorrupt
 from chemfuse.pipeline import (
@@ -490,13 +490,13 @@ def test_mask_makes_no_fingerprints_or_groups(capsys, monkeypatch):
 @pytest.mark.parametrize("flags,expected", [([], 3), (["--seed", "0"], 0)])
 def test_seed_precedence_flag_then_config(flags, expected):
     args = build_parser().parse_args(["pretrain", "c.smi", "--checkpoint", "ck"] + flags)
-    assert _train_config_from(args, {"seed": "3"}).seed == expected
-    assert _train_config_from(args, {}).seed == (expected if flags else 7)
+    assert TrainConfig(**_settings(args, {"seed": "3"}, TRAIN_KEYS)).seed == expected
+    assert TrainConfig(**_settings(args, {}, TRAIN_KEYS)).seed == (expected if flags else 7)
 
 
 def test_cli_defaults_are_the_library_defaults(tmp_path, checkpoint, capsys, monkeypatch):
     args = build_parser().parse_args(["pretrain", "c.smi", "--checkpoint", "ck"])
-    assert _train_config_from(args, {}) == TrainConfig()
+    assert TrainConfig(**_settings(args, {}, TRAIN_KEYS)) == TrainConfig()
     passed = {}
 
     def stub_finetune(model, vocab, task, **settings):
@@ -616,7 +616,7 @@ def test_exit_code_attn_dump_layer_out_of_range(checkpoint, capsys, monkeypatch)
     code, _, err = run(capsys, ["attn-dump", "--checkpoint", checkpoint,
                                 "--layer", "5"], stdin="CCO\n", monkeypatch=monkeypatch)
     assert code == 1
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err == "error: layer 5 outside [0, 1)\n"
 
 
 def test_exit_code_bad_flags(capsys):
@@ -837,11 +837,33 @@ def _corrupt_model_key(ckpt):
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _set_first_tensor(ckpt, key, value):
+    """Change one field of the first tensor entry; the blob and its CRC-32
+    stay valid."""
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["tensors"][0][key] = value
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _corrupt_negative_shape(ckpt):
+    _set_first_tensor(ckpt, "shape", [-1, -8])
+
+
+def _corrupt_overflowing_shape(ckpt):
+    _set_first_tensor(ckpt, "shape", [3, 2 ** 62])  # int64 product overflows
+
+
+def _corrupt_list_name(ckpt):
+    _set_first_tensor(ckpt, "name", ["a"])
+
+
 @pytest.mark.parametrize("corrupt", [_corrupt_truncated, _corrupt_trailing,
                                      _corrupt_overlapping, _corrupt_entry, _corrupt_nan,
                                      _corrupt_blob_changed, _corrupt_missing_checksum,
                                      _corrupt_plain_file, _corrupt_manifest_encoding,
-                                     _corrupt_missing_config, _corrupt_model_key])
+                                     _corrupt_missing_config, _corrupt_model_key,
+                                     _corrupt_negative_shape, _corrupt_overflowing_shape,
+                                     _corrupt_list_name])
 def test_exit_code_corrupt_checkpoint(tmp_path, checkpoint, capsys, monkeypatch, corrupt):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(checkpoint, ckpt)

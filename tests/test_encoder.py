@@ -7,13 +7,10 @@ from chemfuse.chem import parse_smiles
 from chemfuse.encoder import (
     MASK_ID,
     JointEncoding,
-    LayerOutOfRange,
     ModelConfig,
     MoleculeEncoder,
     ParamFactory,
     PositionOverflow,
-    RetentionDisabled,
-    dump_attention,
 )
 from chemfuse.errors import ConfigError
 from chemfuse.fragments import FragmentMap, FragmentOutOfRange, build_fragment_map
@@ -245,20 +242,9 @@ def test_attention_rows_sum_to_one():
     g, t = parse_smiles("CC(=O)N")
     encoding = enc.encode([ids_for(t)], [g], retain_attention=True)
     for layer in range(CFG.transformer_layers):
-        mats = dump_attention(encoding, layer)
+        mats = np.stack(encoding.attention[layer])
         assert mats.shape == (CFG.heads, t.n + g.m, t.n + g.m)
         np.testing.assert_allclose(mats.sum(axis=2), 1.0, atol=1e-9)
-
-
-def test_attention_dump_errors():
-    enc = make_encoder()
-    g, t = parse_smiles("CC")
-    encoding = enc.encode([ids_for(t)], [g])
-    with pytest.raises(RetentionDisabled):
-        dump_attention(encoding, 0)
-    retained = enc.encode([ids_for(t)], [g], retain_attention=True)
-    with pytest.raises(LayerOutOfRange):
-        dump_attention(retained, CFG.transformer_layers)
 
 
 # ----------------------------------------------------------- fragment pooling
@@ -268,12 +254,12 @@ def test_pool_fragments_graph_mean_oracle():
     g, t = parse_smiles("CC(=O)OC")
     fmap = build_fragment_map(t, g)
     encoding = enc.encode([ids_for(t)], [g])
-    pooled = enc.pool_fragments(encoding, [fmap])
-    assert pooled.f_g.shape == (fmap.K, CFG.dim)
+    _, f_g = enc.pool_fragments(encoding, [fmap])
+    assert f_g.shape == (fmap.K, CFG.dim)
     for k in range(fmap.K):
         rows = [encoding.x.data[encoding.n[0] + j]
                 for j, lab in enumerate(fmap.l_g) if lab == k]
-        np.testing.assert_allclose(pooled.f_g.data[k],
+        np.testing.assert_allclose(f_g.data[k],
                                    np.mean(rows, axis=0), atol=1e-12)
 
 
@@ -283,8 +269,8 @@ def test_pool_fragments_k1_mean_all_graph_rows():
     fmap = build_fragment_map(t, g)
     assert fmap.K == 1
     encoding = enc.encode([ids_for(t)], [g])
-    pooled = enc.pool_fragments(encoding, [fmap])
-    np.testing.assert_allclose(pooled.f_g.data[0],
+    _, f_g = enc.pool_fragments(encoding, [fmap])
+    np.testing.assert_allclose(f_g.data[0],
                                encoding.x.data[encoding.n[0]:].mean(axis=0), atol=1e-12)
 
 
@@ -293,7 +279,7 @@ def test_pool_fragments_locality():
     g, t = parse_smiles("CC(=O)OC")
     fmap = build_fragment_map(t, g)
     encoding = enc.encode([ids_for(t)], [g])
-    pooled = enc.pool_fragments(encoding, [fmap])
+    f_s, f_g = enc.pool_fragments(encoding, [fmap])
     # Zero all rows outside fragment 0; its pooled embeddings must not move.
     doctored = encoding.x.data.copy()
     for i, lab in enumerate(fmap.l_s):
@@ -305,9 +291,9 @@ def test_pool_fragments_locality():
     fake = JointEncoding(x=constant(doctored),
                          x_cls=mean_rows(constant(doctored)),
                          n=encoding.n, m=encoding.m)
-    pooled2 = enc.pool_fragments(fake, [fmap])
-    np.testing.assert_allclose(pooled2.f_g.data[0], pooled.f_g.data[0], atol=0)
-    np.testing.assert_allclose(pooled2.f_s.data[0], pooled.f_s.data[0], atol=0)
+    f_s2, f_g2 = enc.pool_fragments(fake, [fmap])
+    np.testing.assert_allclose(f_g2.data[0], f_g.data[0], atol=0)
+    np.testing.assert_allclose(f_s2.data[0], f_s.data[0], atol=0)
 
 
 def test_pool_fragments_single_token_single_atom():
@@ -315,9 +301,9 @@ def test_pool_fragments_single_token_single_atom():
     g, t = parse_smiles("CO")      # cleaves into two one-atom fragments? no: K=1
     fmap = FragmentMap(K=2, l_g=(0, 1), l_s=(0, 1))
     encoding = enc.encode([ids_for(t)], [g])
-    pooled = enc.pool_fragments(encoding, [fmap])
+    _, f_g = enc.pool_fragments(encoding, [fmap])
     # Graph side of a one-atom fragment is exactly that atom's row.
-    np.testing.assert_allclose(pooled.f_g.data[1],
+    np.testing.assert_allclose(f_g.data[1],
                                encoding.x.data[encoding.n[0] + 1], atol=1e-12)
 
 

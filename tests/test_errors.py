@@ -17,7 +17,7 @@ from chemfuse.pipeline import FileUnreadable, TrainingDiverged
 #: Exceptions only a chemfuse bug can raise; the CLI reports them with exit 2.
 INTERNAL = {"ShapeMismatch", "NonFiniteInput", "NotScalarLoss", "FragmentOutOfRange",
             "NoMaskedPositions", "SingleFragmentBatch", "BatchTooSmall",
-            "StrategyMismatch", "RetentionDisabled"}
+            "StrategyMismatch"}
 
 
 def _exception_classes():

@@ -105,7 +105,7 @@ def test_ingest_and_prepare_records_restore_the_collector(enabled, tmp_path):
         assert gc.isenabled() is enabled
         vocab = pipeline.build_vocabulary(m.tokens for m in corpus.molecules)
         context = build_context_vocab(m.graph for m in corpus.molecules)
-        pipeline.prepare_records(corpus, vocab, context)
+        pipeline.prepare_records(corpus, vocab, context, fingerprint_width=64)
         assert gc.isenabled() is enabled
         with pytest.raises(pipeline.AllLinesFailed):
             pipeline.ingest(bad)

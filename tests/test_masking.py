@@ -149,8 +149,8 @@ def test_context_vocab_single_carbon():
     g, _ = parse_smiles("C")
     vocab = build_context_vocab([g])
     assert vocab.size == 2      # one key plus Other
-    assert vocab.id_for(context_key(g, 0)) == 0
-    assert vocab.id_for(("Xx", ())) == vocab.other_id
+    assert vocab.key_to_id == {context_key(g, 0): 0}
+    assert vocab.ids_for_graph(parse_smiles("O")[0]) == [vocab.other_id]
 
 
 def test_context_vocab_ethanol_keys():

@@ -282,7 +282,7 @@ def test_dkl_matches_loop_oracle():
 def test_total_loss_arithmetic_and_nan_guard():
     parts = [constant(float(v)) for v in (1, 2, 3, 4, 5)]
     total, report = total_loss(*parts)
-    assert report.l_cmm == 3
+    assert (report.l_t, report.l_f, report.l_fla, report.l_sgm, report.l_dkl) == (1, 2, 3, 4, 5)
     assert report.total == 15
     assert total.item() == 15
     bad = constant(1.0)
@@ -341,8 +341,8 @@ def test_grad_all_five_heads():
         l_t, _ = loss_cmm_token(encoding.views(range(0, 2)), tok_samples, heads)
         l_f, _ = loss_cmm_fragment(encoding.views(range(2, 4)), frag_samples, heads)
         clean_views = encoding.views(range(4, 6))
-        pooled = enc.pool_fragments(clean_views, [r.fragment_map for r in records])
-        l_a, _ = loss_fla(pooled.f_s, pooled.f_g, tau=0.5)
+        f_s, f_g = enc.pool_fragments(clean_views, [r.fragment_map for r in records])
+        l_a, _ = loss_fla(f_s, f_g, tau=0.5)
         neg = enc.encode([records[0].token_ids, records[1].token_ids],
                          [records[1].graph, records[0].graph]).x_cls
         l_s, _ = loss_sgm(clean_views.x_cls, neg, heads)
@@ -365,9 +365,9 @@ def test_total_gradient_is_sum_of_component_gradients():
     def run(component):
         e = enc.encode([ids], [g], masked_tokens=[(0,)])
         l_t, _ = loss_cmm_token(e, [sample], heads)
-        pooled = enc.pool_fragments(e, [fmap])
+        f_s, f_g = enc.pool_fragments(e, [fmap])
         if fmap.K >= 2:
-            l_a, _ = loss_fla(pooled.f_s, pooled.f_g, tau=0.5)
+            l_a, _ = loss_fla(f_s, f_g, tau=0.5)
         else:
             l_a = constant(0.0)
         if component == "t":
