@@ -247,6 +247,20 @@ def test_attention_rows_sum_to_one():
         np.testing.assert_allclose(mats.sum(axis=2), 1.0, atol=1e-9)
 
 
+def test_attention_dump_errors():
+    # attn-dump reads JointEncoding.attention: None unless the forward retained
+    # it, else one list of maps per layer, so a layer past the stack is out of
+    # range (the CLI's LayerOutOfRange check is len(attention)).
+    enc = make_encoder()
+    g, t = parse_smiles("CC")
+    assert enc.encode([ids_for(t)], [g]).attention is None
+    retained = enc.encode([ids_for(t)], [g], retain_attention=True)
+    assert len(retained.attention) == CFG.transformer_layers
+    assert all(len(layer) == CFG.heads for layer in retained.attention)
+    with pytest.raises(IndexError):
+        retained.attention[CFG.transformer_layers]
+
+
 # ----------------------------------------------------------- fragment pooling
 
 def test_pool_fragments_graph_mean_oracle():
