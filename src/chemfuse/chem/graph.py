@@ -60,6 +60,10 @@ class TokenSequence:
     def n(self) -> int:
         return len(self.tokens)
 
+    @property
+    def texts(self) -> list[str]:
+        return [t.text for t in self.tokens]
+
 
 class Chirality(Enum):
     NONE = "None"

@@ -21,8 +21,8 @@ from .encoder import LayerOutOfRange, ModelConfig
 from .errors import ConfigError, InputError
 from .features import (check_fingerprint_shape, group_names_present, morgan_fingerprint,
                         murcko_scaffold)
-from .masking import (MaskConfig, Strategy, build_context_vocab, sample_fragment_mask,
-                       sample_token_mask)
+from .masking import (MaskConfig, Strategy, build_context_vocab, context_keys,
+                       sample_fragment_mask, sample_token_mask)
 from .metrics import concordance_index, mse, rmse, roc_auc
 from .nn import no_grad
 from .pipeline import (
@@ -57,7 +57,7 @@ def cmd_tokenize(args) -> int:
         for token in seq.tokens:
             if token.kind is TokenKind.OTHER:
                 raise unsupported(token)
-        print(" ".join(t.text for t in seq.tokens))
+        print(" ".join(seq.texts))
     return 0
 
 
@@ -115,6 +115,16 @@ def _settings(args, cfg: dict, keys: dict) -> dict:
     return out
 
 
+def _config_file(args) -> dict:
+    """The ``--config`` file's lines, or none. One file serves both ``pretrain``
+    and ``finetune``, so each accepts the other's keys; any other key exits 1."""
+    cfg = parse_config_file(args.config) if args.config else {}
+    unknown = [key for key in cfg if key not in TRAIN_KEYS | MODEL_KEYS | MASK_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r} in {args.config}")
+    return cfg
+
+
 def cmd_mask(args) -> int:
     cfg = MaskConfig(**_settings(args, {}, MASK_KEYS | {"seed": int}))
     molecules = [parse_molecule(s) for s in _smiles_column(args.input)]
@@ -124,8 +134,8 @@ def cmd_mask(args) -> int:
     context_vocab = build_context_vocab(m.graph for m in molecules)
     for idx, mol in enumerate(molecules):
         # The samplers read only these four fields of a training record.
-        sample = SimpleNamespace(token_ids=vocab.ids_for(mol.tokens), graph=mol.graph,
-                                 context_ids=context_vocab.ids_for_graph(mol.graph),
+        sample = SimpleNamespace(token_ids=vocab.ids_for(mol.tokens.texts), graph=mol.graph,
+                                 context_ids=context_vocab.ids_for(context_keys(mol.graph)),
                                  fragment_map=mol.fragment_map)
         rng = np.random.default_rng([cfg.seed, idx])
         tok = sample_token_mask(sample, cfg, rng)
@@ -139,7 +149,7 @@ def cmd_mask(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    cfg = parse_config_file(args.config) if args.config else {}
+    cfg = _config_file(args)
     train_cfg = TrainConfig(**_settings(args, cfg, TRAIN_KEYS))
     model_kwargs = _settings(args, cfg, MODEL_KEYS)
     # Checked with the smallest vocabularies before any input is read.
@@ -158,7 +168,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    cfg = parse_config_file(args.config) if args.config else {}
+    cfg = _config_file(args)
     settings = _settings(args, cfg, FINETUNE_KEYS)
     model, vocab, _, _ = load_pretrained(args.checkpoint)
     task = load_task(args.input, TaskKind(args.task), SplitMode(args.split))
@@ -196,12 +206,12 @@ def cmd_attn_dump(args) -> int:
         mol = parse_molecule(smiles)
         with no_grad():
             encoding = model.encoder.encode(
-                [vocab.ids_for(mol.tokens)], [mol.graph], retain_attention=True)
+                [vocab.ids_for(mol.tokens.texts)], [mol.graph], retain_attention=True)
         layers = encoding.attention
         if not 0 <= args.layer < len(layers):
             raise LayerOutOfRange(f"layer {args.layer} outside [0, {len(layers)})")
         mats = np.stack(layers[args.layer])
-        names = [t.text for t in mol.tokens.tokens] + \
+        names = mol.tokens.texts + \
             [f"atom{i}:{a.element}" for i, a in enumerate(mol.graph.atoms)]
         frag = list(mol.fragment_map.l_s) + list(mol.fragment_map.l_g)
         print(f"# molecule {mol.smiles} layer {args.layer} "

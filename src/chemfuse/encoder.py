@@ -44,9 +44,9 @@ from .nn.tensor import (
     add_layer_norm,
     concat_rows,
     constant,
-    embedding_lookup,
     gather_rows,
     layer_norm_rows,
+    scatter_add_rows,
     segment_mean,
 )
 
@@ -243,9 +243,7 @@ class MoleculeEncoder:
             masked = set(masked)
             ids.extend(MASK_ID if i in masked else t for i, t in enumerate(seq))
             positions.extend(range(n))
-        tok = embedding_lookup(self.tok_emb, ids)
-        pos = embedding_lookup(self.pos_emb, positions)
-        return add(tok, pos)
+        return add(gather_rows(self.tok_emb, ids), gather_rows(self.pos_emb, positions))
 
     def embed_graph(self, graphs: Sequence[MolecularGraph],
                     masked_atoms: Sequence[tuple[int, ...]] = ()) -> Tensor:
@@ -427,8 +425,7 @@ def graph_union(graphs: Sequence[MolecularGraph],
     adj[ends.ravel(), ends[:, ::-1].ravel()] = 1.0
     # One scatter over the endpoints interleaved in bond order (a0, b0, a1,
     # ...) adds each row's terms in the order the bonds list them.
-    edge_sum = np.zeros((offset, BOND_FEATURE_DIM))
-    np.add.at(edge_sum, ends.ravel(), np.repeat(bond_feats, 2, axis=0))
+    edge_sum = scatter_add_rows(ends.ravel(), np.repeat(bond_feats, 2, axis=0), offset)
     return atom_feats, adj, edge_sum
 
 

@@ -19,6 +19,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -171,33 +172,36 @@ def context_keys(graph: MolecularGraph) -> tuple[ContextKey, ...]:
 
 
 @dataclass(frozen=True)
-class ContextVocabulary:
-    """Frozen map from context key to class id; unseen keys share Other."""
+class Vocabulary:
+    """Frozen map from key to id: token texts after [PAD]=0, [MASK]=1 and
+    [UNK]=2, an unseen text reading [UNK], or context keys from 0, an
+    unseen key reading Other, the last id."""
 
-    key_to_id: dict[ContextKey, int]
+    key_to_id: dict
+    unknown: int
+    size: int
 
-    @property
-    def other_id(self) -> int:
-        return len(self.key_to_id)
-
-    @property
-    def size(self) -> int:
-        return len(self.key_to_id) + 1
-
-    def ids_for_graph(self, graph: MolecularGraph) -> list[int]:
-        other = self.other_id
-        return [self.key_to_id.get(key, other) for key in context_keys(graph)]
-
-
-def build_context_vocab(graphs) -> ContextVocabulary:
-    """Ids assigned by first occurrence in corpus order; Other comes last."""
-    key_to_id: dict[ContextKey, int] = {}
-    count = 0
-    for graph in graphs:
-        count += 1
-        for key in context_keys(graph):
+    @classmethod
+    def numbered(cls, keys, start: int = 0, unknown: int | None = None) -> Vocabulary:
+        """Ids by first occurrence in ``keys``, from ``start``; an unseen key
+        reads ``unknown``, by default an Other id after the last key."""
+        key_to_id: dict = {}
+        for key in keys:
             if key not in key_to_id:
-                key_to_id[key] = len(key_to_id)
-    if count == 0:
+                key_to_id[key] = start + len(key_to_id)
+        size = start + len(key_to_id)
+        if unknown is None:
+            unknown, size = size, size + 1
+        return cls(key_to_id, unknown, size)
+
+    def ids_for(self, keys) -> list[int]:
+        get, unknown = self.key_to_id.get, self.unknown
+        return [get(key, unknown) for key in keys]
+
+
+def build_context_vocab(graphs) -> Vocabulary:
+    """Context keys by first occurrence in corpus order; Other comes last."""
+    keys = [context_keys(graph) for graph in graphs]
+    if not keys:
         raise EmptyCorpus("context vocabulary needs at least one molecule")
-    return ContextVocabulary(key_to_id=key_to_id)
+    return Vocabulary.numbered(chain.from_iterable(keys))

@@ -23,7 +23,6 @@ from .tensor import (
     concat_cols,
     concat_rows,
     constant,
-    embedding_lookup,
     gather_rows,
     gelu,
     layer_norm_rows,

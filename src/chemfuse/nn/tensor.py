@@ -18,6 +18,7 @@ place, starting from a copy when its grad is None.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -391,39 +392,20 @@ def add_layer_norm(a: Tensor, b: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 # -------------------------------------------------------- indexing / reshaping
 
-def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
-    idx = np.asarray(list(ids), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ShapeMismatch(
-            f"embedding id out of range [0, {table.shape[0]})")
-    out_data = table.data[idx]
-
-    def bwd(g):
-        if table.requires:
-            _accumulate(table, scatter_add_rows(idx, g, table.shape[0]))
-
-    return _node(out_data, (table,), bwd)
-
-
-def _one_to_one(ids: np.ndarray, rows: int) -> bool:
-    """Whether no id in ``ids``, each in ``[0, rows)``, repeats."""
-    return ids.size == 0 or np.bincount(ids, minlength=rows).max() == 1
-
-
 def scatter_add_rows(ids: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
     """``rows`` rows where row r sums the rows ``g[i]`` with ``ids[i] == r``,
-    bit for bit as ``np.add.at`` into zeros.
+    bit for bit as ``numpy.add.at`` into zeros; every id is in ``[0, rows)``.
 
     When no id repeats, each row is assigned. Otherwise a stable sort keeps
     each id's rows in their order, and the runs of one length are summed as
     a (runs, length, c) stack along its middle axis, which numpy adds row
-    after row as ``np.add.at`` does (``np.add.reduceat`` adds the first row
+    after row as ``add.at`` does (``np.add.reduceat`` adds the first row
     to the sum of the rest). One column would be summed pairwise, so it is
     accumulated instead. ``+ 0.0`` turns a -0.0 sum into the 0.0 that
     starting from zero gives.
     """
     acc = np.zeros((rows, g.shape[1]))
-    if _one_to_one(ids, rows):
+    if ids.size == 0 or np.bincount(ids, minlength=rows).max() == 1:
         acc[ids] = g + 0.0
     else:
         order = np.argsort(ids, kind="stable")
@@ -440,39 +422,40 @@ def scatter_add_rows(ids: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
 
 
 def gather_rows(a: Tensor, rows: Sequence[int]) -> Tensor:
-    return embedding_lookup(a, rows)
+    """The rows ``rows`` of ``a`` in that order, repeats allowed: an
+    embedding lookup when ``a`` is a table."""
+    idx = np.asarray(list(rows), dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise ShapeMismatch(f"row id out of range [0, {a.shape[0]})")
+    out_data = a.data[idx]
+
+    def bwd(g):
+        if a.requires:
+            _accumulate(a, scatter_add_rows(idx, g, a.shape[0]))
+
+    return _node(out_data, (a,), bwd)
+
+
+def _concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    other = 1 - axis
+    if any(p.shape[other] != parts[0].shape[other] for p in parts):
+        raise ShapeMismatch(f"concat along axis {axis}: shapes {[p.shape for p in parts]}")
+    ends = list(accumulate(p.shape[axis] for p in parts))
+    out_data = np.concatenate([p.data for p in parts], axis=axis)
+
+    def bwd(g):
+        for p, piece in zip(parts, np.split(g, ends[:-1], axis=axis)):
+            _accumulate(p, piece)
+
+    return _node(out_data, tuple(parts), bwd)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    cols = parts[0].shape[1]
-    if any(p.shape[1] != cols for p in parts):
-        raise ShapeMismatch("concat_rows column mismatch")
-    sizes = [p.shape[0] for p in parts]
-    out_data = np.concatenate([p.data for p in parts], axis=0)
-
-    def bwd(g):
-        offset = 0
-        for p, size in zip(parts, sizes):
-            _accumulate(p, g[offset:offset + size])
-            offset += size
-
-    return _node(out_data, tuple(parts), bwd)
+    return _concat(parts, 0)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    rows = parts[0].shape[0]
-    if any(p.shape[0] != rows for p in parts):
-        raise ShapeMismatch("concat_cols row mismatch")
-    sizes = [p.shape[1] for p in parts]
-    out_data = np.concatenate([p.data for p in parts], axis=1)
-
-    def bwd(g):
-        offset = 0
-        for p, size in zip(parts, sizes):
-            _accumulate(p, g[:, offset:offset + size])
-            offset += size
-
-    return _node(out_data, tuple(parts), bwd)
+    return _concat(parts, 1)
 
 
 def pick(a: Tensor, cols: Sequence[int]) -> Tensor:
@@ -526,8 +509,8 @@ def segment_mean(a: Tensor, segments: Sequence[Sequence[int]]) -> Tensor:
     Segments of one length are summed as a (G, length, c) stack along its
     middle axis, which adds each segment's rows in order exactly as
     ``mean(axis=0)`` does, so a segment's mean does not depend on the
-    other segments. Where no row is in two segments, the backward assigns
-    each row's share instead of using ``np.add.at``.
+    other segments. The backward scatters each row's shares, group after
+    group, with ``scatter_add_rows``.
     """
     rows = [np.asarray(s, dtype=np.int64) for s in segments]
     if not rows or min(len(r) for r in rows) < 1:
@@ -537,19 +520,14 @@ def segment_mean(a: Tensor, segments: Sequence[Sequence[int]]) -> Tensor:
     out_data = np.empty((len(rows), a.shape[1]))
     for length, members, idx in groups:
         out_data[members] = a.data[idx].sum(axis=1) / length
-    disjoint = _one_to_one(np.concatenate(rows), a.shape[0])
+    # Each row of each segment, and the segment it is in, group after group.
+    ids = np.concatenate([idx.ravel() for _, _, idx in groups])
+    owner = np.concatenate([np.repeat(members, length) for length, members, _ in groups])
+    lengths = np.array([[len(r)] for r in rows], dtype=np.float64)
 
     def bwd(g):
-        if not a.requires:
-            return
-        acc = np.zeros_like(a.data)
-        for length, members, idx in groups:
-            share = (g[members] / length)[:, None, :]
-            if disjoint:
-                acc[idx] = share + 0.0  # -0.0 becomes 0.0, as in np.add.at
-            else:
-                np.add.at(acc, idx, share)
-        _accumulate(a, acc)
+        if a.requires:
+            _accumulate(a, scatter_add_rows(ids, (g / lengths)[owner], a.shape[0]))
 
     return _node(out_data, (a,), bwd)
 

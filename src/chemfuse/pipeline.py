@@ -20,6 +20,7 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -39,11 +40,12 @@ from .features import (
 )
 from .fragments import FragmentMap, build_fragment_map
 from .masking import (
-    ContextVocabulary,
     MaskConfig,
     MaskedSample,
     Strategy,
+    Vocabulary,
     build_context_vocab,
+    context_keys,
     sample_ablation_mask,
     sample_fragment_mask,
     sample_token_mask,
@@ -158,37 +160,12 @@ def _collector_paused() -> Iterator[None]:
 
 # ------------------------------------------------------------------ vocabulary
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """Token-text vocabulary with fixed specials [PAD]=0, [MASK]=1, [UNK]=2."""
-
-    token_to_id: dict[str, int]
-
-    SPECIALS = ("[PAD]", "[MASK]", "[UNK]")
-
-    @property
-    def size(self) -> int:
-        return len(self.token_to_id) + len(self.SPECIALS)
-
-    def id_for(self, text: str) -> int:
-        return self.token_to_id.get(text, UNK_ID)
-
-    def ids_for(self, tokens: TokenSequence) -> list[int]:
-        return [self.id_for(t.text) for t in tokens.tokens]
-
-
 def build_vocabulary(token_sequences) -> Vocabulary:
-    """Ids by first occurrence, after the three reserved specials."""
-    token_to_id: dict[str, int] = {}
-    count = 0
-    for seq in token_sequences:
-        count += 1
-        for tok in seq.tokens:
-            if tok.text not in token_to_id:
-                token_to_id[tok.text] = len(Vocabulary.SPECIALS) + len(token_to_id)
-    if count == 0:
+    """Token texts by first occurrence, after the three reserved ids."""
+    texts = [seq.texts for seq in token_sequences]
+    if not texts:
         raise EmptyCorpus("vocabulary needs at least one molecule")
-    return Vocabulary(token_to_id=token_to_id)
+    return Vocabulary.numbered(chain.from_iterable(texts), UNK_ID + 1, UNK_ID)
 
 
 # ---------------------------------------------------------------------- corpus
@@ -279,8 +256,7 @@ FINGERPRINT_BLOCK = 32
 
 
 @_collector_paused()
-def prepare_records(corpus: Corpus, vocab: Vocabulary,
-                    context_vocab: ContextVocabulary, *,
+def prepare_records(corpus: Corpus, vocab: Vocabulary, context_vocab: Vocabulary, *,
                     fingerprint_width: int) -> list[MoleculeRecord]:
     """One record per molecule; the fingerprint rows are read-only views of
     their block's array."""
@@ -292,8 +268,8 @@ def prepare_records(corpus: Corpus, vocab: Vocabulary,
         records.extend(MoleculeRecord(
             graph=mol.graph,
             fragment_map=mol.fragment_map,
-            token_ids=vocab.ids_for(mol.tokens),
-            context_ids=context_vocab.ids_for_graph(mol.graph),
+            token_ids=vocab.ids_for(mol.tokens.texts),
+            context_ids=context_vocab.ids_for(context_keys(mol.graph)),
             fingerprint_bits=row,
             group_bits=detect_functional_groups(mol.graph),
         ) for mol, row in zip(block, bits))
@@ -331,26 +307,14 @@ class PretrainModel:
         self.seed = seed
 
 
-def _context_keys_as_json(context_vocab: ContextVocabulary) -> list:
-    return [[elem, [list(pair) for pair in neigh]]
-            for elem, neigh in context_vocab.key_to_id]
-
-
-def _context_vocab_from_json(payload: list) -> ContextVocabulary:
-    key_to_id = {}
-    for elem, neigh in payload:
-        key = (elem, tuple((int(o), e) for o, e in neigh))
-        key_to_id[key] = len(key_to_id)
-    return ContextVocabulary(key_to_id=key_to_id)
-
-
 def save_pretrained(path: str | Path, model: PretrainModel, vocab: Vocabulary,
-                    context_vocab: ContextVocabulary, step: int,
+                    context_vocab: Vocabulary, step: int,
                     mask_config: MaskConfig | None = None) -> None:
     config = {
         "model": asdict(model.config),
-        "vocab_tokens": list(vocab.token_to_id),
-        "context_keys": _context_keys_as_json(context_vocab),
+        "vocab_tokens": list(vocab.key_to_id),
+        "context_keys": [[elem, [list(pair) for pair in neigh]]
+                         for elem, neigh in context_vocab.key_to_id],
         "mask": {
             "r_t": mask_config.r_t, "r_f": mask_config.r_f,
             "strategy": mask_config.strategy.value,
@@ -362,16 +326,14 @@ def save_pretrained(path: str | Path, model: PretrainModel, vocab: Vocabulary,
         raise ConfigError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def load_pretrained(path: str | Path) -> tuple[PretrainModel, Vocabulary,
-                                               ContextVocabulary, dict]:
+def load_pretrained(path: str | Path) -> tuple[PretrainModel, Vocabulary, Vocabulary, dict]:
     manifest, tensors = load_checkpoint(path)
     try:
         config = manifest["config"]
         model = PretrainModel(ModelConfig(**config["model"]), seed=manifest["seed"])
-        vocab = Vocabulary(token_to_id={
-            text: i + len(Vocabulary.SPECIALS)
-            for i, text in enumerate(config["vocab_tokens"])})
-        context_vocab = _context_vocab_from_json(config["context_keys"])
+        vocab = Vocabulary.numbered(config["vocab_tokens"], UNK_ID + 1, UNK_ID)
+        context_vocab = Vocabulary.numbered((elem, tuple((int(o), e) for o, e in neigh))
+                                            for elem, neigh in config["context_keys"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointCorrupt(f"malformed config in {path}: {exc!r}") from exc
     restore_into(model.params, tensors)
@@ -494,7 +456,7 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
              model_kwargs: dict | None = None,
              checkpoint_dir: str | Path | None = None,
              log_sink=None) -> tuple[PretrainModel, Vocabulary,
-                                     ContextVocabulary, list[LossReport]]:
+                                     Vocabulary, list[LossReport]]:
     """Run the full pretraining loop and return the trained model.
 
     Per epoch every molecule contributes one token-masked and one
@@ -666,7 +628,7 @@ def x_cls_of(model: PretrainModel, vocab: Vocabulary,
              molecules: Sequence[ParsedMolecule]) -> Tensor:
     """The molecule embeddings ``x_cls``, one row per molecule, of one clean
     packed forward."""
-    return model.encoder.encode([vocab.ids_for(mol.tokens) for mol in molecules],
+    return model.encoder.encode([vocab.ids_for(mol.tokens.texts) for mol in molecules],
                                 [mol.graph for mol in molecules]).x_cls
 
 

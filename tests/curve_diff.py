@@ -7,7 +7,8 @@ A recording is a directory holding:
 * ``embed_head.tsv``: the full-precision ``embed`` rows of the first
   ``EMBED_HEAD`` molecules of ``golden_500.smi`` under the final checkpoint;
 * ``finetune.json``: what ``finetune nitro_task.tsv --seed 3`` reports from
-  that checkpoint: its metrics at full precision, best epoch and split sizes;
+  that checkpoint, under ``--task cls`` and under ``--task reg``: its metrics
+  at full precision, best epoch and split sizes;
 * ``params.json``: the SHA-256 of the final ``params.bin`` and of all 500
   ``embed`` rows as little-endian float64, with the numpy and BLAS build
   that wrote them, the SIMD and BLAS kernels they chose on its CPU and the
@@ -42,6 +43,10 @@ COMPONENTS = ("l_t", "l_f", "l_fla", "l_sgm", "l_dkl", "total")
 TOLERANCE = 1e-9
 #: Molecules of ``golden_500.smi`` whose ``embed`` rows a recording keeps.
 EMBED_HEAD = 64
+#: The ``--task`` options a recording fine-tunes ``nitro_task.tsv`` under. Its
+#: 8-molecule test split reads ROC-AUC 1.0 under ``cls``; under ``reg`` the 0/1
+#: labels are numbers, so ``rmse`` and ``mse`` move with any change.
+FINETUNE_TASKS = ("cls", "reg")
 
 
 def _openblas(suffix: str, restype, *argtypes):
@@ -96,9 +101,10 @@ def history_array(history) -> np.ndarray:
 
 
 def downstream(ckpt: Path) -> tuple[np.ndarray, dict]:
-    """The ``embed`` rows of ``golden_500.smi`` and the metrics, best epoch
-    and split sizes of ``finetune nitro_task.tsv --seed 3`` (the CLI's
-    defaults otherwise), both run from the checkpoint ``ckpt`` on disk."""
+    """The ``embed`` rows of ``golden_500.smi``, and the metrics, best epoch
+    and split sizes of ``finetune nitro_task.tsv --seed 3 --task T`` (the
+    CLI's defaults otherwise) for each T of ``FINETUNE_TASKS``, all run from
+    the checkpoint ``ckpt`` on disk."""
     from chemfuse.pipeline import (SplitMode, TaskKind, embed_rows, finetune,
                                    load_pretrained, load_task, parse_molecule)
 
@@ -107,11 +113,15 @@ def downstream(ckpt: Path) -> tuple[np.ndarray, dict]:
     model, vocab, _, _ = load_pretrained(ckpt)
     rows = np.array(list(embed_rows(model, vocab, map(parse_molecule,
                                                       load_corpus_lines("golden_500.smi")))))
-    task = load_task(DATA_DIR / "nitro_task.tsv", TaskKind.BINARY_CLASSIFICATION,
-                     SplitMode.SCAFFOLD)
-    result = finetune(model, vocab, task, seed=3, tune_encoder=True)
-    return rows, {"metrics": result.metrics, "best_epoch": result.best_epoch,
-                  "split_sizes": list(result.split_sizes)}
+    tuned = {}
+    for kind in FINETUNE_TASKS:
+        if tuned:  # a fine-tune changes the encoder it tunes
+            model, vocab, _, _ = load_pretrained(ckpt)
+        task = load_task(DATA_DIR / "nitro_task.tsv", TaskKind(kind), SplitMode.SCAFFOLD)
+        result = finetune(model, vocab, task, seed=3, tune_encoder=True)
+        tuned[kind] = {"metrics": result.metrics, "best_epoch": result.best_epoch,
+                       "split_sizes": list(result.split_sizes)}
+    return rows, tuned
 
 
 def embed_sha256(rows: np.ndarray) -> str:

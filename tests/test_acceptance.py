@@ -41,6 +41,7 @@ from chemfuse.pipeline import (
 from conftest import DATA_DIR, graph_operators
 from curve_diff import (
     EMBED_HEAD,
+    FINETUNE_TASKS,
     TOLERANCE,
     build_id,
     curve_diff,
@@ -320,7 +321,7 @@ def test_criterion_5_pretraining_smoke(smoke_run):
     model, vocab = smoke_run.model, smoke_run.vocab
     all_s, all_g = [], []
     for mol in smoke_run.corpus.molecules[:60]:
-        enc = model.encoder.encode([vocab.ids_for(mol.tokens)], [mol.graph])
+        enc = model.encoder.encode([vocab.ids_for(mol.tokens.texts)], [mol.graph])
         f_s, f_g = model.encoder.pool_fragments(enc, [mol.fragment_map])
         all_s.append(f_s.data)
         all_g.append(f_g.data)
@@ -355,19 +356,23 @@ def test_smoke_run_matches_its_recorded_reference(smoke_run):
 
 def test_smoke_checkpoint_embeds_and_finetunes_as_recorded(smoke_run):
     """``embed`` of ``golden_500.smi`` and ``finetune nitro_task.tsv --seed 3``
-    from the criterion-5 checkpoint on disk (criterion 6 fine-tunes the live
-    model in place) repeat the recording: the metrics and the first rows
-    within 1e-9, the best epoch and split sizes exactly, and all rows'
-    SHA-256 on the recording's build and CPU."""
+    under ``--task cls`` and ``--task reg``, each from the criterion-5
+    checkpoint on disk (criterion 6 fine-tunes the live model in place),
+    repeat the recording: the metrics and the first rows within 1e-9, the
+    best epochs and split sizes exactly, and all rows' SHA-256 on the
+    recording's build and CPU."""
     rows, tuned = downstream(smoke_run.ckpt)
     head, recorded = read_downstream(SMOKE_REFERENCE)
     assert rows.shape == (500, SMOKE_MODEL["dim"]) and head.shape == (EMBED_HEAD, rows.shape[1])
     np.testing.assert_allclose(rows[:EMBED_HEAD], head, rtol=0, atol=TOLERANCE)
-    metrics = tuned.pop("metrics")
-    assert metrics.keys() == recorded["metrics"].keys()
-    for name, value in recorded.pop("metrics").items():
-        assert abs(metrics[name] - value) <= TOLERANCE, (name, metrics[name], value)
-    assert tuned == recorded
+    assert list(tuned) == list(recorded) == list(FINETUNE_TASKS)
+    for kind, want in recorded.items():
+        got = tuned[kind]
+        metrics = got.pop("metrics")
+        assert metrics.keys() == want["metrics"].keys(), kind
+        for name, value in want.pop("metrics").items():
+            assert abs(metrics[name] - value) <= TOLERANCE, (kind, name, metrics[name], value)
+        assert got == want, kind
     _, params = read_recording(SMOKE_REFERENCE)
     if params["build"] == build_id():
         assert embed_sha256(rows) == params["embed_sha256"]

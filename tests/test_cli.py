@@ -440,6 +440,23 @@ def test_exit_code_bad_config(tmp_path, capsys, config):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_exit_code_unknown_config_key(tmp_path, checkpoint, capsys, command):
+    """A misspelt key exits 1 naming the key and the file, before any work,
+    instead of running with the default it was meant to replace."""
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("epochz = 1\nbatch_size = 50\n")
+    smi = tmp_path / "c.smi"
+    smi.write_text("CCO\nCCN\n")
+    argv = {"pretrain": ["pretrain", str(smi), "--checkpoint", str(tmp_path / "out")],
+            "finetune": ["finetune", str(_twelve_row_task(tmp_path)),
+                         "--checkpoint", checkpoint]}[command]
+    code, out, err = run(capsys, argv + ["--config", str(cfg)])
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown config key 'epochz' in {cfg}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["dim", "gnn_width", "max_positions", "fingerprint_width"])
 def test_exit_code_setting_too_large_to_allocate(tmp_path, capsys, key):
     # numpy refuses a dimension past its largest before allocating anything.
@@ -709,6 +726,18 @@ def test_finetune_config_seed_matches_flag(tmp_path, checkpoint, capsys):
     assert code_cfg == code_flag == code_default == 0
     assert out_cfg == out_flag
     assert out_cfg != out_default
+
+
+def test_finetune_accepts_the_pretrain_keys_of_a_shared_config(tmp_path, checkpoint, capsys):
+    f = _twelve_row_task(tmp_path)
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("seed = 5\ndim = 32\nwarmup_steps = 3\nr_t = 0.3\n")
+    common = ["finetune", str(f), "--checkpoint", checkpoint, "--task", "reg",
+              "--split", "random", "--epochs", "2"]
+    code_cfg, out_cfg, _ = run(capsys, common + ["--config", str(cfg)])
+    code_flag, out_flag, _ = run(capsys, common + ["--seed", "5"])
+    assert code_cfg == code_flag == 0
+    assert out_cfg == out_flag
 
 
 def test_finetune_cli_single_class_task(tmp_path, checkpoint, capsys):

@@ -21,7 +21,7 @@ from chemfuse.chem.errors import (
 )
 from chemfuse.features import detect_functional_groups
 from chemfuse.fragments import build_fragment_map, label_smiles_tokens
-from chemfuse.masking import build_context_vocab
+from chemfuse.masking import build_context_vocab, context_keys
 
 import oracles
 
@@ -59,7 +59,7 @@ def test_graph_fields_match_oracle_ring_flags(front_end_corpus):
 def test_context_ids_match_oracle(front_end_corpus):
     graphs = [parse_smiles(s)[0] for s in front_end_corpus]
     vocab = build_context_vocab(graphs)
-    assert [vocab.ids_for_graph(g) for g in graphs] == oracles.context_ids(graphs)
+    assert [vocab.ids_for(context_keys(g)) for g in graphs] == oracles.context_ids(graphs)
 
 
 def _groups_and_fragments(smiles):

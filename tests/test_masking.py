@@ -13,6 +13,7 @@ from chemfuse.masking import (
     StrategyMismatch,
     build_context_vocab,
     context_key,
+    context_keys,
     mask_count,
     sample_ablation_mask,
     sample_fragment_mask,
@@ -150,14 +151,15 @@ def test_context_vocab_single_carbon():
     vocab = build_context_vocab([g])
     assert vocab.size == 2      # one key plus Other
     assert vocab.key_to_id == {context_key(g, 0): 0}
-    assert vocab.ids_for_graph(parse_smiles("O")[0]) == [vocab.other_id]
+    assert vocab.unknown == 1   # Other, the last id
+    assert vocab.ids_for(context_keys(parse_smiles("O")[0])) == [vocab.unknown]
 
 
 def test_context_vocab_ethanol_keys():
     g, _ = parse_smiles("CCO")
     vocab = build_context_vocab([g])
     assert vocab.size == 4      # CH3-C, CH2-(C,O), OH-C, Other
-    assert vocab.ids_for_graph(g) == [0, 1, 2]
+    assert vocab.ids_for(context_keys(g)) == [0, 1, 2]
 
 
 def test_context_vocab_deterministic(golden_smiles):

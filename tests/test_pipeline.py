@@ -86,10 +86,10 @@ def quick_pretrain(corpus=None, epochs=2, seed=3, ckpt=None):
 def test_vocabulary_specials_and_order():
     corpus = tiny_corpus(3)
     vocab = build_vocabulary(m.tokens for m in corpus.molecules)
-    assert vocab.id_for("[PAD]") == 2  # unknown text maps to UNK, not PAD
-    assert vocab.id_for("C") == 3      # first seen token gets the first slot
-    assert vocab.id_for("ZZZ") == 2
-    assert vocab.size == len(vocab.token_to_id) + 3
+    # Unknown text maps to UNK, not PAD; the first seen token gets the first slot.
+    assert vocab.ids_for(["[PAD]", "C", "ZZZ"]) == [2, 3, 2]
+    assert vocab.unknown == 2
+    assert vocab.size == len(vocab.key_to_id) + 3
 
 
 # --------------------------------------------------------------------- ingest
@@ -452,8 +452,10 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     loaded, vocab2, ctx2, manifest = load_pretrained(ckpt)
     after = embed_corpus(loaded, vocab2, corpus)
     np.testing.assert_array_equal(before, after)
-    assert vocab2.token_to_id == vocab.token_to_id
-    assert ctx2.key_to_id == ctx.key_to_id
+    for loaded_vocab, saved_vocab in ((vocab2, vocab), (ctx2, ctx)):
+        assert loaded_vocab.key_to_id == saved_vocab.key_to_id
+        assert loaded_vocab.unknown == saved_vocab.unknown
+        assert loaded_vocab.size == saved_vocab.size
     assert manifest["step"] == 2
 
 

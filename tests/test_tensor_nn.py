@@ -23,7 +23,6 @@ from chemfuse.nn import (
     concat_cols,
     concat_rows,
     constant,
-    embedding_lookup,
     feed_forward,
     gather_rows,
     gcn_layer,
@@ -118,7 +117,7 @@ def test_grad_gather_pick_concat(trial):
     w = rand_param("w", 4, 3)
 
     def loss():
-        rows = embedding_lookup(table, [0, 3, 3, 6])
+        rows = gather_rows(table, [0, 3, 3, 6])
         h = matmul(rows, w)
         picked = pick(h, [0, 2, 1, 0])
         stacked = concat_rows([picked, picked])
@@ -473,7 +472,7 @@ def test_scatter_add_rows_is_bitwise_the_add_at_oracle(ids, cols):
     want = oracles.add_at_rows(idx, g, 5)
     assert scatter_add_rows(idx, g, 5).tobytes() == want.tobytes()
     table = Tensor(RNG.normal(size=(5, cols)), requires=True)
-    out = embedding_lookup(table, ids)
+    out = gather_rows(table, ids)
     out._backward(g)
     assert table.grad.tobytes() == want.tobytes()
 
@@ -534,6 +533,22 @@ def test_segment_mean_grad_is_bitwise_the_add_at_oracle(segments):
     g[0, 1] = g[2, 0] = -0.0
     out._backward(g)
     assert x.grad.tobytes() == oracles.segment_mean_grad(8, segments, g).tobytes()
+
+
+def test_segment_mean_grad_adds_a_row_shares_in_length_group_order():
+    """Row 4 takes three shares, from segments 0 and 2 (length 1) and then
+    segment 1 (length 2): the oracle's order, not the segments' order, whose
+    sum differs in the last bits for these values."""
+    segments = [[4], [4, 0], [4], [1]]
+    x = Tensor(np.zeros((5, 4)), requires=True)
+    out = segment_mean(x, segments)
+    g = np.array([[0.1, 1e16, 3.3, -7.1], [0.7, 1.0, 1e-3, 2.2],
+                  [0.2, -1e16, 1.1, 5.9], [1.0, 1.0, 1.0, 1.0]])
+    out._backward(g)
+    want = oracles.segment_mean_grad(5, segments, g)
+    by_segment = ((g[0] + g[1] / 2) + g[2])
+    assert want[4].tobytes() != by_segment.tobytes()
+    assert x.grad.tobytes() == want.tobytes()
 
 
 def test_segment_mean_is_each_segment_mean():
@@ -781,8 +796,8 @@ def test_no_backward_writes_into_its_gradient():
         node._backward(g)
     assert ops >= {
         "add", "mul", "scale", "matmul", "transpose", "relu", "gelu", "softplus",
-        "softmax_rows", "log_softmax_rows", "layer_norm_rows", "embedding_lookup",
-        "concat_rows", "concat_cols", "pick", "sum_all", "mean_all", "segment_mean",
+        "softmax_rows", "log_softmax_rows", "layer_norm_rows", "gather_rows",
+        "_concat", "pick", "sum_all", "mean_all", "segment_mean",
         "normalize_rows", "multi_head_attention", "gcn_layer", "feed_forward",
         "add_layer_norm"}
 
@@ -913,7 +928,7 @@ def _forward_ops(w, b, g, beta, attn, gcn, graph):
     atom_feats, adj, edge_sum = graph_union([graph])
     h = add(matmul(constant(atom_feats[:, :w.shape[0]]), w), b)
     x = layer_norm_rows(gelu(h), g, beta)
-    return [h, x, embedding_lookup(w, [0, 2, 2]), concat_rows([x, x]),
+    return [h, x, gather_rows(w, [0, 2, 2]), concat_rows([x, x]),
             multi_head_attention(x, 2, attn, [2, graph.m - 2]),
             gcn_layer(x, adj, edge_sum, gcn), segment_mean(x, [[0, 1], [2]]),
             mean_all(softplus(x)), log_softmax_rows(x), normalize_rows(x)]
