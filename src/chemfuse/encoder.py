@@ -79,13 +79,13 @@ class ModelConfig:
     n_groups: int = N_GROUPS
 
     def __post_init__(self):
-        check_at_least(self, {"dim": 1, "heads": 1, "gnn_width": 1, "max_positions": 1,
-                              "ffn_multiplier": 1, "fingerprint_width": 1,
-                              "transformer_layers": 0, "gnn_layers": 0, "n_groups": 0})
+        # A token vocabulary holds [PAD], [MASK] and [UNK]; a context one, Other.
+        check_at_least(self, {"vocab_size": 3, "context_vocab_size": 1, "dim": 1, "heads": 1,
+                              "gnn_width": 1, "max_positions": 1, "ffn_multiplier": 1,
+                              "fingerprint_width": 1, "transformer_layers": 0,
+                              "gnn_layers": 0, "n_groups": 0})
         if self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.vocab_size < 3:
-            raise ConfigError("vocabulary must include PAD/MASK/UNK")
 
 
 @dataclass

@@ -13,10 +13,12 @@ class ConfigError(InputError):
 
 
 def check_at_least(config, lowest: dict[str, int]) -> None:
-    """Raise ConfigError for the first field of ``config`` below its entry in
-    ``lowest``."""
+    """Raise ConfigError for the first field of ``config`` that is not an
+    integer (a bool is not one), or is below its entry in ``lowest``."""
     for name, bound in lowest.items():
         value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
         if value < bound:
             raise ConfigError(f"{name} must be at least {bound}, got {value}")
 

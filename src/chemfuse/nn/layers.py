@@ -1,6 +1,6 @@
-"""Neural layers: affine, plus the transformer feed-forward block,
-multi-head attention and the residual GCN layer, each fused into one tape
-node with a hand-written backward."""
+"""Neural layers: affine and the two-layer perceptron, plus the transformer
+feed-forward block, multi-head attention and the residual GCN layer, each
+fused into one tape node with a hand-written backward."""
 
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from .tensor import (
     _taping,
     add,
     matmul,
+    relu,
 )
 
 #: Elements per row tile of the feed-forward GELU: 256 KiB of float64, so a
@@ -30,6 +31,11 @@ FFN_TILE = 32768
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
+
+
+def perceptron(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Two affine maps with a relu between them: a prediction head."""
+    return affine(relu(affine(x, w1, b1)), w2, b2)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

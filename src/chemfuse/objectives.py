@@ -14,7 +14,7 @@ import numpy as np
 
 from .encoder import JointEncoding, ModelConfig, ParamFactory
 from .masking import MaskedSample
-from .nn.layers import affine
+from .nn.layers import affine, perceptron
 from .nn.tensor import (
     NonFiniteInput,
     Parameter,
@@ -29,7 +29,6 @@ from .nn.tensor import (
     mul,
     normalize_rows,
     pick,
-    relu,
     scale,
     softplus,
     sub,
@@ -54,11 +53,11 @@ FLA_TAU = 0.05
 
 
 class Heads:
-    """The five prediction heads over encoder outputs.
+    """The parameters of the five prediction heads over encoder outputs.
 
     token/context heads are affine; the matching, fingerprint, and
-    functional-group heads are two-layer perceptrons with a relu hidden
-    layer of the model width.
+    functional-group heads are ``perceptron``s with a hidden layer of the
+    model width.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 1,
@@ -74,24 +73,6 @@ class Heads:
         self.fp_w2, self.fp_b2 = factory.linear("head_fp2", d, config.fingerprint_width)
         self.fg_w1, self.fg_b1 = factory.linear("head_fg1", d, d)
         self.fg_w2, self.fg_b2 = factory.linear("head_fg2", d, config.n_groups)
-
-    def token_logits(self, rows: Tensor) -> Tensor:
-        return affine(rows, self.token_w, self.token_b)
-
-    def context_logits(self, rows: Tensor) -> Tensor:
-        return affine(rows, self.ctx_w, self.ctx_b)
-
-    def sgm_logits(self, rows: Tensor) -> Tensor:
-        return affine(relu(affine(rows, self.sgm_w1, self.sgm_b1)),
-                      self.sgm_w2, self.sgm_b2)
-
-    def fp_output(self, rows: Tensor) -> Tensor:
-        return affine(relu(affine(rows, self.fp_w1, self.fp_b1)),
-                      self.fp_w2, self.fp_b2)
-
-    def fg_logits(self, rows: Tensor) -> Tensor:
-        return affine(relu(affine(rows, self.fg_w1, self.fg_b1)),
-                      self.fg_w2, self.fg_b2)
 
 
 def _nll_and_hits(logits: Tensor, targets: list[int]) -> tuple[Tensor, int]:
@@ -121,12 +102,12 @@ def _masked_prediction_loss(encoding: JointEncoding, samples: list[MaskedSample]
     loss = constant(0.0)
     hits = 0
     if token_rows:
-        nll, hits = _nll_and_hits(
-            heads.token_logits(gather_rows(encoding.x, token_rows)), token_targets)
+        nll, hits = _nll_and_hits(affine(gather_rows(encoding.x, token_rows),
+                                         heads.token_w, heads.token_b), token_targets)
         loss = add(loss, mean_all(nll))
     if atom_rows:
-        nll, _ = _nll_and_hits(
-            heads.context_logits(gather_rows(encoding.x, atom_rows)), atom_targets)
+        nll, _ = _nll_and_hits(affine(gather_rows(encoding.x, atom_rows),
+                                      heads.ctx_w, heads.ctx_b), atom_targets)
         loss = add(loss, mean_all(nll))
     total = len(token_rows)
     return loss, {"mlm_accuracy": hits / total if total else float("nan"),
@@ -183,7 +164,8 @@ def loss_sgm(pos_x_cls: Tensor, neg_x_cls: Tensor,
     rows of deranged pairs."""
     if pos_x_cls.shape[0] < 2:
         raise BatchTooSmall("matching needs at least two molecules")
-    logits = heads.sgm_logits(concat_rows([pos_x_cls, neg_x_cls]))
+    logits = perceptron(concat_rows([pos_x_cls, neg_x_cls]), heads.sgm_w1, heads.sgm_b1,
+                        heads.sgm_w2, heads.sgm_b2)
     labels = [1] * pos_x_cls.shape[0] + [0] * neg_x_cls.shape[0]
     nll, hits = _nll_and_hits(logits, labels)
     return mean_all(nll), {"sgm_accuracy": hits / len(labels)}
@@ -196,9 +178,10 @@ def loss_dkl(x_cls: Tensor, fingerprints: list[np.ndarray],
     fp_target = constant(np.stack([np.asarray(fp, dtype=np.float64)
                                    for fp in fingerprints]))
     fg_target = np.stack([np.asarray(gv, dtype=np.float64) for gv in group_vectors])
-    diff = sub(heads.fp_output(x_cls), fp_target)
+    diff = sub(perceptron(x_cls, heads.fp_w1, heads.fp_b1, heads.fp_w2, heads.fp_b2),
+               fp_target)
     mse = mean_all(mul(diff, diff))
-    logits = heads.fg_logits(x_cls)
+    logits = perceptron(x_cls, heads.fg_w1, heads.fg_b1, heads.fg_w2, heads.fg_b2)
     # Stable binary cross-entropy with logits: softplus(z) - z * y.
     bce = mean_all(sub(softplus(logits), mul(logits, constant(fg_target))))
     return add(mse, bce), {}

@@ -73,7 +73,7 @@ from .nn import (
     scale,
     sub,
 )
-from .nn.layers import affine
+from .nn.layers import perceptron
 from .objectives import (
     BatchTooSmall,
     Heads,
@@ -336,6 +336,10 @@ def load_pretrained(path: str | Path) -> tuple[PretrainModel, Vocabulary, Vocabu
                                             for elem, neigh in config["context_keys"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointCorrupt(f"malformed config in {path}: {exc!r}") from exc
+    model_sizes = (model.config.vocab_size, model.config.context_vocab_size)
+    if (vocab.size, context_vocab.size) != model_sizes:
+        raise CheckpointCorrupt(f"vocabulary sizes {vocab.size}, {context_vocab.size} "
+                                f"in {path} do not fit its model's {model_sizes}")
     restore_into(model.params, tensors)
     return model, vocab, context_vocab, manifest
 
@@ -687,23 +691,7 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
             x = constant(frozen[indices])
         else:
             x = x_cls_rows(indices) if train else constant(encoded(indices))
-        return affine(relu(affine(x, w1, b1)), w2, b2)
-
-    def eval_loss(indices):
-        with no_grad():
-            return _task_loss(head_forward(indices), labels[indices], task.kind).item()
-
-    def predictions(indices):
-        with no_grad():
-            logits = head_forward(indices).data
-        if task.kind is TaskKind.REGRESSION:
-            return logits[:, 0]
-        if task.kind is TaskKind.BINARY_CLASSIFICATION:
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=1, keepdims=True)
-            return probs[:, 1]
-        return logits.argmax(axis=1).astype(np.float64)
+        return perceptron(x, w1, b1, w2, b2)
 
     optimizer = AdamState(lr=lr, weight_decay=weight_decay)
     order_rng = np.random.default_rng(seed + 2)
@@ -716,24 +704,28 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
             _train_step(lambda: (_task_loss(head_forward(chunk, train=True), labels[chunk],
                                             task.kind), None),
                         trainable, optimizer, f"epoch {epoch} batch {batch_index}", shown)
-        with _diverges_at(f"epoch {epoch} validation", shown):
-            val = eval_loss(valid_idx)
+        with _diverges_at(f"epoch {epoch} validation", shown), no_grad():
+            val = _task_loss(head_forward(valid_idx), labels[valid_idx], task.kind).item()
         if val < best[0]:
             best = (val, epoch, [p.data.copy() for p in trainable])
     if best[2] is not None:
         for p, data in zip(trainable, best[2]):
             p.data = data
 
-    preds = predictions(test_idx)
+    with no_grad():
+        logits = head_forward(test_idx).data
     truth = labels[test_idx]
     metrics: dict[str, float] = {}
     if task.kind is TaskKind.BINARY_CLASSIFICATION:
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
         try:
-            metrics["roc_auc"] = roc_auc(preds, truth.astype(int))
+            metrics["roc_auc"] = roc_auc(probs[:, 1], truth.astype(int))
         except DegenerateInput as exc:
             warnings.warn(f"ROC-AUC undefined on the test split: {exc}")
             metrics["roc_auc"] = float("nan")
     elif task.kind is TaskKind.REGRESSION:
+        preds = logits[:, 0]
         metrics["rmse"] = rmse(preds, truth)
         metrics["mse"] = mse(preds, truth)
         try:
@@ -741,7 +733,7 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
         except DegenerateInput:
             metrics["ci"] = float("nan")
     else:
-        metrics["accuracy"] = float((preds == truth).mean())
+        metrics["accuracy"] = float((logits.argmax(axis=1) == truth).mean())
     return FinetuneResult(metrics=metrics, best_epoch=best[1],
                           split_sizes=(len(train_idx), len(valid_idx), len(test_idx)))
 

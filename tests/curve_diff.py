@@ -6,9 +6,10 @@ A recording is a directory holding:
   components and their total at full precision;
 * ``embed_head.tsv``: the full-precision ``embed`` rows of the first
   ``EMBED_HEAD`` molecules of ``golden_500.smi`` under the final checkpoint;
-* ``finetune.json``: what ``finetune nitro_task.tsv --seed 3`` reports from
-  that checkpoint, under ``--task cls`` and under ``--task reg``: its metrics
-  at full precision, best epoch and split sizes;
+* ``finetune.json``: what ``finetune --seed 3`` reports from that checkpoint
+  on ``nitro_task.tsv`` under ``--task cls`` and ``--task reg``, and on
+  ``nitro_pairs.tsv`` under ``--task pair``: its metrics at full precision,
+  best epoch and split sizes;
 * ``params.json``: the SHA-256 of the final ``params.bin`` and of all 500
   ``embed`` rows as little-endian float64, with the numpy and BLAS build
   that wrote them, the SIMD and BLAS kernels they chose on its CPU and the
@@ -43,10 +44,13 @@ COMPONENTS = ("l_t", "l_f", "l_fla", "l_sgm", "l_dkl", "total")
 TOLERANCE = 1e-9
 #: Molecules of ``golden_500.smi`` whose ``embed`` rows a recording keeps.
 EMBED_HEAD = 64
-#: The ``--task`` options a recording fine-tunes ``nitro_task.tsv`` under. Its
-#: 8-molecule test split reads ROC-AUC 1.0 under ``cls``; under ``reg`` the 0/1
-#: labels are numbers, so ``rmse`` and ``mse`` move with any change.
-FINETUNE_TASKS = ("cls", "reg")
+#: The ``--task`` options a recording fine-tunes under, in ``finetune.json``'s
+#: sorted order, and the task file of each. ``nitro_task.tsv``'s 8-molecule
+#: test split reads ROC-AUC 1.0 under ``cls``; under ``reg`` the 0/1 labels are
+#: numbers, so ``rmse`` and ``mse`` move with any change. ``nitro_pairs.tsv``
+#: pairs its rows 2k and 2k+1 into a 3-class task, which reports accuracy.
+FINETUNE_TASKS = {"cls": "nitro_task.tsv", "pair": "nitro_pairs.tsv",
+                  "reg": "nitro_task.tsv"}
 
 
 def _openblas(suffix: str, restype, *argtypes):
@@ -102,9 +106,9 @@ def history_array(history) -> np.ndarray:
 
 def downstream(ckpt: Path) -> tuple[np.ndarray, dict]:
     """The ``embed`` rows of ``golden_500.smi``, and the metrics, best epoch
-    and split sizes of ``finetune nitro_task.tsv --seed 3 --task T`` (the
-    CLI's defaults otherwise) for each T of ``FINETUNE_TASKS``, all run from
-    the checkpoint ``ckpt`` on disk."""
+    and split sizes of ``finetune FILE --seed 3 --task T`` (the CLI's
+    defaults otherwise) for each T and FILE of ``FINETUNE_TASKS``, all run
+    from the checkpoint ``ckpt`` on disk."""
     from chemfuse.pipeline import (SplitMode, TaskKind, embed_rows, finetune,
                                    load_pretrained, load_task, parse_molecule)
 
@@ -114,10 +118,10 @@ def downstream(ckpt: Path) -> tuple[np.ndarray, dict]:
     rows = np.array(list(embed_rows(model, vocab, map(parse_molecule,
                                                       load_corpus_lines("golden_500.smi")))))
     tuned = {}
-    for kind in FINETUNE_TASKS:
+    for kind, name in FINETUNE_TASKS.items():
         if tuned:  # a fine-tune changes the encoder it tunes
             model, vocab, _, _ = load_pretrained(ckpt)
-        task = load_task(DATA_DIR / "nitro_task.tsv", TaskKind(kind), SplitMode.SCAFFOLD)
+        task = load_task(DATA_DIR / name, TaskKind(kind), SplitMode.SCAFFOLD)
         result = finetune(model, vocab, task, seed=3, tune_encoder=True)
         tuned[kind] = {"metrics": result.metrics, "best_epoch": result.best_epoch,
                        "split_sizes": list(result.split_sizes)}

@@ -355,8 +355,9 @@ def test_smoke_run_matches_its_recorded_reference(smoke_run):
 
 
 def test_smoke_checkpoint_embeds_and_finetunes_as_recorded(smoke_run):
-    """``embed`` of ``golden_500.smi`` and ``finetune nitro_task.tsv --seed 3``
-    under ``--task cls`` and ``--task reg``, each from the criterion-5
+    """``embed`` of ``golden_500.smi`` and ``finetune --seed 3`` of
+    ``nitro_task.tsv`` under ``--task cls`` and ``--task reg`` and of
+    ``nitro_pairs.tsv`` under ``--task pair``, each from the criterion-5
     checkpoint on disk (criterion 6 fine-tunes the live model in place),
     repeat the recording: the metrics and the first rows within 1e-9, the
     best epochs and split sizes exactly, and all rows' SHA-256 on the

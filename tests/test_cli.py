@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chemfuse.chem import canonical_key, parse_smiles
 from chemfuse.cli import TRAIN_KEYS, _settings, build_parser, main
+from chemfuse.encoder import ModelConfig
 from chemfuse.masking import MaskConfig, sample_token_mask
 from chemfuse.nn import CheckpointCorrupt
 from chemfuse.pipeline import (
@@ -886,13 +887,61 @@ def _corrupt_list_name(ckpt):
     _set_first_tensor(ckpt, "name", ["a"])
 
 
+def _edit_config(ckpt, edit):
+    """Apply ``edit`` to the manifest's config; no checksum covers it."""
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    edit(manifest["config"])
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _corrupt_float_heads(ckpt):
+    _edit_config(ckpt, lambda config: config["model"].update(heads=2.0))
+
+
+def _corrupt_bool_heads(ckpt):
+    _edit_config(ckpt, lambda config: config["model"].update(heads=True))
+
+
+def _corrupt_longer_vocab(ckpt):
+    _edit_config(ckpt, lambda config: config.update(
+        vocab_tokens=[f"X{i}" for i in range(30)] + config["vocab_tokens"]))
+
+
+def _corrupt_shorter_context_vocab(ckpt):
+    _edit_config(ckpt, lambda config: config["context_keys"].pop())
+
+
+def _corrupt_extra_tensor(ckpt):
+    blob = (ckpt / "params.bin").read_bytes()
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["tensors"].append({"name": "zz_extra", "shape": [1], "offset": len(blob)})
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    _write_blob_and_checksum(ckpt, blob + struct.pack("<d", 0.5))
+
+
+def _corrupt_renamed_tensor(ckpt):
+    _set_first_tensor(ckpt, "name", "renamed")
+
+
+def _corrupt_transposed_shape(ckpt):
+    """Transpose a non-square weight's manifest shape; its bytes still tile
+    the blob."""
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    entry = next(e for e in manifest["tensors"] if e["name"] == "enc0_ffn1_w")
+    entry["shape"].reverse()
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
 @pytest.mark.parametrize("corrupt", [_corrupt_truncated, _corrupt_trailing,
                                      _corrupt_overlapping, _corrupt_entry, _corrupt_nan,
                                      _corrupt_blob_changed, _corrupt_missing_checksum,
                                      _corrupt_plain_file, _corrupt_manifest_encoding,
                                      _corrupt_missing_config, _corrupt_model_key,
                                      _corrupt_negative_shape, _corrupt_overflowing_shape,
-                                     _corrupt_list_name])
+                                     _corrupt_list_name, _corrupt_float_heads,
+                                     _corrupt_bool_heads, _corrupt_longer_vocab,
+                                     _corrupt_shorter_context_vocab, _corrupt_extra_tensor,
+                                     _corrupt_renamed_tensor, _corrupt_transposed_shape])
 def test_exit_code_corrupt_checkpoint(tmp_path, checkpoint, capsys, monkeypatch, corrupt):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(checkpoint, ckpt)
@@ -904,6 +953,19 @@ def test_exit_code_corrupt_checkpoint(tmp_path, checkpoint, capsys, monkeypatch,
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_integer_settings_refuse_floats_and_bools():
+    with pytest.raises(ConfigError, match="^heads must be an integer, got 4.0$"):
+        ModelConfig(vocab_size=24, context_vocab_size=4, dim=16, heads=4.0)
+    with pytest.raises(ConfigError, match="^vocab_size must be an integer, got 24.0$"):
+        ModelConfig(vocab_size=24.0, context_vocab_size=4)
+    with pytest.raises(ConfigError, match="^vocab_size must be at least 3, got 2$"):
+        ModelConfig(vocab_size=2, context_vocab_size=4)
+    with pytest.raises(ConfigError, match="^epochs must be an integer, got True$"):
+        TrainConfig(epochs=True)
+    with pytest.raises(ConfigError, match="^seed must be an integer, got 0.0$"):
+        MaskConfig(seed=0.0)
 
 
 def test_pretrain_skips_overlong_molecules(tmp_path, capsys):
