@@ -37,6 +37,7 @@ from .features import (
 from .fragments import FragmentMap, FragmentOutOfRange
 from .nn.layers import (AttentionParams, GcnLayerParams, affine, feed_forward, gcn_layer,
                         multi_head_attention)
+from .nn.checkpoint import CheckpointCorrupt
 from .nn.tensor import (
     Parameter,
     Tensor,
@@ -141,14 +142,21 @@ class JointEncoding:
 class ParamFactory:
     """Registers parameters in creation order with the documented init rules:
     weights uniform within +-1/sqrt(fan_in), embeddings normal(0, 0.02),
-    layer-norm affine at identity, biases zero."""
+    layer-norm affine at identity, biases zero; or takes each from a ``table``."""
 
-    def __init__(self, store: dict[str, Parameter], rng: np.random.Generator):
+    def __init__(self, store: dict[str, Parameter], rng: np.random.Generator,
+                 table: dict[str, np.ndarray] | None = None):
         self.store = store
         self.rng = rng
+        self.table = table
 
     def _add(self, name: str, make, *shape: int) -> Parameter:
-        """Register ``make(shape)`` as parameter ``name``."""
+        """Register ``make(shape)``, or with a table its array ``name``, as parameter ``name``."""
+        if self.table is not None:
+            value = self.table.get(name)
+            if value is None or value.shape != shape or not np.all(np.isfinite(value)):
+                raise CheckpointCorrupt(f"no finite tensor {name!r} of shape {shape} in the checkpoint")
+            make = lambda _: value
         with allocating(f"parameter {name} of shape {shape}"):
             p = self.store[name] = Parameter(name, make(shape))
         return p
@@ -192,10 +200,10 @@ class MoleculeEncoder:
     """Owns the encoder parameters and runs forward passes."""
 
     def __init__(self, config: ModelConfig, seed: int = 0,
-                 params: dict[str, Parameter] | None = None):
+                 params: dict[str, Parameter] | None = None, table: dict | None = None):
         self.config = config
         self.params: dict[str, Parameter] = params if params is not None else {}
-        factory = ParamFactory(self.params, np.random.default_rng(seed))
+        factory = ParamFactory(self.params, np.random.default_rng(seed), table)
         d, w = config.dim, config.gnn_width
 
         self.tok_emb = factory.embedding("tok_emb", config.vocab_size, d)

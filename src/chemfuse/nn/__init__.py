@@ -1,6 +1,6 @@
 """Tensor math, autodiff, layers, optimizer, and checkpointing."""
 
-from .checkpoint import CheckpointCorrupt, load_checkpoint, restore_into, save_checkpoint
+from .checkpoint import CheckpointCorrupt, load_checkpoint, save_checkpoint
 from .malloc import raise_malloc_thresholds
 from .layers import (
     AttentionParams,

@@ -117,19 +117,3 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointCorrupt(f"{len(blob) - end} bytes after the last tensor")
     return manifest, tensors
 
-
-def restore_into(params: dict[str, Parameter], tensors: dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into live parameters, validating names, shapes
-    and finiteness."""
-    missing = sorted(set(params) - set(tensors))
-    extra = sorted(set(tensors) - set(params))
-    if missing or extra:
-        raise CheckpointCorrupt(f"checkpoint mismatch: missing={missing} extra={extra}")
-    for name, param in params.items():
-        if tensors[name].shape != param.data.shape:
-            raise CheckpointCorrupt(
-                f"shape mismatch for {name!r}: "
-                f"{tensors[name].shape} vs {param.data.shape}")
-        if not np.all(np.isfinite(tensors[name])):
-            raise CheckpointCorrupt(f"tensor {name!r} holds non-finite values")
-        param.data = tensors[name].astype(np.float64)

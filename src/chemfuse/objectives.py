@@ -61,9 +61,9 @@ class Heads:
     """
 
     def __init__(self, config: ModelConfig, seed: int = 1,
-                 params: dict[str, Parameter] | None = None):
+                 params: dict[str, Parameter] | None = None, table: dict | None = None):
         self.params: dict[str, Parameter] = params if params is not None else {}
-        factory = ParamFactory(self.params, np.random.default_rng(seed))
+        factory = ParamFactory(self.params, np.random.default_rng(seed), table)
         d = config.dim
         self.token_w, self.token_b = factory.linear("head_token", d, config.vocab_size)
         self.ctx_w, self.ctx_b = factory.linear("head_ctx", d, config.context_vocab_size)

@@ -68,7 +68,6 @@ from .nn import (
     no_grad,
     pick,
     relu,
-    restore_into,
     save_checkpoint,
     scale,
     sub,
@@ -299,11 +298,11 @@ def learning_rate_at(step: int, total_steps: int, warmup_steps: int,
 class PretrainModel:
     """Encoder plus heads sharing one flat parameter dict."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0, table: dict | None = None):
         self.config = config
         self.params: dict[str, Parameter] = {}
-        self.encoder = MoleculeEncoder(config, seed=seed, params=self.params)
-        self.heads = Heads(config, seed=seed + 1, params=self.params)
+        self.encoder = MoleculeEncoder(config, seed=seed, params=self.params, table=table)
+        self.heads = Heads(config, seed=seed + 1, params=self.params, table=table)
         self.seed = seed
 
 
@@ -329,18 +328,26 @@ def save_pretrained(path: str | Path, model: PretrainModel, vocab: Vocabulary,
 def load_pretrained(path: str | Path) -> tuple[PretrainModel, Vocabulary, Vocabulary, dict]:
     manifest, tensors = load_checkpoint(path)
     try:
-        config = manifest["config"]
-        model = PretrainModel(ModelConfig(**config["model"]), seed=manifest["seed"])
+        config, seed = manifest["config"], manifest["seed"]
+        model_config = ModelConfig(**config["model"])
         vocab = Vocabulary.numbered(config["vocab_tokens"], UNK_ID + 1, UNK_ID)
-        context_vocab = Vocabulary.numbered((elem, tuple((int(o), e) for o, e in neigh))
+        context_vocab = Vocabulary.numbered((elem, tuple((o, e) for o, e in neigh))
                                             for elem, neigh in config["context_keys"])
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed must be an integer of at least 0, got {seed!r}")
+        if not (all(type(t) is str for t in vocab.key_to_id) and all(
+                type(elem) is str and all(type(o) is int and type(e) is str for o, e in neigh)
+                for elem, neigh in context_vocab.key_to_id)):
+            raise ValueError("vocabulary entries must be strings and [int, str] pairs")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointCorrupt(f"malformed config in {path}: {exc!r}") from exc
-    model_sizes = (model.config.vocab_size, model.config.context_vocab_size)
+    model_sizes = (model_config.vocab_size, model_config.context_vocab_size)
     if (vocab.size, context_vocab.size) != model_sizes:
         raise CheckpointCorrupt(f"vocabulary sizes {vocab.size}, {context_vocab.size} "
                                 f"in {path} do not fit its model's {model_sizes}")
-    restore_into(model.params, tensors)
+    model = PretrainModel(model_config, seed=seed, table=tensors)
+    if extra := sorted(set(tensors) - set(model.params)):
+        raise CheckpointCorrupt(f"tensors {extra} in {path} are not in its model")
     return model, vocab, context_vocab, manifest
 
 

@@ -6,6 +6,7 @@ import json
 import shutil
 import struct
 import sys
+import time
 import zlib
 from pathlib import Path
 from unittest import mock
@@ -932,6 +933,24 @@ def _corrupt_transposed_shape(ckpt):
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _corrupt_number_token(ckpt):
+    _edit_config(ckpt, lambda config: config["vocab_tokens"].__setitem__(0, 1))
+
+
+def _corrupt_number_context_element(ckpt):
+    _edit_config(ckpt, lambda config: config["context_keys"][0].__setitem__(0, 5))
+
+
+def _corrupt_bool_bond_order(ckpt):
+    _edit_config(ckpt, lambda config: config["context_keys"][0][1][0].__setitem__(0, True))
+
+
+def _corrupt_string_seed(ckpt):
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["seed"] = "x"
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
 @pytest.mark.parametrize("corrupt", [_corrupt_truncated, _corrupt_trailing,
                                      _corrupt_overlapping, _corrupt_entry, _corrupt_nan,
                                      _corrupt_blob_changed, _corrupt_missing_checksum,
@@ -941,7 +960,9 @@ def _corrupt_transposed_shape(ckpt):
                                      _corrupt_list_name, _corrupt_float_heads,
                                      _corrupt_bool_heads, _corrupt_longer_vocab,
                                      _corrupt_shorter_context_vocab, _corrupt_extra_tensor,
-                                     _corrupt_renamed_tensor, _corrupt_transposed_shape])
+                                     _corrupt_renamed_tensor, _corrupt_transposed_shape,
+                                     _corrupt_number_token, _corrupt_number_context_element,
+                                     _corrupt_bool_bond_order, _corrupt_string_seed])
 def test_exit_code_corrupt_checkpoint(tmp_path, checkpoint, capsys, monkeypatch, corrupt):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(checkpoint, ckpt)
@@ -953,6 +974,67 @@ def test_exit_code_corrupt_checkpoint(tmp_path, checkpoint, capsys, monkeypatch,
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+_DROP = object()
+#: What each sampled manifest node is set to in turn; _DROP deletes it.
+_SWEEP_VALUES = [None, "x", 1.5, -1, 0, 10 ** 9, [1], {"a": 1}, True, float("nan"), _DROP]
+
+
+def _manifest_paths(node, path=()):
+    """The path of every node under ``node``, lists sampled at their first
+    two elements and their last."""
+    if isinstance(node, dict):
+        keys = sorted(node)
+    elif isinstance(node, list):
+        keys = sorted({0, 1, len(node) - 1} & set(range(len(node))))
+    else:
+        return
+    for key in keys:
+        yield path + (key,)
+        yield from _manifest_paths(node[key], path + (key,))
+
+
+def test_manifest_sweep_exits_0_or_1(tmp_path, checkpoint, capsys):
+    """Every node of a tiny checkpoint's manifest, set to each sweep value
+    or dropped, loads (exit 0) or is refused in one error line (exit 1);
+    a billion GCN layers are refused at the first layer the table lacks."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(checkpoint, ckpt)
+    smi = tmp_path / "in.smi"
+    smi.write_text("CCO\nc1ccccc1O\n")
+    text = (ckpt / "manifest.json").read_text()
+    paths = list(_manifest_paths(json.loads(text)))
+
+    def embed(path, value):
+        manifest = json.loads(text)
+        *head, last = path
+        parent = manifest
+        for key in head:
+            parent = parent[key]
+        if value is _DROP:
+            del parent[last]
+        else:
+            parent[last] = value
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["embed", str(smi), "--checkpoint", str(ckpt)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    start = time.perf_counter()
+    code, out, err = embed(("config", "model", "gnn_layers"), 10 ** 9)
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert time.perf_counter() - start < 1.0
+    bad = []
+    for path in paths:
+        for value in _SWEEP_VALUES:
+            code, out, err = embed(path, value)
+            refused = code == 1 and out == "" and len(err.splitlines()) == 1 \
+                and err.startswith("error: ")
+            if not (code == 0 or refused):
+                bad.append((path, value, code, err))
+    assert len(paths) > 50
+    assert bad == []
 
 
 def test_integer_settings_refuse_floats_and_bools():

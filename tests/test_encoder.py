@@ -1,5 +1,7 @@
 """Encoder assembly tests: joint encoding, pooling, attention dumps."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from chemfuse.encoder import (
 )
 from chemfuse.errors import ConfigError
 from chemfuse.fragments import FragmentMap, FragmentOutOfRange, build_fragment_map
-from chemfuse.nn import concat_rows, constant, mean_rows
+from chemfuse.nn import CheckpointCorrupt, concat_rows, constant, mean_rows
 
 from conftest import load_corpus_lines
 
@@ -55,6 +57,39 @@ def test_param_factory_raises_config_error_when_a_shape_cannot_be_allocated():
     with pytest.raises(ConfigError, match="Maximum allowed dimension exceeded"):
         ParamFactory({}, np.random.default_rng(0)).layer_norm("ln", 2 ** 70)
     assert factory.store == {}
+
+
+class NoDraws:
+    """A generator whose every method fails: a table-fed factory draws nothing."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the RNG: {name}")
+
+
+def test_param_factory_takes_each_parameter_from_its_table():
+    table = {"lin_w": np.arange(6.0).reshape(2, 3), "lin_b": np.zeros((1, 3)),
+             "emb": np.full((4, 2), 0.25), "ln_g": np.ones((1, 2)), "ln_b": np.zeros((1, 2))}
+    factory = ParamFactory({}, NoDraws(), table)
+    w, b = factory.linear("lin", 2, 3)
+    emb = factory.embedding("emb", 4, 2)
+    factory.layer_norm("ln", 2)
+    assert list(factory.store) == ["lin_w", "lin_b", "emb", "ln_g", "ln_b"]
+    for name, param in factory.store.items():
+        assert param.data.tobytes() == table[name].tobytes()
+    assert w.data.shape == (2, 3) and emb.data.shape == (4, 2)
+
+
+@pytest.mark.parametrize("table,refused", [
+    ({}, "'lin_w' of shape (2, 3)"),
+    ({"lin_w": np.zeros((3, 2))}, "'lin_w' of shape (2, 3)"),
+    ({"lin_w": np.zeros((2, 3)), "lin_b": np.array([[0.0, np.nan, 0.0]])},
+     "'lin_b' of shape (1, 3)"),
+])
+def test_param_factory_refuses_a_table_tensor_at_its_name(table, refused):
+    """A missing name, a transposed shape or a NaN is refused at that tensor."""
+    factory = ParamFactory({}, NoDraws(), table)
+    with pytest.raises(CheckpointCorrupt, match=re.escape(f"no finite tensor {refused}")):
+        factory.linear("lin", 2, 3)
 
 
 def test_embed_smiles_position_term():

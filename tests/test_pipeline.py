@@ -452,6 +452,9 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     loaded, vocab2, ctx2, manifest = load_pretrained(ckpt)
     after = embed_corpus(loaded, vocab2, corpus)
     np.testing.assert_array_equal(before, after)
+    assert list(loaded.params) == list(model.params)
+    for name, param in loaded.params.items():
+        assert param.data.tobytes() == model.params[name].data.tobytes()
     for loaded_vocab, saved_vocab in ((vocab2, vocab), (ctx2, ctx)):
         assert loaded_vocab.key_to_id == saved_vocab.key_to_id
         assert loaded_vocab.unknown == saved_vocab.unknown
