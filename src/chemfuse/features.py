@@ -1,13 +1,14 @@
 """Featurization, circular fingerprints, functional groups, and scaffolds.
 
 Everything here is deterministic: the fingerprint hash is a fixed 64-bit
-mixing function (no process salt), functional groups are explicit graph
-predicates, and scaffold keys come from canonical ranks.
+mixing function (no process salt), functional groups are atom rules, and
+scaffold keys come from canonical ranks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -218,6 +219,16 @@ def morgan_fingerprint(graphs: Sequence[MolecularGraph], radius: int = 2,
 
 # ---------------------------------------------------------- functional groups
 
+@dataclass(frozen=True)
+class AtomRule:
+    """A named structural test of one atom, tried only on atoms of
+    ``element`` (on every atom when ``element`` is None)."""
+
+    name: str
+    element: str | None
+    matches: Callable[[MolecularGraph, int], bool]
+
+
 @once_per_graph
 def acyl_carbons(g: MolecularGraph) -> tuple[int, ...]:
     """Indices of the non-aromatic carbons with a double bond to oxygen (the
@@ -232,131 +243,6 @@ def is_carbonyl_carbon(g: MolecularGraph, i: int) -> bool:
     return i in acyl_carbons(g)
 
 
-def _hydroxyl_o(g: MolecularGraph, i: int) -> bool:
-    a = g.atoms[i]
-    return (a.element == "O" and not a.aromatic and a.formal_charge == 0
-            and a.degree == 1 and a.total_h >= 1)
-
-
-def _single_c_neighbors(g: MolecularGraph, i: int) -> list[int]:
-    return [j for j, bond in g.neighbors(i)
-            if bond.order is BondOrder.SINGLE and g.atoms[j].element == "C"]
-
-
-def _has_hydroxyl(g):
-    for idx, a in enumerate(g.atoms):
-        if not _hydroxyl_o(g, idx):
-            continue
-        j = g.neighbors(idx)[0][0]
-        nb = g.atoms[j]
-        if nb.element == "C" and not nb.aromatic and not is_carbonyl_carbon(g, j):
-            return True
-    return False
-
-
-def _has_phenol(g):
-    for idx in range(g.m):
-        if _hydroxyl_o(g, idx):
-            j = g.neighbors(idx)[0][0]
-            if g.atoms[j].element == "C" and g.atoms[j].aromatic:
-                return True
-    return False
-
-
-def _has_carboxylic_acid(g):
-    for i in acyl_carbons(g):
-        for j, bond in g.neighbors(i):
-            if bond.order is BondOrder.SINGLE and g.atoms[j].element == "O":
-                o = g.atoms[j]
-                if o.degree == 1 and (o.total_h >= 1 or o.formal_charge == -1):
-                    return True
-    return False
-
-
-def _has_ester(g):
-    for i in acyl_carbons(g):
-        for j, bond in g.neighbors(i):
-            if (bond.order is BondOrder.SINGLE and g.atoms[j].element == "O"
-                    and g.atoms[j].degree == 2):
-                return True
-    return False
-
-
-def _has_amide(g):
-    return any(
-        bond.order is BondOrder.SINGLE and g.atoms[j].element == "N"
-        for i in acyl_carbons(g) for j, bond in g.neighbors(i)
-    )
-
-
-def _has_aldehyde(g):
-    return any(g.atoms[i].total_h >= 1 for i in acyl_carbons(g))
-
-
-def _has_ketone(g):
-    return any(not g.atoms[i].total_h and len(_single_c_neighbors(g, i)) == 2
-               for i in acyl_carbons(g))
-
-
-def _has_ether(g):
-    for i, a in enumerate(g.atoms):
-        if a.element != "O" or a.aromatic or a.degree != 2 or a.formal_charge:
-            continue
-        nbrs = g.neighbors(i)
-        if all(bond.order is BondOrder.SINGLE and g.atoms[j].element == "C"
-               and not is_carbonyl_carbon(g, j) for j, bond in nbrs):
-            return True
-    return False
-
-
-def _plain_amine_n(g, i):
-    a = g.atoms[i]
-    if a.element != "N" or a.aromatic or a.formal_charge != 0:
-        return False
-    nbrs = g.neighbors(i)
-    if any(bond.order is not BondOrder.SINGLE for _, bond in nbrs):
-        return False
-    if any(g.atoms[j].element != "C" or is_carbonyl_carbon(g, j) for j, _ in nbrs):
-        return False
-    return True
-
-
-def _has_amine_of_degree(g, degree):
-    return any(
-        g.atoms[i].degree == degree and _plain_amine_n(g, i)
-        for i in range(g.m)
-    )
-
-
-def _has_nitro(g):
-    for i, a in enumerate(g.atoms):
-        if a.element != "N":
-            continue
-        terminal_o = [
-            (j, bond) for j, bond in g.neighbors(i)
-            if g.atoms[j].element == "O" and g.atoms[j].degree == 1
-        ]
-        if len(terminal_o) >= 2 and any(
-                bond.order is BondOrder.DOUBLE for _, bond in terminal_o):
-            return True
-    return False
-
-
-def _has_nitrile(g):
-    return any(
-        bond.order is BondOrder.TRIPLE
-        and {g.atoms[bond.a].element, g.atoms[bond.b].element} == {"C", "N"}
-        for bond in g.bonds
-    )
-
-
-def _has_thiol(g):
-    return any(
-        a.element == "S" and not a.aromatic and a.degree == 1 and a.total_h >= 1
-        for a in g.atoms
-    )
-
-
 def is_sulfonyl_sulfur(g: MolecularGraph, i: int) -> bool:
     """A sulfur with at least two double bonds to oxygen."""
     return g.atoms[i].element == "S" and sum(
@@ -365,94 +251,169 @@ def is_sulfonyl_sulfur(g: MolecularGraph, i: int) -> bool:
     ) >= 2
 
 
-def _has_thioether(g):
-    for i, a in enumerate(g.atoms):
-        if (a.element == "S" and not a.aromatic and a.degree == 2
-                and not is_sulfonyl_sulfur(g, i)
-                and all(bond.order is BondOrder.SINGLE and g.atoms[j].element == "C"
-                        for j, bond in g.neighbors(i))):
-            return True
-    return False
+# Each predicate below is asked only of atoms of its rule's element.
+
+def _hydroxyl_carbon(g: MolecularGraph, i: int) -> int | None:
+    """The carbon an uncharged, non-aromatic, one-bond O-H oxygen is on."""
+    a = g.atoms[i]
+    if a.aromatic or a.formal_charge != 0 or a.degree != 1 or a.total_h < 1:
+        return None
+    j = g.neighbors(i)[0][0]
+    return j if g.atoms[j].element == "C" else None
 
 
-def _has_sulfonamide(g):
-    return any(
-        is_sulfonyl_sulfur(g, i) and any(
-            bond.order is BondOrder.SINGLE and g.atoms[j].element == "N"
-            for j, bond in g.neighbors(i))
-        for i in range(g.m)
-    )
+def _is_hydroxyl_o(g: MolecularGraph, i: int) -> bool:
+    j = _hydroxyl_carbon(g, i)
+    return j is not None and not g.atoms[j].aromatic and not is_carbonyl_carbon(g, j)
 
 
-def _has_sulfone(g):
-    for i in range(g.m):
-        if not is_sulfonyl_sulfur(g, i):
-            continue
-        single = [(j, b) for j, b in g.neighbors(i) if b.order is BondOrder.SINGLE]
-        if len(single) == 2 and all(g.atoms[j].element == "C" for j, _ in single):
-            return True
-    return False
+def _is_phenol_o(g: MolecularGraph, i: int) -> bool:
+    j = _hydroxyl_carbon(g, i)
+    return j is not None and g.atoms[j].aromatic
 
 
-def _has_halogen(elem):
-    def check(g):
-        return any(a.element == elem for a in g.atoms)
-    return check
+def _on_acyl_carbon(g: MolecularGraph, i: int) -> bool:
+    """Atom ``i`` has a single bond to an acyl carbon."""
+    return any(bond.order is BondOrder.SINGLE and is_carbonyl_carbon(g, j)
+               for j, bond in g.neighbors(i))
 
 
-def _has_aromatic_ring(g):
-    return any(a.aromatic and a.in_ring for a in g.atoms)
+def _is_acid_o(g: MolecularGraph, i: int) -> bool:
+    a = g.atoms[i]
+    return (a.degree == 1 and (a.total_h >= 1 or a.formal_charge == -1)
+            and _on_acyl_carbon(g, i))
 
 
-def _has_nonaromatic_ring(g):
-    return any(b.in_ring and b.order is not BondOrder.AROMATIC for b in g.bonds)
+def _acyl_partners(g: MolecularGraph, i: int) -> list[int]:
+    """The acyl carbons oxygen ``i`` is double-bonded to."""
+    return [j for j, bond in g.neighbors(i)
+            if bond.order is BondOrder.DOUBLE and is_carbonyl_carbon(g, j)]
 
 
-def _has_alkene(g):
-    return any(
-        b.order is BondOrder.DOUBLE
-        and g.atoms[b.a].element == "C" and g.atoms[b.b].element == "C"
-        and not (g.atoms[b.a].aromatic or g.atoms[b.b].aromatic)
-        for b in g.bonds
-    )
+def _is_ketone_carbon(g: MolecularGraph, i: int) -> bool:
+    """Acyl carbon ``i`` has no hydrogen and single bonds to two carbons."""
+    return not g.atoms[i].total_h and sum(
+        1 for j, bond in g.neighbors(i)
+        if bond.order is BondOrder.SINGLE and g.atoms[j].element == "C") == 2
 
 
-#: Group name -> predicate, in fixed bit order (width 24).
-FUNCTIONAL_GROUPS = (
-    ("hydroxyl", _has_hydroxyl),
-    ("phenol", _has_phenol),
-    ("carboxylic_acid", _has_carboxylic_acid),
-    ("ester", _has_ester),
-    ("amide", _has_amide),
-    ("aldehyde", _has_aldehyde),
-    ("ketone", _has_ketone),
-    ("ether", _has_ether),
-    ("primary_amine", lambda g: _has_amine_of_degree(g, 1)),
-    ("secondary_amine", lambda g: _has_amine_of_degree(g, 2)),
-    ("tertiary_amine", lambda g: _has_amine_of_degree(g, 3)),
-    ("nitro", _has_nitro),
-    ("nitrile", _has_nitrile),
-    ("thiol", _has_thiol),
-    ("thioether", _has_thioether),
-    ("sulfonamide", _has_sulfonamide),
-    ("sulfone", _has_sulfone),
-    ("fluoro", _has_halogen("F")),
-    ("chloro", _has_halogen("Cl")),
-    ("bromo", _has_halogen("Br")),
-    ("iodo", _has_halogen("I")),
-    ("aromatic_ring", _has_aromatic_ring),
-    ("nonaromatic_ring", _has_nonaromatic_ring),
-    ("alkene", _has_alkene),
+def _is_ether_o(g: MolecularGraph, i: int) -> bool:
+    a = g.atoms[i]
+    return (not a.aromatic and a.degree == 2 and a.formal_charge == 0
+            and all(bond.order is BondOrder.SINGLE and g.atoms[j].element == "C"
+                    and not is_carbonyl_carbon(g, j) for j, bond in g.neighbors(i)))
+
+
+def _is_plain_amine_n(g: MolecularGraph, i: int) -> bool:
+    """An uncharged, non-aromatic nitrogen with single bonds to non-acyl
+    carbons only."""
+    a = g.atoms[i]
+    if a.aromatic or a.formal_charge != 0:
+        return False
+    return all(bond.order is BondOrder.SINGLE and g.atoms[j].element == "C"
+               and not is_carbonyl_carbon(g, j) for j, bond in g.neighbors(i))
+
+
+def _is_nitro_n(g: MolecularGraph, i: int) -> bool:
+    """At least two one-bond oxygens, one of them double-bonded."""
+    terminal = [bond for j, bond in g.neighbors(i)
+                if g.atoms[j].element == "O" and g.atoms[j].degree == 1]
+    return len(terminal) >= 2 and any(bond.order is BondOrder.DOUBLE for bond in terminal)
+
+
+def _is_nitrile_n(g: MolecularGraph, i: int) -> bool:
+    return any(bond.order is BondOrder.TRIPLE and g.atoms[j].element == "C"
+               for j, bond in g.neighbors(i))
+
+
+def _is_thiol_s(g: MolecularGraph, i: int) -> bool:
+    a = g.atoms[i]
+    return not a.aromatic and a.degree == 1 and a.total_h >= 1
+
+
+def _is_thioether_s(g: MolecularGraph, i: int) -> bool:
+    a = g.atoms[i]
+    return (not a.aromatic and a.degree == 2 and not is_sulfonyl_sulfur(g, i)
+            and all(bond.order is BondOrder.SINGLE and g.atoms[j].element == "C"
+                    for j, bond in g.neighbors(i)))
+
+
+def _is_sulfonamide_s(g: MolecularGraph, i: int) -> bool:
+    return is_sulfonyl_sulfur(g, i) and any(
+        bond.order is BondOrder.SINGLE and g.atoms[j].element == "N"
+        for j, bond in g.neighbors(i))
+
+
+def _is_sulfone_s(g: MolecularGraph, i: int) -> bool:
+    """A sulfonyl sulfur whose two single bonds both go to carbon."""
+    single = [j for j, bond in g.neighbors(i) if bond.order is BondOrder.SINGLE]
+    return (is_sulfonyl_sulfur(g, i) and len(single) == 2
+            and all(g.atoms[j].element == "C" for j in single))
+
+
+def _in_nonaromatic_ring(g: MolecularGraph, i: int) -> bool:
+    return any(bond.in_ring and bond.order is not BondOrder.AROMATIC
+               for _, bond in g.neighbors(i))
+
+
+def _is_alkene_c(g: MolecularGraph, i: int) -> bool:
+    """A non-aromatic carbon double-bonded to a non-aromatic carbon."""
+    return not g.atoms[i].aromatic and any(
+        bond.order is BondOrder.DOUBLE and g.atoms[j].element == "C"
+        and not g.atoms[j].aromatic for j, bond in g.neighbors(i))
+
+
+def _present(g: MolecularGraph, i: int) -> bool:
+    return True
+
+
+#: The group catalog, in fixed bit order (width 24). Each group is anchored
+#: on its rarest atom: the acyl groups on their O or N, not their carbon.
+FUNCTIONAL_GROUPS: tuple[AtomRule, ...] = (
+    AtomRule("hydroxyl", "O", _is_hydroxyl_o),
+    AtomRule("phenol", "O", _is_phenol_o),
+    AtomRule("carboxylic_acid", "O", _is_acid_o),
+    AtomRule("ester", "O", lambda g, i: g.atoms[i].degree == 2 and _on_acyl_carbon(g, i)),
+    AtomRule("amide", "N", _on_acyl_carbon),
+    AtomRule("aldehyde", "O",
+             lambda g, i: any(g.atoms[j].total_h >= 1 for j in _acyl_partners(g, i))),
+    AtomRule("ketone", "O",
+             lambda g, i: any(_is_ketone_carbon(g, j) for j in _acyl_partners(g, i))),
+    AtomRule("ether", "O", _is_ether_o),
+    AtomRule("primary_amine", "N",
+             lambda g, i: g.atoms[i].degree == 1 and _is_plain_amine_n(g, i)),
+    AtomRule("secondary_amine", "N",
+             lambda g, i: g.atoms[i].degree == 2 and _is_plain_amine_n(g, i)),
+    AtomRule("tertiary_amine", "N",
+             lambda g, i: g.atoms[i].degree == 3 and _is_plain_amine_n(g, i)),
+    AtomRule("nitro", "N", _is_nitro_n),
+    AtomRule("nitrile", "N", _is_nitrile_n),
+    AtomRule("thiol", "S", _is_thiol_s),
+    AtomRule("thioether", "S", _is_thioether_s),
+    AtomRule("sulfonamide", "S", _is_sulfonamide_s),
+    AtomRule("sulfone", "S", _is_sulfone_s),
+    AtomRule("fluoro", "F", _present),
+    AtomRule("chloro", "Cl", _present),
+    AtomRule("bromo", "Br", _present),
+    AtomRule("iodo", "I", _present),
+    AtomRule("aromatic_ring", None, lambda g, i: g.atoms[i].aromatic and g.atoms[i].in_ring),
+    AtomRule("nonaromatic_ring", None, _in_nonaromatic_ring),
+    AtomRule("alkene", "C", _is_alkene_c),
 )
 
-GROUP_NAMES = tuple(name for name, _ in FUNCTIONAL_GROUPS)
+GROUP_NAMES = tuple(rule.name for rule in FUNCTIONAL_GROUPS)
 N_GROUPS = len(FUNCTIONAL_GROUPS)
 
 
 def detect_functional_groups(graph: MolecularGraph) -> np.ndarray:
-    """Presence bit per catalog group (width 24, dtype uint8)."""
-    return np.array([1 if pred(graph) else 0 for _, pred in FUNCTIONAL_GROUPS],
-                    dtype=np.uint8)
+    """Presence bit per catalog group (width 24, dtype uint8): the atoms are
+    indexed by element once, and each rule is tried on the atoms of its
+    element until one matches."""
+    atoms: dict[str | None, list[int]] = {None: list(range(graph.m))}
+    for i, a in enumerate(graph.atoms):
+        atoms.setdefault(a.element, []).append(i)
+    return np.array([any(rule.matches(graph, i) for i in atoms.get(rule.element, ()))
+                     for rule in FUNCTIONAL_GROUPS], dtype=np.uint8)
 
 
 def group_names_present(graph: MolecularGraph) -> list[str]:

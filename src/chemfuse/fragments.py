@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 from .chem.errors import SmilesError
 from .chem.graph import BondOrder, MolecularGraph, TokenKind, TokenSequence
-from .features import is_carbonyl_carbon, is_sulfonyl_sulfur
+from .features import AtomRule, is_carbonyl_carbon, is_sulfonyl_sulfur
 
 
 class OrphanSymbol(SmilesError):
@@ -116,34 +115,23 @@ def _is_aromatic_carbon(g: MolecularGraph, i: int) -> bool:
     return count >= 2
 
 
-@dataclass(frozen=True)
-class CleavageRule:
-    """One link environment: a named structural predicate over (graph, atom)
-    that only atoms of ``element`` can match."""
-
-    rule_id: str
-    name: str
-    element: str
-    matches: Callable[[MolecularGraph, int], bool]
-
-
 #: The link-environment table. Order is documentation only.
-ENVIRONMENTS: tuple[CleavageRule, ...] = (
-    CleavageRule("L1", "acyl carbon", "C", is_carbonyl_carbon),
-    CleavageRule("L3", "ether/ester oxygen", "O", _is_ether_oxygen),
-    CleavageRule("L4", "alkyl carbon", "C", _is_alkyl_carbon),
-    CleavageRule("L5", "amine nitrogen", "N", _is_amine_nitrogen),
-    CleavageRule("L9", "aromatic nitrogen", "N", _is_aromatic_nitrogen),
-    CleavageRule("L10", "ring amine nitrogen", "N", _is_ring_amine_nitrogen),
-    CleavageRule("L11", "thioether sulfur", "S", _is_thioether_sulfur),
-    CleavageRule("L12", "sulfonyl sulfur", "S", is_sulfonyl_sulfur),
-    CleavageRule("L13", "ring carbon next to ring heteroatom", "C", _is_hetero_ring_carbon),
-    CleavageRule("L14", "heteroaromatic carbon", "C", _is_heteroaromatic_carbon),
-    CleavageRule("L15", "carbocycle carbon", "C", _is_carbocycle_carbon),
-    CleavageRule("L16", "aromatic carbon", "C", _is_aromatic_carbon),
+ENVIRONMENTS: tuple[AtomRule, ...] = (
+    AtomRule("L1", "C", is_carbonyl_carbon),  # acyl carbon
+    AtomRule("L3", "O", _is_ether_oxygen),  # ether/ester oxygen
+    AtomRule("L4", "C", _is_alkyl_carbon),  # alkyl carbon
+    AtomRule("L5", "N", _is_amine_nitrogen),  # amine nitrogen
+    AtomRule("L9", "N", _is_aromatic_nitrogen),  # aromatic nitrogen
+    AtomRule("L10", "N", _is_ring_amine_nitrogen),  # ring amine nitrogen
+    AtomRule("L11", "S", _is_thioether_sulfur),  # thioether sulfur
+    AtomRule("L12", "S", is_sulfonyl_sulfur),  # sulfonyl sulfur
+    AtomRule("L13", "C", _is_hetero_ring_carbon),  # ring carbon next to ring heteroatom
+    AtomRule("L14", "C", _is_heteroaromatic_carbon),  # heteroaromatic carbon
+    AtomRule("L15", "C", _is_carbocycle_carbon),  # carbocycle carbon
+    AtomRule("L16", "C", _is_aromatic_carbon),  # aromatic carbon
 )
 
-_RULES_BY_ELEMENT: dict[str, tuple[CleavageRule, ...]] = {
+_RULES_BY_ELEMENT: dict[str | None, tuple[AtomRule, ...]] = {
     element: tuple(rule for rule in ENVIRONMENTS if rule.element == element)
     for element in {rule.element for rule in ENVIRONMENTS}
 }
@@ -170,7 +158,7 @@ COMPATIBLE_PAIRS: frozenset[frozenset[str]] = frozenset(
 def atom_environments(graph: MolecularGraph, i: int) -> set[str]:
     """Ids of all environments atom ``i`` matches; only the rules for its
     element are tried."""
-    return {rule.rule_id for rule in _RULES_BY_ELEMENT.get(graph.atoms[i].element, ())
+    return {rule.name for rule in _RULES_BY_ELEMENT.get(graph.atoms[i].element, ())
             if rule.matches(graph, i)}
 
 

@@ -632,6 +632,7 @@ def split_task(task: FinetuneTask, seed: int = 0) -> tuple[list[int], list[int],
 class FinetuneResult:
     metrics: dict[str, float]
     best_epoch: int
+    best_valid_loss: float
     split_sizes: tuple[int, int, int]
 
 
@@ -741,7 +742,7 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
             metrics["ci"] = float("nan")
     else:
         metrics["accuracy"] = float((logits.argmax(axis=1) == truth).mean())
-    return FinetuneResult(metrics=metrics, best_epoch=best[1],
+    return FinetuneResult(metrics=metrics, best_epoch=best[1], best_valid_loss=best[0],
                           split_sizes=(len(train_idx), len(valid_idx), len(test_idx)))
 
 

@@ -8,8 +8,8 @@ A recording is a directory holding:
   ``EMBED_HEAD`` molecules of ``golden_500.smi`` under the final checkpoint;
 * ``finetune.json``: what ``finetune --seed 3`` reports from that checkpoint
   on ``nitro_task.tsv`` under ``--task cls`` and ``--task reg``, and on
-  ``nitro_pairs.tsv`` under ``--task pair``: its metrics at full precision,
-  best epoch and split sizes;
+  ``nitro_pairs.tsv`` under ``--task pair``: its metrics and the best
+  epoch's validation loss at full precision, best epoch and split sizes;
 * ``params.json``: the SHA-256 of the final ``params.bin`` and of all 500
   ``embed`` rows as little-endian float64, with the numpy and BLAS build
   that wrote them, the SIMD and BLAS kernels they chose on its CPU and the
@@ -105,10 +105,10 @@ def history_array(history) -> np.ndarray:
 
 
 def downstream(ckpt: Path) -> tuple[np.ndarray, dict]:
-    """The ``embed`` rows of ``golden_500.smi``, and the metrics, best epoch
-    and split sizes of ``finetune FILE --seed 3 --task T`` (the CLI's
-    defaults otherwise) for each T and FILE of ``FINETUNE_TASKS``, all run
-    from the checkpoint ``ckpt`` on disk."""
+    """The ``embed`` rows of ``golden_500.smi``, and the metrics, best epoch,
+    its validation loss and split sizes of ``finetune FILE --seed 3 --task
+    T`` (the CLI's defaults otherwise) for each T and FILE of
+    ``FINETUNE_TASKS``, all run from the checkpoint ``ckpt`` on disk."""
     from chemfuse.pipeline import (SplitMode, TaskKind, embed_rows, finetune,
                                    load_pretrained, load_task, parse_molecule)
 
@@ -124,6 +124,7 @@ def downstream(ckpt: Path) -> tuple[np.ndarray, dict]:
         task = load_task(DATA_DIR / name, TaskKind(kind), SplitMode.SCAFFOLD)
         result = finetune(model, vocab, task, seed=3, tune_encoder=True)
         tuned[kind] = {"metrics": result.metrics, "best_epoch": result.best_epoch,
+                       "best_valid_loss": result.best_valid_loss,
                        "split_sizes": list(result.split_sizes)}
     return rows, tuned
 

@@ -222,11 +222,236 @@ def popcount(bits: np.ndarray) -> int:
     return int(bits.sum())
 
 
+# ---------------------------------------------------------- functional groups
+
+def _acyl_carbons(g: MolecularGraph) -> list[int]:
+    return [i for i in range(g.m) if is_carbonyl_carbon(g, i)]
+
+
+def _hydroxyl_o(g: MolecularGraph, i: int) -> bool:
+    a = g.atoms[i]
+    return (a.element == "O" and not a.aromatic and a.formal_charge == 0
+            and a.degree == 1 and a.total_h >= 1)
+
+
+def _single_c_neighbors(g: MolecularGraph, i: int) -> list[int]:
+    return [j for j, bond in g.neighbors(i)
+            if bond.order is BondOrder.SINGLE and g.atoms[j].element == "C"]
+
+
+def _has_hydroxyl(g):
+    for idx, a in enumerate(g.atoms):
+        if not _hydroxyl_o(g, idx):
+            continue
+        j = g.neighbors(idx)[0][0]
+        nb = g.atoms[j]
+        if nb.element == "C" and not nb.aromatic and not is_carbonyl_carbon(g, j):
+            return True
+    return False
+
+
+def _has_phenol(g):
+    for idx in range(g.m):
+        if _hydroxyl_o(g, idx):
+            j = g.neighbors(idx)[0][0]
+            if g.atoms[j].element == "C" and g.atoms[j].aromatic:
+                return True
+    return False
+
+
+def _has_carboxylic_acid(g):
+    for i in _acyl_carbons(g):
+        for j, bond in g.neighbors(i):
+            if bond.order is BondOrder.SINGLE and g.atoms[j].element == "O":
+                o = g.atoms[j]
+                if o.degree == 1 and (o.total_h >= 1 or o.formal_charge == -1):
+                    return True
+    return False
+
+
+def _has_ester(g):
+    for i in _acyl_carbons(g):
+        for j, bond in g.neighbors(i):
+            if (bond.order is BondOrder.SINGLE and g.atoms[j].element == "O"
+                    and g.atoms[j].degree == 2):
+                return True
+    return False
+
+
+def _has_amide(g):
+    return any(
+        bond.order is BondOrder.SINGLE and g.atoms[j].element == "N"
+        for i in _acyl_carbons(g) for j, bond in g.neighbors(i)
+    )
+
+
+def _has_aldehyde(g):
+    return any(g.atoms[i].total_h >= 1 for i in _acyl_carbons(g))
+
+
+def _has_ketone(g):
+    return any(not g.atoms[i].total_h and len(_single_c_neighbors(g, i)) == 2
+               for i in _acyl_carbons(g))
+
+
+def _has_ether(g):
+    for i, a in enumerate(g.atoms):
+        if a.element != "O" or a.aromatic or a.degree != 2 or a.formal_charge:
+            continue
+        nbrs = g.neighbors(i)
+        if all(bond.order is BondOrder.SINGLE and g.atoms[j].element == "C"
+               and not is_carbonyl_carbon(g, j) for j, bond in nbrs):
+            return True
+    return False
+
+
+def _plain_amine_n(g, i):
+    a = g.atoms[i]
+    if a.element != "N" or a.aromatic or a.formal_charge != 0:
+        return False
+    nbrs = g.neighbors(i)
+    if any(bond.order is not BondOrder.SINGLE for _, bond in nbrs):
+        return False
+    if any(g.atoms[j].element != "C" or is_carbonyl_carbon(g, j) for j, _ in nbrs):
+        return False
+    return True
+
+
+def _has_amine_of_degree(g, degree):
+    return any(
+        g.atoms[i].degree == degree and _plain_amine_n(g, i)
+        for i in range(g.m)
+    )
+
+
+def _has_nitro(g):
+    for i, a in enumerate(g.atoms):
+        if a.element != "N":
+            continue
+        terminal_o = [
+            (j, bond) for j, bond in g.neighbors(i)
+            if g.atoms[j].element == "O" and g.atoms[j].degree == 1
+        ]
+        if len(terminal_o) >= 2 and any(
+                bond.order is BondOrder.DOUBLE for _, bond in terminal_o):
+            return True
+    return False
+
+
+def _has_nitrile(g):
+    return any(
+        bond.order is BondOrder.TRIPLE
+        and {g.atoms[bond.a].element, g.atoms[bond.b].element} == {"C", "N"}
+        for bond in g.bonds
+    )
+
+
+def _has_thiol(g):
+    return any(
+        a.element == "S" and not a.aromatic and a.degree == 1 and a.total_h >= 1
+        for a in g.atoms
+    )
+
+
+def _is_sulfonyl_sulfur(g: MolecularGraph, i: int) -> bool:
+    """A sulfur with at least two double bonds to oxygen."""
+    return g.atoms[i].element == "S" and sum(
+        1 for j, bond in g.neighbors(i)
+        if bond.order is BondOrder.DOUBLE and g.atoms[j].element == "O"
+    ) >= 2
+
+
+def _has_thioether(g):
+    for i, a in enumerate(g.atoms):
+        if (a.element == "S" and not a.aromatic and a.degree == 2
+                and not _is_sulfonyl_sulfur(g, i)
+                and all(bond.order is BondOrder.SINGLE and g.atoms[j].element == "C"
+                        for j, bond in g.neighbors(i))):
+            return True
+    return False
+
+
+def _has_sulfonamide(g):
+    return any(
+        _is_sulfonyl_sulfur(g, i) and any(
+            bond.order is BondOrder.SINGLE and g.atoms[j].element == "N"
+            for j, bond in g.neighbors(i))
+        for i in range(g.m)
+    )
+
+
+def _has_sulfone(g):
+    for i in range(g.m):
+        if not _is_sulfonyl_sulfur(g, i):
+            continue
+        single = [(j, b) for j, b in g.neighbors(i) if b.order is BondOrder.SINGLE]
+        if len(single) == 2 and all(g.atoms[j].element == "C" for j, _ in single):
+            return True
+    return False
+
+
+def _has_halogen(elem):
+    def check(g):
+        return any(a.element == elem for a in g.atoms)
+    return check
+
+
+def _has_aromatic_ring(g):
+    return any(a.aromatic and a.in_ring for a in g.atoms)
+
+
+def _has_nonaromatic_ring(g):
+    return any(b.in_ring and b.order is not BondOrder.AROMATIC for b in g.bonds)
+
+
+def _has_alkene(g):
+    return any(
+        b.order is BondOrder.DOUBLE
+        and g.atoms[b.a].element == "C" and g.atoms[b.b].element == "C"
+        and not (g.atoms[b.a].aromatic or g.atoms[b.b].aromatic)
+        for b in g.bonds
+    )
+
+
+#: Group name -> predicate, in the library's bit order.
+_FUNCTIONAL_GROUPS = (
+    ("hydroxyl", _has_hydroxyl),
+    ("phenol", _has_phenol),
+    ("carboxylic_acid", _has_carboxylic_acid),
+    ("ester", _has_ester),
+    ("amide", _has_amide),
+    ("aldehyde", _has_aldehyde),
+    ("ketone", _has_ketone),
+    ("ether", _has_ether),
+    ("primary_amine", lambda g: _has_amine_of_degree(g, 1)),
+    ("secondary_amine", lambda g: _has_amine_of_degree(g, 2)),
+    ("tertiary_amine", lambda g: _has_amine_of_degree(g, 3)),
+    ("nitro", _has_nitro),
+    ("nitrile", _has_nitrile),
+    ("thiol", _has_thiol),
+    ("thioether", _has_thioether),
+    ("sulfonamide", _has_sulfonamide),
+    ("sulfone", _has_sulfone),
+    ("fluoro", _has_halogen("F")),
+    ("chloro", _has_halogen("Cl")),
+    ("bromo", _has_halogen("Br")),
+    ("iodo", _has_halogen("I")),
+    ("aromatic_ring", _has_aromatic_ring),
+    ("nonaromatic_ring", _has_nonaromatic_ring),
+    ("alkene", _has_alkene),
+)
+
+
+def functional_groups(graph: MolecularGraph) -> list[int]:
+    """Presence bit per group, each group a scan of the whole graph."""
+    return [1 if pred(graph) else 0 for _, pred in _FUNCTIONAL_GROUPS]
+
+
 # ----------------------------------------------------------------- fragments
 
 def atom_environments(graph: MolecularGraph, i: int) -> set[str]:
     """Ids of the environments atom ``i`` matches, every rule tried."""
-    return {rule.rule_id for rule in ENVIRONMENTS if rule.matches(graph, i)}
+    return {rule.name for rule in ENVIRONMENTS if rule.matches(graph, i)}
 
 
 def brics_cleave(graph: MolecularGraph) -> tuple[int, list[int], list[int]]:

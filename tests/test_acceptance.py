@@ -359,9 +359,9 @@ def test_smoke_checkpoint_embeds_and_finetunes_as_recorded(smoke_run):
     ``nitro_task.tsv`` under ``--task cls`` and ``--task reg`` and of
     ``nitro_pairs.tsv`` under ``--task pair``, each from the criterion-5
     checkpoint on disk (criterion 6 fine-tunes the live model in place),
-    repeat the recording: the metrics and the first rows within 1e-9, the
-    best epochs and split sizes exactly, and all rows' SHA-256 on the
-    recording's build and CPU."""
+    repeat the recording: the metrics, the best epochs' validation losses
+    and the first rows within 1e-9, the best epochs and split sizes exactly,
+    and all rows' SHA-256 on the recording's build and CPU."""
     rows, tuned = downstream(smoke_run.ckpt)
     head, recorded = read_downstream(SMOKE_REFERENCE)
     assert rows.shape == (500, SMOKE_MODEL["dim"]) and head.shape == (EMBED_HEAD, rows.shape[1])
@@ -373,6 +373,8 @@ def test_smoke_checkpoint_embeds_and_finetunes_as_recorded(smoke_run):
         assert metrics.keys() == want["metrics"].keys(), kind
         for name, value in want.pop("metrics").items():
             assert abs(metrics[name] - value) <= TOLERANCE, (kind, name, metrics[name], value)
+        loss, recorded_loss = got.pop("best_valid_loss"), want.pop("best_valid_loss")
+        assert abs(loss - recorded_loss) <= TOLERANCE, (kind, loss, recorded_loss)
         assert got == want, kind
     _, params = read_recording(SMOKE_REFERENCE)
     if params["build"] == build_id():

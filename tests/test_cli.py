@@ -520,7 +520,8 @@ def test_cli_defaults_are_the_library_defaults(tmp_path, checkpoint, capsys, mon
 
     def stub_finetune(model, vocab, task, **settings):
         passed.update(settings)
-        return FinetuneResult(metrics={}, best_epoch=0, split_sizes=(0, 0, 0))
+        return FinetuneResult(metrics={}, best_epoch=0, best_valid_loss=0.0,
+                              split_sizes=(0, 0, 0))
 
     monkeypatch.setattr("chemfuse.cli.finetune", stub_finetune)
     code, _, _ = run(capsys, ["finetune", str(_twelve_row_task(tmp_path)),
