@@ -8,6 +8,7 @@ on stderr, so they compose in shell pipelines. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import warnings
@@ -188,9 +189,10 @@ def cmd_finetune(args) -> int:
 
 def cmd_embed(args) -> int:
     model, vocab, _, _ = load_pretrained(args.checkpoint)
-    molecules = (parse_molecule(smiles) for smiles in _smiles_column(args.input))
-    for row in embed_rows(model, vocab, molecules):
-        print("\t".join(f"{v:.6f}" for v in row))
+    row_format = "\t".join(["%.6f"] * model.config.dim)
+    with contextlib.closing(embed_rows(model, vocab, _smiles_column(args.input))) as rows:
+        for row in rows:
+            print(row_format % tuple(row.tolist()))
     return 0
 
 

@@ -11,9 +11,11 @@ Fragment embeddings pool token rows through one shared attention module
 Every forward is packed: any number of views run as one pass, their rows
 concatenated without padding. Row-wise layers see one matrix, attention
 runs each view (a blocked view: each modality) within itself, and the GCN
-runs over the disjoint union of the graphs. A view's arithmetic is the
-same whether it runs alone or packed with others, so encoding one
-molecule is the one-view case.
+runs over the disjoint union of the graphs, so encoding one molecule is
+the one-view case. Packing keeps a view's arithmetic only while the union
+stays at a few hundred atoms: past that OpenBLAS sums ``gcn_layer``'s
+``adj @ h`` in blocks, and packs of ten 40-100 atom molecules gave
+``x_cls`` rows unlike their two halves' in 59 of 800, by at most 6.7e-16.
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ import contextlib
 import functools
 import gc
 import math
+import os
+import signal
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -72,6 +74,7 @@ from .nn import (
     scale,
     sub,
 )
+from .nn.blas import set_blas_threads
 from .nn.layers import perceptron
 from .objectives import (
     BatchTooSmall,
@@ -748,66 +751,133 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
 
 # ------------------------------------------------------------------- embedding
 
-#: Molecules per ``embed_rows`` forward after the first. A pack holds its
-#: rows back until it is full, and its dense graph union grows with the square
-#: of its atoms: on the benchmark's ``embed_mixed`` corpus 5, 10 and 20 ran at
-#: the same throughput, and 20 took the tail op time from about 50 to 95 ms.
+#: Lines per ``embed_rows`` pack after the first. A pack holds its rows back
+#: until it is full, and its dense graph union grows with the square of its
+#: atoms: on the benchmark's ``embed_mixed`` corpus 5, 10 and 20 ran at the
+#: same throughput, and 20 took the tail op time from about 50 to 95 ms. On two
+#: CPUs a ``_Helper`` process encodes half of each; ``taskset -c 0`` stops it.
 EMBED_PACK = 10
 
 
-def _inferred_rows(model: PretrainModel, vocab: Vocabulary,
-                   molecules: list[ParsedMolecule]) -> np.ndarray:
-    if not molecules:
-        return np.zeros((0, model.config.dim))
-    with no_grad():
-        return x_cls_of(model, vocab, molecules).data
+def _inline_rows(model: PretrainModel, vocab: Vocabulary,
+                 lines: list[str]) -> Iterator[np.ndarray]:
+    """The x_cls rows of ``lines`` from one forward without a tape; at a line
+    that does not parse or overflows the positions, the rows before it, then its error."""
+    limit = model.config.max_positions
+    molecules: list[ParsedMolecule] = []
+    try:
+        for mol in map(parse_molecule, lines):
+            if len(mol.tokens.tokens) > limit:
+                raise PositionOverflow(
+                    f"{len(mol.tokens.tokens)} tokens exceed max_positions={limit}")
+            molecules.append(mol)
+    finally:
+        with no_grad():
+            rows = x_cls_of(model, vocab, molecules).data if molecules else ()
+        yield from rows
+
+
+def _halves(lines: list[str]) -> tuple[list[int], list[int]]:
+    """A pack's positions in two halves of about equal cost, ``len(smiles) **
+    2``: the heaviest line first, each to the lighter half; in input order."""
+    halves, costs = ([], []), [0, 0]
+    for i in sorted(range(len(lines)), key=lambda i: -len(lines[i])):
+        lighter = int(costs[1] < costs[0])
+        halves[lighter].append(i)
+        costs[lighter] += len(lines[i]) ** 2
+    return sorted(halves[0]), sorted(halves[1])
+
+
+class _Helper:
+    """A daemon process, forked so that it shares the loaded model, that
+    encodes one half of each full pack while this process encodes the other.
+    The fork is safe: embedding starts no thread, and OpenBLAS stops its own
+    pool around a fork.
+    Both run OpenBLAS on one thread meanwhile (this process only for its half,
+    so rows are printed at its own count): on two CPUs, two processes of two
+    BLAS threads each took 18.6 s for 3,000 lines that one took in 5.7 s."""
+
+    def __init__(self, model: PretrainModel, vocab: Vocabulary):
+        import multiprocessing  # only here: a run without a helper never imports it
+        context = multiprocessing.get_context("fork")
+        self.conn, child_end = context.Pipe()
+        self.process = context.Process(target=self._serve, args=(child_end, model, vocab), daemon=True)
+        self.process.start()
+        child_end.close()
+
+    def _serve(self, conn, model: PretrainModel, vocab: Vocabulary) -> None:
+        # Quiet when the pipe closes or a line fails; the parent redoes that pack.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        self.conn.close()
+        with contextlib.suppress(Exception):
+            set_blas_threads(1)
+            while True:
+                conn.send(np.stack(list(_inline_rows(model, vocab, conn.recv()))))
+
+    def pack_rows(self, model: PretrainModel, vocab: Vocabulary, lines: list[str]) -> np.ndarray:
+        theirs, ours = _halves(lines)
+        self.conn.send([lines[i] for i in theirs])
+        threads = set_blas_threads(1)  # OSError without OpenBLAS: no helper then
+        try:
+            mine = list(_inline_rows(model, vocab, [lines[i] for i in ours]))
+        finally:
+            set_blas_threads(threads)
+        return np.vstack(mine + [self.conn.recv()])[np.argsort(ours + theirs)]
+
+    def stop(self) -> None:
+        self.conn.close()
+        self.process.terminate()
+        self.process.join()
 
 
 def embed_rows(model: PretrainModel, vocab: Vocabulary,
-               molecules: Iterable[ParsedMolecule]) -> Iterator[np.ndarray]:
-    """The x_cls row of each of ``molecules``, in order, from packed forwards
-    without a tape: the first molecule alone, so that its row is out as soon
-    as it can be, then ``EMBED_PACK`` molecules per forward.
-
-    Molecules are pulled only when a pack needs them. One longer than the
-    position table raises PositionOverflow as it joins a pack. When that, or
-    pulling a molecule, fails, the rows of the molecules already pulled are
-    yielded first.
+               smiles: Iterable[str]) -> Iterator[np.ndarray]:
+    """The x_cls row of each of the ``smiles`` strings, in order: the first
+    line alone, so that its row is out as soon as it can be, then packs of
+    ``EMBED_PACK``, each line read only when its pack needs it. When a line or
+    a read fails, the rows before it come first, then its error. On Linux
+    (numpy's macOS wheels are not fork-safe) with two usable CPUs, a
+    ``_Helper`` forked at the first full pack encodes half of each full pack.
     """
-    limit = model.config.max_positions
-    source = iter(molecules)
-    pack: list[ParsedMolecule] = []
-    size = 1
-    while True:
-        try:
-            mol = next(source, None)
-            if mol is not None and len(mol.tokens.tokens) > limit:
-                raise PositionOverflow(
-                    f"{len(mol.tokens.tokens)} tokens exceed max_positions={limit}")
-        except Exception:
-            yield from _inferred_rows(model, vocab, pack)
-            raise
-        if mol is None:
-            break
-        pack.append(mol)
-        if len(pack) == size:
-            yield from _inferred_rows(model, vocab, pack)
-            pack, size = [], EMBED_PACK
-    yield from _inferred_rows(model, vocab, pack)
+    source, size, helper = iter(smiles), 1, None
+    shared = sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+    try:
+        while True:
+            lines: list[str] = []
+            try:
+                for line in source:
+                    lines.append(line)
+                    if len(lines) == size:
+                        break
+            except Exception:
+                yield from _inline_rows(model, vocab, lines)
+                raise
+            rows = None
+            if shared and len(lines) == EMBED_PACK:
+                with contextlib.suppress(Exception):  # redone below, which raises a line's error
+                    helper = helper or _Helper(model, vocab)
+                    rows = helper.pack_rows(model, vocab, lines)
+                shared = rows is not None
+            yield from _inline_rows(model, vocab, lines) if rows is None else rows
+            if len(lines) < size:
+                return
+            size = EMBED_PACK
+    finally:
+        if helper:  # however the generator ends: exhausted, failed or closed
+            helper.stop()
 
 
 def embed_corpus(model: PretrainModel, vocab: Vocabulary,
                  corpus: Corpus) -> np.ndarray:
     """One x_cls row per molecule, in corpus order."""
-    rows = list(embed_rows(model, vocab, corpus.molecules))
-    return np.stack(rows) if rows else np.zeros((0, model.config.dim))
+    rows = embed_rows(model, vocab, (mol.smiles for mol in corpus.molecules))
+    return np.array(list(rows)).reshape(-1, model.config.dim)
 
 
 def similarity(model: PretrainModel, vocab: Vocabulary,
                smiles_a: str, smiles_b: str) -> float:
     """Cosine similarity of the two molecules' x_cls embeddings."""
-    a, b = _inferred_rows(model, vocab, [parse_molecule(smiles_a),
-                                         parse_molecule(smiles_b)])
+    a, b = _inline_rows(model, vocab, [smiles_a, smiles_b])
     denom = np.linalg.norm(a) * np.linalg.norm(b)
     return float(a @ b / denom) if denom else 0.0
 

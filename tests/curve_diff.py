@@ -31,6 +31,7 @@ default (CMM) strategy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import hashlib
 import json
@@ -53,34 +54,23 @@ FINETUNE_TASKS = {"cls": "nitro_task.tsv", "pair": "nitro_pairs.tsv",
                   "reg": "nitro_task.tsv"}
 
 
-def _openblas(suffix: str, restype, *argtypes):
-    """numpy's bundled OpenBLAS function ``openblas_<suffix>``, under its
-    scipy-openblas, 64-bit or plain name; None if there is none."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        for name in (f"scipy_openblas_{suffix}64_", f"openblas_{suffix}64_",
-                     f"openblas_{suffix}"):
-            function = getattr(ctypes.CDLL(str(lib)), name, None)
-            if function is not None:
-                function.restype, function.argtypes = restype, argtypes
-                return function
-    return None
-
-
 def pin_blas_threads() -> None:
     """Run OpenBLAS on one thread: how many threads split a product decides
     its last bits, so a recording made on one core count is met on any."""
-    set_threads = _openblas("set_num_threads", None, ctypes.c_int)
-    if set_threads is not None:
-        set_threads(1)
+    from chemfuse.nn.blas import set_blas_threads
+
+    with contextlib.suppress(OSError):
+        set_blas_threads(1)
 
 
 def _blas_runtime_config() -> str:
     """OpenBLAS's configuration as loaded, naming the kernel it picked for
     this CPU, and its thread count; the build's own string if the library
     cannot be asked."""
-    query = _openblas("get_config", ctypes.c_char_p)
-    threads = _openblas("get_num_threads", ctypes.c_int)
+    from chemfuse.nn.blas import openblas
+
+    query = openblas("get_config", ctypes.c_char_p)
+    threads = openblas("get_num_threads", ctypes.c_int)
     if query is None or threads is None:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         return str(blas.get("openblas configuration", ""))
@@ -110,13 +100,12 @@ def downstream(ckpt: Path) -> tuple[np.ndarray, dict]:
     T`` (the CLI's defaults otherwise) for each T and FILE of
     ``FINETUNE_TASKS``, all run from the checkpoint ``ckpt`` on disk."""
     from chemfuse.pipeline import (SplitMode, TaskKind, embed_rows, finetune,
-                                   load_pretrained, load_task, parse_molecule)
+                                   load_pretrained, load_task)
 
     from conftest import DATA_DIR, load_corpus_lines
 
     model, vocab, _, _ = load_pretrained(ckpt)
-    rows = np.array(list(embed_rows(model, vocab, map(parse_molecule,
-                                                      load_corpus_lines("golden_500.smi")))))
+    rows = np.array(list(embed_rows(model, vocab, load_corpus_lines("golden_500.smi"))))
     tuned = {}
     for kind, name in FINETUNE_TASKS.items():
         if tuned:  # a fine-tune changes the encoder it tunes

@@ -1,9 +1,15 @@
 """CLI contract tests: formats, exit codes, stream discipline, idempotence."""
 
 import contextlib
+import ctypes
 import io
+import itertools
 import json
+import multiprocessing
+import os
 import shutil
+import signal
+import subprocess
 import struct
 import sys
 import time
@@ -18,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from chemfuse.chem import canonical_key, parse_smiles
 from chemfuse.cli import TRAIN_KEYS, _settings, build_parser, main
 from chemfuse.encoder import ModelConfig
+from chemfuse.errors import InputError
 from chemfuse.masking import MaskConfig, sample_token_mask
 from chemfuse.nn import CheckpointCorrupt
 from chemfuse.pipeline import (
@@ -230,7 +237,7 @@ def test_embed_packs_match_one_molecule_rows(checkpoint, capsys, monkeypatch):
     lines = _embed_lines()
     model, vocab, _, _ = load_pretrained(checkpoint)
     molecules = [parse_molecule(s) for s in lines]
-    rows = list(embed_rows(model, vocab, molecules))
+    rows = list(embed_rows(model, vocab, lines))
     assert len(rows) == len(lines)
     for row, mol in zip(rows, molecules):
         alone = x_cls_of(model, vocab, [mol]).data[0]
@@ -272,6 +279,190 @@ def test_embed_writes_the_first_row_before_reading_the_second_line(checkpoint):
     assert code == 0
     assert rows_written_when_pulled[:2] == [0, 1]
     assert len(out.getvalue().splitlines()) == 3
+
+
+def test_embed_prints_a_row_as_per_field_six_decimal_formats_do(checkpoint, capsys,
+                                                                 monkeypatch):
+    """cmd_embed formats a row with one ``%`` operation; the bytes are those
+    of one ``f"{v:.6f}"`` per field, rounding edges and signed zeros too."""
+    from chemfuse import cli
+
+    edges = [-0.0, -1e-9, 4.9999995e-7, -4.9999995e-7, 5e-7, 123456.789]
+    rows = [np.resize(np.array(edges), 16), np.random.default_rng(0).normal(size=16)]
+    monkeypatch.setattr(cli, "embed_rows", lambda model, vocab, smiles: (row for row in rows))
+    code, out, err = run(capsys, ["embed", "--checkpoint", checkpoint], stdin="CCO\n",
+                         monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["\t".join(f"{v:.6f}" for v in row) for row in rows]
+    assert out.splitlines()[0].split("\t")[:6] == [
+        "-0.000000", "-0.000000", "0.000000", "-0.000000", "0.000000", "123456.789000"]
+
+
+def test_embed_without_a_full_pack_does_not_import_multiprocessing(checkpoint, tmp_path):
+    source = tmp_path / "three.smi"
+    source.write_text("CCO\nCCN\nCC(=O)OC\n")
+    script = ("import sys; from chemfuse.cli import main; "
+              f"code = main(['embed', {str(source)!r}, '--checkpoint', {checkpoint!r}]); "
+              "sys.exit(code or 'multiprocessing' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 3
+
+
+linux_only = pytest.mark.skipif(sys.platform != "linux",
+                                reason="the embed helper is forked on Linux only")
+
+
+def _usable_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _three_pack_lines() -> list[str]:
+    """36 lines: the first alone, three full packs and a part pack, with the
+    one-atom molecules C (line 4, first pack) and [NH4+] (line 25, third)."""
+    lines = load_corpus_lines("golden_500.smi")[:34]
+    lines.insert(3, "C")
+    lines.insert(24, "[NH4+]")
+    return lines
+
+
+def _watch_helpers(monkeypatch) -> list:
+    """Every embed helper started from now on; ``served`` counts the packs
+    each one shared."""
+    from chemfuse import pipeline
+
+    helpers = []
+
+    class Watched(pipeline._Helper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.served = 0
+            helpers.append(self)
+
+        def pack_rows(self, *args):
+            rows = super().pack_rows(*args)
+            self.served += 1
+            return rows
+
+    monkeypatch.setattr(pipeline, "_Helper", Watched)
+    return helpers
+
+
+def _assert_no_helper_left(helpers) -> None:
+    assert multiprocessing.active_children() == []
+    for helper in helpers:
+        with pytest.raises(ProcessLookupError):  # stopped and reaped
+            os.kill(helper.process.pid, 0)
+
+
+@linux_only
+def test_embed_on_two_cpus_prints_what_one_cpu_prints(checkpoint, capsys, monkeypatch):
+    stdin = "\n".join(_three_pack_lines()) + "\n"
+    helpers = _watch_helpers(monkeypatch)
+    outs = []
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        outs.append(run(capsys, ["embed", "--checkpoint", checkpoint], stdin=stdin,
+                        monkeypatch=monkeypatch))
+    assert [helper.served for helper in helpers] == [3]
+    _assert_no_helper_left(helpers)
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0 and len(outs[0][1].splitlines()) == 36
+
+
+@linux_only
+@pytest.mark.parametrize("side", ["helper", "parent"])
+@pytest.mark.parametrize("bad", ["C1CC", "C" * 300])
+def test_embed_prints_rows_before_a_bad_line_on_either_side(checkpoint, capsys, monkeypatch,
+                                                            bad, side):
+    """Line 15 is at position 3 of the second full pack (lines 12-21); the
+    split is forced so that it falls in the ``side`` half."""
+    from chemfuse import pipeline
+
+    lines = _three_pack_lines()
+    _usable_cpus(monkeypatch, 1)
+    _, clean, _ = run(capsys, ["embed", "--checkpoint", checkpoint],
+                      stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch)
+    lines[14] = bad
+    theirs = [1, 3, 5, 7, 9] if side == "helper" else [0, 2, 4, 6, 8]
+    monkeypatch.setattr(pipeline, "_halves", lambda pack: (
+        theirs, [i for i in range(len(pack)) if i not in theirs]))
+    _usable_cpus(monkeypatch, 2)
+    helpers = _watch_helpers(monkeypatch)
+    code, out, err = run(capsys, ["embed", "--checkpoint", checkpoint],
+                         stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch)
+    assert code == 1
+    assert out.splitlines() == clean.splitlines()[:14]
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert [helper.served for helper in helpers] == [1]
+    _assert_no_helper_left(helpers)
+
+
+@linux_only
+def test_embed_helper_is_gone_however_embedding_ends(checkpoint, monkeypatch):
+    """A full run, a generator closed after 12 rows, a bad line, and a helper
+    killed after 12 rows, whose run then ends in one process with the same
+    rows."""
+    model, vocab, _, _ = load_pretrained(checkpoint)
+    lines = _three_pack_lines()
+    _usable_cpus(monkeypatch, 1)
+    alone = np.array(list(embed_rows(model, vocab, lines)))
+    _usable_cpus(monkeypatch, 2)
+    helpers = _watch_helpers(monkeypatch)
+
+    np.testing.assert_allclose(list(embed_rows(model, vocab, lines)), alone, rtol=0, atol=1e-12)
+    _assert_no_helper_left(helpers)
+
+    rows = embed_rows(model, vocab, lines)
+    np.testing.assert_allclose([next(rows) for _ in range(12)], alone[:12], rtol=0, atol=1e-12)
+    rows.close()
+    _assert_no_helper_left(helpers)
+
+    with pytest.raises(InputError):
+        list(embed_rows(model, vocab, lines[:14] + ["C1CC"] + lines[15:]))
+    _assert_no_helper_left(helpers)
+
+    rows = embed_rows(model, vocab, lines)
+    got = [next(rows) for _ in range(12)]
+    pid = helpers[-1].process.pid
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 10
+    while not os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG):  # dead, unreaped
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    got += list(rows)
+    np.testing.assert_allclose(got, alone, rtol=0, atol=1e-12)
+    assert [helper.served for helper in helpers] == [3, 2, 1, 2]
+    _assert_no_helper_left(helpers)
+
+
+@linux_only
+def test_embed_runs_blas_on_one_thread_only_while_it_shares_a_pack(checkpoint, monkeypatch):
+    """Two processes of two OpenBLAS threads each on two CPUs ran several
+    times slower than one; the caller's count holds while rows are yielded."""
+    from chemfuse import pipeline
+    from chemfuse.nn.blas import openblas, set_blas_threads
+
+    threads = openblas("get_num_threads", ctypes.c_int)
+    if threads is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    encoding, inline_rows = [], pipeline._inline_rows
+    monkeypatch.setattr(pipeline, "_inline_rows",
+                        lambda *args: encoding.append(threads()) or inline_rows(*args))
+    model, vocab, _, _ = load_pretrained(checkpoint)
+    _usable_cpus(monkeypatch, 2)
+    helpers = _watch_helpers(monkeypatch)
+    old = set_blas_threads(2)
+    try:
+        rows = embed_rows(model, vocab, _three_pack_lines())
+        seen = [threads() for _ in itertools.islice(rows, 12)]
+        rows.close()
+        assert seen == [2] * 12 and encoding == [2, 1, 1] and threads() == 2
+    finally:
+        set_blas_threads(old)
+    assert [helper.served for helper in helpers] == [2]
+    _assert_no_helper_left(helpers)
 
 
 @pytest.mark.parametrize("smiles", ["C(.)", "CC(.)"])

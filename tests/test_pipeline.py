@@ -643,6 +643,15 @@ def test_similarity_self_is_one():
         assert -1.0 <= value < 1.0
 
 
+def test_halves_put_the_heaviest_line_first_and_each_line_in_the_lighter_half():
+    from chemfuse.pipeline import _halves
+
+    # Costs 25, 1, 16, 9 by len ** 2: 25 | 16, then 9 joins 16, then 1 joins 25.
+    assert _halves(["C" * 5, "C", "C" * 4, "C" * 3]) == ([0, 1], [2, 3])
+    # One heavy line outweighs nine light ones; ties go in input order.
+    assert _halves(["CC"] * 4 + ["C" * 20] + ["CC"] * 5) == ([4], [0, 1, 2, 3, 5, 6, 7, 8, 9])
+
+
 def test_fragment_map_is_built_on_first_read(monkeypatch):
     """Embedding never reads a molecule's fragment map, so none is built;
     the first read builds it once."""
@@ -654,10 +663,10 @@ def test_fragment_map_is_built_on_first_read(monkeypatch):
     built = []
     monkeypatch.setattr(pipeline, "build_fragment_map",
                         lambda tokens, graph: built.append(graph) or real(tokens, graph))
-    molecules = [parse_molecule(s) for s in ("CCO", "c1ccccc1N", "CC(=O)OC")]
-    assert len(list(pipeline.embed_rows(model, vocab, molecules))) == 3
+    smiles = ("CCO", "c1ccccc1N", "CC(=O)OC")
+    assert len(list(pipeline.embed_rows(model, vocab, smiles))) == 3
     assert built == []
-    mol = molecules[2]
+    mol = parse_molecule(smiles[2])
     assert mol.fragment_map == real(mol.tokens, mol.graph)
     assert mol.fragment_map is mol.fragment_map
     assert built == [mol.graph]
