@@ -12,10 +12,10 @@ Every forward is packed: any number of views run as one pass, their rows
 concatenated without padding. Row-wise layers see one matrix, attention
 runs each view (a blocked view: each modality) within itself, and the GCN
 runs over the disjoint union of the graphs, so encoding one molecule is
-the one-view case. Packing keeps a view's arithmetic only while the union
-stays at a few hundred atoms: past that OpenBLAS sums ``gcn_layer``'s
-``adj @ h`` in blocks, and packs of ten 40-100 atom molecules gave
-``x_cls`` rows unlike their two halves' in 59 of 800, by at most 6.7e-16.
+the one-view case. The GCN sums each atom's neighbours in ascending order
+from the union's neighbour table, so a view's rows are bitwise the same in
+any pack as alone (a one-atom molecule alone takes numpy's matrix-vector
+path, so its last bits may differ).
 """
 
 from __future__ import annotations
@@ -260,13 +260,13 @@ class MoleculeEncoder:
         """GCN over the disjoint union of ``graphs``, projected to dim.
 
         Atom rows come graph after graph; ``masked_atoms[k]`` (default:
-        none) lists the masked atoms of graph k. The union's operators are
-        built once and shared by every GCN layer.
+        none) lists the masked atoms of graph k. The union's neighbour
+        table and bond sums are built once and shared by every GCN layer.
         """
-        atom_feats, adj, edge_sum = graph_union(graphs, masked_atoms)
+        atom_feats, neighbours, edge_sum = graph_union(graphs, masked_atoms)
         h = affine(constant(atom_feats), self.gnn_in_w, self.gnn_in_b)
         for block in self.gnn_blocks:
-            h = gcn_layer(h, adj, edge_sum, block)
+            h = gcn_layer(h, neighbours, edge_sum, block)
         return affine(h, self.gnn_out_w, self.gnn_out_b)
 
     # --------------------------------------------------------------- encoder
@@ -406,12 +406,13 @@ def _sides(items: Sequence, masks: Sequence[tuple[int, ...]], rows
 def graph_union(graphs: Sequence[MolecularGraph],
                 masked_atoms: Sequence[tuple[int, ...]] = ()
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Atom features, block-diagonal neighbour-sum operator and per-atom
-    summed bond features of the disjoint union of ``graphs``.
+    """Atom features, neighbour table and per-atom summed bond features of
+    the disjoint union of ``graphs``.
 
     Atoms are numbered graph after graph. ``masked_atoms[k]`` (default:
     none) lists atoms of graph k whose features, and whose bonds' features,
-    are replaced by the mask rows.
+    are replaced by the mask rows. Row i of the neighbour table lists atom
+    i's neighbours in ascending order, padded with the atom count.
     """
     masked_atoms = masked_atoms or [()] * len(graphs)
     atom_rows, bond_rows, ends, masked = [], [], [], []
@@ -431,12 +432,13 @@ def graph_union(graphs: Sequence[MolecularGraph],
         is_masked[masked] = True
         atom_feats[is_masked] = masked_atom_row()
         bond_feats[is_masked[ends].any(axis=1)] = masked_bond_row()
-    adj = np.zeros((offset, offset))
-    adj[ends.ravel(), ends[:, ::-1].ravel()] = 1.0
+    atoms, others = np.divmod(np.sort((ends @ [[offset, 1], [1, offset]]).ravel()), offset)
+    neighbours = np.full((offset, np.bincount(atoms).max(initial=0)), offset)
+    neighbours[atoms, np.arange(atoms.size) - np.searchsorted(atoms, atoms)] = others
     # One scatter over the endpoints interleaved in bond order (a0, b0, a1,
     # ...) adds each row's terms in the order the bonds list them.
     edge_sum = scatter_add_rows(ends.ravel(), np.repeat(bond_feats, 2, axis=0), offset)
-    return atom_feats, adj, edge_sum
+    return atom_feats, neighbours, edge_sum
 
 
 @once_per_graph

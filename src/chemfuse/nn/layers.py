@@ -182,6 +182,16 @@ def multi_head_attention(x: Tensor, heads: int, params: AttentionParams,
     return _node(out_data, (x, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo), bwd)
 
 
+def _neighbour_sum(rows: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """Row i sums the rows ``neighbours[i]`` names, in table order, as an unblocked
+    0/1 product adds them; the pad index ``len(rows)`` names a zero row."""
+    padded = np.concatenate([rows, np.zeros((1, rows.shape[1]))])
+    total = np.zeros_like(rows)
+    for column in neighbours.T:
+        total += padded[column]
+    return total
+
+
 @dataclass
 class GcnLayerParams:
     """Weights of one residual message-passing layer."""
@@ -192,20 +202,20 @@ class GcnLayerParams:
     ln_beta: Tensor
 
 
-def gcn_layer(atom_states: Tensor, adj: np.ndarray, edge_sum: np.ndarray,
+def gcn_layer(atom_states: Tensor, neighbours: np.ndarray, edge_sum: np.ndarray,
               params: GcnLayerParams) -> Tensor:
     """h_i' = LayerNorm(h_i + ReLU(W (h_i + sum_j (h_j + proj(e_ij))))).
 
-    ``adj`` is the molecule's (m x m) neighbour-sum operator and
-    ``edge_sum`` holds each atom's summed bond features (m x bond width),
-    both built once per graph view; isolated atoms see only the self term.
+    ``neighbours`` lists each atom's neighbours, padded with m, and ``edge_sum``
+    holds its summed bond features, both built once per graph union; isolated
+    atoms see only the self term. The sum is symmetric: the backward reuses it.
     """
-    if atom_states.shape[0] != adj.shape[0]:
+    if atom_states.shape[0] != neighbours.shape[0]:
         raise ShapeMismatch(
-            f"{atom_states.shape[0]} state rows for {adj.shape[0]} atoms")
+            f"{atom_states.shape[0]} state rows for {neighbours.shape[0]} atoms")
     p = params
     h = atom_states.data
-    inner = h + (adj @ h + edge_sum @ p.bond_w.data)
+    inner = h + (_neighbour_sum(h, neighbours) + edge_sum @ p.bond_w.data)
     pre = inner @ p.w.data
     active = pre > 0
     out_data, xhat, inv = _layer_norm_forward(h + pre * active, p.ln_gamma, p.ln_beta)
@@ -217,6 +227,6 @@ def gcn_layer(atom_states: Tensor, adj: np.ndarray, edge_sum: np.ndarray,
         d_inner = d_pre @ p.w.data.T
         _accumulate(p.bond_w, edge_sum.T @ d_inner)
         if atom_states.requires:
-            _accumulate(atom_states, d_res + d_inner + adj.T @ d_inner)
+            _accumulate(atom_states, d_res + d_inner + _neighbour_sum(d_inner, neighbours))
 
     return _node(out_data, (atom_states, p.w, p.bond_w, p.ln_gamma, p.ln_beta), bwd)

@@ -663,8 +663,7 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
 
     A training minibatch is one packed forward per side. Evaluation, and a
     frozen encoder, which encodes the task once, also pack ``batch_size``
-    molecules per forward, which bounds the dense graph-union operator, and
-    run without a tape.
+    molecules per forward, and run without a tape.
     Selects the epoch with the best validation loss, then reports test
     metrics; a single-class test split reports ROC-AUC as NaN with a
     warning. The training values are range-checked as pretraining's are;
@@ -752,10 +751,9 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
 # ------------------------------------------------------------------- embedding
 
 #: Lines per ``embed_rows`` pack after the first. A pack holds its rows back
-#: until it is full, and its dense graph union grows with the square of its
-#: atoms: on the benchmark's ``embed_mixed`` corpus 5, 10 and 20 ran at the
-#: same throughput, and 20 took the tail op time from about 50 to 95 ms. On two
-#: CPUs a ``_Helper`` process encodes half of each; ``taskset -c 0`` stops it.
+#: until it is full: on the benchmark's ``embed_mixed`` corpus 5, 10 and 20
+#: ran at the same throughput, and 20 took the tail op time from about 50 to
+#: 95 ms. On two CPUs a ``_Helper`` process encodes half of each; ``taskset -c 0`` stops it.
 EMBED_PACK = 10
 
 

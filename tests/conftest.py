@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from chemfuse.chem import Atom, Bond, MolecularGraph
@@ -50,17 +49,6 @@ def permute_graph(graph: MolecularGraph, rng: random.Random) -> MolecularGraph:
         out.add_bond(Bond(a=inverse[b.a], b=inverse[b.b], order=b.order))
     out.mark_rings()
     return out
-
-
-def graph_operators(graph: MolecularGraph, bond_features: np.ndarray):
-    """The GCN's dense neighbour-sum operator and per-atom summed bond features."""
-    adj = np.zeros((graph.m, graph.m))
-    edge_sum = np.zeros((graph.m, bond_features.shape[1]))
-    for bi, bond in enumerate(graph.bonds):
-        adj[bond.a, bond.b] = adj[bond.b, bond.a] = 1.0
-        edge_sum[bond.a] += bond_features[bi]
-        edge_sum[bond.b] += bond_features[bi]
-    return adj, edge_sum
 
 
 @pytest.fixture(scope="session")

@@ -163,18 +163,12 @@ def curve_diff(old: np.ndarray, new: np.ndarray) -> tuple[dict[str, float], int 
 
 
 def record(out: Path, strategy: str) -> None:
-    from chemfuse.masking import MaskConfig, Strategy
-    from chemfuse.pipeline import TrainConfig, ingest, pretrain
+    from chemfuse.masking import Strategy
 
-    from conftest import DATA_DIR
-    from test_acceptance import SMOKE_MODEL
+    from test_acceptance import smoke_pretrain
 
-    corpus = ingest(DATA_DIR / "toy_200.smi")
     with tempfile.TemporaryDirectory() as ckpt:
-        _, _, _, history = pretrain(
-            corpus, MaskConfig(seed=7, strategy=Strategy(strategy)),
-            TrainConfig(epochs=30, batch_size=16, seed=7),
-            model_kwargs=dict(SMOKE_MODEL), checkpoint_dir=ckpt)
+        _, (_, _, _, history) = smoke_pretrain(ckpt, Strategy(strategy))
         write_recording(out, history, Path(ckpt))
 
 

@@ -566,11 +566,12 @@ def murcko_keep(graph: MolecularGraph) -> list[int]:
 # ------------------------------------------------------------------- encoder
 
 def graph_union(graphs, masked_atoms=()):
-    """``encoder.graph_union`` bond by bond: each bond sets its two adjacency
-    entries and adds its feature row to both end atoms' sums in turn."""
+    """``encoder.graph_union`` bond by bond: each bond adds each end atom to
+    the other's neighbour list and its feature row to both end atoms' sums
+    in turn. The lists are then sorted and padded with the atom count."""
     masked_atoms = masked_atoms or [()] * len(graphs)
     total = sum(graph.m for graph in graphs)
-    adj = np.zeros((total, total))
+    neighbour_lists = [[] for _ in range(total)]
     edge_sum = np.zeros((total, BOND_FEATURE_DIM))
     atom_rows = []
     offset = 0
@@ -583,12 +584,27 @@ def graph_union(graphs, masked_atoms=()):
             if bond.a in masked or bond.b in masked:
                 bond_feats[bi] = masked_bond_row()
             a, b = offset + bond.a, offset + bond.b
-            adj[a, b] = adj[b, a] = 1.0
+            neighbour_lists[a].append(b)
+            neighbour_lists[b].append(a)
             edge_sum[a] += bond_feats[bi]
             edge_sum[b] += bond_feats[bi]
         atom_rows.append(atom_feats)
         offset += graph.m
-    return np.concatenate(atom_rows), adj, edge_sum
+    width = max(map(len, neighbour_lists), default=0)
+    neighbours = np.array([sorted(js) + [total] * (width - len(js)) for js in neighbour_lists],
+                          dtype=np.int64).reshape(total, width)
+    return np.concatenate(atom_rows), neighbours, edge_sum
+
+
+def neighbour_sum(rows, neighbours):
+    """Each row of ``rows`` summed over the row ids ``neighbours`` lists,
+    one addition at a time; ids of ``len(rows)`` or more are padding."""
+    out = np.zeros_like(rows)
+    for i, ids in enumerate(neighbours):
+        for j in ids:
+            if j < len(rows):
+                out[i] += rows[j]
+    return out
 
 
 # -------------------------------------------------------------------- nn ops

@@ -2,25 +2,31 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 pass. The pretraining smoke (criterion 5) is shared with the determinism
-check (criterion 9), which repeats it with the same seed and compares
-checkpoint bytes, and with the comparison against its recorded reference
-in ``data/smoke_reference``.
+check (criterion 9), which compares its checkpoint bytes with those of the
+same run repeated with the same seed in a child process, and with the
+comparison against its recorded reference in ``data/smoke_reference``.
 """
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import chemfuse
 from chemfuse.chem import are_isomorphic, parse_smiles, tokenize, write_smiles
-from chemfuse.encoder import ModelConfig
+from chemfuse.encoder import ModelConfig, graph_union
 from chemfuse.fragments import build_fragment_map, label_smiles_tokens
 from chemfuse.masking import (
     MaskConfig,
     Modality,
+    Strategy,
     mask_count,
     sample_fragment_mask,
     sample_token_mask,
@@ -38,7 +44,7 @@ from chemfuse.pipeline import (
     pretrain,
 )
 
-from conftest import DATA_DIR, graph_operators
+from conftest import DATA_DIR
 from curve_diff import (
     EMBED_HEAD,
     FINETUNE_TASKS,
@@ -64,18 +70,50 @@ SMOKE_MODEL = dict(dim=64, transformer_layers=2, heads=4, gnn_layers=3,
 SMOKE_REFERENCE = DATA_DIR / "smoke_reference"
 
 
+#: Seconds criterion 9's repeat may run, from its start, before it fails.
+REPEAT_TIMEOUT = 300.0
+#: Criterion 9's repeat, as a child process runs it: OpenBLAS on one thread,
+#: as in this suite, and the checkpoint written to ``argv[1]``.
+REPEAT = ("import sys\nfrom curve_diff import pin_blas_threads\n"
+          "from test_acceptance import smoke_pretrain\n"
+          "pin_blas_threads()\nsmoke_pretrain(sys.argv[1])\n")
+
+
+def smoke_pretrain(checkpoint_dir, strategy=Strategy.CMM):
+    """The smoke pretraining of criteria 5 and 9 and of the recorded
+    reference (``toy_200.smi``, 30 epochs, batch 16, seed 7): its corpus and
+    what ``pretrain`` returns."""
+    corpus = ingest(DATA_DIR / "toy_200.smi")
+    return corpus, pretrain(corpus, MaskConfig(seed=7, strategy=strategy),
+                            TrainConfig(epochs=30, batch_size=16, seed=7),
+                            model_kwargs=dict(SMOKE_MODEL), checkpoint_dir=checkpoint_dir)
+
+
 @pytest.fixture(scope="module")
 def smoke_run(tmp_path_factory):
-    corpus = ingest(DATA_DIR / "toy_200.smi")
-    assert len(corpus) == 200
-    ckpt = tmp_path_factory.mktemp("smoke") / "ckpt"
-    start = time.time()
-    model, vocab, ctx, history = pretrain(
-        corpus, MaskConfig(seed=7), TrainConfig(epochs=30, batch_size=16, seed=7),
-        model_kwargs=dict(SMOKE_MODEL), checkpoint_dir=ckpt)
-    runtime = time.time() - start
-    return SimpleNamespace(corpus=corpus, model=model, vocab=vocab, ctx=ctx,
-                           history=history, ckpt=ckpt, runtime=runtime)
+    """The smoke pretraining, with criterion 9's repeat started first in a
+    child process that runs beside it; the child is stopped when the module
+    ends."""
+    work = tmp_path_factory.mktemp("smoke")
+    path = [str(Path(__file__).parent), str(Path(chemfuse.__file__).parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    with (work / "repeat.err").open("w") as err:
+        repeat = subprocess.Popen(
+            [sys.executable, "-c", REPEAT, str(work / "repeat")], stdout=subprocess.DEVNULL,
+            stderr=err, env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    try:
+        deadline = time.monotonic() + REPEAT_TIMEOUT
+        start = time.time()
+        corpus, (model, vocab, ctx, history) = smoke_pretrain(work / "ckpt")
+        runtime = time.time() - start
+        assert len(corpus) == 200
+        yield SimpleNamespace(corpus=corpus, model=model, vocab=vocab, ctx=ctx,
+                              history=history, ckpt=work / "ckpt", runtime=runtime,
+                              repeat=repeat, repeat_ckpt=work / "repeat",
+                              repeat_err=work / "repeat.err", repeat_deadline=deadline)
+    finally:
+        repeat.kill()
+        repeat.wait()
 
 
 # --------------------------------------------------------------- criterion 1
@@ -150,7 +188,7 @@ def test_criterion_3_gradient_suite():
     graph, _ = parse_smiles("CC(=O)N")
     from chemfuse.features import featurize
     _, bond_feats = featurize(graph)
-    ops = graph_operators(graph, bond_feats)
+    ops = graph_union([graph])[1:]
     for trial in range(5):
         ap = AttentionParams(
             rp("wq", 4, 4), rp("bq", 1, 4), rp("wk", 4, 4), rp("bk", 1, 4),
@@ -471,12 +509,16 @@ def test_criterion_8_masking_accounting():
 
 # --------------------------------------------------------------- criterion 9
 
-def test_criterion_9_determinism(smoke_run, tmp_path):
-    corpus = ingest(DATA_DIR / "toy_200.smi")
-    ckpt = tmp_path / "repeat"
-    pretrain(corpus, MaskConfig(seed=7),
-             TrainConfig(epochs=30, batch_size=16, seed=7),
-             model_kwargs=dict(SMOKE_MODEL), checkpoint_dir=ckpt)
+def test_criterion_9_determinism(smoke_run):
+    """The fixture's smoke pretraining and its repeat in a child process
+    write byte-identical checkpoints."""
+    try:
+        smoke_run.repeat.wait(timeout=max(0.0, smoke_run.repeat_deadline - time.monotonic()))
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"the repeat ran past {REPEAT_TIMEOUT:.0f} s; its stderr:\n"
+                    + smoke_run.repeat_err.read_text())
+    assert smoke_run.repeat.returncode == 0, smoke_run.repeat_err.read_text()
+    ckpt = smoke_run.repeat_ckpt
     first = (smoke_run.ckpt / "params.bin").read_bytes()
     second = (ckpt / "params.bin").read_bytes()
     assert first == second

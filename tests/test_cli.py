@@ -233,21 +233,53 @@ def _embed_lines() -> list[str]:
     return lines
 
 
+#: Ten 40-100 atom molecules, 837 atoms in all, from the benchmark
+#: generator's ``large_corpus(1, 600)``: packed, and in the two halves a
+#: helper process splits them into, their graph union passes 384 atoms,
+#: where OpenBLAS's SkylakeX kernels sum a dense product in blocks. A dense
+#: neighbour operator made two of these rows packed, and one in halves,
+#: unlike the molecule's row alone.
+LARGE_MOLECULES = [
+    "COc1ccc(cc1)c1ccc(o1)NC(=O)NNC(=O)Nc1ccncc1c1ccc(o1)C(=O)ON1CCN(CC1)NC(=O)NOC1CCN(CC"
+    "1)CCCC1CCC(CC1)C1CCC(CC1)C(=O)OCCCNc1ccc(cc1)C(=O)N",
+    "Cc1cc(F)ccc1C(C)(C)C(C)(C)C(=O)OC1CCC(CC1)NC(C)(C)C=COC(F)(F)CCCc1ccncc1c1ccc2ccccc2"
+    "c1c1ccc(cc1)c1ccc(o1)C(=O)NCCCC(F)(F)c1cc(F)ccc1Cl",
+    "Clc1ccc(cc1)NC(=O)Nc1ccccc1c1ccncc1CCCc1ccncc1C(Cl)c1cc(F)ccc1C(F)(F)c1ccccc1CCC(Cl)"
+    "C1CCN(CC1)c1cc(F)ccc1C1CCN(CC1)c1ccccc1O",
+    "FC(F)(F)N1CCN(CC1)SCCCSC1CCN(CC1)C(F)(F)C(=O)NC(Cl)C(=O)CCCc1ccncc1C(Cl)C(C)(C)c1ccc"
+    "2ccccc2c1C(C)(C)CCNC(=O)NC(F)(F)c1ccccc1C#CC(=O)c1ccc2ccccc2c1C",
+    "CC(=O)NCCCc1ccc(o1)C(=O)Oc1ccc(o1)C#CNC(Cl)N1CCN(CC1)NC(=O)NC#Cc1ccc(o1)NC1CCN(CC1)C"
+    "(=O)Oc1ccc(o1)C(C)(C)NC(=O)NC(F)(F)c1ccc(o1)C(=O)Oc1ccccc1",
+    "CN(C)C(F)(F)CCCC1CCN(CC1)c1ccc(o1)c1ccc(o1)C(=O)C#CCCCNCCc1ccc2ccccc2c1NC(=O)NC(F)(F"
+    ")C#Cc1ccc(o1)c1ccc(cc1)c1cc(F)ccc1C(C)(C)C#CNCCCC#N",
+    "N#CC(=O)OCCc1ccc(cc1)OC(F)(F)c1ccc(cc1)CCCc1cc(F)ccc1C=CC#CC(C)(C)c1ccncc1c1cc(F)ccc"
+    "1c1ccc(cc1)C(F)(F)N1CCN(CC1)N1CCN(CC1)C(=O)c1ccncc1N",
+    "CC(C)C(=O)NC(C)(C)NC(=O)NNC(=O)NN1CCN(CC1)C(Cl)CC(O)CCCCCCc1ccccc1c1ccc(o1)C1CCN(CC1"
+    ")CCCCCCC(Cl)C(=O)SSN1CCN(CC1)C1CCN(CC1)C(=O)Oc1ccc(cc1)C(F)(F)F",
+    "FC(F)(F)CC(O)Cc1ccc2ccccc2c1c1ccncc1C1CCC(CC1)N1CCN(CC1)N1CCN(CC1)C(C)(C)c1ccc(cc1)C"
+    "(=O)OC#Cc1ccc(o1)C(F)(F)c1ccc(o1)OC#CC=Cc1ccc(o1)C=CC(=O)OC(F)(F)F",
+    "CC1CCC(CC1)C1CCC(CC1)C#CCCCC#CCC(O)CC=Cc1ccccc1c1ccccc1Nc1cc(F)ccc1NC(F)(F)c1ccc(cc1"
+    ")c1ccccc1C(F)(F)c1ccncc1c1ccc2ccccc2c1C#N",
+]
+
+
 def test_embed_packs_match_one_molecule_rows(checkpoint, capsys, monkeypatch):
-    lines = _embed_lines()
+    """Packed rows, split into halves on two CPUs, equal each molecule's
+    row alone, for small molecules and for a pack of ten large ones."""
     model, vocab, _, _ = load_pretrained(checkpoint)
-    molecules = [parse_molecule(s) for s in lines]
-    rows = list(embed_rows(model, vocab, lines))
-    assert len(rows) == len(lines)
-    for row, mol in zip(rows, molecules):
-        alone = x_cls_of(model, vocab, [mol]).data[0]
-        np.testing.assert_allclose(row, alone, rtol=0, atol=1e-12)
-        if mol.graph.m >= 2:
-            np.testing.assert_array_equal(row, alone)
-    code, out, err = run(capsys, ["embed", "--checkpoint", checkpoint],
-                         stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch)
-    assert code == 0 and err == ""
-    assert out.splitlines() == ["\t".join(f"{v:.6f}" for v in row) for row in rows]
+    for lines in (_embed_lines(), ["CCO"] + LARGE_MOLECULES):
+        molecules = [parse_molecule(s) for s in lines]
+        rows = list(embed_rows(model, vocab, lines))
+        assert len(rows) == len(lines)
+        for row, mol in zip(rows, molecules):
+            alone = x_cls_of(model, vocab, [mol]).data[0]
+            np.testing.assert_allclose(row, alone, rtol=0, atol=1e-12)
+            if mol.graph.m >= 2:
+                np.testing.assert_array_equal(row, alone)
+        code, out, err = run(capsys, ["embed", "--checkpoint", checkpoint],
+                             stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch)
+        assert code == 0 and err == ""
+        assert out.splitlines() == ["\t".join(f"{v:.6f}" for v in row) for row in rows]
 
 
 @pytest.mark.parametrize("bad_line,bad", [(5, "C1CC"), (13, "C" * 300)])
