@@ -3,11 +3,12 @@
 The pretraining step realizes the four-objective sum per batch: every
 molecule contributes one token-masked view and one fragment-masked view
 (strategy CMM), a clean view (alignment, matching positives, domain
-targets), and one mismatched-pair view for matching negatives. All views
-of a step run through one ``MoleculeEncoder.encode`` call, which embeds
-each distinct (molecule, mask) side once: every view that leaves a side
-unmasked, and every mismatched pair, reuses the clean side. One optimizer
-step runs per batch under a linear warmup / linear decay schedule.
+targets), and one mismatched-pair view for matching negatives. The masked
+views make the CMM tape and the others the alignment tape, each one
+``MoleculeEncoder.encode`` call, which embeds each distinct (molecule,
+mask) side once per tape. The gradient is the sum of the two tapes'; on two
+CPUs a forked helper process runs the CMM tape. One optimizer step runs per
+batch under a linear warmup / linear decay schedule.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import contextlib
 import functools
 import gc
 import math
+import mmap
 import os
 import signal
 import sys
@@ -43,7 +45,6 @@ from .features import (
 from .fragments import FragmentMap, build_fragment_map
 from .masking import (
     MaskConfig,
-    MaskedSample,
     Strategy,
     Vocabulary,
     build_context_vocab,
@@ -130,18 +131,17 @@ def _diverges_at(where: str, shown: set) -> Iterator[None]:
                                    source=w.source)
 
 
-def _train_step(forward, params: list[Parameter], optimizer: AdamState,
+def _train_step(tapes, params: list[Parameter], optimizer: AdamState,
                 where: str, shown: set):
-    """One optimizer step of ``optimizer`` over ``params``. ``forward()``
-    builds the loss tape and returns ``(loss, report)``; the report is
-    returned. A NaN or infinity raises TrainingDiverged naming ``where``, as
-    ``_diverges_at`` does. The tape is dropped before the update."""
+    """One optimizer step of ``optimizer`` over ``params``. ``tapes()`` builds
+    the step's loss tapes, runs their backward into the zeroed gradients of
+    ``params`` and returns the step's report, which is returned. A NaN or
+    infinity raises TrainingDiverged naming ``where``, as ``_diverges_at``
+    does. The tapes are dropped before the update."""
     with _diverges_at(where, shown):
-        loss, report = forward()
         for p in params:
             p.zero_grad()
-        backward(loss)
-        del loss
+        report = tapes()
     adam_step(params, optimizer)
     return report
 
@@ -385,22 +385,14 @@ def derangement(n: int) -> list[int]:
     return [(i + 1) % n for i in range(n)]
 
 
-def _step_losses(model: PretrainModel, records: list[MoleculeRecord],
-                 mask_cfg: MaskConfig, epoch: int,
-                 base_index: int, train_seed: int) -> tuple:
-    """Encode every view of one batch of ``records`` in one packed pass and
-    assemble the total loss; ``base_index`` is the position of the batch's
-    first record in the epoch, which seeds its masks.
-
-    The views run token-masked, fragment-masked (CMM only), clean, then
-    mismatched (clean SMILES of molecule i with the clean graph of its
-    derangement partner), one per molecule each. A masked view keeps only
-    the rows of its masked positions, the rows its loss reads.
-    """
-    enc = model.encoder
-    heads = model.heads
+def _cmm_losses(model: PretrainModel, records: list[MoleculeRecord], mask_cfg: MaskConfig,
+                epoch: int, base_index: int, train_seed: int) -> tuple[Tensor, Tensor, float]:
+    """The CMM tape of one batch of ``records``: its token-masked views, then
+    its fragment-masked views (CMM only), one per molecule each, in one packed
+    pass, each keeping only the rows its loss reads; ``l_t``, ``l_f`` and the
+    masked-token accuracy. ``base_index``, the position of the batch's first
+    record in the epoch, seeds the masks."""
     b = len(records)
-    block = mask_cfg.strategy is Strategy.SINGLE_MODALITY
     tok_samples, frag_samples = [], []
     for i, rec in enumerate(records):
         rng = _record_rng(train_seed, epoch, base_index + i)
@@ -409,52 +401,133 @@ def _step_losses(model: PretrainModel, records: list[MoleculeRecord],
             frag_samples.append(sample_fragment_mask(rec, mask_cfg, rng))
         else:
             tok_samples.append(sample_ablation_mask(rec, mask_cfg, rng))
+    samples = tok_samples + frag_samples
+    views = records * (len(samples) // b)
+    encoding = model.encoder.encode(
+        [rec.token_ids for rec in views], [rec.graph for rec in views],
+        [s.masked_token_positions for s in samples], [s.masked_atom_positions for s in samples],
+        [mask_cfg.strategy is Strategy.SINGLE_MODALITY] * b + [False] * len(frag_samples),
+        read=[s.masked_token_positions + tuple(len(rec.token_ids) + j
+                                               for j in s.masked_atom_positions)
+              for rec, s in zip(views, samples)])
+    l_t, tok_aux = loss_cmm_token(encoding.views(range(b)), tok_samples, model.heads)
+    l_f = (loss_cmm_fragment(encoding.views(range(b, 2 * b)), frag_samples, model.heads)[0]
+           if frag_samples else constant(0.0))
+    return l_t, l_f, tok_aux.get("mlm_accuracy", float("nan"))
+
+
+def _alignment_losses(model: PretrainModel,
+                      records: list[MoleculeRecord]) -> tuple[Tensor, Tensor, Tensor, float]:
+    """The alignment tape of one batch of ``records``: its clean views, then
+    its mismatched views (the SMILES of molecule i with the graph of its
+    derangement partner), one per molecule each, in one packed pass;
+    ``l_fla``, ``l_sgm``, ``l_dkl`` and the matching accuracy."""
+    enc, heads, b = model.encoder, model.heads, len(records)
     partners = derangement(b) if b > 1 else []
-    clean = MaskedSample()
-    views = ([(rec, rec, s, block) for rec, s in zip(records, tok_samples)]
-             + [(rec, rec, s, False) for rec, s in zip(records, frag_samples)]
-             + [(rec, rec, clean, False) for rec in records]
-             + [(records[i], records[j], clean, False) for i, j in enumerate(partners)])
-    s_recs, g_recs, samples, blocked = zip(*views)
-    reads = [None if s is clean else s.masked_token_positions
-             + tuple(len(rec.token_ids) + j for j in s.masked_atom_positions)
-             for rec, s in zip(s_recs, samples)]
-    encoding = enc.encode([rec.token_ids for rec in s_recs], [rec.graph for rec in g_recs],
-                          [s.masked_token_positions for s in samples],
-                          [s.masked_atom_positions for s in samples], blocked, read=reads)
-    first_clean = b + len(frag_samples)
-    clean_views = encoding.views(range(first_clean, first_clean + b))
-
-    l_t, tok_aux = loss_cmm_token(encoding.views(range(b)), tok_samples, heads)
-    if frag_samples:
-        l_f, _ = loss_cmm_fragment(encoding.views(range(b, first_clean)),
-                                   frag_samples, heads)
-    else:
-        l_f = constant(0.0)
-
-    f_s, f_g = enc.pool_fragments(clean_views, [rec.fragment_map for rec in records])
-    fla_aux = {}
+    encoding = enc.encode([rec.token_ids for rec in records] * (1 + bool(partners)),
+                          [rec.graph for rec in records] + [records[j].graph for j in partners])
+    clean = encoding.views(range(b))
     try:
-        l_fla, fla_aux = loss_fla(f_s, f_g)
+        l_fla, _ = loss_fla(*enc.pool_fragments(clean, [rec.fragment_map for rec in records]))
     except SingleFragmentBatch:
         l_fla = constant(0.0)
-
     sgm_aux = {}
     if partners:
-        neg = encoding.views(range(first_clean + b, first_clean + 2 * b)).x_cls
-        l_sgm, sgm_aux = loss_sgm(clean_views.x_cls, neg, heads)
+        l_sgm, sgm_aux = loss_sgm(clean.x_cls, encoding.views(range(b, 2 * b)).x_cls, heads)
     else:
         l_sgm = constant(0.0)
-
-    l_dkl, _ = loss_dkl(clean_views.x_cls,
-                        [rec.fingerprint_bits for rec in records],
+    l_dkl, _ = loss_dkl(clean.x_cls, [rec.fingerprint_bits for rec in records],
                         [rec.group_bits for rec in records], heads)
+    return l_fla, l_sgm, l_dkl, sgm_aux.get("sgm_accuracy", float("nan"))
 
-    total, report = total_loss(
-        l_t, l_f, l_fla, l_sgm, l_dkl,
-        mlm_accuracy=tok_aux.get("mlm_accuracy", float("nan")),
-        sgm_accuracy=sgm_aux.get("sgm_accuracy", float("nan")))
-    return total, report, fla_aux
+
+class _PretrainStep:
+    """The two tapes of each step of a run over ``records``, called with a
+    batch's record indices, epoch and base index: it adds the CMM tape's
+    gradients, ``grads``, to the alignment tape's and returns the report.
+    On two CPUs a ``_Helper`` runs the CMM tape meanwhile, reading the
+    weights and writing ``grads`` in a shared mapping made before the fork;
+    both processes run OpenBLAS on one thread until ``stop``. On one CPU, or
+    once the helper has died, the CMM tape runs here. The sum is the same
+    either way, so the bits do not depend on where the CMM tape ran."""
+
+    def __init__(self, model: PretrainModel, records: list[MoleculeRecord],
+                 mask_cfg: MaskConfig, train_seed: int, shared: bool):
+        self.model, self.records, self.mask_cfg, self.seed = model, records, mask_cfg, train_seed
+        params = list(model.params.values())
+        self.grads = [np.zeros_like(p.data) for p in params]
+        self.helper = self.threads = None
+        if shared:
+            with contextlib.suppress(OSError):  # numpy without OpenBLAS: no helper
+                self.threads = set_blas_threads(1)
+                sizes = [p.data.size for p in params] * 2
+                flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))  # zero-filled
+                arrays = [part.reshape(p.data.shape) for part, p in
+                          zip(np.split(flat, np.cumsum(sizes)[:-1]), params * 2)]
+                for p, data in zip(params, arrays):
+                    data[...], p.data = p.data, data
+                self.grads = arrays[len(params):]
+                self.helper = _Helper(self._serve)
+
+    def _cmm(self, batch: list[int], epoch: int, base_index: int) -> tuple[float, float, float]:
+        """The CMM tape and its backward into ``grads``, the parameters' own
+        gradients left as they were: l_t, l_f and the masked-token accuracy."""
+        params = list(self.model.params.values())
+        held = [p.grad for p in params]
+        for p, g in zip(params, self.grads):
+            p.grad = g
+            g.fill(0.0)
+        l_t, l_f, accuracy = _cmm_losses(self.model, [self.records[i] for i in batch],
+                                         self.mask_cfg, epoch, base_index, self.seed)
+        if math.isfinite(l_t.item() + l_f.item()):  # else the report names it
+            backward(add(l_t, l_f))
+        for p, g in zip(params, held):
+            p.grad = g
+        return l_t.item(), l_f.item(), accuracy
+
+    def _serve(self, job: tuple) -> tuple:
+        with warnings.catch_warnings(record=True) as caught:
+            out = self._cmm(*job)
+        return out, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+    def __call__(self, batch: list[int], epoch: int, base_index: int) -> LossReport:
+        """One step. A NaN or infinity raises NonFiniteInput naming the first
+        non-finite component, as ``total_loss`` does, or else the total."""
+        job, out = (batch, epoch, base_index), None
+        if self.helper:
+            with contextlib.suppress(OSError):  # a dead helper fails at ``recv`` below
+                self.helper.conn.send(job)
+        else:
+            out = self._cmm(*job)
+        l_fla, l_sgm, l_dkl, sgm_accuracy = _alignment_losses(
+            self.model, [self.records[i] for i in batch])
+        loss = add(l_fla, add(l_sgm, l_dkl))
+        if math.isfinite(loss.item()):
+            backward(loss)
+        if out is None:
+            try:
+                out, caught = self.helper.conn.recv()
+            except (EOFError, OSError):  # the helper died: its tape runs here
+                self.helper.stop()
+                self.helper, out, caught = None, self._cmm(*job), ()
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno)
+        l_t, l_f, mlm_accuracy = out
+        _, report = total_loss(Tensor(np.full((1, 1), l_t)), Tensor(np.full((1, 1), l_f)),
+                               l_fla, l_sgm, l_dkl, mlm_accuracy=mlm_accuracy,
+                               sgm_accuracy=sgm_accuracy)
+        if not math.isfinite(report.total):
+            raise NonFiniteInput("loss is not finite")
+        for p, g in zip(self.model.params.values(), self.grads):
+            p.grad += g
+        return report
+
+    def stop(self) -> None:
+        """Stop the helper, if any, and give OpenBLAS its thread count back."""
+        if self.helper:
+            self.helper.stop()
+        if self.threads is not None:
+            set_blas_threads(self.threads)
 
 
 LOG_HEADER = "step\tl_t\tl_f\tl_fla\tl_sgm\tl_dkl\ttotal\tsgm_acc\tmlm_acc"
@@ -480,7 +553,8 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
     any component raises TrainingDiverged naming the batch. When
     ``checkpoint_dir`` is set, it is created before the first step (a
     ConfigError if it cannot be) and a checkpoint is (re)written after each
-    epoch.
+    epoch. On Linux with two usable CPUs a helper process, forked after the
+    log header and stopped however the run ends, runs each CMM tape.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot pretrain on an empty corpus")
@@ -514,29 +588,32 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
     step = 0
     params = list(model.params.values())
     shown: set = set()
-    for epoch in range(train_config.epochs):
-        # Seeded reshuffle per epoch: batch composition (and with it the
-        # matching negatives) varies while runs stay reproducible.
-        order = np.random.default_rng([train_config.seed, epoch]).permutation(
-            len(records))
-        shuffled = [records[i] for i in order]
-        size = train_config.batch_size
-        for batch_index, start in enumerate(range(0, len(shuffled), size)):
-            optimizer.lr = learning_rate_at(step, total_steps,
-                                            train_config.warmup_steps,
-                                            train_config.lr)
-            report = _train_step(
-                lambda: _step_losses(model, shuffled[start:start + size], mask_config,
-                                     epoch, base_index=start,
-                                     train_seed=train_config.seed)[:2],
-                params, optimizer, f"epoch {epoch} batch {batch_index}", shown)
-            history.append(report)
-            if log_sink is not None:
-                print(format_log_line(step, report), file=log_sink)
-            step += 1
-        if checkpoint_dir is not None:
-            save_pretrained(checkpoint_dir, model, vocab, context_vocab,
-                            step=step, mask_config=mask_config)
+    two_tapes = _PretrainStep(model, records, mask_config, train_config.seed,
+                              shared=sys.platform == "linux"
+                              and len(os.sched_getaffinity(0)) >= 2)
+    try:
+        for epoch in range(train_config.epochs):
+            # Seeded reshuffle per epoch: batch composition (and with it the
+            # matching negatives) varies while runs stay reproducible.
+            order = np.random.default_rng([train_config.seed, epoch]).permutation(
+                len(records)).tolist()
+            size = train_config.batch_size
+            for batch_index, start in enumerate(range(0, len(order), size)):
+                optimizer.lr = learning_rate_at(step, total_steps,
+                                                train_config.warmup_steps,
+                                                train_config.lr)
+                report = _train_step(
+                    lambda: two_tapes(order[start:start + size], epoch, start),
+                    params, optimizer, f"epoch {epoch} batch {batch_index}", shown)
+                history.append(report)
+                if log_sink is not None:
+                    print(format_log_line(step, report), file=log_sink)
+                step += 1
+            if checkpoint_dir is not None:
+                save_pretrained(checkpoint_dir, model, vocab, context_vocab,
+                                step=step, mask_config=mask_config)
+    finally:  # however the run ends: returned, diverged or interrupted
+        two_tapes.stop()
     return model, vocab, context_vocab, history
 
 
@@ -711,8 +788,8 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
         order = order_rng.permutation(len(train_idx))
         for batch_index, lo in enumerate(range(0, len(order), batch_size)):
             chunk = [train_idx[i] for i in order[lo:lo + batch_size]]
-            _train_step(lambda: (_task_loss(head_forward(chunk, train=True), labels[chunk],
-                                            task.kind), None),
+            _train_step(lambda: backward(_task_loss(head_forward(chunk, train=True),
+                                                    labels[chunk], task.kind)),
                         trainable, optimizer, f"epoch {epoch} batch {batch_index}", shown)
         with _diverges_at(f"epoch {epoch} validation", shown), no_grad():
             val = _task_loss(head_forward(valid_idx), labels[valid_idx], task.kind).item()
@@ -787,30 +864,30 @@ def _halves(lines: list[str]) -> tuple[list[int], list[int]]:
 
 
 class _Helper:
-    """A daemon process, forked so that it shares the loaded model, that
-    encodes one half of each full pack while this process encodes the other.
-    The fork is safe: embedding starts no thread, and OpenBLAS stops its own
-    pool around a fork.
-    Both run OpenBLAS on one thread meanwhile (this process only for its half,
-    so rows are printed at its own count): on two CPUs, two processes of two
-    BLAS threads each took 18.6 s for 3,000 lines that one took in 5.7 s."""
+    """A daemon process, forked so that it shares this process's memory, that
+    sends back ``serve(request)`` for each request it receives, on one
+    OpenBLAS thread, until its pipe closes or ``serve`` raises; the caller
+    then does that request itself. ``embed_rows`` and ``pretrain`` each fork
+    one. The fork is safe: chemfuse starts no thread, and OpenBLAS stops its
+    own pool around a fork. On two CPUs, two processes of two BLAS threads
+    each took 18.6 s for 3,000 ``embed`` lines that one took in 5.7 s."""
 
-    def __init__(self, model: PretrainModel, vocab: Vocabulary):
+    def __init__(self, serve):
         import multiprocessing  # only here: a run without a helper never imports it
         context = multiprocessing.get_context("fork")
         self.conn, child_end = context.Pipe()
-        self.process = context.Process(target=self._serve, args=(child_end, model, vocab), daemon=True)
+        self.process = context.Process(target=self._serve, args=(child_end, serve), daemon=True)
         self.process.start()
         child_end.close()
 
-    def _serve(self, conn, model: PretrainModel, vocab: Vocabulary) -> None:
-        # Quiet when the pipe closes or a line fails; the parent redoes that pack.
+    def _serve(self, conn, serve) -> None:
+        # Quiet when the pipe closes or a request fails; the caller redoes it.
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         self.conn.close()
         with contextlib.suppress(Exception):
             set_blas_threads(1)
             while True:
-                conn.send(np.stack(list(_inline_rows(model, vocab, conn.recv()))))
+                conn.send(serve(conn.recv()))
 
     def pack_rows(self, model: PretrainModel, vocab: Vocabulary, lines: list[str]) -> np.ndarray:
         theirs, ours = _halves(lines)
@@ -853,7 +930,8 @@ def embed_rows(model: PretrainModel, vocab: Vocabulary,
             rows = None
             if shared and len(lines) == EMBED_PACK:
                 with contextlib.suppress(Exception):  # redone below, which raises a line's error
-                    helper = helper or _Helper(model, vocab)
+                    helper = helper or _Helper(
+                        lambda half: np.stack(list(_inline_rows(model, vocab, half))))
                     rows = helper.pack_rows(model, vocab, lines)
                 shared = rows is not None
             yield from _inline_rows(model, vocab, lines) if rows is None else rows

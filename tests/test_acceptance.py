@@ -72,10 +72,14 @@ SMOKE_REFERENCE = DATA_DIR / "smoke_reference"
 
 #: Seconds criterion 9's repeat may run, from its start, before it fails.
 REPEAT_TIMEOUT = 300.0
-#: Criterion 9's repeat, as a child process runs it: OpenBLAS on one thread,
-#: as in this suite, and the checkpoint written to ``argv[1]``.
-REPEAT = ("import sys\nfrom curve_diff import pin_blas_threads\n"
+#: Criterion 9's repeat, as a child process runs it: on one CPU, so that it
+#: runs both tapes of each step itself where the fixture's run, on two, shares
+#: them with a helper process; OpenBLAS on one thread, as in this suite; and
+#: the checkpoint written to ``argv[1]``.
+REPEAT = ("import os, sys\nfrom curve_diff import pin_blas_threads\n"
           "from test_acceptance import smoke_pretrain\n"
+          "if hasattr(os, 'sched_setaffinity'):\n"
+          "    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])\n"
           "pin_blas_threads()\nsmoke_pretrain(sys.argv[1])\n")
 
 
@@ -511,7 +515,9 @@ def test_criterion_8_masking_accounting():
 
 def test_criterion_9_determinism(smoke_run):
     """The fixture's smoke pretraining and its repeat in a child process
-    write byte-identical checkpoints."""
+    on one CPU write byte-identical checkpoints: on a box with two CPUs or
+    more, the first ran each step's CMM tape in a helper process, the second
+    ran both tapes itself."""
     try:
         smoke_run.repeat.wait(timeout=max(0.0, smoke_run.repeat_deadline - time.monotonic()))
     except subprocess.TimeoutExpired:

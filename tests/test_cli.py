@@ -13,6 +13,7 @@ import subprocess
 import struct
 import sys
 import time
+import warnings
 import zlib
 from pathlib import Path
 from unittest import mock
@@ -494,6 +495,172 @@ def test_embed_runs_blas_on_one_thread_only_while_it_shares_a_pack(checkpoint, m
     finally:
         set_blas_threads(old)
     assert [helper.served for helper in helpers] == [2]
+    _assert_no_helper_left(helpers)
+
+
+#: A pretraining config small enough that a run takes well under a second.
+TINY_CONFIG = ("dim = 16\nheads = 2\ntransformer_layers = 1\ngnn_layers = 1\n"
+               "gnn_width = 8\nfingerprint_width = 64\n")
+
+
+def _tiny_pretrain(capsys, tmp_path, name: str, *flags: str):
+    """``chemfuse pretrain`` on 12 toy molecules for 2 epochs of 3 batches,
+    its checkpoint in ``tmp_path / name``: exit code, stdout and stderr."""
+    corpus, config = tmp_path / "twelve.smi", tmp_path / "tiny.cfg"
+    corpus.write_text("\n".join(load_corpus_lines("toy_200.smi")[:12]) + "\n")
+    config.write_text(TINY_CONFIG)
+    return run(capsys, ["pretrain", str(corpus), "--checkpoint", str(tmp_path / name),
+                        "--config", str(config), "--epochs", "2", "--batch-size", "4",
+                        *flags])
+
+
+class _LineSink:
+    """A log sink that calls ``at_step(step)`` once each TSV line is written."""
+
+    def __init__(self, at_step):
+        self.at_step, self.lines = at_step, []
+
+    def write(self, text: str) -> None:
+        if text != "\n":
+            self.lines.append(text)
+            if text[0].isdigit():
+                self.at_step(int(text.split("\t")[0]))
+
+
+def _sink_pretrain(sink, ckpt=None):
+    """``pretrain`` of ``_tiny_pretrain``'s run, logging to ``sink``."""
+    corpus = Corpus([parse_molecule(s) for s in load_corpus_lines("toy_200.smi")[:12]])
+    return pretrain(corpus, MaskConfig(seed=7), TrainConfig(epochs=2, batch_size=4, seed=7),
+                    model_kwargs=dict(dim=16, transformer_layers=1, heads=2, gnn_layers=1,
+                                      gnn_width=8, fingerprint_width=64),
+                    checkpoint_dir=ckpt, log_sink=sink)
+
+
+@linux_only
+def test_pretrain_on_two_cpus_writes_what_one_cpu_writes(tmp_path, capsys, monkeypatch):
+    """The CMM tape runs in a helper on two CPUs and after the alignment
+    tape's forward on one; the checkpoint and the log are the same bytes."""
+    helpers = _watch_helpers(monkeypatch)
+    outs = []
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        outs.append(_tiny_pretrain(capsys, tmp_path, f"cpus{cpus}")[:2])
+    assert len(helpers) == 1
+    _assert_no_helper_left(helpers)
+    assert outs[0] == outs[1] and outs[0][0] == 0 and len(outs[0][1].splitlines()) == 7
+    for name in ("params.bin", "manifest.json"):
+        assert ((tmp_path / "cpus1" / name).read_bytes()
+                == (tmp_path / "cpus2" / name).read_bytes())
+
+
+class _StopRun(BaseException):
+    """Raised from a log sink, as the benchmark ends a run whose window is full."""
+
+
+@linux_only
+def test_pretrain_helper_is_gone_however_pretraining_ends(tmp_path, capsys, monkeypatch):
+    """A finished run, a diverging one, and runs whose log sink raises a
+    BaseException or KeyboardInterrupt at step 2 leave no process behind."""
+    _usable_cpus(monkeypatch, 2)
+    helpers = _watch_helpers(monkeypatch)
+    assert _tiny_pretrain(capsys, tmp_path, "finished")[0] == 0
+    _assert_no_helper_left(helpers)
+    code, _, err = _tiny_pretrain(capsys, tmp_path, "diverged", "--lr", "1e300")
+    assert code == 1 and err.splitlines()[-1].startswith("error: non-finite loss at epoch 0 ")
+    _assert_no_helper_left(helpers)
+    for stop in (_StopRun, KeyboardInterrupt):
+        def at_step(step, _stop=stop):
+            if step == 2:
+                raise _stop
+        with pytest.raises(stop):
+            _sink_pretrain(_LineSink(at_step))
+        _assert_no_helper_left(helpers)
+    assert len(helpers) == 4
+
+
+@linux_only
+def test_pretrain_finishes_in_one_process_when_its_helper_dies(tmp_path, monkeypatch):
+    """A helper killed after step 3 leaves a run that finishes in one
+    process and writes the undisturbed run's log and checkpoint."""
+    _usable_cpus(monkeypatch, 2)
+    helpers = _watch_helpers(monkeypatch)
+    undisturbed = _LineSink(lambda step: None)
+    _sink_pretrain(undisturbed, tmp_path / "undisturbed")
+
+    def kill_after_step_3(step):
+        if step == 3:
+            pid = helpers[-1].process.pid
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while not os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
+    killed = _LineSink(kill_after_step_3)
+    _sink_pretrain(killed, tmp_path / "killed")
+    assert helpers[-1].process.exitcode == -signal.SIGKILL
+    _assert_no_helper_left(helpers)
+    assert killed.lines == undisturbed.lines and len(killed.lines) == 7
+    assert ((tmp_path / "killed" / "params.bin").read_bytes()
+            == (tmp_path / "undisturbed" / "params.bin").read_bytes())
+
+
+@linux_only
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pretrain_names_a_nan_in_the_cmm_half(tmp_path, capsys, monkeypatch, cpus):
+    """A NaN token loss at batch 1, wherever the CMM tape runs, prints the
+    error line a one-tape step printed."""
+    from chemfuse import pipeline
+    from chemfuse.nn import Tensor
+
+    loss_cmm_token, calls = pipeline.loss_cmm_token, []
+
+    def nan_at_batch_1(*args):
+        loss, aux = loss_cmm_token(*args)
+        calls.append(1)
+        return (Tensor(np.full((1, 1), np.nan)) if len(calls) == 2 else loss), aux
+
+    monkeypatch.setattr(pipeline, "loss_cmm_token", nan_at_batch_1)
+    _usable_cpus(monkeypatch, cpus)
+    helpers = _watch_helpers(monkeypatch)
+    code, out, err = _tiny_pretrain(capsys, tmp_path, "nan")
+    assert code == 1 and len(out.splitlines()) == 2
+    assert err.splitlines()[-1] == ("error: non-finite loss at epoch 0 batch 1: "
+                                    "component l_t is not finite: nan")
+    assert len(helpers) == cpus - 1
+    _assert_no_helper_left(helpers)
+
+
+@linux_only
+def test_pretrain_shows_a_helper_warning_once_unless_the_run_diverges(monkeypatch):
+    """A warning raised in the helper at every step is raised once by the
+    run, at its own location; with a divergence at the same step, not at all."""
+    from chemfuse import pipeline
+    from chemfuse.nn import Tensor
+    from chemfuse.pipeline import TrainingDiverged
+
+    loss_cmm_token = pipeline.loss_cmm_token
+    line = sys._getframe().f_lineno + 4
+
+    def warning_then(nan: bool):
+        def warned(*args):
+            warnings.warn("from the CMM tape", UserWarning)
+            loss, aux = loss_cmm_token(*args)
+            return (Tensor(np.full((1, 1), np.nan)) if nan else loss), aux
+        return warned
+
+    _usable_cpus(monkeypatch, 2)
+    helpers = _watch_helpers(monkeypatch)
+    for nan in (False, True):
+        monkeypatch.setattr(pipeline, "loss_cmm_token", warning_then(nan))
+        with warnings.catch_warnings(record=True) as caught, (
+                pytest.raises(TrainingDiverged) if nan else contextlib.nullcontext()):
+            warnings.simplefilter("always")
+            _sink_pretrain(None)
+        shown = [(w.category, w.filename, w.lineno) for w in caught
+                 if str(w.message) == "from the CMM tape"]
+        assert shown == ([] if nan else [(UserWarning, __file__, line)])
+    assert len(helpers) == 2
     _assert_no_helper_left(helpers)
 
 

@@ -38,9 +38,11 @@ from chemfuse.pipeline import (
     SplitMode,
     TaskKind,
     TrainConfig,
+    _PretrainStep,
+    _alignment_losses,
+    _cmm_losses,
     _diverges_at,
     _record_rng,
-    _step_losses,
     build_vocabulary,
     data_lines,
     derangement,
@@ -64,8 +66,10 @@ from conftest import DATA_DIR
 SMALL_MODEL = dict(dim=16, transformer_layers=1, heads=2, gnn_layers=1,
                    gnn_width=8, fingerprint_width=64)
 
-#: Tape nodes one ``_step_losses`` builds on ``_small_model_and_records()``.
-STEP_TAPE_NODES = 115
+#: Tape nodes the CMM and the alignment tape of one step build on
+#: ``_small_model_and_records()``; one tape of both built 115.
+CMM_TAPE_NODES = 51
+ALIGNMENT_TAPE_NODES = 69
 
 
 def tiny_corpus(n=12):
@@ -260,75 +264,85 @@ def _small_model_and_records(n=6, seed=11):
     return PretrainModel(config, seed=seed), records
 
 
+def _inline_step(model, records, mask_cfg, epoch, base_index, train_seed):
+    """One step's two tapes as ``pretrain`` runs them on one CPU: the CMM
+    tape, then the alignment tape. Returns the report; the parameters hold
+    the sum of the two tapes' gradients."""
+    step = _PretrainStep(model, records, mask_cfg, train_seed, shared=False)
+    for p in model.params.values():
+        p.zero_grad()
+    return step(list(range(len(records))), epoch, base_index)
+
+
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_step_losses_match_per_view_reference(strategy):
-    """Sharing the clean embeddings across views leaves every loss bitwise
-    unchanged and every gradient equal up to summation order."""
+    """Sharing the clean embeddings across the views of each tape leaves
+    every loss of both tapes bitwise unchanged, and the sum of the two
+    tapes' gradients equal to the one-tape gradient up to summation order."""
     model, records = _small_model_and_records()
     mask_cfg = MaskConfig(strategy=strategy, seed=1)
     params = list(model.params.values())
-    results = []
-    for step in (_reference_step_losses, _step_losses):
-        total, report = step(model, records, mask_cfg, epoch=2,
-                             base_index=4, train_seed=1)[:2]
-        for p in params:
-            p.zero_grad()
-        backward(total)
-        results.append((report, {p.name: p.grad.copy() for p in params}))
-    (want, want_grads), (got, got_grads) = results
+    total, want = _reference_step_losses(model, records, mask_cfg, epoch=2,
+                                         base_index=4, train_seed=1)
+    for p in params:
+        p.zero_grad()
+    backward(total)
+    want_grads = {p.name: p.grad.copy() for p in params}
+    got = _inline_step(model, records, mask_cfg, epoch=2, base_index=4, train_seed=1)
     assert got == want
-    for name, grad in want_grads.items():
-        np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-12,
-                                   err_msg=name)
+    for p in params:
+        np.testing.assert_allclose(p.grad, want_grads[p.name], rtol=0, atol=1e-12,
+                                   err_msg=p.name)
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_read_rows_step_matches_the_all_rows_step(strategy, monkeypatch):
     """A step whose masked views keep only the rows their losses read gives
     the all-rows step's losses and parameter gradients within 1e-12, and
-    every read row bitwise."""
+    in each tape every read row bitwise."""
     from chemfuse.encoder import MoleculeEncoder
 
     model, records = _small_model_and_records()
     params = list(model.params.values())
     runs = []
     for keep_read in (True, False):
-        seen = {}
+        seen = []
 
-        def encode(*args, read=(), _keep=keep_read, _seen=seen, **kwargs):
-            _seen["read"] = read
-            _seen["encoding"] = MoleculeEncoder.encode(
-                model.encoder, *args, read=read if _keep else (), **kwargs)
-            return _seen["encoding"]
+        def encode(token_ids, *args, read=(), _keep=keep_read, _seen=seen, **kwargs):
+            encoding = MoleculeEncoder.encode(model.encoder, token_ids, *args,
+                                              read=read if _keep else (), **kwargs)
+            _seen.append((read or [None] * len(token_ids), encoding))
+            return encoding
 
         monkeypatch.setattr(model.encoder, "encode", encode)
-        total, report, _ = _step_losses(model, records, MaskConfig(strategy=strategy, seed=1),
-                                        epoch=1, base_index=3, train_seed=2)
-        for p in params:
-            p.zero_grad()
-        backward(total)
+        report = _inline_step(model, records, MaskConfig(strategy=strategy, seed=1),
+                              epoch=1, base_index=3, train_seed=2)
         runs.append((report, {p.name: p.grad.copy() for p in params}, seen))
-    (report, grads, kept), (want_report, want_grads, full) = runs
+    (report, grads, kept_tapes), (want_report, want_grads, full_tapes) = runs
     for name, value in vars(want_report).items():
         assert getattr(report, name) == pytest.approx(value, rel=0, abs=1e-12, nan_ok=True)
     for name, grad in want_grads.items():
         np.testing.assert_allclose(grads[name], grad, rtol=0, atol=1e-12, err_msg=name)
-    read = kept["read"]
-    partial = [k for k, r in enumerate(read) if r is not None]
-    assert partial and kept["encoding"].x.shape[0] < full["encoding"].x.shape[0]
-    for k in partial:
-        np.testing.assert_array_equal(
-            kept["encoding"].x.data[kept["encoding"].rows(k, read[k])],
-            full["encoding"].x.data[full["encoding"].rows(k, read[k])])
-    whole = [k for k, r in enumerate(read) if r is None]
-    np.testing.assert_array_equal(kept["encoding"].x_cls.data,
-                                  full["encoding"].x_cls.data[whole])
+    assert len(kept_tapes) == len(full_tapes) == 2  # the CMM tape, then the alignment tape
+    for tape, ((read, kept), (_, full)) in enumerate(zip(kept_tapes, full_tapes)):
+        partial = [k for k, r in enumerate(read) if r is not None]
+        whole = [k for k, r in enumerate(read) if r is None]
+        if tape == 0:  # every CMM view is masked, and no alignment view is
+            assert partial and kept.x.shape[0] < full.x.shape[0] and not whole
+        else:
+            assert whole and not partial
+            np.testing.assert_array_equal(kept.x_cls.data, full.x_cls.data[whole])
+        for k in partial:
+            np.testing.assert_array_equal(kept.x.data[kept.rows(k, read[k])],
+                                          full.x.data[full.rows(k, read[k])])
 
 
 def test_step_losses_embeds_each_side_once_per_view(monkeypatch):
-    """Under CMM a step embeds each side once for the clean view, once for
-    the token-masked view, and once more where a fragment mask hides it,
-    all in one packed call per modality."""
+    """Under CMM the CMM tape embeds each side once for the token-masked
+    view and once for the fragment-masked view, masked where the fragment
+    mask hides it and clean otherwise; the alignment tape embeds it once for
+    the clean view. Each tape makes one packed call per modality, so a clean
+    side is embedded once per tape that reads it."""
     from chemfuse import pipeline
     from chemfuse.encoder import MoleculeEncoder
     from chemfuse.masking import Modality
@@ -351,12 +365,15 @@ def test_step_losses_embeds_each_side_once_per_view(monkeypatch):
 
     monkeypatch.setattr(pipeline, "sample_fragment_mask", recorded)
     model, records = _small_model_and_records()
-    _step_losses(model, records, MaskConfig(seed=1), epoch=0,
-                 base_index=0, train_seed=1)
+    _cmm_losses(model, records, MaskConfig(seed=1), epoch=0, base_index=0, train_seed=1)
+    _alignment_losses(model, records)
     sides = [s.masked_modality for s in frag_samples]
     assert len(sides) == len(records) == 6
-    assert calls["embed_smiles"] == [2 * len(records) + sides.count(Modality.SMILES)]
-    assert calls["embed_graph"] == [2 * len(records) + sides.count(Modality.GRAPH)]
+    b = len(records)
+    assert calls["embed_smiles"] == [b + sides.count(Modality.SMILES)
+                                     + sides.count(Modality.GRAPH), b]
+    assert calls["embed_graph"] == [b + sides.count(Modality.GRAPH)
+                                    + sides.count(Modality.SMILES), b]
 
 
 def _count_tape_nodes(monkeypatch, run):
@@ -377,18 +394,19 @@ def _count_tape_nodes(monkeypatch, run):
 
 
 def test_step_losses_tape_node_budget(monkeypatch):
-    """A packed step builds a fixed number of tape nodes, whatever its batch
-    size; one encoder pass per view would build several times more."""
+    """Each tape of a step builds a fixed number of tape nodes, whatever its
+    batch size; one encoder pass per view would build several times more."""
     model, records = _small_model_and_records()
     big_model, big_records = _small_model_and_records(n=12)
-
-    def step(model, records):
-        return lambda: _step_losses(model, records, MaskConfig(seed=1), epoch=0,
-                                    base_index=0, train_seed=1)
-
-    nodes = _count_tape_nodes(monkeypatch, step(model, records))
-    assert nodes <= 1.1 * STEP_TAPE_NODES, nodes
-    assert _count_tape_nodes(monkeypatch, step(big_model, big_records)) == nodes
+    tapes = [
+        (CMM_TAPE_NODES, lambda model, records: lambda: _cmm_losses(
+            model, records, MaskConfig(seed=1), epoch=0, base_index=0, train_seed=1)),
+        (ALIGNMENT_TAPE_NODES, lambda model, records: lambda: _alignment_losses(model, records)),
+    ]
+    for budget, tape in tapes:
+        nodes = _count_tape_nodes(monkeypatch, tape(model, records))
+        assert nodes <= 1.1 * budget, nodes
+        assert _count_tape_nodes(monkeypatch, tape(big_model, big_records)) == nodes
 
 
 def test_packed_views_match_views_alone():

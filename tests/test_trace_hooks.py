@@ -13,7 +13,7 @@ import pytest
 from chemfuse.masking import MaskConfig
 
 from oracles import generated_corpus
-from test_pipeline import _small_model_and_records, tiny_corpus
+from test_pipeline import _inline_step, _small_model_and_records, tiny_corpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,9 +37,8 @@ def test_install_tracer_covers_a_step_and_an_embedding(perfbench_path):
     install_tracer(tracer)
     try:
         tracer.begin_unit("pipeline.step", tracer.clock())
-        total, _, _ = pipeline._step_losses(model, records, MaskConfig(seed=1), epoch=0,
-                                            base_index=0, train_seed=1)
-        pipeline.backward(total)
+        # Both tapes, each with its backward, as one CPU runs a step.
+        _inline_step(model, records, MaskConfig(seed=1), epoch=0, base_index=0, train_seed=1)
         pipeline.x_cls_of(model, vocab, tiny_corpus(1).molecules[:1])
         tracer.end_unit(tracer.clock())
     finally:
@@ -56,6 +55,9 @@ def test_install_tracer_covers_a_step_and_an_embedding(perfbench_path):
                          if span[0] == "nn.layers.attention"}
     assert attention_parents == {"encoder.joint_encode", "encoder.pool_fragments"}
     assert tracer.unit_counts[0]["nn.tensor.nodes"] > 0
+    # One encoder pass and one backward per tape, and the embedding's pass.
+    assert [span[0] for span in tracer.spans].count("nn.tensor.backward") == 2
+    assert [span[0] for span in tracer.spans].count("encoder.joint_encode") == 3
 
 
 def test_install_tracer_covers_an_ingest_chunk(perfbench_path, tmp_path):
