@@ -7,8 +7,9 @@ targets), and one mismatched-pair view for matching negatives. The masked
 views make the CMM tape and the others the alignment tape, each one
 ``MoleculeEncoder.encode`` call, which embeds each distinct (molecule,
 mask) side once per tape. The gradient is the sum of the two tapes'; on two
-CPUs a forked helper process runs the CMM tape. One optimizer step runs per
-batch under a linear warmup / linear decay schedule.
+CPUs a ``_Helper`` process runs the CMM tape, as it encodes half of each
+``embed_rows`` pack. One optimizer step runs per batch under a linear warmup /
+linear decay schedule.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ import contextlib
 import functools
 import gc
 import math
-import mmap
 import os
 import signal
 import sys
 import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -443,91 +443,78 @@ def _alignment_losses(model: PretrainModel,
 
 class _PretrainStep:
     """The two tapes of each step of a run over ``records``, called with a
-    batch's record indices, epoch and base index: it adds the CMM tape's
-    gradients, ``grads``, to the alignment tape's and returns the report.
-    On two CPUs a ``_Helper`` runs the CMM tape meanwhile, reading the
-    weights and writing ``grads`` in a shared mapping made before the fork;
-    both processes run OpenBLAS on one thread until ``stop``. On one CPU, or
-    once the helper has died, the CMM tape runs here. The sum is the same
-    either way, so the bits do not depend on where the CMM tape ran."""
+    batch's record indices, epoch and base index. The CMM tape runs in
+    ``helper``, if ``fork`` started one, else here before the alignment tape
+    (after it, once the helper is gone). Its gradients, ``grads``, are then
+    added to the alignment tape's: in either order the same sum."""
 
     def __init__(self, model: PretrainModel, records: list[MoleculeRecord],
-                 mask_cfg: MaskConfig, train_seed: int, shared: bool):
+                 mask_cfg: MaskConfig, train_seed: int):
         self.model, self.records, self.mask_cfg, self.seed = model, records, mask_cfg, train_seed
-        params = list(model.params.values())
-        self.grads = [np.zeros_like(p.data) for p in params]
-        self.helper = self.threads = None
-        if shared:
-            with contextlib.suppress(OSError):  # numpy without OpenBLAS: no helper
-                self.threads = set_blas_threads(1)
-                sizes = [p.data.size for p in params] * 2
-                flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))  # zero-filled
-                arrays = [part.reshape(p.data.shape) for part, p in
-                          zip(np.split(flat, np.cumsum(sizes)[:-1]), params * 2)]
-                for p, data in zip(params, arrays):
-                    data[...], p.data = p.data, data
-                self.grads = arrays[len(params):]
-                self.helper = _Helper(self._serve)
+        self.params = list(model.params.values())
+        self.grads = [np.zeros_like(p.data) for p in self.params]
+        self.helper = None
 
-    def _cmm(self, batch: list[int], epoch: int, base_index: int) -> tuple[float, float, float]:
-        """The CMM tape and its backward into ``grads``, the parameters' own
-        gradients left as they were: l_t, l_f and the masked-token accuracy."""
-        params = list(self.model.params.values())
-        held = [p.grad for p in params]
-        for p, g in zip(params, self.grads):
+    def fork(self) -> None:
+        """Start a helper for the CMM tape, if ``_Helper.start`` gives one,
+        with the weights and ``grads`` in its shared mapping."""
+        def bind(shared: list[np.ndarray]) -> None:
+            for p, data in zip(self.params, shared):
+                p.data = data
+            self.grads = shared[len(self.params):]
+
+        self.helper = _Helper.start(self._cmm, [p.data for p in self.params] + self.grads, bind)
+
+    def _cmm(self, job: tuple[list[int], int, int]) -> tuple:
+        """The CMM tape of ``job`` and its backward into ``grads``, the
+        parameters' own gradients left as they were: l_t, l_f and the
+        masked-token accuracy; the warnings raised."""
+        batch, epoch, base_index = job
+        held = [p.grad for p in self.params]
+        for p, g in zip(self.params, self.grads):
             p.grad = g
             g.fill(0.0)
-        l_t, l_f, accuracy = _cmm_losses(self.model, [self.records[i] for i in batch],
-                                         self.mask_cfg, epoch, base_index, self.seed)
-        if math.isfinite(l_t.item() + l_f.item()):  # else the report names it
-            backward(add(l_t, l_f))
-        for p, g in zip(params, held):
-            p.grad = g
-        return l_t.item(), l_f.item(), accuracy
-
-    def _serve(self, job: tuple) -> tuple:
         with warnings.catch_warnings(record=True) as caught:
-            out = self._cmm(*job)
-        return out, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+            l_t, l_f, accuracy = _cmm_losses(self.model, [self.records[i] for i in batch],
+                                             self.mask_cfg, epoch, base_index, self.seed)
+            if math.isfinite(l_t.item() + l_f.item()):  # else the report names it
+                backward(add(l_t, l_f))
+        for p, g in zip(self.params, held):
+            p.grad = g
+        return (l_t.item(), l_f.item(), accuracy), [(w.message, w.category, w.filename,
+                                                     w.lineno) for w in caught]
 
-    def __call__(self, batch: list[int], epoch: int, base_index: int) -> LossReport:
-        """One step. A NaN or infinity raises NonFiniteInput naming the first
-        non-finite component, as ``total_loss`` does, or else the total."""
-        job, out = (batch, epoch, base_index), None
-        if self.helper:
-            with contextlib.suppress(OSError):  # a dead helper fails at ``recv`` below
-                self.helper.conn.send(job)
-        else:
-            out = self._cmm(*job)
+    def _alignment(self, batch: list[int]) -> tuple[Tensor, Tensor, Tensor, float]:
+        """The alignment tape and its backward into the parameters' gradients."""
         l_fla, l_sgm, l_dkl, sgm_accuracy = _alignment_losses(
             self.model, [self.records[i] for i in batch])
         loss = add(l_fla, add(l_sgm, l_dkl))
         if math.isfinite(loss.item()):
             backward(loss)
-        if out is None:
-            try:
-                out, caught = self.helper.conn.recv()
-            except (EOFError, OSError):  # the helper died: its tape runs here
-                self.helper.stop()
-                self.helper, out, caught = None, self._cmm(*job), ()
-            for message, category, filename, lineno in caught:
-                warnings.warn_explicit(message, category, filename, lineno)
-        l_t, l_f, mlm_accuracy = out
+        return l_fla, l_sgm, l_dkl, sgm_accuracy
+
+    def __call__(self, batch: list[int], epoch: int, base_index: int) -> LossReport:
+        """One step. A NaN or infinity raises NonFiniteInput naming the first
+        non-finite component, as ``total_loss`` does, or else the total."""
+        job = (batch, epoch, base_index)
+        if self.helper:
+            aligned, out = self.helper.call(job, lambda: self._alignment(batch))
+        else:
+            out, aligned = self._cmm(job), self._alignment(batch)
+        if out is None:  # the helper is gone: its tape runs here
+            self.helper, out = None, self._cmm(job)
+        (l_t, l_f, mlm_accuracy), caught = out
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        l_fla, l_sgm, l_dkl, sgm_accuracy = aligned
         _, report = total_loss(Tensor(np.full((1, 1), l_t)), Tensor(np.full((1, 1), l_f)),
                                l_fla, l_sgm, l_dkl, mlm_accuracy=mlm_accuracy,
                                sgm_accuracy=sgm_accuracy)
         if not math.isfinite(report.total):
             raise NonFiniteInput("loss is not finite")
-        for p, g in zip(self.model.params.values(), self.grads):
+        for p, g in zip(self.params, self.grads):
             p.grad += g
         return report
-
-    def stop(self) -> None:
-        """Stop the helper, if any, and give OpenBLAS its thread count back."""
-        if self.helper:
-            self.helper.stop()
-        if self.threads is not None:
-            set_blas_threads(self.threads)
 
 
 LOG_HEADER = "step\tl_t\tl_f\tl_fla\tl_sgm\tl_dkl\ttotal\tsgm_acc\tmlm_acc"
@@ -553,8 +540,8 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
     any component raises TrainingDiverged naming the batch. When
     ``checkpoint_dir`` is set, it is created before the first step (a
     ConfigError if it cannot be) and a checkpoint is (re)written after each
-    epoch. On Linux with two usable CPUs a helper process, forked after the
-    log header and stopped however the run ends, runs each CMM tape.
+    epoch. A helper process, if one starts after the log header (see
+    ``_Helper.start``), runs each CMM tape; it is stopped however the run ends.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot pretrain on an empty corpus")
@@ -588,10 +575,9 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
     step = 0
     params = list(model.params.values())
     shown: set = set()
-    two_tapes = _PretrainStep(model, records, mask_config, train_config.seed,
-                              shared=sys.platform == "linux"
-                              and len(os.sched_getaffinity(0)) >= 2)
+    two_tapes = _PretrainStep(model, records, mask_config, train_config.seed)
     try:
+        two_tapes.fork()
         for epoch in range(train_config.epochs):
             # Seeded reshuffle per epoch: batch composition (and with it the
             # matching negatives) varies while runs stay reproducible.
@@ -613,7 +599,8 @@ def pretrain(corpus: Corpus, mask_config: MaskConfig, train_config: TrainConfig,
                 save_pretrained(checkpoint_dir, model, vocab, context_vocab,
                                 step=step, mask_config=mask_config)
     finally:  # however the run ends: returned, diverged or interrupted
-        two_tapes.stop()
+        if two_tapes.helper:
+            two_tapes.helper.stop()
     return model, vocab, context_vocab, history
 
 
@@ -828,9 +815,8 @@ def finetune(model: PretrainModel, vocab: Vocabulary, task: FinetuneTask,
 # ------------------------------------------------------------------- embedding
 
 #: Lines per ``embed_rows`` pack after the first. A pack holds its rows back
-#: until it is full: on the benchmark's ``embed_mixed`` corpus 5, 10 and 20
-#: ran at the same throughput, and 20 took the tail op time from about 50 to
-#: 95 ms. On two CPUs a ``_Helper`` process encodes half of each; ``taskset -c 0`` stops it.
+#: until it is full; 10 ran as fast as 20 at about half the tail op time
+#: (README, "Library layout"). A ``_Helper``, if one starts, encodes half of each.
 EMBED_PACK = 10
 
 
@@ -865,12 +851,29 @@ def _halves(lines: list[str]) -> tuple[list[int], list[int]]:
 
 class _Helper:
     """A daemon process, forked so that it shares this process's memory, that
-    sends back ``serve(request)`` for each request it receives, on one
-    OpenBLAS thread, until its pipe closes or ``serve`` raises; the caller
-    then does that request itself. ``embed_rows`` and ``pretrain`` each fork
-    one. The fork is safe: chemfuse starts no thread, and OpenBLAS stops its
-    own pool around a fork. On two CPUs, two processes of two BLAS threads
-    each took 18.6 s for 3,000 ``embed`` lines that one took in 5.7 s."""
+    sends back ``serve(job)`` for each job it receives, until its pipe closes
+    or ``serve`` raises. The fork is safe: chemfuse starts no thread, and
+    OpenBLAS stops its own pool around a fork. Both processes run OpenBLAS on
+    one thread while they share work (README, "Helper process")."""
+
+    @classmethod
+    def start(cls, serve, arrays: Sequence[np.ndarray] = (), bind=None) -> _Helper | None:
+        """A helper, or None off Linux (numpy's macOS wheels are not fork-safe),
+        on one usable CPU or without a bundled OpenBLAS. Before the fork,
+        ``arrays`` are copied into one shared mapping and ``bind`` gets the copies."""
+        if sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2:
+            return None
+        try:
+            set_blas_threads(set_blas_threads(1))
+            if arrays:
+                import mmap  # only here, like multiprocessing below
+                flat = np.frombuffer(mmap.mmap(-1, sum(a.nbytes for a in arrays)))
+                np.concatenate([a.ravel() for a in arrays], out=flat)
+                parts = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
+                bind([part.reshape(a.shape) for part, a in zip(parts, arrays)])
+            return cls(serve)
+        except OSError:  # no bundled OpenBLAS, no mapping or no fork
+            return None
 
     def __init__(self, serve):
         import multiprocessing  # only here: a run without a helper never imports it
@@ -881,7 +884,7 @@ class _Helper:
         child_end.close()
 
     def _serve(self, conn, serve) -> None:
-        # Quiet when the pipe closes or a request fails; the caller redoes it.
+        # Quiet when the pipe closes or a job fails; the caller redoes it.
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         self.conn.close()
         with contextlib.suppress(Exception):
@@ -889,15 +892,21 @@ class _Helper:
             while True:
                 conn.send(serve(conn.recv()))
 
-    def pack_rows(self, model: PretrainModel, vocab: Vocabulary, lines: list[str]) -> np.ndarray:
-        theirs, ours = _halves(lines)
-        self.conn.send([lines[i] for i in theirs])
-        threads = set_blas_threads(1)  # OSError without OpenBLAS: no helper then
+    def call(self, job, own):
+        """Send ``job`` and run ``own()`` on one OpenBLAS thread: its result and
+        the reply, or None for it once the helper is gone, which stops it."""
+        with contextlib.suppress(OSError):  # a gone helper fails at ``recv`` below
+            self.conn.send(job)
+        threads = set_blas_threads(1)
         try:
-            mine = list(_inline_rows(model, vocab, [lines[i] for i in ours]))
+            mine = own()
         finally:
             set_blas_threads(threads)
-        return np.vstack(mine + [self.conn.recv()])[np.argsort(ours + theirs)]
+        try:
+            return mine, self.conn.recv()
+        except (EOFError, OSError):
+            self.stop()
+            return mine, None
 
     def stop(self) -> None:
         self.conn.close()
@@ -910,30 +919,34 @@ def embed_rows(model: PretrainModel, vocab: Vocabulary,
     """The x_cls row of each of the ``smiles`` strings, in order: the first
     line alone, so that its row is out as soon as it can be, then packs of
     ``EMBED_PACK``, each line read only when its pack needs it. When a line or
-    a read fails, the rows before it come first, then its error. On Linux
-    (numpy's macOS wheels are not fork-safe) with two usable CPUs, a
-    ``_Helper`` forked at the first full pack encodes half of each full pack.
-    """
-    source, size, helper = iter(smiles), 1, None
-    shared = sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+    a read fails, the rows before it come first, then its error. A
+    ``_Helper``, if one starts at the first full pack, encodes half of each
+    full pack; once a half meets a bad line or the helper is gone, the pack
+    and those after it are encoded here."""
+    source, size, helper, share = iter(smiles), 1, None, True
+
+    def encode(half: list[str]) -> list[np.ndarray]:
+        return list(_inline_rows(model, vocab, half))
     try:
         while True:
             lines: list[str] = []
             try:
-                for line in source:
+                for line in islice(source, size):
                     lines.append(line)
-                    if len(lines) == size:
-                        break
             except Exception:
                 yield from _inline_rows(model, vocab, lines)
                 raise
             rows = None
-            if shared and len(lines) == EMBED_PACK:
-                with contextlib.suppress(Exception):  # redone below, which raises a line's error
-                    helper = helper or _Helper(
-                        lambda half: np.stack(list(_inline_rows(model, vocab, half))))
-                    rows = helper.pack_rows(model, vocab, lines)
-                shared = rows is not None
+            if share and len(lines) == EMBED_PACK:
+                helper = helper or _Helper.start(encode)
+                if helper:
+                    theirs, ours = _halves(lines)
+                    with contextlib.suppress(InputError):  # redone below, which raises it
+                        mine, reply = helper.call([lines[i] for i in theirs],
+                                                  lambda: encode([lines[i] for i in ours]))
+                        if reply is not None:
+                            rows = np.vstack(mine + reply)[np.argsort(ours + theirs)]
+                share = rows is not None
             yield from _inline_rows(model, vocab, lines) if rows is None else rows
             if len(lines) < size:
                 return

@@ -361,8 +361,8 @@ def _three_pack_lines() -> list[str]:
 
 
 def _watch_helpers(monkeypatch) -> list:
-    """Every embed helper started from now on; ``served`` counts the packs
-    each one shared."""
+    """Every helper started from now on; ``served`` counts the calls each
+    one answered: for ``embed``, the packs it shared."""
     from chemfuse import pipeline
 
     helpers = []
@@ -373,10 +373,10 @@ def _watch_helpers(monkeypatch) -> list:
             self.served = 0
             helpers.append(self)
 
-        def pack_rows(self, *args):
-            rows = super().pack_rows(*args)
-            self.served += 1
-            return rows
+        def call(self, *args):
+            mine, reply = super().call(*args)
+            self.served += reply is not None
+            return mine, reply
 
     monkeypatch.setattr(pipeline, "_Helper", Watched)
     return helpers
@@ -661,6 +661,100 @@ def test_pretrain_shows_a_helper_warning_once_unless_the_run_diverges(monkeypatc
                  if str(w.message) == "from the CMM tape"]
         assert shown == ([] if nan else [(UserWarning, __file__, line)])
     assert len(helpers) == 2
+    _assert_no_helper_left(helpers)
+
+
+@linux_only
+@pytest.mark.parametrize("entry", ["embed_rows", "pretrain"])
+@pytest.mark.parametrize("blocked", ["no bundled OpenBLAS", "not Linux"])
+def test_no_helper_starts_where_it_cannot_work(checkpoint, tmp_path, monkeypatch, entry, blocked):
+    """Two CPUs without a bundled OpenBLAS to pin, or off Linux, start no
+    helper, and give the rows, log and checkpoint that one CPU gives."""
+    from chemfuse import pipeline
+
+    def output(cpus: int):
+        _usable_cpus(monkeypatch, cpus)
+        if entry == "embed_rows":
+            model, vocab, _, _ = load_pretrained(checkpoint)
+            return np.array(list(embed_rows(model, vocab, _three_pack_lines())))
+        sink = _LineSink(lambda step: None)
+        _sink_pretrain(sink, tmp_path / f"cpus{cpus}")
+        return sink.lines, (tmp_path / f"cpus{cpus}" / "params.bin").read_bytes()
+
+    alone = output(1)
+    helpers = _watch_helpers(monkeypatch)
+    if blocked == "not Linux":
+        monkeypatch.setattr(sys, "platform", "darwin")
+    else:
+        def no_openblas(n):
+            raise OSError("numpy has no bundled OpenBLAS")
+        monkeypatch.setattr(pipeline, "set_blas_threads", no_openblas)
+    shared = output(2)
+    monkeypatch.undo()
+    assert helpers == []
+    if entry == "embed_rows":
+        np.testing.assert_array_equal(shared, alone)
+    else:
+        assert shared == alone and len(alone[0]) == 7
+
+
+@linux_only
+def test_a_call_to_a_gone_helper_stops_it(monkeypatch):
+    """A call gets the caller's part and the reply; once the helper is gone,
+    the caller's part and None, and the call closes the pipe."""
+    from chemfuse import pipeline
+
+    _usable_cpus(monkeypatch, 2)
+    helper = pipeline._Helper.start(lambda job: job * 2)
+    assert helper.call(3, lambda: "mine") == ("mine", 6)
+    os.kill(helper.process.pid, signal.SIGKILL)
+    helper.process.join()
+    assert helper.call(4, lambda: "mine") == ("mine", None)
+    assert helper.conn.closed
+    _assert_no_helper_left([helper])
+
+
+@linux_only
+def test_pretrain_runs_blas_on_one_thread_only_while_it_shares_a_step(tmp_path, capsys,
+                                                                      monkeypatch):
+    """The tapes encode on one OpenBLAS thread while a helper shares the
+    step; the caller's count is back after a finished run, a diverged run
+    and a run whose log sink raises."""
+    from chemfuse.encoder import MoleculeEncoder
+    from chemfuse.nn.blas import openblas, set_blas_threads
+
+    threads = openblas("get_num_threads", ctypes.c_int)
+    if threads is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    encoding, encode = [], MoleculeEncoder.encode
+
+    def counted(*args, **kwargs):
+        encoding.append(threads())
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(MoleculeEncoder, "encode", counted)
+    _usable_cpus(monkeypatch, 2)
+    helpers = _watch_helpers(monkeypatch)
+
+    def stop_at_step_2(step):
+        if step == 2:
+            raise _StopRun
+
+    old = set_blas_threads(2)
+    try:
+        after = []
+        assert _tiny_pretrain(capsys, tmp_path, "finished")[0] == 0
+        after.append(threads())
+        assert _tiny_pretrain(capsys, tmp_path, "diverged", "--lr", "1e300")[0] == 1
+        after.append(threads())
+        with pytest.raises(_StopRun):
+            _sink_pretrain(_LineSink(stop_at_step_2))
+        after.append(threads())
+    finally:
+        set_blas_threads(old)
+    assert after == [2, 2, 2]
+    assert encoding == [1] * (6 + 2 + 3)  # one alignment tape per step run here
+    assert len(helpers) == 3
     _assert_no_helper_left(helpers)
 
 

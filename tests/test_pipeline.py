@@ -268,7 +268,7 @@ def _inline_step(model, records, mask_cfg, epoch, base_index, train_seed):
     """One step's two tapes as ``pretrain`` runs them on one CPU: the CMM
     tape, then the alignment tape. Returns the report; the parameters hold
     the sum of the two tapes' gradients."""
-    step = _PretrainStep(model, records, mask_cfg, train_seed, shared=False)
+    step = _PretrainStep(model, records, mask_cfg, train_seed)
     for p in model.params.values():
         p.zero_grad()
     return step(list(range(len(records))), epoch, base_index)
