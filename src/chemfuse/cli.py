@@ -2,7 +2,8 @@
 
 All subcommands stream line-oriented data on stdout and keep diagnostics
 on stderr, so they compose in shell pipelines. Exit codes: 0 success,
-1 input error, 2 internal error. Flags override config-file values.
+1 input error, 2 internal error, 130 interrupted (SIGINT). Flags override
+config-file values.
 """
 
 from __future__ import annotations
@@ -359,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
         import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except KeyboardInterrupt:  # SIGINT, once the subcommand has cleaned up
+        print("interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:  # internal failure contract
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -1,13 +1,15 @@
 """Pretraining objectives: masked prediction, fragment alignment, matching,
-and domain-knowledge targets, plus the unit-weight total.
+and domain-knowledge targets, plus ``total_loss``, which checks a batch's
+component values and returns its ``LossReport`` with their unit-weight total.
 
 All losses are per-position (or per-sample) means over the batch, so their
-magnitudes are batch-size invariant. Each function returns the scalar loss
-tensor plus a small dict of plain-number diagnostics.
+magnitudes are batch-size invariant. Each loss function returns the scalar
+loss tensor plus a small dict of plain-number diagnostics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +112,7 @@ def _masked_prediction_loss(encoding: JointEncoding, samples: list[MaskedSample]
                                       heads.ctx_w, heads.ctx_b), atom_targets)
         loss = add(loss, mean_all(nll))
     total = len(token_rows)
-    return loss, {"mlm_accuracy": hits / total if total else float("nan"),
-                  "token_positions": total}
+    return loss, {"mlm_accuracy": hits / total if total else float("nan")}
 
 
 def loss_cmm_token(encoding: JointEncoding, samples: list[MaskedSample],
@@ -201,24 +202,23 @@ class LossReport:
     sgm_accuracy: float = float("nan")
 
 
-def total_loss(l_t: Tensor, l_f: Tensor, l_fla: Tensor, l_sgm: Tensor, l_dkl: Tensor,
+def total_loss(l_t: float, l_f: float, l_fla: float, l_sgm: float, l_dkl: float,
                mlm_accuracy: float = float("nan"),
-               sgm_accuracy: float = float("nan")) -> tuple[Tensor, LossReport]:
-    """Unit-weight sum of the four objectives (CMM = token + fragment); an
-    absent term is passed as ``constant(0.0)``.
+               sgm_accuracy: float = float("nan")) -> LossReport:
+    """The report of one batch: its five components and their unit-weight
+    sum, the four objectives with CMM = token + fragment; an absent term is
+    passed as 0.0.
 
     Raises:
-        NonFiniteInput: if any component is NaN or infinite.
+        NonFiniteInput: for the first component that is NaN or infinite, or
+            else if the total is.
     """
-    names = ("l_t", "l_f", "l_fla", "l_sgm", "l_dkl")
-    parts = (l_t, l_f, l_fla, l_sgm, l_dkl)
-    for name, part in zip(names, parts):
-        if not np.isfinite(part.data[0, 0]):
-            raise NonFiniteInput(f"component {name} is not finite: {part.data[0, 0]}")
-    total = add(add(add(l_t, l_f), l_fla), add(l_sgm, l_dkl))
-    report = LossReport(
-        l_t=l_t.item(), l_f=l_f.item(), l_fla=l_fla.item(),
-        l_sgm=l_sgm.item(), l_dkl=l_dkl.item(), total=total.item(),
-        mlm_accuracy=mlm_accuracy, sgm_accuracy=sgm_accuracy,
-    )
-    return total, report
+    parts = {"l_t": l_t, "l_f": l_f, "l_fla": l_fla, "l_sgm": l_sgm, "l_dkl": l_dkl}
+    for name, part in parts.items():
+        if not math.isfinite(part):
+            raise NonFiniteInput(f"component {name} is not finite: {part}")
+    total = ((l_t + l_f) + l_fla) + (l_sgm + l_dkl)
+    if not math.isfinite(total):
+        raise NonFiniteInput("loss is not finite")
+    return LossReport(**parts, total=total, mlm_accuracy=mlm_accuracy,
+                      sgm_accuracy=sgm_accuracy)

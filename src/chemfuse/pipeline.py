@@ -385,62 +385,6 @@ def derangement(n: int) -> list[int]:
     return [(i + 1) % n for i in range(n)]
 
 
-def _cmm_losses(model: PretrainModel, records: list[MoleculeRecord], mask_cfg: MaskConfig,
-                epoch: int, base_index: int, train_seed: int) -> tuple[Tensor, Tensor, float]:
-    """The CMM tape of one batch of ``records``: its token-masked views, then
-    its fragment-masked views (CMM only), one per molecule each, in one packed
-    pass, each keeping only the rows its loss reads; ``l_t``, ``l_f`` and the
-    masked-token accuracy. ``base_index``, the position of the batch's first
-    record in the epoch, seeds the masks."""
-    b = len(records)
-    tok_samples, frag_samples = [], []
-    for i, rec in enumerate(records):
-        rng = _record_rng(train_seed, epoch, base_index + i)
-        if mask_cfg.strategy is Strategy.CMM:
-            tok_samples.append(sample_token_mask(rec, mask_cfg, rng))
-            frag_samples.append(sample_fragment_mask(rec, mask_cfg, rng))
-        else:
-            tok_samples.append(sample_ablation_mask(rec, mask_cfg, rng))
-    samples = tok_samples + frag_samples
-    views = records * (len(samples) // b)
-    encoding = model.encoder.encode(
-        [rec.token_ids for rec in views], [rec.graph for rec in views],
-        [s.masked_token_positions for s in samples], [s.masked_atom_positions for s in samples],
-        [mask_cfg.strategy is Strategy.SINGLE_MODALITY] * b + [False] * len(frag_samples),
-        read=[s.masked_token_positions + tuple(len(rec.token_ids) + j
-                                               for j in s.masked_atom_positions)
-              for rec, s in zip(views, samples)])
-    l_t, tok_aux = loss_cmm_token(encoding.views(range(b)), tok_samples, model.heads)
-    l_f = (loss_cmm_fragment(encoding.views(range(b, 2 * b)), frag_samples, model.heads)[0]
-           if frag_samples else constant(0.0))
-    return l_t, l_f, tok_aux.get("mlm_accuracy", float("nan"))
-
-
-def _alignment_losses(model: PretrainModel,
-                      records: list[MoleculeRecord]) -> tuple[Tensor, Tensor, Tensor, float]:
-    """The alignment tape of one batch of ``records``: its clean views, then
-    its mismatched views (the SMILES of molecule i with the graph of its
-    derangement partner), one per molecule each, in one packed pass;
-    ``l_fla``, ``l_sgm``, ``l_dkl`` and the matching accuracy."""
-    enc, heads, b = model.encoder, model.heads, len(records)
-    partners = derangement(b) if b > 1 else []
-    encoding = enc.encode([rec.token_ids for rec in records] * (1 + bool(partners)),
-                          [rec.graph for rec in records] + [records[j].graph for j in partners])
-    clean = encoding.views(range(b))
-    try:
-        l_fla, _ = loss_fla(*enc.pool_fragments(clean, [rec.fragment_map for rec in records]))
-    except SingleFragmentBatch:
-        l_fla = constant(0.0)
-    sgm_aux = {}
-    if partners:
-        l_sgm, sgm_aux = loss_sgm(clean.x_cls, encoding.views(range(b, 2 * b)).x_cls, heads)
-    else:
-        l_sgm = constant(0.0)
-    l_dkl, _ = loss_dkl(clean.x_cls, [rec.fingerprint_bits for rec in records],
-                        [rec.group_bits for rec in records], heads)
-    return l_fla, l_sgm, l_dkl, sgm_aux.get("sgm_accuracy", float("nan"))
-
-
 class _PretrainStep:
     """The two tapes of each step of a run over ``records``, called with a
     batch's record indices, epoch and base index. The CMM tape runs in
@@ -466,36 +410,77 @@ class _PretrainStep:
         self.helper = _Helper.start(self._cmm, [p.data for p in self.params] + self.grads, bind)
 
     def _cmm(self, job: tuple[list[int], int, int]) -> tuple:
-        """The CMM tape of ``job`` and its backward into ``grads``, the
-        parameters' own gradients left as they were: l_t, l_f and the
+        """The CMM tape of ``job``, a batch's record indices, epoch and base
+        index (the position of its first record in the epoch, which seeds the
+        masks): its token-masked views, then its fragment-masked views (CMM
+        only), one per molecule each, in one packed pass, each keeping only
+        the rows its loss reads. Its backward goes into ``grads``, the
+        parameters' own gradients left as they were. Returns l_t, l_f and the
         masked-token accuracy; the warnings raised."""
         batch, epoch, base_index = job
+        records, mask_cfg = [self.records[i] for i in batch], self.mask_cfg
         held = [p.grad for p in self.params]
         for p, g in zip(self.params, self.grads):
             p.grad = g
             g.fill(0.0)
         with warnings.catch_warnings(record=True) as caught:
-            l_t, l_f, accuracy = _cmm_losses(self.model, [self.records[i] for i in batch],
-                                             self.mask_cfg, epoch, base_index, self.seed)
+            b = len(records)
+            tok_samples, frag_samples = [], []
+            for i, rec in enumerate(records):
+                rng = _record_rng(self.seed, epoch, base_index + i)
+                if mask_cfg.strategy is Strategy.CMM:
+                    tok_samples.append(sample_token_mask(rec, mask_cfg, rng))
+                    frag_samples.append(sample_fragment_mask(rec, mask_cfg, rng))
+                else:
+                    tok_samples.append(sample_ablation_mask(rec, mask_cfg, rng))
+            samples = tok_samples + frag_samples
+            views = records * (len(samples) // b)
+            encoding = self.model.encoder.encode(
+                [rec.token_ids for rec in views], [rec.graph for rec in views],
+                [s.masked_token_positions for s in samples],
+                [s.masked_atom_positions for s in samples],
+                [mask_cfg.strategy is Strategy.SINGLE_MODALITY] * b + [False] * len(frag_samples),
+                read=[s.masked_token_positions + tuple(len(rec.token_ids) + j
+                                                       for j in s.masked_atom_positions)
+                      for rec, s in zip(views, samples)])
+            l_t, tok_aux = loss_cmm_token(encoding.views(range(b)), tok_samples, self.model.heads)
+            l_f = (loss_cmm_fragment(encoding.views(range(b, 2 * b)), frag_samples,
+                                     self.model.heads)[0] if frag_samples else constant(0.0))
             if math.isfinite(l_t.item() + l_f.item()):  # else the report names it
                 backward(add(l_t, l_f))
         for p, g in zip(self.params, held):
             p.grad = g
-        return (l_t.item(), l_f.item(), accuracy), [(w.message, w.category, w.filename,
-                                                     w.lineno) for w in caught]
+        return (l_t.item(), l_f.item(), tok_aux["mlm_accuracy"]), [
+            (w.message, w.category, w.filename, w.lineno) for w in caught]
 
-    def _alignment(self, batch: list[int]) -> tuple[Tensor, Tensor, Tensor, float]:
-        """The alignment tape and its backward into the parameters' gradients."""
-        l_fla, l_sgm, l_dkl, sgm_accuracy = _alignment_losses(
-            self.model, [self.records[i] for i in batch])
+    def _alignment(self, batch: list[int]) -> tuple[float, float, float, float]:
+        """The alignment tape of ``batch``: its clean views, then its
+        mismatched views (the SMILES of molecule i with the graph of its
+        derangement partner), one per molecule each, in one packed pass. Its
+        backward goes into the parameters' gradients. Returns l_fla, l_sgm,
+        l_dkl and the matching accuracy."""
+        records = [self.records[i] for i in batch]
+        enc, heads, b = self.model.encoder, self.model.heads, len(records)
+        partners = derangement(b) if b > 1 else []
+        encoding = enc.encode([rec.token_ids for rec in records] * (1 + bool(partners)),
+                              [rec.graph for rec in records + [records[j] for j in partners]])
+        clean = encoding.views(range(b))
+        try:
+            l_fla, _ = loss_fla(*enc.pool_fragments(clean, [rec.fragment_map for rec in records]))
+        except SingleFragmentBatch:
+            l_fla = constant(0.0)
+        l_sgm, sgm_aux = (loss_sgm(clean.x_cls, encoding.views(range(b, 2 * b)).x_cls, heads)
+                          if partners else (constant(0.0), {"sgm_accuracy": float("nan")}))
+        l_dkl, _ = loss_dkl(clean.x_cls, [rec.fingerprint_bits for rec in records],
+                            [rec.group_bits for rec in records], heads)
         loss = add(l_fla, add(l_sgm, l_dkl))
         if math.isfinite(loss.item()):
             backward(loss)
-        return l_fla, l_sgm, l_dkl, sgm_accuracy
+        return l_fla.item(), l_sgm.item(), l_dkl.item(), sgm_aux["sgm_accuracy"]
 
     def __call__(self, batch: list[int], epoch: int, base_index: int) -> LossReport:
-        """One step. A NaN or infinity raises NonFiniteInput naming the first
-        non-finite component, as ``total_loss`` does, or else the total."""
+        """One step, reported by ``total_loss``: a NaN or infinity raises
+        NonFiniteInput naming the first non-finite component, or else the total."""
         job = (batch, epoch, base_index)
         if self.helper:
             aligned, out = self.helper.call(job, lambda: self._alignment(batch))
@@ -507,11 +492,7 @@ class _PretrainStep:
         for message, category, filename, lineno in caught:
             warnings.warn_explicit(message, category, filename, lineno)
         l_fla, l_sgm, l_dkl, sgm_accuracy = aligned
-        _, report = total_loss(Tensor(np.full((1, 1), l_t)), Tensor(np.full((1, 1), l_f)),
-                               l_fla, l_sgm, l_dkl, mlm_accuracy=mlm_accuracy,
-                               sgm_accuracy=sgm_accuracy)
-        if not math.isfinite(report.total):
-            raise NonFiniteInput("loss is not finite")
+        report = total_loss(l_t, l_f, l_fla, l_sgm, l_dkl, mlm_accuracy, sgm_accuracy)
         for p, g in zip(self.params, self.grads):
             p.grad += g
         return report

@@ -264,9 +264,30 @@ LARGE_MOLECULES = [
 ]
 
 
-def test_embed_packs_match_one_molecule_rows(checkpoint, capsys, monkeypatch):
+@pytest.fixture(scope="module")
+def smoke_checkpoint(tmp_path_factory):
+    """An untrained checkpoint of the smoke size (dim 64, 2 layers of 4 heads,
+    3 GCN layers of width 32), its vocabularies from the embed tests' lines."""
+    from chemfuse.masking import build_context_vocab
+    from chemfuse.pipeline import PretrainModel, build_vocabulary
+
+    molecules = [parse_molecule(s) for s in _embed_lines() + LARGE_MOLECULES]
+    vocab = build_vocabulary(m.tokens for m in molecules)
+    context_vocab = build_context_vocab(m.graph for m in molecules)
+    config = ModelConfig(vocab_size=vocab.size, context_vocab_size=context_vocab.size, dim=64,
+                         transformer_layers=2, heads=4, gnn_layers=3, gnn_width=32)
+    ckpt = tmp_path_factory.mktemp("smoke") / "model"
+    ckpt.mkdir()
+    save_pretrained(ckpt, PretrainModel(config, seed=3), vocab, context_vocab, step=0)
+    return str(ckpt)
+
+
+@pytest.mark.parametrize("which", ["checkpoint", "smoke_checkpoint"])
+def test_embed_packs_match_one_molecule_rows(which, request, capsys, monkeypatch):
     """Packed rows, split into halves on two CPUs, equal each molecule's
-    row alone, for small molecules and for a pack of ten large ones."""
+    row alone, for small molecules and for a pack of ten large ones, at the
+    ``checkpoint`` fixture's width and at the smoke width."""
+    checkpoint = request.getfixturevalue(which)
     model, vocab, _, _ = load_pretrained(checkpoint)
     for lines in (_embed_lines(), ["CCO"] + LARGE_MOLECULES):
         molecules = [parse_molecule(s) for s in lines]
@@ -576,6 +597,40 @@ def test_pretrain_helper_is_gone_however_pretraining_ends(tmp_path, capsys, monk
             _sink_pretrain(_LineSink(at_step))
         _assert_no_helper_left(helpers)
     assert len(helpers) == 4
+
+
+@linux_only
+@pytest.mark.parametrize("command,at", [("embed", 3), ("embed", 15), ("pretrain", 2)])
+def test_interrupted_command_exits_130_with_one_line(checkpoint, tmp_path, capsys, monkeypatch,
+                                                     command, at):
+    """A KeyboardInterrupt from ``embed``'s stdin at line 3 (before a helper
+    starts) or 15 (in the second full pack), or from ``pretrain``'s log sink
+    at step 2, exits 130 with one ``interrupted`` line after what the run
+    printed, no traceback and no helper left."""
+    _usable_cpus(monkeypatch, 2)
+    helpers = _watch_helpers(monkeypatch)
+    if command == "embed":
+        def stdin():
+            yield from (line + "\n" for line in _three_pack_lines()[:at - 1])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sys, "stdin", stdin())
+        code, out, err = run(capsys, ["embed", "--checkpoint", checkpoint])
+        assert (code, err) == (130, "interrupted\n")
+        assert len(out.splitlines()) == (1 if at == 3 else 11)
+        assert [helper.served for helper in helpers] == ([] if at == 3 else [1])
+    else:
+        def at_step(step):
+            if step == at:
+                raise KeyboardInterrupt
+
+        sink = _LineSink(at_step)
+        monkeypatch.setattr(sys, "stdout", sink)
+        code, _, err = _tiny_pretrain(capsys, tmp_path, "interrupted")
+        assert (code, err) == (130, "ingested 12 molecules (0 skipped)\ninterrupted\n")
+        assert len(sink.lines) == 1 + at + 1 and len(helpers) == 1
+    assert "Traceback" not in err
+    _assert_no_helper_left(helpers)
 
 
 @linux_only

@@ -9,7 +9,7 @@ from chemfuse.chem import parse_smiles
 from chemfuse.encoder import JointEncoding, ModelConfig, MoleculeEncoder
 from chemfuse.fragments import build_fragment_map
 from chemfuse.masking import MaskConfig, MaskedSample, Modality, sample_fragment_mask, sample_token_mask
-from chemfuse.nn import NonFiniteInput, backward, concat_rows, constant, segment_mean
+from chemfuse.nn import NonFiniteInput, add, backward, concat_rows, constant, segment_mean
 from chemfuse.objectives import (
     BatchTooSmall,
     Heads,
@@ -280,15 +280,17 @@ def test_dkl_matches_loop_oracle():
 
 
 def test_total_loss_arithmetic_and_nan_guard():
-    parts = [constant(float(v)) for v in (1, 2, 3, 4, 5)]
-    total, report = total_loss(*parts)
+    report = total_loss(1.0, 2.0, 3.0, 4.0, 5.0, mlm_accuracy=0.5, sgm_accuracy=0.25)
     assert (report.l_t, report.l_f, report.l_fla, report.l_sgm, report.l_dkl) == (1, 2, 3, 4, 5)
-    assert report.total == 15
-    assert total.item() == 15
-    bad = constant(1.0)
-    bad.data[0, 0] = float("nan")
-    with pytest.raises(NonFiniteInput):
-        total_loss(parts[0], bad, parts[2], parts[3], parts[4])
+    assert (report.total, report.mlm_accuracy, report.sgm_accuracy) == (15, 0.5, 0.25)
+    # ((l_t + l_f) + l_fla) + (l_sgm + l_dkl); summed left to right it is 1e16 + 2
+    assert total_loss(0.0, 0.0, 1.0, 1.0, 1e16).total == 1e16
+    with pytest.raises(NonFiniteInput, match="^component l_f is not finite: nan$"):
+        total_loss(1.0, float("nan"), 3.0, 4.0, 5.0)
+    with pytest.raises(NonFiniteInput, match="^component l_dkl is not finite: inf$"):
+        total_loss(1.0, 2.0, 3.0, 4.0, float("inf"))
+    with pytest.raises(NonFiniteInput, match="^loss is not finite$"):
+        total_loss(1e308, 1e308, 0.0, 0.0, 0.0)
 
 
 # ------------------------------------------------------------- gradient checks
@@ -347,8 +349,7 @@ def test_grad_all_five_heads():
                          [records[1].graph, records[0].graph]).x_cls
         l_s, _ = loss_sgm(clean_views.x_cls, neg, heads)
         l_d, _ = loss_dkl(clean_views.x_cls, fixed_fps, fixed_fgs, heads)
-        total, _ = total_loss(l_t, l_f, l_a, l_s, l_d)
-        return total
+        return add(add(add(l_t, l_f), l_a), add(l_s, l_d))
 
     head_params = [heads.token_w, heads.token_b, heads.ctx_w, heads.ctx_b,
                    heads.sgm_w1, heads.sgm_w2, heads.fp_w2, heads.fg_w2]

@@ -19,7 +19,7 @@ from chemfuse.masking import (
     sample_token_mask,
 )
 from chemfuse.metrics import DegenerateInput, concordance_index, roc_auc, rmse
-from chemfuse.nn import backward, concat_rows, constant
+from chemfuse.nn import add, backward, concat_rows, constant
 from chemfuse.objectives import (
     BatchTooSmall,
     loss_cmm_fragment,
@@ -39,8 +39,6 @@ from chemfuse.pipeline import (
     TaskKind,
     TrainConfig,
     _PretrainStep,
-    _alignment_losses,
-    _cmm_losses,
     _diverges_at,
     _record_rng,
     build_vocabulary,
@@ -67,7 +65,8 @@ SMALL_MODEL = dict(dim=16, transformer_layers=1, heads=2, gnn_layers=1,
                    gnn_width=8, fingerprint_width=64)
 
 #: Tape nodes the CMM and the alignment tape of one step build on
-#: ``_small_model_and_records()``; one tape of both built 115.
+#: ``_small_model_and_records()`` before their loss sums (one and two more
+#: nodes); one tape of both built 115.
 CMM_TAPE_NODES = 51
 ALIGNMENT_TAPE_NODES = 69
 
@@ -245,9 +244,10 @@ def _reference_step_losses(model, records, mask_cfg, epoch, base_index, train_se
     l_dkl, _ = loss_dkl(clean_x_cls,
                         [rec.fingerprint_bits for rec in records],
                         [rec.group_bits for rec in records], heads)
-    return total_loss(l_t, l_f, l_fla, l_sgm, l_dkl,
-                      mlm_accuracy=tok_aux["mlm_accuracy"],
-                      sgm_accuracy=sgm_aux["sgm_accuracy"])
+    total = add(add(add(l_t, l_f), l_fla), add(l_sgm, l_dkl))
+    return total, total_loss(l_t.item(), l_f.item(), l_fla.item(), l_sgm.item(), l_dkl.item(),
+                             mlm_accuracy=tok_aux["mlm_accuracy"],
+                             sgm_accuracy=sgm_aux["sgm_accuracy"])
 
 
 def _small_model_and_records(n=6, seed=11):
@@ -365,8 +365,10 @@ def test_step_losses_embeds_each_side_once_per_view(monkeypatch):
 
     monkeypatch.setattr(pipeline, "sample_fragment_mask", recorded)
     model, records = _small_model_and_records()
-    _cmm_losses(model, records, MaskConfig(seed=1), epoch=0, base_index=0, train_seed=1)
-    _alignment_losses(model, records)
+    step = _PretrainStep(model, records, MaskConfig(seed=1), train_seed=1)
+    batch = list(range(len(records)))
+    step._cmm((batch, 0, 0))
+    step._alignment(batch)
     sides = [s.masked_modality for s in frag_samples]
     assert len(sides) == len(records) == 6
     b = len(records)
@@ -396,17 +398,17 @@ def _count_tape_nodes(monkeypatch, run):
 def test_step_losses_tape_node_budget(monkeypatch):
     """Each tape of a step builds a fixed number of tape nodes, whatever its
     batch size; one encoder pass per view would build several times more."""
-    model, records = _small_model_and_records()
-    big_model, big_records = _small_model_and_records(n=12)
-    tapes = [
-        (CMM_TAPE_NODES, lambda model, records: lambda: _cmm_losses(
-            model, records, MaskConfig(seed=1), epoch=0, base_index=0, train_seed=1)),
-        (ALIGNMENT_TAPE_NODES, lambda model, records: lambda: _alignment_losses(model, records)),
-    ]
-    for budget, tape in tapes:
-        nodes = _count_tape_nodes(monkeypatch, tape(model, records))
+    def tapes(model, records):
+        step = _PretrainStep(model, records, MaskConfig(seed=1), train_seed=1)
+        batch = list(range(len(records)))
+        return [(CMM_TAPE_NODES, lambda: step._cmm((batch, 0, 0))),
+                (ALIGNMENT_TAPE_NODES, lambda: step._alignment(batch))]
+
+    small, big = tapes(*_small_model_and_records()), tapes(*_small_model_and_records(n=12))
+    for (budget, tape), (_, big_tape) in zip(small, big):
+        nodes = _count_tape_nodes(monkeypatch, tape)
         assert nodes <= 1.1 * budget, nodes
-        assert _count_tape_nodes(monkeypatch, tape(big_model, big_records)) == nodes
+        assert _count_tape_nodes(monkeypatch, big_tape) == nodes
 
 
 def test_packed_views_match_views_alone():
